@@ -28,6 +28,7 @@ from .contour import ContourSpec, default_contour, integrate_A, integrate_B, r_m
 from .errors import NearSpectrumError, OperatorError, SplittingMismatchError
 from .operators import (
     Operator,
+    _schur_norms,
     eigenvalues_of,
     near_spectrum_tol,
     resolvent,
@@ -464,10 +465,7 @@ def _restricted_norms(restricted: np.ndarray, grid: np.ndarray) -> np.ndarray:
             eigenvalue=complex(ev[np.argmin(np.abs(grid[bad] - ev))]),
             distance=float(dmin[bad]),
         )
-    eye = np.eye(k, dtype=complex)
-    shifted = restricted[None, :, :] - grid[:, None, None] * eye[None, :, :]
-    res = np.linalg.solve(shifted, np.broadcast_to(eye, shifted.shape))
-    return np.linalg.svd(res, compute_uv=False)[:, 0]
+    return _schur_norms(Operator(entries=restricted), grid)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,14 @@ the 1/lambda^2 weight; for slower weights a fitted decay envelope
 M/|lambda|^beta supplies the bound.  Quadrature estimate and tail bound are
 combined into ``QuadResult.est_error``.
 
-Node evaluations are independent dense solves, batched internally; the final
-reduction is an ordered sum, so results are deterministic.
+Node evaluations go through the resolvent kernel
+:func:`specsplit.operators.resolvent_sums`: each diagonal block of the
+operator (a connected component of its nonzero pattern) is reduced once to
+complex Schur form, every node costs one triangular inverse per block
+(vectorised over the nodes for small blocks, closed-form for blocks of order
+1 and 2, one LAPACK call per node for larger blocks), and the weighted sums are
+accumulated in Schur coordinates and back-transformed once per pass.  The
+reduction is an ordered sum over the nodes, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -41,8 +47,12 @@ import numpy as np
 from .errors import NearSpectrumError, QuadratureError, SlowDecayWarning, TruncationError
 from .operators import (
     Operator,
+    _check_points_clear,
+    _schur_norms,
     eigenvalues_of,
+    near_spectrum_tol,
     operator_norm,
+    resolvent_sums,
     spectral_norm,
     spectrum,
 )
@@ -228,34 +238,12 @@ def _check_nodes_clear(op: Operator, lams: np.ndarray):
             )
 
 
-def _weighted_resolvent_sums(op: Operator, lams: np.ndarray, coef_sets: list[np.ndarray]):
-    """Ordered sums  sum_k coef[k] * (S - lam_k)^{-1}  for several coefficient
-    vectors over one node set, plus the per-node Frobenius norms.
-
-    One dense solve per node, batched in memory-bounded chunks; accumulation
-    order is fixed by the node order, so results are reproducible.
-    """
-    n = op.dim
-    eye = np.eye(n, dtype=complex)
-    sums = [np.zeros((n, n), dtype=complex) for _ in coef_sets]
-    fro = np.empty(len(lams))
-    chunk = max(1, 4_000_000 // (n * n))
-    for start in range(0, len(lams), chunk):
-        piece = lams[start : start + chunk]
-        shifted = op.entries[None, :, :] - piece[:, None, None] * eye[None, :, :]
-        res = np.linalg.solve(shifted, np.broadcast_to(eye, shifted.shape))
-        fro[start : start + len(piece)] = np.linalg.norm(res, axis=(1, 2))
-        for s, coefs in zip(sums, coef_sets):
-            s += np.tensordot(coefs[start : start + len(piece)], res, axes=(0, 0))
-    return sums, fro
-
-
 def _line_pass(op: Operator, x0: float, weight, scale: float, t_max: float, q: int, scheme: str):
     t, w, t_eff = line_nodes(scale, t_max, q, scheme)
     lams = x0 + 1j * t
     _check_nodes_clear(op, lams)
     coefs = w * weight(lams) / (2.0 * np.pi)
-    (value,), fro = _weighted_resolvent_sums(op, lams, [coefs])
+    (value,), fro = resolvent_sums(op, lams, [coefs])
     return value, lams, fro, t_eff, len(t)
 
 
@@ -430,7 +418,7 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
         base = w / np.pi
         masks = [np.abs(t) <= t_eff / 4.0, np.abs(t) <= t_eff / 2.0, np.ones_like(t, bool)]
         coef_sets = [np.where(m, base, 0.0) for m in masks]
-        (i_quarter, i_half, i_full), fro = _weighted_resolvent_sums(op, lams, coef_sets)
+        (i_quarter, i_half, i_full), fro = resolvent_sums(op, lams, coef_sets)
         return (i_quarter, i_half, i_full), lams, fro, t_eff, len(t)
 
     prev_parts = richardson_pass(max(1, q // 2))[0]
@@ -484,12 +472,8 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
 def _symmetrised_norms(op: Operator, lams: np.ndarray) -> np.ndarray:
     """Frobenius norms of R(lambda) + lambda^{-1} I (an upper bound of the
     operator norm, so envelopes fitted on it stay upper bounds)."""
-    from .operators import resolvent_many
-
-    res = resolvent_many(op, lams)
-    eye = np.eye(op.dim, dtype=complex)
-    shifted = res + eye[None, :, :] / lams[:, None, None]
-    return np.linalg.norm(shifted, axis=(1, 2))
+    _check_points_clear(op, lams, near_spectrum_tol(op))
+    return _schur_norms(op, lams, spectral=False, shift=1.0 / lams)
 
 
 def r_minus(op: Operator, z: complex, a_minus: np.ndarray, spec: ContourSpec) -> np.ndarray:

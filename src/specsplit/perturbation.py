@@ -27,14 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import json_safe_float, multiset_match_distance
-from .contour import ContourSpec, line_nodes, _check_nodes_clear
+from .contour import _MAX_NODES_PER_UNIT, ContourSpec, _check_nodes_clear, line_nodes
 from .errors import NearSpectrumError, OperatorError, QuadratureError
 from .operators import (
     Operator,
+    _check_points_clear,
+    _schur_diff_norms,
     eigenvalues_of,
     near_spectrum_tol,
     oracle_projection,
-    resolvent_many,
+    resolvent_sums,
     spectral_norm,
     spectrum,
 )
@@ -61,9 +63,9 @@ __all__ = [
 
 
 def _diff_norms(s_op: Operator, t_op: Operator, lams: np.ndarray) -> np.ndarray:
-    rs = resolvent_many(s_op, lams)
-    rt = resolvent_many(t_op, lams)
-    return np.linalg.svd(rs - rt, compute_uv=False)[:, 0]
+    for op in (s_op, t_op):
+        _check_points_clear(op, lams, near_spectrum_tol(op))
+    return _schur_diff_norms(s_op, t_op, lams)
 
 
 def resolvent_diff_decay(
@@ -206,29 +208,17 @@ def projection_diff_integral(
         lams = spec.h + 1j * t
         _check_nodes_clear(s_op, lams)
         _check_nodes_clear(t_op, lams)
-        n = s_op.dim
-        eye = np.eye(n, dtype=complex)
-        coefs = w / (2.0 * np.pi)
-        total = np.zeros((n, n), dtype=complex)
-        diff_fro = np.empty(len(lams))
-        chunk = max(1, 2_000_000 // (n * n))
-        for start in range(0, len(lams), chunk):
-            piece = lams[start : start + chunk]
-            sh_s = s_op.entries[None] - piece[:, None, None] * eye[None]
-            sh_t = t_op.entries[None] - piece[:, None, None] * eye[None]
-            diff = np.linalg.solve(sh_s, np.broadcast_to(eye, sh_s.shape)) - np.linalg.solve(
-                sh_t, np.broadcast_to(eye, sh_t.shape)
-            )
-            diff_fro[start : start + len(piece)] = np.linalg.norm(diff, axis=(1, 2))
-            total += np.tensordot(coefs[start : start + len(piece)], diff, axes=(0, 0))
-        return total, lams, diff_fro, t_eff
+        coefs = [w / (2.0 * np.pi)]
+        (sum_s,), _ = resolvent_sums(s_op, lams, coefs)
+        (sum_t,), _ = resolvent_sums(t_op, lams, coefs)
+        return sum_s - sum_t, lams, t_eff
 
     q = spec.nodes_per_unit
     prev = one_pass(max(1, q // 2))[0]
     while True:
-        value, lams, diff_fro, t_eff = one_pass(q)
+        value, lams, t_eff = one_pass(q)
         est_quad = spectral_norm(value - prev)
-        if est_quad <= spec.tol or q >= 1024:
+        if est_quad <= spec.tol or q >= _MAX_NODES_PER_UNIT:
             break
         prev, q = value, 2 * q
     if est_quad > spec.tol:
@@ -237,10 +227,11 @@ def projection_diff_integral(
         )
 
     # decay of the sampled difference on the asymptotic part of the line
-    abs_lams = np.abs(lams)
-    mask = (abs_lams >= t_eff**0.4) & (diff_fro > 0.0)
+    far = lams[np.abs(lams) >= t_eff**0.4]
+    diff_fro = _schur_diff_norms(s_op, t_op, far, spectral=False)
+    mask = diff_fro > 0.0
     if mask.sum() >= 4:
-        x = np.log(abs_lams[mask])
+        x = np.log(np.abs(far[mask]))
         y = np.log(diff_fro[mask])
         design = np.vstack([np.ones(x.size), -x]).T
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
