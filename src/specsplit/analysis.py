@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .contour import ContourSpec, default_contour, integrate_A, integrate_B, r_minus
+from .contour import ContourSpec, _side_integrals, default_contour
 from .errors import NearSpectrumError, OperatorError, SplittingMismatchError
 from .operators import (
     Operator,
+    _check_points_clear,
     _schur_norms,
     eigenvalues_of,
     near_spectrum_tol,
@@ -231,10 +232,12 @@ def split(
 ) -> SplitResult:
     """Compute the half-plane splitting of ``op`` from contour quadrature.
 
-    P_+- = S^2 A_+- with A_+- from :func:`specsplit.contour.integrate_A`;
-    bases of the invariant subspaces come from a rank-revealing factorisation
-    of the projections.  Operators whose spectrum touches the imaginary axis
-    are refused rather than regularised.
+    P_+- = S^2 A_+- with A_+- as :func:`specsplit.contour.integrate_A`
+    returns them; bases of the invariant subspaces come from a rank-revealing
+    factorisation of the projections.  Each contour line is evaluated once:
+    Re lambda = +h for A_+ (and B_+), Re lambda = -h for A_-, R_-(-2h) (and
+    B_-).  Operators whose spectrum touches the imaginary axis are refused
+    rather than regularised.
 
     Raises
     ------
@@ -245,8 +248,10 @@ def split(
         half-plane.
     """
     spec = default_contour(op) if spec is None else spec
-    quad_plus = integrate_A(op, "+", spec)
-    quad_minus = integrate_A(op, "-", spec)
+    z = -2.0 * spec.h
+    plus = _side_integrals(op, "+", spec, ("A", "B") if with_b else ("A",))
+    minus = _side_integrals(op, "-", spec, ("A", "R", "B") if with_b else ("A", "R"), z)
+    quad_plus, quad_minus = plus["A"], minus["A"]
     a_plus, a_minus = quad_plus.value, quad_minus.value
     est_error = quad_plus.est_error + quad_minus.est_error
 
@@ -298,16 +303,12 @@ def split(
     residuals["spectrum_split"] = multiset_match_distance(
         np.concatenate([ev_plus, ev_minus]), ev
     )
-    z = -2.0 * spec.h
-    r_mz = r_minus(op, z, a_minus, spec)
     residuals["r_minus_identity"] = spectral_norm(
-        (op.entries - z * np.eye(op.dim)) @ r_mz - np.eye(op.dim) + z**2 * a_minus
+        (op.entries - z * np.eye(op.dim)) @ minus["R"] - np.eye(op.dim) + z**2 * a_minus
     )
 
-    b_plus = b_minus = None
-    if with_b:
-        b_plus = integrate_B(op, "+", spec).value
-        b_minus = integrate_B(op, "-", spec).value
+    b_plus = plus["B"].value if with_b else None
+    b_minus = minus["B"].value if with_b else None
 
     return SplitResult(
         a_plus=a_plus,
@@ -456,16 +457,9 @@ def _restricted_norms(restricted: np.ndarray, grid: np.ndarray) -> np.ndarray:
     k = restricted.shape[0]
     if k == 0:
         return np.zeros(grid.size)
-    ev = np.linalg.eigvals(restricted)
-    dmin = np.min(np.abs(grid[:, None] - ev[None, :]), axis=1)
-    bad = int(np.argmin(dmin))
-    if dmin[bad] <= 1e-12 * (1.0 + np.abs(ev).max()):
-        raise NearSpectrumError(
-            f"grid point {grid[bad]} lies in the spectrum of the restriction",
-            eigenvalue=complex(ev[np.argmin(np.abs(grid[bad] - ev))]),
-            distance=float(dmin[bad]),
-        )
-    return _schur_norms(Operator(entries=restricted), grid)
+    op = Operator(entries=restricted)
+    _check_points_clear(op, grid, 1e-12 * (1.0 + np.abs(eigenvalues_of(op)).max()))
+    return _schur_norms(op, grid)
 
 
 @dataclass(frozen=True)

@@ -17,23 +17,35 @@ kept as a structurally different cross-check.  Both schemes subdivide the
 central panel further, concentrating nodes where the line passes closest to
 the spectrum.
 
-Error control.  Each integral is evaluated at the requested Gauss order and
-at half that order; the difference is the quadrature error estimate, and the
-order is doubled (up to 2^10) until the estimate meets the tolerance budget.
-The omitted |t| > T tail is bounded rigorously from the sampled resolvent
-norms: |lambda|^{-2} <= t^{-2} on the line gives tail <= M_strip/(pi*T) for
-the 1/lambda^2 weight; for slower weights a fitted decay envelope
-M/|lambda|^beta supplies the bound.  Quadrature estimate and tail bound are
-combined into ``QuadResult.est_error``.
+Error control.  One driver evaluates every integral.  It takes one line and
+the coefficient sets of all the integrals wanted on it, so a line is solved
+once for all of them: ``analysis.split`` puts A_+ (and B_+) on Re lambda = +h,
+and A_-, R_-(-2h) (and B_-) on Re lambda = -h.  Every panel is evaluated at
+the Gauss order q = ``nodes_per_unit`` and at q/2.  The quadrature error
+estimate of a set is the spectral norm of the sum over the panels of
+I_q - I_{q/2}, each panel at its own order.  While some set misses its
+tolerance, the order is doubled (up to 2^10) only on the panels whose
+Frobenius difference exceeds tol/n_panels for some set; the old order becomes
+their half order.  Such a panel exists whenever the test fails, since the
+spectral norm of a sum is at most the sum of the Frobenius norms, and a panel
+below the threshold is never refined again (per-panel refinement as in
+QUADPACK, Piessens et al. 1983).  The omitted |t| > T tail is bounded from
+the resolvent norms sampled at each panel's final order: |lambda|^{-2} <=
+t^{-2} on the line gives tail <= M_strip/(pi*T) for the 1/lambda^2 weight;
+for slower weights a fitted decay envelope M/|lambda|^beta supplies the
+bound.  ``QuadResult.est_error`` is the quadrature estimate of the integral's
+own set plus its tail bound; ``QuadResult.node_count`` counts every solve on
+the line, at every order and for every integral that shares the line.
 
-Node evaluations go through the resolvent kernel
-:func:`specsplit.operators.resolvent_sums`: each diagonal block of the
-operator (a connected component of its nonzero pattern) is reduced once to
-complex Schur form, every node costs one triangular inverse per block
-(vectorised over the nodes for small blocks, closed-form for blocks of order
-1 and 2, one LAPACK call per node for larger blocks), and the weighted sums are
-accumulated in Schur coordinates and back-transformed once per pass.  The
-reduction is an ordered sum over the nodes, so results are deterministic.
+Node evaluations go through the resolvent kernel of
+:mod:`specsplit.operators`: each diagonal block of the operator (a connected
+component of its nonzero pattern) is reduced once to complex Schur form,
+every node costs one triangular inverse per block (vectorised over the nodes
+for small blocks, closed-form for blocks of order 1 and 2, one LAPACK call
+per node for larger blocks), and the weighted sums are accumulated per panel
+in Schur coordinates, where the per-panel norms are taken too, and
+back-transformed once per integral.  Only the panels still open keep their
+own sums.  The reductions are ordered sums, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -48,11 +60,12 @@ from .errors import NearSpectrumError, QuadratureError, SlowDecayWarning, Trunca
 from .operators import (
     Operator,
     _check_points_clear,
+    _LineSums,
     _schur_norms,
+    _stack_norms,
     eigenvalues_of,
     near_spectrum_tol,
     operator_norm,
-    resolvent_sums,
     spectral_norm,
     spectrum,
 )
@@ -167,46 +180,49 @@ def _gauss(q: int):
     return _GAUSS_CACHE[q]
 
 
-def _panel_nodes(breaks: np.ndarray, q: int):
-    x, w = _gauss(q)
-    mid = 0.5 * (breaks[1:] + breaks[:-1])
-    half = 0.5 * (breaks[1:] - breaks[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def _dyadic_breaks(scale: float, t_max: float) -> np.ndarray:
     """0, scale, 2*scale, 4*scale, ... up to the first dyadic point >= t_max."""
     k = max(0, int(np.ceil(np.log2(t_max / scale))))
     return np.concatenate([[0.0], scale * 2.0 ** np.arange(0, k + 1)])
 
 
-def line_nodes(scale: float, t_max: float, q: int, scheme: str):
+def _line_panels(scale: float, t_max: float, scheme: str):
+    """Panel edges of the whole line in the variable that carries the Gauss
+    nodes (theta for ``tangent-substitution``, t otherwise), increasing, and
+    the effective truncation ``t_eff``."""
+    breaks = _dyadic_breaks(scale, t_max)
+    if scheme == "tangent-substitution":
+        theta = np.arctan(breaks / scale)
+        half = np.sort(np.concatenate([theta, theta[1] * np.array([0.125, 0.25, 0.5])]))
+    else:
+        half = np.sort(np.concatenate([breaks, breaks[1] * np.array([0.25, 0.5])]))
+    return np.concatenate([-half[:0:-1], half]), float(breaks[-1])
+
+
+def line_nodes(scale: float, t_max: float, q: int, scheme: str, panels=None):
     """Symmetric quadrature nodes/weights for integral over t in [-T_eff, T_eff].
 
     Returns ``(t, w, t_eff)`` with ``t_eff = scale * 2^K >= t_max`` the
     effective truncation (panel boundaries are kept exactly dyadic so that
-    prefix truncations remain exact sub-sums).
+    prefix truncations remain exact sub-sums).  ``panels`` selects panels by
+    their index along the line, from the bottom (all panels by default); each
+    selected panel contributes ``q`` consecutive nodes, in increasing t.
     """
-    breaks = _dyadic_breaks(scale, t_max)
-    t_eff = breaks[-1]
+    edges, t_eff = _line_panels(scale, t_max, scheme)
+    lo, hi = edges[:-1], edges[1:]
+    if panels is not None:
+        lo, hi = lo[panels], hi[panels]
+    x, w = _gauss(q)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
     if scheme == "tangent-substitution":
-        theta = np.arctan(breaks / scale)
-        theta = np.sort(np.concatenate([theta, theta[1] * np.array([0.125, 0.25, 0.5])]))
-        th, wth = _panel_nodes(theta, q)
-        t_pos = scale * np.tan(th)
-        w_pos = scale / np.cos(th) ** 2 * wth
-    else:
-        tb = np.sort(np.concatenate([breaks, breaks[1] * np.array([0.25, 0.5])]))
-        t_pos, w_pos = _panel_nodes(tb, q)
-    t = np.concatenate([-t_pos[::-1], t_pos])
-    w = np.concatenate([w_pos[::-1], w_pos])
-    return t, w, float(t_eff)
+        return scale * np.tan(nodes), scale / np.cos(nodes) ** 2 * weights, t_eff
+    return nodes, weights, t_eff
 
 
 # ---------------------------------------------------------------------------
-# the quadrature engine
+# the quadrature driver
 # ---------------------------------------------------------------------------
 
 
@@ -219,54 +235,130 @@ def _contour_node_tol(op: Operator) -> float:
 
 
 def _check_nodes_clear(op: Operator, lams: np.ndarray):
+    """Refuse when a node is within ``_contour_node_tol`` of the spectrum.
+
+    The nodes must lie on one vertical line: the node nearest to an
+    eigenvalue is then a neighbour of its imaginary part among the sorted
+    imaginary parts of the nodes.
+    """
+    if lams.size == 0:
+        return
     ev = eigenvalues_of(op)
     tol = _contour_node_tol(op)
-    # distance of each node to the nearest eigenvalue, computed in chunks
-    chunk = max(1, 2_000_000 // max(1, len(ev)))
-    for start in range(0, len(lams), chunk):
-        piece = lams[start : start + chunk]
-        d = np.abs(piece[:, None] - ev[None, :])
-        dmin = d.min(axis=1)
-        i = int(np.argmin(dmin))
-        if dmin[i] <= tol:
-            j = int(np.argmin(d[i]))
-            raise NearSpectrumError(
-                f"contour node {piece[i]} is within {dmin[i]:.3e} of eigenvalue {ev[j]}",
-                eigenvalue=complex(ev[j]),
-                distance=float(dmin[i]),
-                tol=tol,
-            )
+    nodes = lams[np.argsort(lams.imag, kind="stable")]
+    pos = np.searchsorted(nodes.imag, ev.imag)
+    near = np.stack([np.maximum(pos - 1, 0), np.minimum(pos, nodes.size - 1)])
+    d = np.abs(nodes[near] - ev[None, :])
+    j = int(np.argmin(d.min(axis=0)))  # the eigenvalue closest to the line's nodes
+    i = near[int(np.argmin(d[:, j])), j]
+    dist = float(d[:, j].min())
+    if dist <= tol:
+        raise NearSpectrumError(
+            f"contour node {nodes[i]} is within {dist:.3e} of eigenvalue {ev[j]}",
+            eigenvalue=complex(ev[j]),
+            distance=dist,
+            tol=tol,
+        )
 
 
-def _line_pass(op: Operator, x0: float, weight, scale: float, t_max: float, q: int, scheme: str):
-    t, w, t_eff = line_nodes(scale, t_max, q, scheme)
-    lams = x0 + 1j * t
-    _check_nodes_clear(op, lams)
-    coefs = w * weight(lams) / (2.0 * np.pi)
-    (value,), fro = resolvent_sums(op, lams, [coefs])
-    return value, lams, fro, t_eff, len(t)
+@dataclass(frozen=True)
+class _Line:
+    """The integrals of one driver call, one entry per coefficient set in
+    ``values`` and ``est``; ``lams`` and ``fro`` hold every panel's nodes at
+    its final order, in line order, and the Frobenius norms of the resolvent
+    (of the first operator) there."""
+
+    values: list
+    est: list
+    lams: np.ndarray
+    fro: np.ndarray
+    t_eff: float
+    node_count: int
 
 
-def _escalate(op: Operator, x0: float, weight, spec: ContourSpec, scale: float | None = None):
-    """Run a line integral with order doubling until the quadrature error
-    estimate meets ``spec.tol``."""
+def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, scale=None) -> _Line:
+    """Integrals (1/2*pi) * integral of w(lambda) R(lambda) dt over the line
+    Re lambda = x0, one per weight, with per-panel order doubling until the
+    quadrature estimate of every weight meets its tolerance in ``tols``
+    (``inf`` lets a weight ride along); R is the resolvent of ``ops[0]``, or
+    R_S - R_T when ``ops`` is a pair (S, T)."""
     scale = spec.h if scale is None else scale
+    kernel = _LineSums(ops)
+    edges, t_eff = _line_panels(scale, spec.truncation_T, spec.scheme)
+    n_panels = edges.size - 1
+    tols = np.asarray(tols, dtype=float)
+    cuts = tols[:, None] / n_panels
+    final_lams, final_fro = [None] * n_panels, [None] * n_panels
+    node_count = 0
+
+    def solve(order, panels):
+        nonlocal node_count
+        t, w, _ = line_nodes(scale, spec.truncation_T, order, spec.scheme, panels)
+        lams = x0 + 1j * t
+        for op in ops:
+            _check_nodes_clear(op, lams)
+        node_count += lams.size
+        coefs = np.array([w * weight(lams) / (2.0 * np.pi) for weight in weights])
+        return lams, coefs
+
     q = spec.nodes_per_unit
-    v_prev, *_ = _line_pass(op, x0, weight, scale, spec.truncation_T, max(1, q // 2), spec.scheme)
+    panels = np.arange(n_panels)  # the open panels, all at order q
+    kept = None  # their sums at the previous order
+    closed_hi, closed_diff = kernel.zeros(len(weights)), kernel.zeros(len(weights))
     while True:
-        value, lams, fro, t_eff, count = _line_pass(
-            op, x0, weight, scale, spec.truncation_T, q, spec.scheme
-        )
-        est_quad = spectral_norm(value - v_prev)
-        if est_quad <= spec.tol or q >= _MAX_NODES_PER_UNIT:
-            break
-        v_prev, q = value, 2 * q
-    if est_quad > spec.tol:
-        raise QuadratureError(
-            f"quadrature did not reach tol={spec.tol:.2e} at {_MAX_NODES_PER_UNIT} "
-            f"nodes per panel (estimate {est_quad:.2e})"
-        )
-    return value, est_quad, lams, fro, t_eff, count
+        lams, coefs = solve(q, panels)
+        if kept is None:
+            half = max(1, q // 2)
+            lo_lams, lo_coefs = solve(half, panels)
+        fro = np.empty(lams.size)
+        open_hi, open_diff = kernel.zeros(len(weights)), kernel.zeros(len(weights))
+        is_open, next_kept = np.zeros(panels.size, dtype=bool), []
+        batch = kernel.panels_per_batch(q)
+        for first in range(0, panels.size, batch):
+            p = slice(first, min(first + batch, panels.size))
+            nodes = slice(p.start * q, p.stop * q)
+            hi, fro[nodes] = kernel.sums(lams[nodes], coefs[:, nodes], q)
+            if kept is None:
+                lo_nodes = slice(p.start * half, p.stop * half)
+                lo, _ = kernel.sums(lo_lams[lo_nodes], lo_coefs[:, lo_nodes], half)
+            else:
+                lo = [k[:, p] for k in kept]
+            diff = [h - l for h, l in zip(hi, lo)]
+            mask = np.any(_stack_norms(diff, spectral=False) > cuts, axis=0)
+            for acc, blocks, sel in (
+                (closed_hi, hi, ~mask),
+                (closed_diff, diff, ~mask),
+                (open_hi, hi, mask),
+                (open_diff, diff, mask),
+            ):
+                for a, b in zip(acc, blocks):
+                    a += b[:, sel].sum(axis=1)
+            is_open[p] = mask
+            next_kept.append([h[:, mask] for h in hi])
+        for k, panel in enumerate(panels):
+            final_lams[panel] = lams[k * q : (k + 1) * q]
+            final_fro[panel] = fro[k * q : (k + 1) * q]
+        est = _stack_norms([c + o for c, o in zip(closed_diff, open_diff)], spectral=True)
+        # with every panel closed the estimate is below tol up to rounding
+        if np.all(est <= tols) or not is_open.any():
+            totals = [c + o for c, o in zip(closed_hi, open_hi)]
+            return _Line(
+                values=[kernel.dense([t[i] for t in totals]) for i in range(len(weights))],
+                est=[float(e) for e in est],
+                lams=np.concatenate(final_lams),
+                fro=np.concatenate(final_fro),
+                t_eff=t_eff,
+                node_count=node_count,
+            )
+        if q >= _MAX_NODES_PER_UNIT:
+            worst = int(np.argmax(est / tols))
+            raise QuadratureError(
+                f"quadrature on Re lambda = {x0:.6g} did not reach tol={tols[worst]:.2e} at "
+                f"{_MAX_NODES_PER_UNIT} nodes per panel (estimate {est[worst]:.2e})"
+            )
+        panels = panels[is_open]
+        kept = [np.concatenate(parts, axis=1) for parts in zip(*next_kept)]
+        q *= 2
 
 
 def _decay_fit(abs_lams: np.ndarray, norms: np.ndarray, lo: float, hi: float):
@@ -320,6 +412,102 @@ def _side_sign(side: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _a_tail(line: _Line, spec: ContourSpec) -> float:
+    tail = float(line.fro.max()) / (np.pi * line.t_eff)
+    if tail > spec.tol:
+        raise TruncationError(
+            f"tail bound {tail:.2e} exceeds tol={spec.tol:.2e}; increase T "
+            f"(currently T_eff={line.t_eff:.3g})"
+        )
+    return tail
+
+
+def _b_tail(op: Operator, line: _Line, x0: float, spec: ContourSpec) -> float:
+    beta_line = _line_decay_exponent(op, x0, line.t_eff)
+    if beta_line <= 1e-6:
+        raise QuadratureError(
+            f"no resolvent decay on the line (fitted beta {beta_line:.3g}); "
+            "the 1/lambda-weighted integral may diverge"
+        )
+    if beta_line <= 0.1:
+        warnings.warn(
+            f"slow resolvent decay on the line (fitted beta {beta_line:.3g})",
+            SlowDecayWarning,
+            stacklevel=4,
+        )
+    # envelope fitted on the asymptotic part of the line, used beyond T_eff
+    t_eff = line.t_eff
+    beta_tail, m_env = _decay_fit(np.abs(line.lams), line.fro, t_eff**0.4, t_eff)
+    if beta_tail <= 1e-6:
+        raise QuadratureError(
+            f"no asymptotic resolvent decay on the line (fitted beta {beta_tail:.3g})"
+        )
+    tail = m_env / (np.pi * beta_tail * t_eff**beta_tail)
+    if tail > spec.tol:
+        raise TruncationError(
+            f"tail bound {tail:.2e} exceeds tol={spec.tol:.2e}; increase T"
+        )
+    return tail
+
+
+def _check_r_minus_tail(line: _Line, z: complex, spec: ContourSpec):
+    tail = float(line.fro.max()) * abs(z) ** 2 / (np.pi * line.t_eff**2)
+    if tail > spec.tol * max(1.0, abs(z) ** 2):
+        raise TruncationError(
+            f"R_-(z) tail bound {tail:.2e} above budget; increase T"
+        )
+
+
+def _r_minus_weight(z: complex, spec: ContourSpec):
+    """The weight of R_-(z), after checking that the pole z lies left of the
+    line Re lambda = -h and inside the truncation."""
+    margin = -spec.h - z.real  # distance of the pole z to the contour line
+    if margin < max(spec.tol, 1e-12):
+        raise NearSpectrumError(
+            f"z={z} is on the wrong side of (or too close to) the contour "
+            f"Re lambda = -{spec.h}",
+            distance=float(abs(z.real + spec.h)),
+        )
+    if spec.truncation_T < 2.0 * abs(z):
+        raise TruncationError(
+            f"truncation_T={spec.truncation_T} too small for |z|={abs(z):.3g}; increase T"
+        )
+    return lambda lam: z**2 / (lam**2 * (lam - z))
+
+
+def _side_integrals(
+    op: Operator, side: str, spec: ContourSpec, kinds, z: complex | None = None
+) -> dict:
+    """The integrals ``kinds`` on the line Re lambda = +-h, from one driver
+    call: "A" and "B" as :func:`integrate_A` and :func:`integrate_B` return
+    them, "R" (side "-" only) the matrix R_-(z) of :func:`r_minus`."""
+    _check_contour_admissible(op, spec)
+    sgn = _side_sign(side)
+    weights = []
+    for kind in kinds:
+        if kind == "A":
+            weights.append(lambda lam: 1.0 / lam**2)
+        elif kind == "B":
+            weights.append(lambda lam: 1.0 / lam)
+        elif kind == "R" and side == "-":
+            z = complex(z)
+            weights.append(_r_minus_weight(z, spec))
+        else:
+            raise ValueError(f"no integral {kind!r} on side {side!r}")
+    line = _line_integrals((op,), sgn * spec.h, weights, [spec.tol] * len(kinds), spec)
+    out = {}
+    for kind, value, est in zip(kinds, line.values, line.est):
+        if kind == "R":
+            _check_r_minus_tail(line, z, spec)
+            out[kind] = value
+            continue
+        tail = _a_tail(line, spec) if kind == "A" else _b_tail(op, line, sgn * spec.h, spec)
+        out[kind] = QuadResult(
+            value=sgn * value, tail_bound=tail, node_count=line.node_count, est_error=est + tail
+        )
+    return out
+
+
 def integrate_A(op: Operator, side: str, spec: ContourSpec) -> QuadResult:
     """A_side = +-(1/2*pi*i) * integral of lambda^{-2} (S-lambda)^{-1} along
     Re lambda = +-h.
@@ -328,24 +516,7 @@ def integrate_A(op: Operator, side: str, spec: ContourSpec) -> QuadResult:
     ranges span the invariant subspaces, and S^2 A_+- are the half-plane
     spectral projections.
     """
-    _check_contour_admissible(op, spec)
-    sgn = _side_sign(side)
-    value, est_quad, lams, fro, t_eff, count = _escalate(
-        op, sgn * spec.h, lambda lam: 1.0 / lam**2, spec
-    )
-    m_strip = float(fro.max())
-    tail = m_strip / (np.pi * t_eff)
-    if tail > spec.tol:
-        raise TruncationError(
-            f"tail bound {tail:.2e} exceeds tol={spec.tol:.2e}; increase T "
-            f"(currently T_eff={t_eff:.3g})"
-        )
-    return QuadResult(
-        value=sgn * value,
-        tail_bound=tail,
-        node_count=count,
-        est_error=est_quad + tail,
-    )
+    return _side_integrals(op, side, spec, ("A",))["A"]
 
 
 def integrate_B(op: Operator, side: str, spec: ContourSpec) -> QuadResult:
@@ -357,41 +528,7 @@ def integrate_B(op: Operator, side: str, spec: ContourSpec) -> QuadResult:
     below 0.1 triggers a slow-decay warning.  The relation A_side = B_side
     S^{-1} ties this to :func:`integrate_A`.
     """
-    _check_contour_admissible(op, spec)
-    sgn = _side_sign(side)
-    value, est_quad, lams, fro, t_eff, count = _escalate(
-        op, sgn * spec.h, lambda lam: 1.0 / lam, spec
-    )
-    abs_lams = np.abs(lams)
-    beta_line = _line_decay_exponent(op, sgn * spec.h, t_eff)
-    if beta_line <= 1e-6:
-        raise QuadratureError(
-            f"no resolvent decay on the line (fitted beta {beta_line:.3g}); "
-            "the 1/lambda-weighted integral may diverge"
-        )
-    if beta_line <= 0.1:
-        warnings.warn(
-            f"slow resolvent decay on the line (fitted beta {beta_line:.3g})",
-            SlowDecayWarning,
-            stacklevel=2,
-        )
-    # envelope fitted on the asymptotic part of the line, used beyond T_eff
-    beta_tail, m_env = _decay_fit(abs_lams, fro, t_eff**0.4, t_eff)
-    if beta_tail <= 1e-6:
-        raise QuadratureError(
-            f"no asymptotic resolvent decay on the line (fitted beta {beta_tail:.3g})"
-        )
-    tail = m_env / (np.pi * beta_tail * t_eff**beta_tail)
-    if tail > spec.tol:
-        raise TruncationError(
-            f"tail bound {tail:.2e} exceeds tol={spec.tol:.2e}; increase T"
-        )
-    return QuadResult(
-        value=sgn * value,
-        tail_bound=tail,
-        node_count=count,
-        est_error=est_quad + tail,
-    )
+    return _side_integrals(op, side, spec, ("B",))["B"]
 
 
 def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
@@ -409,36 +546,31 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
     if gap <= 0:
         raise NearSpectrumError("imaginary axis touches the spectrum", distance=0.0)
     scale = 1.0
-    q = spec.nodes_per_unit
+    _, t_eff = _line_panels(scale, spec.truncation_T, spec.scheme)
 
-    def richardson_pass(order: int):
-        t, w, t_eff = line_nodes(scale, spec.truncation_T, order, spec.scheme)
-        lams = 1j * t
-        _check_nodes_clear(op, lams)
-        base = w / np.pi
-        masks = [np.abs(t) <= t_eff / 4.0, np.abs(t) <= t_eff / 2.0, np.ones_like(t, bool)]
-        coef_sets = [np.where(m, base, 0.0) for m in masks]
-        (i_quarter, i_half, i_full), fro = resolvent_sums(op, lams, coef_sets)
-        return (i_quarter, i_half, i_full), lams, fro, t_eff, len(t)
+    def ring(lo, hi):  # I(hi) - I(lo) of the symmetric truncations
+        return lambda lam: np.where((np.abs(lam.imag) > lo) & (np.abs(lam.imag) <= hi), 2.0, 0.0)
 
-    prev_parts = richardson_pass(max(1, q // 2))[0]
-    while True:
-        parts, lams, fro, t_eff, count = richardson_pass(q)
-        i_quarter, i_half, i_full = parts
-        value = 2.0 * i_full - i_half
-        prev_value = 2.0 * prev_parts[2] - prev_parts[1]
-        est_quad = spectral_norm(value - prev_value)
-        if est_quad <= spec.tol or q >= _MAX_NODES_PER_UNIT:
-            break
-        prev_parts, q = parts, 2 * q
-    if est_quad > spec.tol:
-        raise QuadratureError(
-            f"principal-value quadrature did not reach tol={spec.tol:.2e}"
-        )
+    # the Richardson value 2 I(T) - I(T/2), and the rings I(T) - I(T/2) and
+    # I(T/2) - I(T/4), which ride along at the value's panel orders
+    line = _line_integrals(
+        (op,),
+        0.0,
+        [
+            lambda lam: np.where(np.abs(lam.imag) <= t_eff / 2.0, 2.0, 4.0),
+            ring(t_eff / 2.0, t_eff),
+            ring(t_eff / 4.0, t_eff / 2.0),
+        ],
+        [spec.tol, np.inf, np.inf],
+        spec,
+        scale=scale,
+    )
+    value, outer, inner = line.values
+    est_quad = line.est[0]
 
     flags = []
-    step_outer = spectral_norm(i_full - i_half)  # I(T) - I(T/2)
-    step_inner = spectral_norm(i_half - i_quarter)  # I(T/2) - I(T/4)
+    step_outer = spectral_norm(outer)  # I(T) - I(T/2)
+    step_inner = spectral_norm(inner)  # I(T/2) - I(T/4)
     if step_outer > 1.05 * step_inner and step_outer > spec.tol:
         flags.append("pv-nonconvergent")
 
@@ -452,18 +584,19 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
         sym = _symmetrised_norms(op, 1j * t_s)
         gamma, m_env = _decay_fit(t_s, sym, t_lo, t_eff)
     else:  # pragma: no cover - tiny truncations
-        gamma, m_env = 1.5, float(fro.max())
+        gamma, m_env = 1.5, float(line.fro.max())
     if gamma > 1.0:
         tail = 3.0 * m_env / (np.pi * (gamma - 1.0) * (t_eff / 2.0) ** (gamma - 1.0))
     else:
         tail = float("inf")
         flags.append("pv-nonconvergent")
-    richardson_resid = spectral_norm(value - (2.0 * i_half - i_quarter))
+    # value - (2 I(T/2) - I(T/4)), the change of the Richardson value
+    richardson_resid = spectral_norm(2.0 * outer - inner)
     est_error = est_quad + min(tail, richardson_resid + step_outer)
     return QuadResult(
         value=value,
         tail_bound=tail,
-        node_count=count,
+        node_count=line.node_count,
         est_error=est_error,
         flags=tuple(dict.fromkeys(flags)),
     )
@@ -484,33 +617,10 @@ def r_minus(op: Operator, z: complex, a_minus: np.ndarray, spec: ContourSpec) ->
     acts as the resolvent of the restriction, extending it to the open left
     half-plane.
     """
-    _check_contour_admissible(op, spec)
-    z = complex(z)
-    margin = -spec.h - z.real  # distance of the pole z to the contour line
-    if margin < max(spec.tol, 1e-12):
-        raise NearSpectrumError(
-            f"z={z} is on the wrong side of (or too close to) the contour "
-            f"Re lambda = -{spec.h}",
-            distance=float(abs(z.real + spec.h)),
-        )
-    if spec.truncation_T < 2.0 * abs(z):
-        raise TruncationError(
-            f"truncation_T={spec.truncation_T} too small for |z|={abs(z):.3g}; increase T"
-        )
     a_minus = np.asarray(a_minus, dtype=complex)
     if a_minus.shape != (op.dim, op.dim):
         raise ValueError("A_minus has the wrong shape")
-
-    def weight(lam):
-        return z**2 / (lam**2 * (lam - z))
-
-    value, est_quad, lams, fro, t_eff, count = _escalate(op, -spec.h, weight, spec)
-    tail = float(fro.max()) * abs(z) ** 2 / (np.pi * t_eff**2)
-    if tail > spec.tol * max(1.0, abs(z) ** 2):
-        raise TruncationError(
-            f"R_-(z) tail bound {tail:.2e} above budget; increase T"
-        )
-    return value
+    return _side_integrals(op, "-", spec, ("R",), z)["R"]
 
 
 def contour_shift_check(

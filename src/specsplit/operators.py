@@ -313,9 +313,9 @@ def resolvent_norms(op: Operator, lams, tol: float | None = None) -> np.ndarray:
 # Matrices, ch. 9).  The triangular inverses of small blocks come from back
 # substitution vectorised over nodes and blocks (closed-form for order 1 and
 # 2), those of larger blocks from LAPACK ztrtri, one call per node.  Weighted
-# sums are accumulated in Schur coordinates and back-transformed once;
-# Frobenius and spectral norms are unitarily invariant and are taken in Schur
-# coordinates.
+# sums are accumulated in Schur coordinates, per quadrature panel when the
+# quadrature driver asks for it, and back-transformed once; Frobenius and
+# spectral norms are unitarily invariant and are taken in Schur coordinates.
 # None of these helpers checks the distance to the spectrum: callers do.
 
 # Complex entries per node chunk of the kernel's work arrays (16 MiB).
@@ -413,13 +413,15 @@ def _triangular_inverses(group: _SchurGroup, lams: np.ndarray) -> np.ndarray:
 
 def _block_norms(x: np.ndarray, spectral: bool) -> np.ndarray:
     """Norm of every block of a (k, nb, m, m) stack, shape (k, nb)."""
-    fro2 = (x.real**2 + x.imag**2).sum(axis=(2, 3))
     m = x.shape[-1]
     if not spectral or m == 1:
-        return np.sqrt(fro2)
+        # one pass over a real view: no temporaries the size of the stack
+        v = np.ascontiguousarray(x).view(np.float64)
+        return np.sqrt(np.einsum("kbij,kbij->kb", v, v))
     if m == 2:
         # sigma_max^2 is the larger eigenvalue of X^H X = [[p, z], [z*, s]],
         # written as a sum of nonnegative terms so that nothing cancels
+        fro2 = (x.real**2 + x.imag**2).sum(axis=(2, 3))
         col = (x.real**2 + x.imag**2).sum(axis=2)
         z = x[:, :, 0, 0].conj() * x[:, :, 0, 1] + x[:, :, 1, 0].conj() * x[:, :, 1, 1]
         half_gap = 0.5 * (col[:, :, 0] - col[:, :, 1])
@@ -436,36 +438,146 @@ def _combine_norms(per_block: list[np.ndarray], spectral: bool) -> np.ndarray:
     return np.sqrt((stacked**2).sum(axis=1))
 
 
+def _stack_norms(blocks: list[np.ndarray], spectral: bool) -> np.ndarray:
+    """Norms of block-diagonal matrices given as one (..., count, m, m) array
+    per block order, all with the same leading shape, which the result has."""
+    lead = blocks[0].shape[:-3]
+    per_block = [_block_norms(b.reshape(-1, *b.shape[-3:]), spectral) for b in blocks]
+    return _combine_norms(per_block, spectral).reshape(lead)
+
+
+def _panel_slices(width: int, count: int, q: int):
+    """Node slices covering ``count`` nodes in panels of ``q`` consecutive
+    nodes, each of at most _CHUNK_ENTRIES // width nodes: runs of whole
+    panels, or pieces of one panel when a panel is longer than that.  Yields
+    (nodes, first panel, panel count)."""
+    step = max(1, _CHUNK_ENTRIES // width)
+    n_panels = count // q
+    if step >= q:
+        per = step // q
+        for p in range(0, n_panels, per):
+            n = min(per, n_panels - p)
+            yield slice(p * q, (p + n) * q), p, n
+        return
+    for p in range(n_panels):
+        for j in range(0, q, step):
+            yield slice(p * q + j, p * q + min(j + step, q)), p, 1
+
+
+def _panel_sums(op: Operator, lams: np.ndarray, coef_sets, q: int):
+    """Ordered sums  sum_k coef[k] * (S - lam_k)^{-1}  over every panel of
+    ``q`` consecutive nodes, for several coefficient vectors, in Schur
+    coordinates: one (sets, panels, nb, m, m) array per Schur group, plus the
+    Frobenius norm of every resolvent.  The panels of a node chunk are reduced
+    together by one batched product."""
+    coefs = np.asarray(coef_sets, dtype=complex)
+    n_sets, n_panels = coefs.shape[0], lams.size // q
+    groups = _schur_groups(op)
+    sums = [np.zeros((n_sets, n_panels, *g.t.shape), dtype=complex) for g in groups]
+    fro = np.empty(lams.size)
+    for part, first, n in _panel_slices(sum(g.t.size for g in groups), lams.size, q):
+        # (panels, sets, nodes per panel) against (panels, nodes per panel, entries)
+        c = coefs[:, part].reshape(n_sets, n, -1).transpose(1, 0, 2)
+        per_block = []
+        for group, out in zip(groups, sums):
+            x = _triangular_inverses(group, lams[part])
+            per_block.append(_block_norms(x, spectral=False))
+            prod = np.matmul(c, x.reshape(n, -1, group.t.size))
+            out[:, first : first + n] += prod.transpose(1, 0, 2).reshape(
+                n_sets, n, *group.t.shape
+            )
+        fro[part] = _combine_norms(per_block, spectral=False)
+    return sums, fro
+
+
+def _from_schur(group: _SchurGroup, x: np.ndarray) -> np.ndarray:
+    """Q X Q^H for a (..., nb, m, m) stack given in the group's Schur
+    coordinates.  The stack is folded into the columns, then the rows, of two
+    products per block, instead of one small product per matrix and block."""
+    lead = x.shape[:-3]
+    nb, m = group.idx.shape
+    x = x.reshape(-1, nb, m, m)
+    k = x.shape[0]
+    left = group.q @ x.transpose(1, 2, 0, 3).reshape(nb, m, k * m)  # columns (k, j)
+    left = left.reshape(nb, m, k, m).transpose(0, 2, 1, 3).reshape(nb, k * m, m)
+    out = left @ group.q.conj().transpose(0, 2, 1)  # rows (k, i)
+    return out.reshape(nb, k, m, m).transpose(1, 0, 2, 3).reshape(*lead, nb, m, m)
+
+
+def _dense(n: int, layout, blocks) -> np.ndarray:
+    """The n x n matrix with the diagonal blocks ``blocks`` ((count, m, m) per
+    entry of ``layout``) and zeros elsewhere."""
+    total = np.zeros((n, n), dtype=complex)
+    for idx, b in zip(layout, blocks):
+        total[idx[:, :, None], idx[:, None, :]] = b
+    return total
+
+
 def resolvent_sums(op: Operator, lams, coef_sets) -> tuple[list[np.ndarray], np.ndarray]:
     """Ordered sums  sum_k coef[k] * (S - lam_k)^{-1}  for several coefficient
     vectors over one node set, plus the Frobenius norm of every resolvent.
 
-    The kernel of every quadrature: the sums are accumulated per diagonal
-    block in Schur coordinates, node chunk by node chunk in node order, and
-    back-transformed once, so results are reproducible.  The nodes are not
-    checked against the spectrum; callers do that first.
+    The sums are accumulated per diagonal block in Schur coordinates, node
+    chunk by node chunk in node order, and back-transformed once, so results
+    are reproducible.  The nodes are not checked against the spectrum;
+    callers do that first.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
-    groups = _schur_groups(op)
-    acc = [[np.zeros(g.t.shape, dtype=complex) for g in groups] for _ in coef_sets]
-    fro = np.empty(lams.size)
-    for part in _node_chunks(sum(g.t.size for g in groups), lams.size):
-        per_block = []
-        for gi, group in enumerate(groups):
-            x = _triangular_inverses(group, lams[part])
-            per_block.append(_block_norms(x, spectral=False))
-            for sums, coefs in zip(acc, coef_sets):
-                sums[gi] += np.tensordot(coefs[part], x, axes=(0, 0))
-        fro[part] = _combine_norms(per_block, spectral=False)
-    out = []
-    for sums in acc:
-        total = np.zeros((op.dim, op.dim), dtype=complex)
-        for group, s in zip(groups, sums):
-            total[group.idx[:, :, None], group.idx[:, None, :]] = (
-                group.q @ s @ group.q.conj().transpose(0, 2, 1)
-            )
-        out.append(total)
-    return out, fro
+    kernel = _LineSums((op,))
+    sums, fro = kernel.sums(lams, coef_sets, max(1, lams.size))  # one panel
+    return [kernel.dense([s[i].sum(axis=0) for s in sums]) for i in range(len(coef_sets))], fro
+
+
+class _LineSums:
+    """Per-panel weighted resolvent sums for the quadrature driver, in block
+    coordinates where Frobenius and spectral norms are taken block by block.
+
+    For one operator the integrand is its resolvent, in Schur coordinates; for
+    a pair (S, T) it is R_S - R_T, on the diagonal blocks of the union of both
+    nonzero patterns, in operator coordinates.  Sums come as one
+    (sets, panels, count, m, m) array per block order; unchecked like
+    :func:`resolvent_sums`.
+    """
+
+    def __init__(self, ops):
+        self.ops = tuple(ops)
+        self.width = sum(g.t.size for op in self.ops for g in _schur_groups(op))
+        if len(self.ops) == 1:
+            self.layout = [g.idx for g in _schur_groups(self.ops[0])]
+        else:
+            s_op, t_op = self.ops
+            self.layout = _block_layout((s_op.entries != 0) | (t_op.entries != 0))
+
+    def zeros(self, n_sets: int) -> list[np.ndarray]:
+        """Zero sums for ``n_sets`` coefficient sets, one (sets, count, m, m)
+        array per block order."""
+        return [np.zeros((n_sets, *idx.shape, idx.shape[1]), dtype=complex) for idx in self.layout]
+
+    def panels_per_batch(self, q: int) -> int:
+        """Panels of ``q`` nodes whose solves fill about one node chunk."""
+        return max(1, _CHUNK_ENTRIES // (self.width * q))
+
+    def sums(self, lams: np.ndarray, coef_sets, q: int):
+        """Per-panel sums over panels of ``q`` consecutive nodes, and the
+        Frobenius norm of the first operator's resolvent at every node."""
+        if len(self.ops) == 1:
+            return _panel_sums(self.ops[0], lams, coef_sets, q)
+        lead = (len(coef_sets), lams.size // q)
+        placed, fros = [], []
+        for op in self.ops:
+            sums, fro = _panel_sums(op, lams, coef_sets, q)
+            groups = _schur_groups(op)
+            per_group = (_from_schur(g, s.reshape(-1, *g.t.shape)) for g, s in zip(groups, sums))
+            placed.append(_to_layout(op, per_group, self.layout, lead[0] * lead[1]))
+            fros.append(fro)
+        return [(a - b).reshape(*lead, *a.shape[1:]) for a, b in zip(*placed)], fros[0]
+
+    def dense(self, blocks) -> np.ndarray:
+        """The matrix in operator coordinates, from one (count, m, m) array
+        per block order."""
+        if len(self.ops) == 1:
+            blocks = [_from_schur(g, b) for g, b in zip(_schur_groups(self.ops[0]), blocks)]
+        return _dense(self.ops[0].dim, self.layout, blocks)
 
 
 def _schur_norms(op: Operator, lams: np.ndarray, spectral: bool = True, shift=None) -> np.ndarray:
@@ -485,20 +597,20 @@ def _schur_norms(op: Operator, lams: np.ndarray, spectral: bool = True, shift=No
     return out
 
 
-def _restricted_stacks(op: Operator, lams: np.ndarray, layout) -> list[np.ndarray]:
-    """(S - lam_k)^{-1} on the diagonal blocks of ``layout`` (index arrays
-    (count, m) as from :func:`_block_layout`), in operator coordinates: one
-    (k, count, m, m) stack per entry of ``layout``.  Every component of the
-    operator must lie inside one block of the layout."""
+def _to_layout(op: Operator, per_group, layout, lead: int) -> list[np.ndarray]:
+    """Diagonal blocks of ``op`` in operator coordinates, one (lead, nb, m, m)
+    array per Schur group (any iterable, consumed in group order), placed on
+    the diagonal blocks of ``layout`` (index arrays (count, m) as from
+    :func:`_block_layout`): one (lead, count, m, m) array per entry of
+    ``layout``.  Every component of the operator must lie inside one block of
+    the layout."""
     where = np.empty((3, op.dim), dtype=int)  # layout entry, block, position
     for j, idx in enumerate(layout):
         where[0, idx] = j
         where[1, idx] = np.arange(idx.shape[0])[:, None]
         where[2, idx] = np.arange(idx.shape[1])[None, :]
-    out = [np.zeros((lams.size, *idx.shape, idx.shape[1]), dtype=complex) for idx in layout]
-    for group in _schur_groups(op):
-        x = _triangular_inverses(group, lams)
-        blocks = group.q @ x @ group.q.conj().transpose(0, 2, 1)
+    out = [np.zeros((lead, *idx.shape, idx.shape[1]), dtype=complex) for idx in layout]
+    for group, blocks in zip(_schur_groups(op), per_group):
         first = group.idx[:, 0]
         for j in np.unique(where[0, first]):
             sel = where[0, first] == j
@@ -509,6 +621,13 @@ def _restricted_stacks(op: Operator, lams: np.ndarray, layout) -> list[np.ndarra
                 pos = where[2, group.idx[sel]]
                 out[j][:, slots[:, None, None], pos[:, :, None], pos[:, None, :]] = blocks[:, sel]
     return out
+
+
+def _restricted_stacks(op: Operator, lams: np.ndarray, layout) -> list[np.ndarray]:
+    """(S - lam_k)^{-1} on the diagonal blocks of ``layout`` in operator
+    coordinates, as :func:`_to_layout` places them."""
+    per_group = (_from_schur(g, _triangular_inverses(g, lams)) for g in _schur_groups(op))
+    return _to_layout(op, per_group, layout, lams.size)
 
 
 def _schur_diff_norms(

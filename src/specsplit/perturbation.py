@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import json_safe_float, multiset_match_distance
-from .contour import _MAX_NODES_PER_UNIT, ContourSpec, _check_nodes_clear, line_nodes
+from .contour import ContourSpec, _line_integrals
 from .errors import NearSpectrumError, OperatorError, QuadratureError
 from .operators import (
     Operator,
@@ -36,7 +36,6 @@ from .operators import (
     eigenvalues_of,
     near_spectrum_tol,
     oracle_projection,
-    resolvent_sums,
     spectral_norm,
     spectrum,
 )
@@ -202,32 +201,11 @@ def projection_diff_integral(
     if s_op.dim != t_op.dim:
         raise OperatorError("operators must act on the same space")
     spec = _common_contour(s_op, t_op, spec)
-
-    def one_pass(q: int):
-        t, w, t_eff = line_nodes(spec.h, spec.truncation_T, q, spec.scheme)
-        lams = spec.h + 1j * t
-        _check_nodes_clear(s_op, lams)
-        _check_nodes_clear(t_op, lams)
-        coefs = [w / (2.0 * np.pi)]
-        (sum_s,), _ = resolvent_sums(s_op, lams, coefs)
-        (sum_t,), _ = resolvent_sums(t_op, lams, coefs)
-        return sum_s - sum_t, lams, t_eff
-
-    q = spec.nodes_per_unit
-    prev = one_pass(max(1, q // 2))[0]
-    while True:
-        value, lams, t_eff = one_pass(q)
-        est_quad = spectral_norm(value - prev)
-        if est_quad <= spec.tol or q >= _MAX_NODES_PER_UNIT:
-            break
-        prev, q = value, 2 * q
-    if est_quad > spec.tol:
-        raise QuadratureError(
-            f"projection-difference quadrature did not reach tol={spec.tol:.2e}"
-        )
+    line = _line_integrals((s_op, t_op), spec.h, [lambda lam: 1.0], [spec.tol], spec)
+    value = line.values[0]
 
     # decay of the sampled difference on the asymptotic part of the line
-    far = lams[np.abs(lams) >= t_eff**0.4]
+    far = line.lams[np.abs(line.lams) >= line.t_eff**0.4]
     diff_fro = _schur_diff_norms(s_op, t_op, far, spectral=False)
     mask = diff_fro > 0.0
     if mask.sum() >= 4:

@@ -321,3 +321,12 @@ class TestMultisetMatch:
 
     def test_size_mismatch(self):
         assert multiset_match_distance([1.0], [1.0, 2.0]) == np.inf
+
+
+def test_restricted_bounds_on_empty_grids_pass_vacuously():
+    result = split(build_block_operator("dichotomy-2.3", 2))
+    check = halfplane_bound_check(result, "+", [], 3.0)
+    assert check.passed and check.max_norm == 0.0
+    report = sectoriality_report(result, 1.0, [], 3.0)
+    assert report.passed
+    assert report.max_weighted_plus == 0.0 and report.max_weighted_minus == 0.0

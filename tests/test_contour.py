@@ -1,11 +1,15 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+import specsplit.contour as contour_module
 from specsplit import (
     ContourSpec,
     NearSpectrumError,
+    Operator,
+    QuadratureError,
     SlowDecayWarning,
     TruncationError,
     build_block_operator,
@@ -21,6 +25,14 @@ from specsplit import (
     random_gap_operator,
     resolvent,
     spectral_norm,
+    spectrum,
+    split,
+)
+from specsplit.contour import (
+    _check_nodes_clear,
+    _contour_node_tol,
+    _side_integrals,
+    line_nodes,
 )
 
 
@@ -262,3 +274,98 @@ class TestContourShift:
     def test_mcintosh_yagi_block(self):
         op = build_block_operator("mcintosh-yagi", 1, {"Mconst": 10.0})
         assert contour_shift_check(op, 0.25, 0.5, "+") <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the quadrature driver: shared lines, per-panel orders, the order cap
+# ---------------------------------------------------------------------------
+
+
+SHARED_LINE_OPERATORS = {
+    "random(64, 7)": lambda: random_gap_operator(64, 7),
+    "dichotomy-2.3?N=10": lambda: build_block_operator("dichotomy-2.3", 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_LINE_OPERATORS))
+def test_shared_line_matches_standalone_integrals(name):
+    op = SHARED_LINE_OPERATORS[name]()
+    spec = default_contour(op)
+    z = -2.0 * spec.h
+    shared = _side_integrals(op, "-", spec, ("A", "R"), z)
+    alone = integrate_A(op, "-", spec)
+    assert spectral_norm(shared["A"].value - alone.value) <= (
+        shared["A"].est_error + alone.est_error
+    )
+    # r_minus meets its quadrature tolerance and its tail budget
+    # tol * max(1, |z|^2), on the shared line and alone
+    r_error = spec.tol + spec.tol * max(1.0, abs(z) ** 2)
+    assert spectral_norm(shared["R"] - r_minus(op, z, alone.value, spec)) <= 2.0 * r_error
+
+
+def test_split_node_budget(monkeypatch):
+    solved = []
+
+    def counting_line_nodes(*args, **kwargs):
+        out = line_nodes(*args, **kwargs)
+        solved.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(contour_module, "line_nodes", counting_line_nodes)
+    split(random_gap_operator(64, 7))
+    # two lines, each evaluated once for all of its integrals, and refined
+    # only where a panel misses its share of the tolerance
+    assert 0 < sum(solved) <= 8000
+
+
+def test_tolerance_below_rounding_hits_order_cap():
+    op = dense_operator(block23(1))
+    spec = dataclasses.replace(default_contour(op), tol=1e-20)
+    with pytest.raises(QuadratureError, match="1024 nodes per panel"):
+        integrate_A(op, "+", spec)
+
+
+@pytest.mark.parametrize(
+    "op, with_b",
+    [
+        (random_gap_operator(16, 7), False),
+        (build_block_operator("dichotomy-2.3", 10), True),
+    ],
+    ids=["random(16, 7)", "dichotomy-2.3?N=10 with_b"],
+)
+def test_split_payload_cold_copy_is_byte_identical(op, with_b):
+    def payload(result):
+        arrays = [result.p_plus, result.p_minus, result.a_plus, result.a_minus]
+        if with_b:
+            arrays += [result.b_plus, result.b_minus]
+        return json.dumps(result.to_json_dict()), [a.tobytes() for a in arrays]
+
+    split(op, with_b=with_b)  # fills the operator's caches
+    warm = payload(split(op, with_b=with_b))
+    cold = payload(split(Operator(entries=op.entries, family_tag=op.family_tag), with_b=with_b))
+    assert warm == cold
+
+
+# ---------------------------------------------------------------------------
+# the near-spectrum check on a line
+# ---------------------------------------------------------------------------
+
+
+def test_node_check_finds_brute_force_distance():
+    op = random_gap_operator(8, 3)
+    ev = spectrum(op).eigenvalues
+    target = ev[3]
+    x0 = target.real + 2e-10
+    t, _, _ = line_nodes(0.5, 1e3, 4, "tangent-substitution")
+    t = np.concatenate([t, [target.imag - 5e-11]])
+    rng = np.random.default_rng(0)
+    lams = x0 + 1j * rng.permutation(t)  # the check must not rely on node order
+    brute = np.abs(lams[:, None] - ev[None, :]).min()
+    assert brute <= _contour_node_tol(op)
+    with pytest.raises(NearSpectrumError, match="contour node") as caught:
+        _check_nodes_clear(op, lams)
+    assert caught.value.distance == brute
+    assert caught.value.eigenvalue == target
+    assert caught.value.tol == _contour_node_tol(op)
+    # the same line moved clear of the spectrum passes
+    _check_nodes_clear(op, lams + 1e-3)
