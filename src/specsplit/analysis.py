@@ -18,22 +18,22 @@ parabola-shaped resolvent-set region that a decay exponent guarantees.
 from __future__ import annotations
 
 import io
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
 
-from .contour import ContourSpec, _side_integrals, default_contour
-from .errors import NearSpectrumError, OperatorError, SplittingMismatchError
+from .contour import ContourSpec, _log_log_fit, _side_integrals, default_contour
+from .errors import OperatorError, SplittingMismatchError
 from .operators import (
     Operator,
     _check_points_clear,
+    _clear_points,
     _schur_norms,
+    _spectrum_distance,
     eigenvalues_of,
     near_spectrum_tol,
     resolvent,
-    resolvent_norms,
     spectral_norm,
     spectrum,
 )
@@ -392,30 +392,14 @@ def resolvent_sweep(
     grid = np.asarray(grid, dtype=complex).ravel()
     if grid.size == 0:
         raise ValueError("sweep grid is empty")
-    tol = near_spectrum_tol(op)
-    ev = eigenvalues_of(op)
-    dmin = np.min(np.abs(grid[:, None] - ev[None, :]), axis=1)
-    keep = dmin > tol
-    skipped = int(np.sum(~keep))
-    if skipped:
-        warnings.warn(
-            f"skipped {skipped} grid points within {tol:.2e} of the spectrum",
-            stacklevel=2,
-        )
-    lams = grid[keep]
-    if lams.size == 0:
-        raise NearSpectrumError("all sweep grid points are near the spectrum", tol=tol)
-    norms = resolvent_norms(op, lams, tol=tol)
+    lams, skipped = _clear_points((op,), grid, near_spectrum_tol(op))
+    norms = _schur_norms(op, lams)
 
     lo, hi = fit_window
     mask = (np.abs(lams) >= lo) & (np.abs(lams) <= hi)
     if mask.sum() >= 2:
-        x = np.log(np.abs(lams[mask]))
-        y = np.log(norms[mask])
-        design = np.vstack([np.ones(x.size), -x]).T
-        (log_m, beta), *_ = np.linalg.lstsq(design, y, rcond=None)
-        resid = float(np.abs(design @ np.array([log_m, beta]) - y).max())
-        fitted_beta, fitted_m = float(beta), float(np.exp(log_m))
+        fitted_beta, log_m, _, resid = _log_log_fit(np.abs(lams[mask]), norms[mask])
+        fitted_m = float(np.exp(log_m))
     else:
         fitted_beta, fitted_m, resid = float("nan"), float("nan"), float("nan")
     return SweepReport(
@@ -586,14 +570,13 @@ def parabola_probe(op: Operator, alpha: float, beta: float, m_const: float, grid
     inside = np.abs(grid.real) <= alpha * np.abs(grid.imag) ** beta + 1e-15
     if not np.all(inside & (grid != 0)):
         raise ValueError("parabola grid contains points outside the region (or 0)")
-    ev = eigenvalues_of(op)
     tol = near_spectrum_tol(op)
-    dmin = np.min(np.abs(grid[:, None] - ev[None, :]), axis=1)
-    intrusions = [complex(z) for z in grid[dmin <= tol]]
-    safe = grid[dmin > tol]
+    dist, _ = _spectrum_distance((op,), grid)
+    intrusions = [complex(z) for z in grid[dist <= tol]]
+    safe = grid[dist > tol]
     records, violations = [], []
     if safe.size:
-        norms = resolvent_norms(op, safe, tol=tol)
+        norms = _schur_norms(op, safe)
         denom = 1.0 - alpha * m_const
         for lam, nrm in zip(safe, norms):
             bound = m_const / (denom * np.abs(lam.imag) ** beta) if denom > 0 else -np.inf

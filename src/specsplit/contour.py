@@ -37,6 +37,12 @@ bound.  ``QuadResult.est_error`` is the quadrature estimate of the integral's
 own set plus its tail bound; ``QuadResult.node_count`` counts every solve on
 the line, at every order and for every integral that shares the line.
 
+Spectral clearance.  A line Re lambda = +-h needs h <= 0.95 * gap, checked
+once before its nodes are solved; every node then lies at least 0.05 * gap
+from the spectrum (on the principal value's axis, at least the gap).  Grid
+sweeps skip the points near the spectrum with a warning; explicit points
+near it are refused.
+
 Node evaluations go through the resolvent kernel of
 :mod:`specsplit.operators`: each diagonal block of the operator (a connected
 component of its nonzero pattern) is reduced once to complex Schur form,
@@ -62,12 +68,12 @@ from .operators import (
     _check_points_clear,
     _LineSums,
     _schur_norms,
+    _spectral_gap,
     _stack_norms,
-    eigenvalues_of,
+    choose_h,
     near_spectrum_tol,
-    operator_norm,
+    resolvent_norms,
     spectral_norm,
-    spectrum,
 )
 
 __all__ = [
@@ -83,31 +89,30 @@ __all__ = [
 ]
 
 _MAX_NODES_PER_UNIT = 1024
-_SIDES = ("+", "-")
 
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Vertical integration line with truncation and node budget.
+    """Vertical integration lines with truncation and node budget.
 
-    ``h`` is the line abscissa (the line is Re lambda = +h or -h depending on
-    ``side``, oriented upward), ``truncation_T`` the integration height
-    |Im lambda| <= T, ``nodes_per_unit`` the Gauss order per panel, ``tol``
-    the absolute tolerance budget for matrix entries.
+    ``h`` is the line abscissa (the integrals of a side run along
+    Re lambda = +h or -h, oriented upward), ``truncation_T`` the integration
+    height |Im lambda| <= T, ``nodes_per_unit`` the Gauss order per panel,
+    ``tol`` the absolute tolerance budget for matrix entries.
     """
 
     h: float
-    side: str = "+"
     truncation_T: float = 1e10
     nodes_per_unit: int = 16
     scheme: str = "tangent-substitution"
     tol: float = 1e-8
 
     def __post_init__(self):
+        for name in ("h", "truncation_T", "tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.h > 0:
             raise ValueError(f"contour abscissa h must be positive, got {self.h}")
-        if self.side not in _SIDES:
-            raise ValueError(f"side must be '+' or '-', got {self.side!r}")
         if self.truncation_T < 10.0 * self.h:
             raise ValueError(
                 f"truncation_T must be at least 10*h = {10 * self.h}, got {self.truncation_T}"
@@ -122,7 +127,6 @@ class ContourSpec:
     def to_json_dict(self) -> dict:
         return {
             "h": self.h,
-            "side": self.side,
             "truncation_T": self.truncation_T,
             "nodes_per_unit": self.nodes_per_unit,
             "scheme": self.scheme,
@@ -131,7 +135,7 @@ class ContourSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ContourSpec":
-        allowed = {"h", "side", "truncation_T", "nodes_per_unit", "scheme", "tol"}
+        allowed = {"h", "truncation_T", "nodes_per_unit", "scheme", "tol"}
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"unknown contour fields {sorted(unknown)}")
@@ -159,12 +163,9 @@ class QuadResult:
         }
 
 
-def default_contour(op: Operator, side: str = "+", safety: float = 0.5, **overrides) -> ContourSpec:
+def default_contour(op: Operator, safety: float = 0.5, **overrides) -> ContourSpec:
     """Contour at ``h = safety * gap`` with the module defaults."""
-    gap = spectrum(op).min_abs_real
-    if gap <= 0:
-        raise NearSpectrumError("spectral gap to the imaginary axis is zero", distance=0.0)
-    return ContourSpec(h=safety * gap, side=side, **overrides)
+    return ContourSpec(h=choose_h(op, safety), **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -226,41 +227,6 @@ def line_nodes(scale: float, t_max: float, q: int, scheme: str, panels=None):
 # ---------------------------------------------------------------------------
 
 
-def _contour_node_tol(op: Operator) -> float:
-    # Nodes may legitimately sit at 0.05*gap from the spectrum (h up to
-    # 0.95*gap is allowed), so the rejection threshold must stay below that.
-    gap = spectrum(op).min_abs_real
-    base = 1e-8 * (1.0 + operator_norm(op))
-    return min(base, 0.04 * gap) if gap > 0 else base
-
-
-def _check_nodes_clear(op: Operator, lams: np.ndarray):
-    """Refuse when a node is within ``_contour_node_tol`` of the spectrum.
-
-    The nodes must lie on one vertical line: the node nearest to an
-    eigenvalue is then a neighbour of its imaginary part among the sorted
-    imaginary parts of the nodes.
-    """
-    if lams.size == 0:
-        return
-    ev = eigenvalues_of(op)
-    tol = _contour_node_tol(op)
-    nodes = lams[np.argsort(lams.imag, kind="stable")]
-    pos = np.searchsorted(nodes.imag, ev.imag)
-    near = np.stack([np.maximum(pos - 1, 0), np.minimum(pos, nodes.size - 1)])
-    d = np.abs(nodes[near] - ev[None, :])
-    j = int(np.argmin(d.min(axis=0)))  # the eigenvalue closest to the line's nodes
-    i = near[int(np.argmin(d[:, j])), j]
-    dist = float(d[:, j].min())
-    if dist <= tol:
-        raise NearSpectrumError(
-            f"contour node {nodes[i]} is within {dist:.3e} of eigenvalue {ev[j]}",
-            eigenvalue=complex(ev[j]),
-            distance=dist,
-            tol=tol,
-        )
-
-
 @dataclass(frozen=True)
 class _Line:
     """The integrals of one driver call, one entry per coefficient set in
@@ -281,7 +247,8 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, scale=None
     Re lambda = x0, one per weight, with per-panel order doubling until the
     quadrature estimate of every weight meets its tolerance in ``tols``
     (``inf`` lets a weight ride along); R is the resolvent of ``ops[0]``, or
-    R_S - R_T when ``ops`` is a pair (S, T)."""
+    R_S - R_T when ``ops`` is a pair (S, T).  Callers check the line with
+    :func:`_check_contour_admissible`; the nodes are not checked."""
     scale = spec.h if scale is None else scale
     kernel = _LineSums(ops)
     edges, t_eff = _line_panels(scale, spec.truncation_T, spec.scheme)
@@ -295,8 +262,6 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, scale=None
         nonlocal node_count
         t, w, _ = line_nodes(scale, spec.truncation_T, order, spec.scheme, panels)
         lams = x0 + 1j * t
-        for op in ops:
-            _check_nodes_clear(op, lams)
         node_count += lams.size
         coefs = np.array([w * weight(lams) / (2.0 * np.pi) for weight in weights])
         return lams, coefs
@@ -361,25 +326,33 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, scale=None
         q *= 2
 
 
-def _decay_fit(abs_lams: np.ndarray, norms: np.ndarray, lo: float, hi: float):
-    """Least-squares fit  log||R|| ~ log M - beta * log|lambda|  on a window,
-    with the constant bumped to an envelope (M/|lambda|^beta >= samples)."""
-    mask = (abs_lams >= lo) & (abs_lams <= hi) & (norms > 0)
-    if mask.sum() < 4:
-        mask = norms > 0
-    x = np.log(abs_lams[mask])
-    y = np.log(norms[mask])
+def _log_log_fit(abs_lams: np.ndarray, norms: np.ndarray):
+    """Least-squares fit  log(norm) ~ log M - beta * log|lambda|  on all the
+    samples: beta, log M, log M_env (the smallest M_env with M_env/|lambda|^beta
+    >= every sample) and the largest absolute residual in log space."""
+    x = np.log(abs_lams)
+    y = np.log(norms)
     design = np.vstack([np.ones(x.size), -x]).T
     (log_m, beta), *_ = np.linalg.lstsq(design, y, rcond=None)
     log_m_env = float(np.max(y + beta * x))
-    return float(beta), float(np.exp(log_m_env))
+    resid = float(np.abs(design @ np.array([log_m, beta]) - y).max())
+    return float(beta), float(log_m), log_m_env, resid
+
+
+def _decay_fit(abs_lams: np.ndarray, norms: np.ndarray, lo: float, hi: float):
+    """Decay exponent and envelope constant M_env of :func:`_log_log_fit` on
+    the window lo <= |lambda| <= hi, or on all samples when the window holds
+    fewer than four."""
+    mask = (abs_lams >= lo) & (abs_lams <= hi) & (norms > 0)
+    if mask.sum() < 4:
+        mask = norms > 0
+    beta, _, log_m_env, _ = _log_log_fit(abs_lams[mask], norms[mask])
+    return beta, float(np.exp(log_m_env))
 
 
 def _line_decay_exponent(op: Operator, x0: float, t_max: float, n_samples: int = 40) -> float:
     """Operator-norm decay exponent along the line, fitted on a log-spaced
     subsample clear of the near field (|t| >= 10 |x0|)."""
-    from .operators import resolvent_norms
-
     lo = max(10.0 * abs(x0), 1e-2)
     if lo >= t_max:  # pragma: no cover - guarded by truncation_T >= 10 h
         lo = t_max / 10.0
@@ -390,10 +363,11 @@ def _line_decay_exponent(op: Operator, x0: float, t_max: float, n_samples: int =
     return beta
 
 
-def _check_contour_admissible(op: Operator, spec: ContourSpec):
-    gap = spectrum(op).min_abs_real
-    if gap <= 0:
-        raise NearSpectrumError("spectral gap to the imaginary axis is zero", distance=0.0)
+def _check_contour_admissible(ops, spec: ContourSpec):
+    """Refuse h > 0.95 * gap of ``ops``, the only check before the solves:
+    every node on Re lambda = +-h then lies at least gap - h >= 0.05 * gap
+    from every eigenvalue, so no node needs a check of its own."""
+    gap = _spectral_gap(*ops)
     if spec.h > 0.95 * gap:
         raise NearSpectrumError(
             f"contour abscissa h={spec.h} exceeds 0.95 * spectral gap ({0.95 * gap:.6g})",
@@ -402,7 +376,7 @@ def _check_contour_admissible(op: Operator, spec: ContourSpec):
 
 
 def _side_sign(side: str) -> float:
-    if side not in _SIDES:
+    if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
     return 1.0 if side == "+" else -1.0
 
@@ -481,7 +455,7 @@ def _side_integrals(
     """The integrals ``kinds`` on the line Re lambda = +-h, from one driver
     call: "A" and "B" as :func:`integrate_A` and :func:`integrate_B` return
     them, "R" (side "-" only) the matrix R_-(z) of :func:`r_minus`."""
-    _check_contour_admissible(op, spec)
+    _check_contour_admissible((op,), spec)
     sgn = _side_sign(side)
     weights = []
     for kind in kinds:
@@ -542,9 +516,7 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
     combination removes; failure of the truncations to converge is reported
     through a ``pv-nonconvergent`` flag rather than silently extrapolated.
     """
-    gap = spectrum(op).min_abs_real
-    if gap <= 0:
-        raise NearSpectrumError("imaginary axis touches the spectrum", distance=0.0)
+    _spectral_gap(op)  # the axis then stays at least the gap from the spectrum
     scale = 1.0
     _, t_eff = _line_panels(scale, spec.truncation_T, spec.scheme)
 
@@ -609,7 +581,7 @@ def _symmetrised_norms(op: Operator, lams: np.ndarray) -> np.ndarray:
     return _schur_norms(op, lams, spectral=False, shift=1.0 / lams)
 
 
-def r_minus(op: Operator, z: complex, a_minus: np.ndarray, spec: ContourSpec) -> np.ndarray:
+def r_minus(op: Operator, z: complex, spec: ContourSpec) -> np.ndarray:
     """The auxiliary operator R_-(z) = (1/2*pi*i) * integral over Re lambda =
     -h of z^2 / (lambda^2 (lambda - z)) (S-lambda)^{-1} d(lambda), Re z < -h.
 
@@ -617,9 +589,6 @@ def r_minus(op: Operator, z: complex, a_minus: np.ndarray, spec: ContourSpec) ->
     acts as the resolvent of the restriction, extending it to the open left
     half-plane.
     """
-    a_minus = np.asarray(a_minus, dtype=complex)
-    if a_minus.shape != (op.dim, op.dim):
-        raise ValueError("A_minus has the wrong shape")
     return _side_integrals(op, "-", spec, ("R",), z)["R"]
 
 
@@ -629,7 +598,7 @@ def contour_shift_check(
     """||A_side(h1) - A_side(h2)||: by Cauchy's theorem the integral does not
     depend on the abscissa while the strip stays in the resolvent set, so the
     value must be bounded by the combined error estimates."""
-    base = spec if spec is not None else default_contour(op, side=side)
+    base = spec if spec is not None else default_contour(op)
     r1 = integrate_A(op, side, dataclasses.replace(base, h=h1))
     r2 = integrate_A(op, side, dataclasses.replace(base, h=h2))
     return spectral_norm(r1.value - r2.value)

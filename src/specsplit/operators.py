@@ -23,6 +23,7 @@ concurrently.
 from __future__ import annotations
 
 import numbers
+import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -210,11 +211,37 @@ def near_spectrum_tol(op: Operator) -> float:
     return base
 
 
-def _nearest_eigenvalue(op: Operator, lam: complex) -> tuple[complex, float]:
-    ev = eigenvalues_of(op)
-    d = np.abs(ev - lam)
-    i = int(np.argmin(d))
-    return complex(ev[i]), float(d[i])
+def _spectral_gap(*ops: Operator) -> float:
+    """The smallest |Re lambda| over the spectra of ``ops``; a zero gap is
+    refused, since no strip around the imaginary axis is then clear."""
+    gap = min(spectrum(op).min_abs_real for op in ops)
+    if gap <= 0.0:
+        raise NearSpectrumError("spectral gap to the imaginary axis is zero", distance=0.0)
+    return gap
+
+
+def _spectrum_distance(ops, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance of every point of ``lams`` to the joint spectrum of ``ops``,
+    and the nearest eigenvalue."""
+    ev = np.concatenate([eigenvalues_of(op) for op in ops])
+    d = np.abs(lams[:, None] - ev[None, :])
+    nearest = np.argmin(d, axis=1)
+    return d[np.arange(lams.size), nearest], ev[nearest]
+
+
+def _clear_points(ops, grid: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+    """The points of ``grid`` farther than ``tol`` from the joint spectrum of
+    ``ops`` and the count of the others, skipped with a warning; refuses if none is left."""
+    dist, _ = _spectrum_distance(ops, grid)
+    keep = dist > tol
+    skipped = int(np.sum(~keep))
+    if skipped:
+        warnings.warn(
+            f"skipped {skipped} grid points within {tol:.2e} of the spectrum", stacklevel=3
+        )
+    if not keep.any():
+        raise NearSpectrumError("all grid points are near the spectrum", tol=tol)
+    return grid[keep], skipped
 
 
 def resolvent(op: Operator, lam: complex, tol: float | None = None) -> np.ndarray:
@@ -226,7 +253,8 @@ def resolvent(op: Operator, lam: complex, tol: float | None = None) -> np.ndarra
     """
     if tol is None:
         tol = near_spectrum_tol(op)
-    ev, dist = _nearest_eigenvalue(op, lam)
+    dist, nearest = _spectrum_distance((op,), np.array([lam], dtype=complex))
+    ev, dist = complex(nearest[0]), float(dist[0])
     if dist <= tol:
         raise NearSpectrumError(
             f"lambda={lam} is within {dist:.3e} of eigenvalue {ev} (tol {tol:.3e})",
@@ -253,17 +281,14 @@ def _check_points_clear(op: Operator, lams: np.ndarray, tol: float):
     """Refuse when any point of ``lams`` is within ``tol`` of the spectrum."""
     if lams.size == 0:
         return
-    ev = eigenvalues_of(op)
-    d = np.abs(lams[:, None] - ev[None, :])
-    dmin = d.min(axis=1)
-    bad = int(np.argmin(dmin))
-    if dmin[bad] <= tol:
-        which = int(np.argmin(d[bad]))
+    dist, nearest = _spectrum_distance((op,), lams)
+    bad = int(np.argmin(dist))
+    if dist[bad] <= tol:
         raise NearSpectrumError(
-            f"lambda={lams[bad]} is within {dmin[bad]:.3e} of eigenvalue "
-            f"{ev[which]} (tol {tol:.3e})",
-            eigenvalue=complex(ev[which]),
-            distance=float(dmin[bad]),
+            f"lambda={lams[bad]} is within {dist[bad]:.3e} of eigenvalue "
+            f"{nearest[bad]} (tol {tol:.3e})",
+            eigenvalue=complex(nearest[bad]),
+            distance=float(dist[bad]),
             tol=tol,
         )
 
@@ -655,10 +680,7 @@ def choose_h(op: Operator, safety: float) -> float:
     inside the resolvent set."""
     if not 0.0 < safety < 1.0:
         raise OperatorError(f"safety must lie in (0, 1), got {safety}")
-    gap = spectrum(op).min_abs_real
-    if gap <= 0.0:
-        raise NearSpectrumError("spectral gap to the imaginary axis is zero", distance=0.0)
-    return safety * gap
+    return safety * _spectral_gap(op)
 
 
 # ---------------------------------------------------------------------------

@@ -21,18 +21,18 @@ so explicitly in the report.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import json_safe_float, multiset_match_distance
-from .contour import ContourSpec, _line_integrals
+from .contour import ContourSpec, _check_contour_admissible, _line_integrals, _log_log_fit
 from .errors import NearSpectrumError, OperatorError, QuadratureError
 from .operators import (
     Operator,
-    _check_points_clear,
+    _clear_points,
     _schur_diff_norms,
+    _spectral_gap,
     eigenvalues_of,
     near_spectrum_tol,
     oracle_projection,
@@ -61,12 +61,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _diff_norms(s_op: Operator, t_op: Operator, lams: np.ndarray) -> np.ndarray:
-    for op in (s_op, t_op):
-        _check_points_clear(op, lams, near_spectrum_tol(op))
-    return _schur_diff_norms(s_op, t_op, lams)
-
-
 def resolvent_diff_decay(
     s_op: Operator,
     t_op: Operator,
@@ -84,17 +78,8 @@ def resolvent_diff_decay(
     if grid.size == 0:
         raise ValueError("grid is empty")
     tol = max(near_spectrum_tol(s_op), near_spectrum_tol(t_op))
-    ev = np.concatenate([eigenvalues_of(s_op), eigenvalues_of(t_op)])
-    dmin = np.min(np.abs(grid[:, None] - ev[None, :]), axis=1)
-    keep = dmin > tol
-    if np.any(~keep):
-        warnings.warn(
-            f"skipped {int(np.sum(~keep))} grid points near a spectrum", stacklevel=2
-        )
-    lams = grid[keep]
-    if lams.size == 0:
-        raise NearSpectrumError("all grid points are near a spectrum", tol=tol)
-    diffs = _diff_norms(s_op, t_op, lams)
+    lams, _ = _clear_points((s_op, t_op), grid, tol)
+    diffs = _schur_diff_norms(s_op, t_op, lams)
     samples = [(complex(l), float(d)) for l, d in zip(lams, diffs)]
     if not np.any(diffs > 0.0):
         return samples, math.inf
@@ -102,11 +87,8 @@ def resolvent_diff_decay(
     mask = (np.abs(lams) >= lo) & (np.abs(lams) <= hi) & (diffs > 0.0)
     if mask.sum() < 2:
         mask = diffs > 0.0
-    x = np.log(np.abs(lams[mask]))
-    y = np.log(diffs[mask])
-    design = np.vstack([np.ones(x.size), -x]).T
-    (_, delta), *_ = np.linalg.lstsq(design, y, rcond=None)
-    return samples, float(delta)
+    delta, *_ = _log_log_fit(np.abs(lams[mask]), diffs[mask])
+    return samples, delta
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +158,9 @@ def p_subordination_fit(s_op: Operator, r: np.ndarray, samples) -> tuple[float, 
 
 
 def _common_contour(s_op: Operator, t_op: Operator, spec: ContourSpec | None) -> ContourSpec:
-    gap = min(spectrum(s_op).min_abs_real, spectrum(t_op).min_abs_real)
-    if gap <= 0.0:
-        raise NearSpectrumError("no common strip: an operator touches the axis", distance=0.0)
     if spec is None:
-        return ContourSpec(h=0.5 * gap)
-    if spec.h > 0.95 * gap:
-        raise NearSpectrumError(
-            f"contour abscissa h={spec.h} exceeds 0.95 * common gap ({0.95 * gap:.6g})"
-        )
+        return ContourSpec(h=0.5 * _spectral_gap(s_op, t_op))
+    _check_contour_admissible((s_op, t_op), spec)
     return spec
 
 
@@ -209,11 +185,7 @@ def projection_diff_integral(
     diff_fro = _schur_diff_norms(s_op, t_op, far, spectral=False)
     mask = diff_fro > 0.0
     if mask.sum() >= 4:
-        x = np.log(np.abs(far[mask]))
-        y = np.log(diff_fro[mask])
-        design = np.vstack([np.ones(x.size), -x]).T
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        delta = float(coef[1])
+        delta, *_ = _log_log_fit(np.abs(far[mask]), diff_fro[mask])
         if delta <= 1.0:
             raise QuadratureError(
                 f"resolvent-difference decay exponent {delta:.3f} <= 1; the "

@@ -50,6 +50,15 @@ class TestSplitCommand:
         assert code == 0
         assert json.loads(out)["contour"]["h"] == 0.3
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--truncation-T", "inf"), ("--truncation-T", "nan"), ("--tol", "inf")]
+    )
+    def test_non_finite_contour_flag_exits_1(self, capsys, flag, value):
+        code, _, err = run_cli(capsys, "split", "dichotomy-2.3?N=2", flag, value)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "must be finite" in err
+
     def test_descriptor_file(self, capsys, tmp_path):
         path = tmp_path / "op.json"
         path.write_text(json.dumps({"kind": "family", "family": "constant-diag", "N": 1}))

@@ -13,6 +13,7 @@ from specsplit import (
     SlowDecayWarning,
     TruncationError,
     build_block_operator,
+    choose_h,
     contour_shift_check,
     default_contour,
     dense_operator,
@@ -28,12 +29,9 @@ from specsplit import (
     spectrum,
     split,
 )
-from specsplit.contour import (
-    _check_nodes_clear,
-    _contour_node_tol,
-    _side_integrals,
-    line_nodes,
-)
+from specsplit.contour import _log_log_fit, _side_integrals, line_nodes
+from specsplit.operators import _spectrum_distance
+from specsplit.perturbation import projection_diff_integral
 
 
 def block23(n):
@@ -55,16 +53,20 @@ class TestContourSpec:
         with pytest.raises(ValueError):
             ContourSpec(h=0.5, truncation_T=4.0)  # below 10*h
         with pytest.raises(ValueError):
-            ContourSpec(h=0.5, side="left")
-        with pytest.raises(ValueError):
             ContourSpec(h=0.5, scheme="monte-carlo")
         with pytest.raises(ValueError):
             ContourSpec(h=0.5, nodes_per_unit=0)
         with pytest.raises(ValueError):
             ContourSpec(h=0.5, tol=0.0)
 
+    @pytest.mark.parametrize("field", ["h", "truncation_T", "tol"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ContourSpec(**{"h": 0.5, field: value})
+
     def test_json_round_trip(self):
-        spec = ContourSpec(h=0.25, side="-", truncation_T=1e6, nodes_per_unit=8)
+        spec = ContourSpec(h=0.25, truncation_T=1e6, nodes_per_unit=8)
         again = ContourSpec.from_json_dict(spec.to_json_dict())
         assert again == spec
 
@@ -220,7 +222,7 @@ class TestRMinus:
         spec = default_contour(op)
         a_m = integrate_A(op, "-", spec).value
         z = -2.0
-        val = r_minus(op, z, a_m, spec)
+        val = r_minus(op, z, spec)
         resid = spectral_norm(
             (op.entries - z * np.eye(2)) @ val - np.eye(2) + z**2 * a_m
         )
@@ -231,7 +233,7 @@ class TestRMinus:
         spec = default_contour(op)
         a_m = integrate_A(op, "-", spec).value
         z = -3.0
-        val = r_minus(op, z, a_m, spec)
+        val = r_minus(op, z, spec)
         resid = spectral_norm(
             (op.entries - z * np.eye(2)) @ val - np.eye(2) + z**2 * a_m
         )
@@ -243,23 +245,21 @@ class TestRMinus:
         spec = default_contour(op)
         a_m = integrate_A(op, "-", spec).value
         z = -2.0
-        val = r_minus(op, z, a_m, spec)
+        val = r_minus(op, z, spec)
         e1 = np.array([1.0, 0.0])
         assert np.allclose(val @ e1, resolvent(op, z) @ e1, atol=1e-8)
 
     def test_pole_near_contour(self):
         op = diag_operator([1, -1])
         spec = default_contour(op)  # h = 0.5
-        a_m = integrate_A(op, "-", spec).value
         with pytest.raises(NearSpectrumError):
-            r_minus(op, -0.5, a_m, spec)
+            r_minus(op, -0.5, spec)
 
     def test_wrong_halfplane(self):
         op = diag_operator([1, -1])
         spec = default_contour(op)
-        a_m = integrate_A(op, "-", spec).value
         with pytest.raises(NearSpectrumError):
-            r_minus(op, 2.0, a_m, spec)
+            r_minus(op, 2.0, spec)
 
 
 class TestContourShift:
@@ -300,7 +300,7 @@ def test_shared_line_matches_standalone_integrals(name):
     # r_minus meets its quadrature tolerance and its tail budget
     # tol * max(1, |z|^2), on the shared line and alone
     r_error = spec.tol + spec.tol * max(1.0, abs(z) ** 2)
-    assert spectral_norm(shared["R"] - r_minus(op, z, alone.value, spec)) <= 2.0 * r_error
+    assert spectral_norm(shared["R"] - r_minus(op, z, spec)) <= 2.0 * r_error
 
 
 def test_split_node_budget(monkeypatch):
@@ -347,25 +347,82 @@ def test_split_payload_cold_copy_is_byte_identical(op, with_b):
 
 
 # ---------------------------------------------------------------------------
-# the near-spectrum check on a line
+# spectral clearance: one strip check per line, distances to the spectrum
 # ---------------------------------------------------------------------------
 
 
-def test_node_check_finds_brute_force_distance():
-    op = random_gap_operator(8, 3)
-    ev = spectrum(op).eigenvalues
-    target = ev[3]
-    x0 = target.real + 2e-10
-    t, _, _ = line_nodes(0.5, 1e3, 4, "tangent-substitution")
-    t = np.concatenate([t, [target.imag - 5e-11]])
-    rng = np.random.default_rng(0)
-    lams = x0 + 1j * rng.permutation(t)  # the check must not rely on node order
-    brute = np.abs(lams[:, None] - ev[None, :]).min()
-    assert brute <= _contour_node_tol(op)
-    with pytest.raises(NearSpectrumError, match="contour node") as caught:
-        _check_nodes_clear(op, lams)
-    assert caught.value.distance == brute
-    assert caught.value.eigenvalue == target
-    assert caught.value.tol == _contour_node_tol(op)
-    # the same line moved clear of the spectrum passes
-    _check_nodes_clear(op, lams + 1e-3)
+def test_nodes_keep_the_strip_margin(monkeypatch):
+    # h <= 0.95 * gap is the only check in front of the solves: every node on
+    # Re lambda = +-h then stays at least 0.05 * gap from the spectrum
+    solved = []
+
+    def recording_line_nodes(*args, **kwargs):
+        out = line_nodes(*args, **kwargs)
+        solved.append(out[0])
+        return out
+
+    monkeypatch.setattr(contour_module, "line_nodes", recording_line_nodes)
+    op = random_gap_operator(16, 7)
+    gap = spectrum(op).min_abs_real
+    h = 0.95 * gap
+    split(op, ContourSpec(h=h))
+    t = np.concatenate(solved)
+    lams = np.concatenate([h + 1j * t, -h + 1j * t])
+    dist, _ = _spectrum_distance((op,), lams)
+    assert dist.min() >= 0.05 * gap * (1.0 - 1e-12)
+
+
+def test_spectrum_distance_matches_brute_force_on_a_pair():
+    s_op, t_op = random_gap_operator(6, 1), random_gap_operator(5, 2)
+    rng = np.random.default_rng(3)
+    lams = rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)
+    ev = np.concatenate([spectrum(s_op).eigenvalues, spectrum(t_op).eigenvalues])
+    brute = np.abs(lams[:, None] - ev[None, :])
+    dist, nearest = _spectrum_distance((s_op, t_op), lams)
+    assert np.array_equal(dist, brute.min(axis=1))
+    assert np.array_equal(nearest, ev[brute.argmin(axis=1)])
+
+
+def test_log_log_fit_recovers_power_law():
+    abs_lams = np.logspace(0, 4, 30)
+    beta, m = 0.75, 3.0
+    norms = m * abs_lams**-beta
+    fit_beta, log_m, log_m_env, resid = _log_log_fit(abs_lams, norms)
+    assert fit_beta == pytest.approx(beta, rel=1e-12)
+    assert np.exp(log_m) == pytest.approx(m, rel=1e-12)
+    assert resid <= 1e-12
+    # the envelope lies on or above every sample
+    assert np.all(np.exp(log_m_env) * abs_lams**-fit_beta >= norms * (1.0 - 1e-12))
+    # with noise the envelope still covers every sample
+    noisy = norms * np.exp(np.random.default_rng(0).normal(0.0, 0.1, abs_lams.size))
+    fit_beta, _, log_m_env, _ = _log_log_fit(abs_lams, noisy)
+    assert np.all(log_m_env - fit_beta * np.log(abs_lams) >= np.log(noisy) - 1e-12)
+
+
+ZERO_GAP = diag_operator([1j, -1.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: default_contour(ZERO_GAP),
+        lambda: choose_h(ZERO_GAP, 0.5),
+        lambda: split(ZERO_GAP, ContourSpec(h=0.5)),
+        lambda: pv_axis_integral(ZERO_GAP, ContourSpec(h=0.5)),
+        lambda: projection_diff_integral(diag_operator([1.0, -1.0]), ZERO_GAP),
+        lambda: projection_diff_integral(
+            diag_operator([1.0, -1.0]), ZERO_GAP, ContourSpec(h=0.5)
+        ),
+    ],
+    ids=[
+        "default_contour",
+        "choose_h",
+        "split",
+        "pv_axis_integral",
+        "projection_diff_integral",
+        "projection_diff_integral with spec",
+    ],
+)
+def test_zero_gap_refused(call):
+    with pytest.raises(NearSpectrumError, match="gap to the imaginary axis is zero"):
+        call()

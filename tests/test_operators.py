@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from specsplit import (
@@ -131,14 +131,23 @@ class TestResolvent:
         t2=st.floats(-20, 20),
         off=st.floats(0.05, 3),
     )
+    @example(t1=0.0, t2=0.0, off=2.0)  # lambda = 2 and mu = -2 are eigenvalues
     def test_first_resolvent_identity(self, t1, t2, off):
         op = dense_operator(block23(2))
         lam, mu = off + 1j * t1, -off + 1j * t2
+        # the eigenvalues are +-2: keep lambda and mu at least as far from
+        # them as off keeps them from the axis
+        assume(abs(lam - 2.0) >= 0.05 and abs(mu + 2.0) >= 0.05)
         r_lam = resolvent(op, lam)
         r_mu = resolvent(op, mu)
         lhs = r_lam - r_mu
         rhs = (lam - mu) * r_lam @ r_mu
         assert spectral_norm(lhs - rhs) <= 1e-9 * (1 + abs(lam - mu))
+
+    @pytest.mark.parametrize("lam", [2.0, -2.0])
+    def test_refuses_eigenvalue(self, lam):
+        with pytest.raises(NearSpectrumError):
+            resolvent(dense_operator(block23(2)), lam)
 
     def test_block_functoriality(self):
         op = build_block_operator("dichotomy-2.3", 4)
