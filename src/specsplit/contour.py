@@ -1,4 +1,4 @@
-"""Vertical-line and imaginary-axis resolvent integrals with certified tails.
+"""Vertical-line and imaginary-axis resolvent integrals with bounded tails.
 
 The integrals all have the shape  (1/2*pi*i) * integral of  w(lambda) *
 (S - lambda)^{-1} d(lambda)  along a vertical line Re(lambda) = +-h (or the
@@ -29,13 +29,14 @@ Frobenius difference exceeds tol/n_panels for some set; the old order becomes
 their half order.  Such a panel exists whenever the test fails, since the
 spectral norm of a sum is at most the sum of the Frobenius norms, and a panel
 below the threshold is never refined again (per-panel refinement as in
-QUADPACK, Piessens et al. 1983).  The omitted |t| > T tail is bounded from
-the resolvent norms sampled at each panel's final order: |lambda|^{-2} <=
-t^{-2} on the line gives tail <= M_strip/(pi*T) for the 1/lambda^2 weight;
-for slower weights a fitted decay envelope M/|lambda|^beta supplies the
-bound.  ``QuadResult.est_error`` is the quadrature estimate of the integral's
-own set plus its tail bound; ``QuadResult.node_count`` counts every solve on
-the line, at every order and for every integral that shares the line.
+QUADPACK, Piessens et al. 1983).  The omitted |t| > T tail is bounded by the
+Neumann bound ||(S - lambda)^{-1}|| <= 1/(|lambda| - ||S||) (Kato,
+Perturbation Theory, I-5), integrated in closed form against the weight, for
+T >= 2 ||S||; below that an envelope M/|lambda|^beta fitted on a resample of
+the line stands in, flagged ``tail-heuristic``.  ``QuadResult.est_error`` is
+the quadrature estimate of the integral's own set plus its tail bound;
+``QuadResult.node_count`` counts every solve on the line, at every order and
+for every integral that shares the line.
 
 Spectral clearance.  A line Re lambda = +-h needs h <= 0.95 * gap, checked
 once before its nodes are solved; every node then lies at least 0.05 * gap
@@ -65,14 +66,13 @@ import numpy as np
 from .errors import NearSpectrumError, QuadratureError, SlowDecayWarning, TruncationError
 from .operators import (
     Operator,
-    _check_points_clear,
     _LineSums,
+    _schur_diff_norms,
     _schur_norms,
     _spectral_gap,
     _stack_norms,
     choose_h,
-    near_spectrum_tol,
-    resolvent_norms,
+    operator_norm,
     spectral_norm,
 )
 
@@ -97,7 +97,8 @@ class ContourSpec:
 
     ``h`` is the line abscissa (the integrals of a side run along
     Re lambda = +h or -h, oriented upward), ``truncation_T`` the integration
-    height |Im lambda| <= T, ``nodes_per_unit`` the Gauss order per panel,
+    height |Im lambda| <= T, ``nodes_per_unit`` the Gauss order per panel
+    (at least 2, since the error estimate compares it with half of it),
     ``tol`` the absolute tolerance budget for matrix entries.
     """
 
@@ -117,8 +118,8 @@ class ContourSpec:
             raise ValueError(
                 f"truncation_T must be at least 10*h = {10 * self.h}, got {self.truncation_T}"
             )
-        if not (isinstance(self.nodes_per_unit, int) and self.nodes_per_unit >= 1):
-            raise ValueError(f"nodes_per_unit must be a positive integer, got {self.nodes_per_unit}")
+        if not (isinstance(self.nodes_per_unit, int) and self.nodes_per_unit >= 2):
+            raise ValueError(f"nodes_per_unit must be an integer >= 2, got {self.nodes_per_unit}")
         if self.scheme not in ("composite-gauss", "tangent-substitution"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.tol > 0:
@@ -146,7 +147,8 @@ class ContourSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value of a contour integral with certified error bookkeeping."""
+    """Value of a contour integral with its error bookkeeping; the flag
+    ``tail-heuristic`` marks a tail that is a fitted estimate, not a bound."""
 
     value: np.ndarray
     tail_bound: float
@@ -230,14 +232,10 @@ def line_nodes(scale: float, t_max: float, q: int, scheme: str, panels=None):
 @dataclass(frozen=True)
 class _Line:
     """The integrals of one driver call, one entry per coefficient set in
-    ``values`` and ``est``; ``lams`` and ``fro`` hold every panel's nodes at
-    its final order, in line order, and the Frobenius norms of the resolvent
-    (of the first operator) there."""
+    ``values`` and ``est``."""
 
     values: list
     est: list
-    lams: np.ndarray
-    fro: np.ndarray
     t_eff: float
     node_count: int
 
@@ -255,7 +253,6 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, scale=None
     n_panels = edges.size - 1
     tols = np.asarray(tols, dtype=float)
     cuts = tols[:, None] / n_panels
-    final_lams, final_fro = [None] * n_panels, [None] * n_panels
     node_count = 0
 
     def solve(order, panels):
@@ -273,19 +270,18 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, scale=None
     while True:
         lams, coefs = solve(q, panels)
         if kept is None:
-            half = max(1, q // 2)
+            half = q // 2
             lo_lams, lo_coefs = solve(half, panels)
-        fro = np.empty(lams.size)
         open_hi, open_diff = kernel.zeros(len(weights)), kernel.zeros(len(weights))
         is_open, next_kept = np.zeros(panels.size, dtype=bool), []
         batch = kernel.panels_per_batch(q)
         for first in range(0, panels.size, batch):
             p = slice(first, min(first + batch, panels.size))
             nodes = slice(p.start * q, p.stop * q)
-            hi, fro[nodes] = kernel.sums(lams[nodes], coefs[:, nodes], q)
+            hi = kernel.sums(lams[nodes], coefs[:, nodes], q)
             if kept is None:
                 lo_nodes = slice(p.start * half, p.stop * half)
-                lo, _ = kernel.sums(lo_lams[lo_nodes], lo_coefs[:, lo_nodes], half)
+                lo = kernel.sums(lo_lams[lo_nodes], lo_coefs[:, lo_nodes], half)
             else:
                 lo = [k[:, p] for k in kept]
             diff = [h - l for h, l in zip(hi, lo)]
@@ -300,9 +296,6 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, scale=None
                     a += b[:, sel].sum(axis=1)
             is_open[p] = mask
             next_kept.append([h[:, mask] for h in hi])
-        for k, panel in enumerate(panels):
-            final_lams[panel] = lams[k * q : (k + 1) * q]
-            final_fro[panel] = fro[k * q : (k + 1) * q]
         est = _stack_norms([c + o for c, o in zip(closed_diff, open_diff)], spectral=True)
         # with every panel closed the estimate is below tol up to rounding
         if np.all(est <= tols) or not is_open.any():
@@ -310,8 +303,6 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, scale=None
             return _Line(
                 values=[kernel.dense([t[i] for t in totals]) for i in range(len(weights))],
                 est=[float(e) for e in est],
-                lams=np.concatenate(final_lams),
-                fro=np.concatenate(final_fro),
                 t_eff=t_eff,
                 node_count=node_count,
             )
@@ -339,28 +330,67 @@ def _log_log_fit(abs_lams: np.ndarray, norms: np.ndarray):
     return float(beta), float(log_m), log_m_env, resid
 
 
-def _decay_fit(abs_lams: np.ndarray, norms: np.ndarray, lo: float, hi: float):
-    """Decay exponent and envelope constant M_env of :func:`_log_log_fit` on
-    the window lo <= |lambda| <= hi, or on all samples when the window holds
-    fewer than four."""
-    mask = (abs_lams >= lo) & (abs_lams <= hi) & (norms > 0)
-    if mask.sum() < 4:
-        mask = norms > 0
-    beta, _, log_m_env, _ = _log_log_fit(abs_lams[mask], norms[mask])
-    return beta, float(np.exp(log_m_env))
+def _neumann_tail(ops, t_eff: float, c: float, k: float, poles=()):
+    """Bound of  (1/pi) * integral over t > T of  c t^{-k} prod_p 1/(t - p)
+    ||R(x0 + it)|| dt  on a vertical line, where |lambda| >= t.  R is the
+    resolvent of ``ops[0]``, or R_S - R_T = R_S (T - S) R_T for a pair; by
+    the Neumann series ||R_S(lambda)|| <= 1/(|lambda| - ||S||).  With sigma
+    over the operator norms and the poles, t/(t - sigma) <= T/(T - sigma) for
+    t >= T gives  c |T - S| prod_sigma T/(T - sigma) / (pi n T^n),
+    n = k + #sigma - 1 (no |T - S| for one operator);  None when
+    T < 2 max sigma."""
+    sigmas = [operator_norm(op) for op in ops] + list(poles)
+    if t_eff < 2.0 * max(sigmas, default=0.0):
+        return None
+    if len(ops) == 2:  # the Frobenius norm bounds |T - S|
+        c *= float(np.linalg.norm(ops[1].entries - ops[0].entries))
+    n = k + len(sigmas) - 1
+    return c * float(np.prod([t_eff / (t_eff - s) for s in sigmas])) / (np.pi * n * t_eff**n)
 
 
-def _line_decay_exponent(op: Operator, x0: float, t_max: float, n_samples: int = 40) -> float:
-    """Operator-norm decay exponent along the line, fitted on a log-spaced
-    subsample clear of the near field (|t| >= 10 |x0|)."""
-    lo = max(10.0 * abs(x0), 1e-2)
-    if lo >= t_max:  # pragma: no cover - guarded by truncation_T >= 10 h
-        lo = t_max / 10.0
-    t = np.logspace(np.log10(lo), np.log10(t_max), n_samples)
+def _fitted_tail(ops, x0: float, t_eff: float, c: float, k: int, poles=()) -> float:
+    """The heuristic stand-in for :func:`_neumann_tail` below T = 2 ||S||: an
+    envelope ||R|| <= M_env |lambda|^{-beta} fitted on a log-spaced resample
+    of the line clear of the near field (|t| >= 10 |x0|) takes the place of
+    the operator factors in its closed form, so the tail decays like T^{-n},
+    n = k + beta + #poles - 1.  A fitted n <= 1e-6 is refused, one at or
+    below 0.1 warns."""
+    t = np.logspace(np.log10(max(10.0 * abs(x0), 1e-2)), np.log10(t_eff), 40)
     lams = np.concatenate([x0 - 1j * t[::-1], x0 + 1j * t])
-    norms = resolvent_norms(op, lams)
-    beta, _ = _decay_fit(np.abs(lams), norms, 0.0, np.inf)
-    return beta
+    norms = _schur_norms(ops[0], lams) if len(ops) == 1 else _schur_diff_norms(*ops, lams)
+    keep = norms > 0.0
+    if not keep.any():  # R_S = R_T on the whole resample
+        return 0.0
+    beta, _, log_m_env, _ = _log_log_fit(np.abs(lams[keep]), norms[keep])
+    n = k + beta + len(poles) - 1
+    if n <= 1e-6:
+        raise QuadratureError(
+            f"no resolvent decay on the line (fitted tail exponent {n:.3g}); "
+            "the integral may diverge"
+        )
+    if n <= 0.1:
+        warnings.warn(
+            f"slow resolvent decay on the line (fitted tail exponent {n:.3g})",
+            SlowDecayWarning,
+            stacklevel=5,
+        )
+    return _neumann_tail((), t_eff, c * float(np.exp(log_m_env)), k + beta, poles)
+
+
+def _tail_bound(ops, x0: float, t_eff: float, budget: float, c: float, k: int, poles=()):
+    """The tail of a line integral, as :func:`_neumann_tail` bounds it or
+    :func:`_fitted_tail` estimates it, and whether it is the estimate;
+    a tail above ``budget`` raises :class:`TruncationError`."""
+    tail = _neumann_tail(ops, t_eff, c, k, poles)
+    heuristic = tail is None
+    if heuristic:
+        tail = _fitted_tail(ops, x0, t_eff, c, k, poles)
+    if tail > budget:
+        raise TruncationError(
+            f"tail bound {tail:.2e} exceeds tol={budget:.2e}; increase T "
+            f"(currently T_eff={t_eff:.3g})"
+        )
+    return tail, heuristic
 
 
 def _check_contour_admissible(ops, spec: ContourSpec):
@@ -386,57 +416,11 @@ def _side_sign(side: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _a_tail(line: _Line, spec: ContourSpec) -> float:
-    tail = float(line.fro.max()) / (np.pi * line.t_eff)
-    if tail > spec.tol:
-        raise TruncationError(
-            f"tail bound {tail:.2e} exceeds tol={spec.tol:.2e}; increase T "
-            f"(currently T_eff={line.t_eff:.3g})"
-        )
-    return tail
-
-
-def _b_tail(op: Operator, line: _Line, x0: float, spec: ContourSpec) -> float:
-    beta_line = _line_decay_exponent(op, x0, line.t_eff)
-    if beta_line <= 1e-6:
-        raise QuadratureError(
-            f"no resolvent decay on the line (fitted beta {beta_line:.3g}); "
-            "the 1/lambda-weighted integral may diverge"
-        )
-    if beta_line <= 0.1:
-        warnings.warn(
-            f"slow resolvent decay on the line (fitted beta {beta_line:.3g})",
-            SlowDecayWarning,
-            stacklevel=4,
-        )
-    # envelope fitted on the asymptotic part of the line, used beyond T_eff
-    t_eff = line.t_eff
-    beta_tail, m_env = _decay_fit(np.abs(line.lams), line.fro, t_eff**0.4, t_eff)
-    if beta_tail <= 1e-6:
-        raise QuadratureError(
-            f"no asymptotic resolvent decay on the line (fitted beta {beta_tail:.3g})"
-        )
-    tail = m_env / (np.pi * beta_tail * t_eff**beta_tail)
-    if tail > spec.tol:
-        raise TruncationError(
-            f"tail bound {tail:.2e} exceeds tol={spec.tol:.2e}; increase T"
-        )
-    return tail
-
-
-def _check_r_minus_tail(line: _Line, z: complex, spec: ContourSpec):
-    tail = float(line.fro.max()) * abs(z) ** 2 / (np.pi * line.t_eff**2)
-    if tail > spec.tol * max(1.0, abs(z) ** 2):
-        raise TruncationError(
-            f"R_-(z) tail bound {tail:.2e} above budget; increase T"
-        )
-
-
 def _r_minus_weight(z: complex, spec: ContourSpec):
     """The weight of R_-(z), after checking that the pole z lies left of the
     line Re lambda = -h and inside the truncation."""
     margin = -spec.h - z.real  # distance of the pole z to the contour line
-    if margin < max(spec.tol, 1e-12):
+    if margin < 1e-12 * (1.0 + abs(z)):
         raise NearSpectrumError(
             f"z={z} is on the wrong side of (or too close to) the contour "
             f"Re lambda = -{spec.h}",
@@ -457,28 +441,33 @@ def _side_integrals(
     them, "R" (side "-" only) the matrix R_-(z) of :func:`r_minus`."""
     _check_contour_admissible((op,), spec)
     sgn = _side_sign(side)
-    weights = []
+    x0 = sgn * spec.h
+    # per integral: its weight and the weight's tail terms (c, k, poles) of
+    # _neumann_tail, |z^2/(lambda^2 (lambda - z))| <= |z|^2 t^{-2}/(t - |z|)
+    weights, tails = [], []
     for kind in kinds:
         if kind == "A":
             weights.append(lambda lam: 1.0 / lam**2)
+            tails.append((1.0, 2, ()))
         elif kind == "B":
             weights.append(lambda lam: 1.0 / lam)
+            tails.append((1.0, 1, ()))
         elif kind == "R" and side == "-":
             z = complex(z)
             weights.append(_r_minus_weight(z, spec))
+            tails.append((abs(z) ** 2, 2, (abs(z),)))
         else:
             raise ValueError(f"no integral {kind!r} on side {side!r}")
-    line = _line_integrals((op,), sgn * spec.h, weights, [spec.tol] * len(kinds), spec)
+    line = _line_integrals((op,), x0, weights, [spec.tol] * len(kinds), spec)
     out = {}
-    for kind, value, est in zip(kinds, line.values, line.est):
+    for kind, value, est, (c, k, poles) in zip(kinds, line.values, line.est, tails):
+        budget = spec.tol * max(1.0, abs(z) ** 2) if kind == "R" else spec.tol
+        tail, heuristic = _tail_bound((op,), x0, line.t_eff, budget, c, k, poles)
         if kind == "R":
-            _check_r_minus_tail(line, z, spec)
             out[kind] = value
             continue
-        tail = _a_tail(line, spec) if kind == "A" else _b_tail(op, line, sgn * spec.h, spec)
-        out[kind] = QuadResult(
-            value=sgn * value, tail_bound=tail, node_count=line.node_count, est_error=est + tail
-        )
+        flags = ("tail-heuristic",) if heuristic else ()
+        out[kind] = QuadResult(sgn * value, tail, line.node_count, est + tail, flags)
     return out
 
 
@@ -497,10 +486,11 @@ def integrate_B(op: Operator, side: str, spec: ContourSpec) -> QuadResult:
     """B_side = +-(1/2*pi*i) * integral of lambda^{-1} (S-lambda)^{-1} along
     Re lambda = +-h.
 
-    The 1/lambda weight converges only through resolvent decay on the line,
-    so a decay exponent is fitted from the sampled norms; a fitted beta at or
-    below 0.1 triggers a slow-decay warning.  The relation A_side = B_side
-    S^{-1} ties this to :func:`integrate_A`.
+    The 1/lambda weight converges only through resolvent decay on the line.
+    For T >= 2 ||S|| the Neumann bound gives that decay; below it the decay
+    exponent is fitted on a resample of the line (flag ``tail-heuristic``),
+    and a fitted exponent at or below 0.1 triggers a slow-decay warning.  The
+    relation A_side = B_side S^{-1} ties this to :func:`integrate_A`.
     """
     return _side_integrals(op, side, spec, ("B",))["B"]
 
@@ -546,22 +536,14 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
     if step_outer > 1.05 * step_inner and step_outer > spec.tol:
         flags.append("pv-nonconvergent")
 
-    # symmetrised tail: || R(it) + (it)^{-1} || decays ~ ||S||/t^2 because the
-    # odd leading resolvent term cancels; fit an envelope on a subsample of
-    # the asymptotic axis and bound the Richardson value's truncation error
-    # by 3x the T/2 tail.
-    t_lo = max(t_eff**0.4, 10.0 * scale)
-    if t_lo < t_eff / 2.0:
-        t_s = np.logspace(np.log10(t_lo), np.log10(t_eff), 40)
-        sym = _symmetrised_norms(op, 1j * t_s)
-        gamma, m_env = _decay_fit(t_s, sym, t_lo, t_eff)
-    else:  # pragma: no cover - tiny truncations
-        gamma, m_env = 1.5, float(line.fro.max())
-    if gamma > 1.0:
-        tail = 3.0 * m_env / (np.pi * (gamma - 1.0) * (t_eff / 2.0) ** (gamma - 1.0))
-    else:
+    # I(inf) - I(T) = (1/pi) * integral over |t| > T of R(it) + (it)^{-1}, the
+    # odd term cancelling under symmetric truncation, and R + 1/lambda =
+    # R S / lambda; the Richardson value misses at most 2 tail(T) + tail(T/2)
+    # <= 3 tail(T/2), so c = 3 * 2 ||S||.  Below T/2 = 2 ||S|| it is unbounded.
+    tail = _neumann_tail((op,), t_eff / 2.0, 6.0 * operator_norm(op), 1)
+    if tail is None:
         tail = float("inf")
-        flags.append("pv-nonconvergent")
+        flags.append("tail-heuristic")
     # value - (2 I(T/2) - I(T/4)), the change of the Richardson value
     richardson_resid = spectral_norm(2.0 * outer - inner)
     est_error = est_quad + min(tail, richardson_resid + step_outer)
@@ -570,15 +552,8 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
         tail_bound=tail,
         node_count=line.node_count,
         est_error=est_error,
-        flags=tuple(dict.fromkeys(flags)),
+        flags=tuple(flags),
     )
-
-
-def _symmetrised_norms(op: Operator, lams: np.ndarray) -> np.ndarray:
-    """Frobenius norms of R(lambda) + lambda^{-1} I (an upper bound of the
-    operator norm, so envelopes fitted on it stay upper bounds)."""
-    _check_points_clear(op, lams, near_spectrum_tol(op))
-    return _schur_norms(op, lams, spectral=False, shift=1.0 / lams)
 
 
 def r_minus(op: Operator, z: complex, spec: ContourSpec) -> np.ndarray:

@@ -34,8 +34,9 @@ class QuadratureError(Exception):
 
 
 class TruncationError(QuadratureError):
-    """Raised when the certified tail bound exceeds the tolerance budget;
-    the fix is a larger truncation height ("increase T")."""
+    """Raised when the tail bound exceeds the tolerance budget: the Neumann
+    bound, or below T = 2 ||S|| the fitted stand-in; the fix is a larger
+    truncation height ("increase T")."""
 
 
 class SplittingMismatchError(Exception):
@@ -44,5 +45,5 @@ class SplittingMismatchError(Exception):
 
 
 class SlowDecayWarning(UserWarning):
-    """Emitted when the fitted resolvent decay exponent on the integration
-    line is too small for the 1/lambda-weighted integral to be trustworthy."""
+    """Emitted when the tail decay exponent fitted on the integration line
+    (below T = 2 ||S||) is too small for the integral to be trustworthy."""

@@ -492,27 +492,22 @@ def _panel_slices(width: int, count: int, q: int):
 def _panel_sums(op: Operator, lams: np.ndarray, coef_sets, q: int):
     """Ordered sums  sum_k coef[k] * (S - lam_k)^{-1}  over every panel of
     ``q`` consecutive nodes, for several coefficient vectors, in Schur
-    coordinates: one (sets, panels, nb, m, m) array per Schur group, plus the
-    Frobenius norm of every resolvent.  The panels of a node chunk are reduced
-    together by one batched product."""
+    coordinates: one (sets, panels, nb, m, m) array per Schur group.  The
+    panels of a node chunk are reduced together by one batched product."""
     coefs = np.asarray(coef_sets, dtype=complex)
     n_sets, n_panels = coefs.shape[0], lams.size // q
     groups = _schur_groups(op)
     sums = [np.zeros((n_sets, n_panels, *g.t.shape), dtype=complex) for g in groups]
-    fro = np.empty(lams.size)
     for part, first, n in _panel_slices(sum(g.t.size for g in groups), lams.size, q):
         # (panels, sets, nodes per panel) against (panels, nodes per panel, entries)
         c = coefs[:, part].reshape(n_sets, n, -1).transpose(1, 0, 2)
-        per_block = []
         for group, out in zip(groups, sums):
             x = _triangular_inverses(group, lams[part])
-            per_block.append(_block_norms(x, spectral=False))
             prod = np.matmul(c, x.reshape(n, -1, group.t.size))
             out[:, first : first + n] += prod.transpose(1, 0, 2).reshape(
                 n_sets, n, *group.t.shape
             )
-        fro[part] = _combine_norms(per_block, spectral=False)
-    return sums, fro
+    return sums
 
 
 def _from_schur(group: _SchurGroup, x: np.ndarray) -> np.ndarray:
@@ -549,8 +544,9 @@ def resolvent_sums(op: Operator, lams, coef_sets) -> tuple[list[np.ndarray], np.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     kernel = _LineSums((op,))
-    sums, fro = kernel.sums(lams, coef_sets, max(1, lams.size))  # one panel
-    return [kernel.dense([s[i].sum(axis=0) for s in sums]) for i in range(len(coef_sets))], fro
+    sums = kernel.sums(lams, coef_sets, max(1, lams.size))  # one panel
+    dense = [kernel.dense([s[i].sum(axis=0) for s in sums]) for i in range(len(coef_sets))]
+    return dense, _schur_norms(op, lams, spectral=False)
 
 
 class _LineSums:
@@ -583,19 +579,17 @@ class _LineSums:
         return max(1, _CHUNK_ENTRIES // (self.width * q))
 
     def sums(self, lams: np.ndarray, coef_sets, q: int):
-        """Per-panel sums over panels of ``q`` consecutive nodes, and the
-        Frobenius norm of the first operator's resolvent at every node."""
+        """Per-panel sums over panels of ``q`` consecutive nodes."""
         if len(self.ops) == 1:
             return _panel_sums(self.ops[0], lams, coef_sets, q)
         lead = (len(coef_sets), lams.size // q)
-        placed, fros = [], []
+        placed = []
         for op in self.ops:
-            sums, fro = _panel_sums(op, lams, coef_sets, q)
+            sums = _panel_sums(op, lams, coef_sets, q)
             groups = _schur_groups(op)
             per_group = (_from_schur(g, s.reshape(-1, *g.t.shape)) for g, s in zip(groups, sums))
             placed.append(_to_layout(op, per_group, self.layout, lead[0] * lead[1]))
-            fros.append(fro)
-        return [(a - b).reshape(*lead, *a.shape[1:]) for a, b in zip(*placed)], fros[0]
+        return [(a - b).reshape(*lead, *a.shape[1:]) for a, b in zip(*placed)]
 
     def dense(self, blocks) -> np.ndarray:
         """The matrix in operator coordinates, from one (count, m, m) array
@@ -605,19 +599,13 @@ class _LineSums:
         return _dense(self.ops[0].dim, self.layout, blocks)
 
 
-def _schur_norms(op: Operator, lams: np.ndarray, spectral: bool = True, shift=None) -> np.ndarray:
-    """Per-node spectral (or Frobenius) norms of (S - lam_k)^{-1} + shift_k I,
-    taken in Schur coordinates; unchecked like :func:`resolvent_sums`."""
+def _schur_norms(op: Operator, lams: np.ndarray, spectral: bool = True) -> np.ndarray:
+    """Per-node spectral (or Frobenius) norms of (S - lam_k)^{-1}, taken in
+    Schur coordinates; unchecked like :func:`resolvent_sums`."""
     groups = _schur_groups(op)
     out = np.empty(lams.size)
     for part in _node_chunks(sum(g.t.size for g in groups), lams.size):
-        per_block = []
-        for group in groups:
-            x = _triangular_inverses(group, lams[part])
-            if shift is not None:
-                diag = np.arange(x.shape[-1])
-                x[:, :, diag, diag] += shift[part, None, None]
-            per_block.append(_block_norms(x, spectral))
+        per_block = [_block_norms(_triangular_inverses(g, lams[part]), spectral) for g in groups]
         out[part] = _combine_norms(per_block, spectral)
     return out
 

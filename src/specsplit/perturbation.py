@@ -26,8 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import json_safe_float, multiset_match_distance
-from .contour import ContourSpec, _check_contour_admissible, _line_integrals, _log_log_fit
-from .errors import NearSpectrumError, OperatorError, QuadratureError
+from .contour import (
+    ContourSpec,
+    _check_contour_admissible,
+    _line_integrals,
+    _log_log_fit,
+    _tail_bound,
+)
+from .errors import NearSpectrumError, OperatorError
 from .operators import (
     Operator,
     _clear_points,
@@ -172,26 +178,16 @@ def projection_diff_integral(
 
     The lambda^{-2} weights of the individual projection integrals cancel in
     the difference, so convergence rests on the resolvent-difference decay:
-    a fitted exponent at or below 1 raises a non-convergence error.
+    the Neumann bound through R_S - R_T = R_S (T - S) R_T, or below
+    T = 2 max(||S||, ||T||) a decay exponent fitted on a resample of the
+    line, where an exponent at or below 1 raises a non-convergence error.
     """
     if s_op.dim != t_op.dim:
         raise OperatorError("operators must act on the same space")
     spec = _common_contour(s_op, t_op, spec)
     line = _line_integrals((s_op, t_op), spec.h, [lambda lam: 1.0], [spec.tol], spec)
-    value = line.values[0]
-
-    # decay of the sampled difference on the asymptotic part of the line
-    far = line.lams[np.abs(line.lams) >= line.t_eff**0.4]
-    diff_fro = _schur_diff_norms(s_op, t_op, far, spectral=False)
-    mask = diff_fro > 0.0
-    if mask.sum() >= 4:
-        delta, *_ = _log_log_fit(np.abs(far[mask]), diff_fro[mask])
-        if delta <= 1.0:
-            raise QuadratureError(
-                f"resolvent-difference decay exponent {delta:.3f} <= 1; the "
-                "projection-difference integral does not converge"
-            )
-    return value
+    _tail_bound((s_op, t_op), spec.h, line.t_eff, spec.tol, 1.0, 0)
+    return line.values[0]
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,18 @@ class TestSplitCommand:
         assert err.startswith("error:")
         assert "must be finite" in err
 
+    def test_one_node_per_panel_exits_1(self, capsys):
+        # the error estimate compares q nodes with q/2, so q = 1 is refused
+        code, _, err = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--nodes", "1")
+        assert code == 1
+        assert "nodes_per_unit" in err
+
+    def test_loose_tol_keeps_the_r_minus_pole(self, capsys):
+        # z = -2h lies h left of the line Re lambda = -h whatever the tolerance
+        code, out, _ = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--tol", "1")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_descriptor_file(self, capsys, tmp_path):
         path = tmp_path / "op.json"
         path.write_text(json.dumps({"kind": "family", "family": "constant-diag", "N": 1}))

@@ -30,7 +30,7 @@ from specsplit import (
     split,
 )
 from specsplit.contour import _log_log_fit, _side_integrals, line_nodes
-from specsplit.operators import _spectrum_distance
+from specsplit.operators import _spectrum_distance, operator_norm
 from specsplit.perturbation import projection_diff_integral
 
 
@@ -56,6 +56,8 @@ class TestContourSpec:
             ContourSpec(h=0.5, scheme="monte-carlo")
         with pytest.raises(ValueError):
             ContourSpec(h=0.5, nodes_per_unit=0)
+        with pytest.raises(ValueError):
+            ContourSpec(h=0.5, nodes_per_unit=1)  # no half order to compare with
         with pytest.raises(ValueError):
             ContourSpec(h=0.5, tol=0.0)
 
@@ -344,6 +346,72 @@ def test_split_payload_cold_copy_is_byte_identical(op, with_b):
     warm = payload(split(op, with_b=with_b))
     cold = payload(split(Operator(entries=op.entries, family_tag=op.family_tag), with_b=with_b))
     assert warm == cold
+
+
+# ---------------------------------------------------------------------------
+# the tail rule: Neumann bounds, a fitted stand-in below T = 2 ||S||
+# ---------------------------------------------------------------------------
+
+
+TAIL_OPERATORS = {
+    "random(8, 3)": lambda: random_gap_operator(8, 3),
+    "dichotomy-2.3?N=3": lambda: build_block_operator("dichotomy-2.3", 3),
+}
+
+
+@pytest.mark.parametrize("t_over_norm", [10.0, 100.0])
+@pytest.mark.parametrize("name", sorted(TAIL_OPERATORS))
+def test_error_estimate_covers_the_true_error(name, t_over_norm):
+    # at a short truncation the tail dominates, so est_error stands or falls
+    # with the Neumann bound
+    op = TAIL_OPERATORS[name]()
+    spec = default_contour(op, truncation_T=t_over_norm * operator_norm(op), tol=1e-2)
+    p_plus = oracle_projection(op).p_plus
+    s = op.entries
+    for quad, expect in (
+        (integrate_A(op, "+", spec), np.linalg.solve(s @ s, p_plus)),
+        (integrate_B(op, "+", spec), np.linalg.solve(s, p_plus)),
+        (pv_axis_integral(op, spec), 2.0 * p_plus - np.eye(op.dim)),
+    ):
+        assert "tail-heuristic" not in quad.flags
+        assert spectral_norm(quad.value - expect) <= quad.est_error
+
+
+def test_fitted_tail_only_below_twice_the_norm():
+    op = build_block_operator("dichotomy-2.3", 10)  # ||S|| ~ 200
+    short = integrate_A(op, "+", default_contour(op, truncation_T=100.0, tol=1e-2))
+    long = integrate_A(op, "+", default_contour(op, truncation_T=1e4, tol=1e-2))
+    assert "tail-heuristic" in short.flags
+    assert "tail-heuristic" not in long.flags
+
+
+def test_pair_tail_bound_covers_the_truncation_error():
+    # R_S - R_T = R_S (T - S) R_T: the Neumann bound of both resolvents and
+    # |T - S| bound the omitted tail of the projection-difference integral
+    s_op = build_block_operator("dichotomy-2.3", 3)
+    rng = np.random.default_rng(0)
+    r = 0.1 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    t_op = Operator(entries=s_op.entries + r)
+    expect = oracle_projection(s_op).p_plus - oracle_projection(t_op).p_plus
+    h = 0.5 * min(spectrum(s_op).min_abs_real, spectrum(t_op).min_abs_real)
+    top = max(operator_norm(s_op), operator_norm(t_op))
+    for t_over_norm in (10.0, 100.0):
+        spec = ContourSpec(h=h, truncation_T=t_over_norm * top, tol=1e-2)
+        _, t_eff = contour_module._line_panels(h, spec.truncation_T, spec.scheme)
+        tail = contour_module._neumann_tail((s_op, t_op), t_eff, 1.0, 0)
+        assert spectral_norm(projection_diff_integral(s_op, t_op, spec) - expect) <= tail
+    # below T = 2 max ||.|| the fitted stand-in keeps the result within tol
+    spec = ContourSpec(h=h, truncation_T=10.0, tol=1e-1)
+    assert spectral_norm(projection_diff_integral(s_op, t_op, spec) - expect) <= spec.tol
+
+
+def test_dense_dim_160_splits():
+    # the fitted envelopes of the line's near field rejected this operator
+    # with "tail bound 6.58e-08 exceeds tol"
+    op = random_gap_operator(160, 7)
+    result = split(op)
+    assert result.passes(1e-6)
+    assert spectral_norm(result.p_plus - oracle_projection(op).p_plus) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from specsplit import (
     resolvent_norms,
     spectrum,
 )
-from specsplit.contour import _symmetrised_norms, line_nodes
+from specsplit.contour import line_nodes
 from specsplit.operators import (
     _schur_diff_norms,
     _schur_groups,
@@ -113,17 +113,6 @@ class TestAgainstDenseLU:
         expect = np.linalg.svd(dense, compute_uv=False)[:, 0]
         assert np.max(np.abs(resolvent_norms(op, lams) / expect - 1.0)) <= REL_TOL
 
-    def test_symmetrised_norms(self, case):
-        op, lams, _, dense = case
-        shifted = dense + np.eye(op.dim)[None, :, :] / lams[:, None, None]
-        expect = np.linalg.norm(shifted, axis=(1, 2))
-        # both sides cancel the leading -1/lambda term, which leaves a rounding
-        # error of about eps/|lambda| on each; compare where that stays below
-        # REL_TOL of the value
-        keep = expect > 1e-3 / np.abs(lams)
-        got = _symmetrised_norms(op, lams)
-        assert np.max(np.abs(got[keep] / expect[keep] - 1.0)) <= REL_TOL
-
     def test_cold_copy_is_byte_identical(self, case):
         op, lams, w, _ = case
         coef_sets = [w / lams**2]
@@ -185,8 +174,6 @@ class TestPreconditions:
             resolvent_many(op, lams)
         with pytest.raises(NearSpectrumError):
             resolvent_norms(op, lams)
-        with pytest.raises(NearSpectrumError):
-            _symmetrised_norms(op, lams)
 
     def test_empty_node_sets(self):
         op = build_block_operator("dichotomy-2.3", 3)
