@@ -53,7 +53,6 @@ from .errors import (
     NearSpectrumError,
     OperatorError,
     QuadratureError,
-    SlowDecayWarning,
     SplittingMismatchError,
     TruncationError,
 )

@@ -192,6 +192,8 @@ class SplitResult:
     spectrum_margin_plus: float
     spectrum_margin_minus: float
     est_error: float
+    t_eff_plus: float
+    t_eff_minus: float
     b_plus: np.ndarray | None = None
     b_minus: np.ndarray | None = None
 
@@ -220,6 +222,8 @@ class SplitResult:
             "spectrum_margin_plus": self.spectrum_margin_plus,
             "spectrum_margin_minus": self.spectrum_margin_minus,
             "est_error": self.est_error,
+            "t_eff_plus": self.t_eff_plus,
+            "t_eff_minus": self.t_eff_minus,
             "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
         }
 
@@ -249,8 +253,9 @@ def split(
     """
     spec = default_contour(op) if spec is None else spec
     z = -2.0 * spec.h
-    plus = _side_integrals(op, "+", spec, ("A", "B") if with_b else ("A",))
-    minus = _side_integrals(op, "-", spec, ("A", "R", "B") if with_b else ("A", "R"), z)
+    b = ("B",) if with_b else ()
+    plus = _side_integrals(op, "+", spec, ("A", *b), rank_cutoff=rank_cutoff)
+    minus = _side_integrals(op, "-", spec, ("A", "R", *b), z, rank_cutoff)
     quad_plus, quad_minus = plus["A"], minus["A"]
     a_plus, a_minus = quad_plus.value, quad_minus.value
     est_error = quad_plus.est_error + quad_minus.est_error
@@ -323,6 +328,8 @@ def split(
         spectrum_margin_plus=margin_plus,
         spectrum_margin_minus=margin_minus,
         est_error=est_error,
+        t_eff_plus=quad_plus.t_eff,
+        t_eff_minus=quad_minus.t_eff,
         b_plus=b_plus,
         b_minus=b_minus,
     )

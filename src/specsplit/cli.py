@@ -333,7 +333,8 @@ def _add_output_args(p, default_format="json", choices=("json", "text")):
 
 def _add_contour_args(p):
     p.add_argument("--h", type=float, default=None, help="contour abscissa (default 0.5*gap)")
-    p.add_argument("--truncation-T", dest="truncation_T", type=float, default=None)
+    p.add_argument("--truncation-T", dest="truncation_T", type=float, default=None,
+                   help="integration height T (default: derived from --tol)")
     p.add_argument("--nodes", type=int, default=None, help="Gauss nodes per panel")
     p.add_argument(
         "--scheme",

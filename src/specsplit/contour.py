@@ -32,8 +32,11 @@ below the threshold is never refined again (per-panel refinement as in
 QUADPACK, Piessens et al. 1983).  The omitted |t| > T tail is bounded by the
 Neumann bound ||(S - lambda)^{-1}|| <= 1/(|lambda| - ||S||) (Kato,
 Perturbation Theory, I-5), integrated in closed form against the weight, for
-T >= 2 ||S||; below that an envelope M/|lambda|^beta fitted on a resample of
-the line stands in, flagged ``tail-heuristic``.  ``QuadResult.est_error`` is
+T >= 2 max(||S||, |z|), z the pole of R_-(z).  The default height T_eff is
+the smallest dyadic one, at least 10 h, at which every tail on the line meets
+the target of what its integral feeds (:func:`_side_integrals`); an explicit
+``truncation_T`` is held to tol and refused (:class:`TruncationError`) below
+2 max(||S||, |z|).  ``QuadResult`` reports T_eff, and its ``est_error`` is
 the quadrature estimate of the integral's own set plus its tail bound;
 ``QuadResult.node_count`` counts every solve on the line, at every order and
 for every integral that shares the line.
@@ -58,17 +61,14 @@ own sums.  The reductions are ordered sums, so results are deterministic.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSpectrumError, QuadratureError, SlowDecayWarning, TruncationError
+from .errors import NearSpectrumError, QuadratureError, TruncationError
 from .operators import (
     Operator,
     _LineSums,
-    _schur_diff_norms,
-    _schur_norms,
     _spectral_gap,
     _stack_norms,
     choose_h,
@@ -97,24 +97,26 @@ class ContourSpec:
 
     ``h`` is the line abscissa (the integrals of a side run along
     Re lambda = +h or -h, oriented upward), ``truncation_T`` the integration
-    height |Im lambda| <= T, ``nodes_per_unit`` the Gauss order per panel
+    height |Im lambda| <= T, or None to derive it per line from ``tol``
+    (see the module docstring), ``nodes_per_unit`` the Gauss order per panel
     (at least 2, since the error estimate compares it with half of it),
     ``tol`` the absolute tolerance budget for matrix entries.
     """
 
     h: float
-    truncation_T: float = 1e10
+    truncation_T: float | None = None
     nodes_per_unit: int = 16
     scheme: str = "tangent-substitution"
     tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("h", "truncation_T", "tol"):
+        names = ("h", "tol") if self.truncation_T is None else ("h", "truncation_T", "tol")
+        for name in names:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.h > 0:
             raise ValueError(f"contour abscissa h must be positive, got {self.h}")
-        if self.truncation_T < 10.0 * self.h:
+        if self.truncation_T is not None and self.truncation_T < 10.0 * self.h:
             raise ValueError(
                 f"truncation_T must be at least 10*h = {10 * self.h}, got {self.truncation_T}"
             )
@@ -147,13 +149,14 @@ class ContourSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value of a contour integral with its error bookkeeping; the flag
-    ``tail-heuristic`` marks a tail that is a fitted estimate, not a bound."""
+    """Value of a contour integral with its error bookkeeping and the
+    truncation height ``t_eff`` it was integrated to."""
 
     value: np.ndarray
     tail_bound: float
     node_count: int
     est_error: float
+    t_eff: float
     flags: tuple[str, ...] = ()
 
     def summary(self) -> dict:
@@ -161,6 +164,7 @@ class QuadResult:
             "tail_bound": self.tail_bound,
             "node_count": self.node_count,
             "est_error": self.est_error,
+            "t_eff": self.t_eff,
             "flags": list(self.flags),
         }
 
@@ -236,20 +240,20 @@ class _Line:
 
     values: list
     est: list
-    t_eff: float
     node_count: int
 
 
-def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, scale=None) -> _Line:
+def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, t_eff, scale=None) -> _Line:
     """Integrals (1/2*pi) * integral of w(lambda) R(lambda) dt over the line
-    Re lambda = x0, one per weight, with per-panel order doubling until the
-    quadrature estimate of every weight meets its tolerance in ``tols``
-    (``inf`` lets a weight ride along); R is the resolvent of ``ops[0]``, or
-    R_S - R_T when ``ops`` is a pair (S, T).  Callers check the line with
+    Re lambda = x0, |t| <= t_eff (a dyadic height from :func:`_line_tails`),
+    one per weight, with per-panel order doubling until the quadrature
+    estimate of every weight meets its tolerance in ``tols`` (``inf`` lets a
+    weight ride along); R is the resolvent of ``ops[0]``, or R_S - R_T when
+    ``ops`` is a pair (S, T).  Callers check the line with
     :func:`_check_contour_admissible`; the nodes are not checked."""
     scale = spec.h if scale is None else scale
     kernel = _LineSums(ops)
-    edges, t_eff = _line_panels(scale, spec.truncation_T, spec.scheme)
+    edges, _ = _line_panels(scale, t_eff, spec.scheme)
     n_panels = edges.size - 1
     tols = np.asarray(tols, dtype=float)
     cuts = tols[:, None] / n_panels
@@ -257,7 +261,7 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, scale=None
 
     def solve(order, panels):
         nonlocal node_count
-        t, w, _ = line_nodes(scale, spec.truncation_T, order, spec.scheme, panels)
+        t, w, _ = line_nodes(scale, t_eff, order, spec.scheme, panels)
         lams = x0 + 1j * t
         node_count += lams.size
         coefs = np.array([w * weight(lams) / (2.0 * np.pi) for weight in weights])
@@ -303,7 +307,6 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, scale=None
             return _Line(
                 values=[kernel.dense([t[i] for t in totals]) for i in range(len(weights))],
                 est=[float(e) for e in est],
-                t_eff=t_eff,
                 node_count=node_count,
             )
         if q >= _MAX_NODES_PER_UNIT:
@@ -330,67 +333,58 @@ def _log_log_fit(abs_lams: np.ndarray, norms: np.ndarray):
     return float(beta), float(log_m), log_m_env, resid
 
 
-def _neumann_tail(ops, t_eff: float, c: float, k: float, poles=()):
+def _neumann_tail(ops, t_eff, c: float, k: float, poles=()):
     """Bound of  (1/pi) * integral over t > T of  c t^{-k} prod_p 1/(t - p)
     ||R(x0 + it)|| dt  on a vertical line, where |lambda| >= t.  R is the
     resolvent of ``ops[0]``, or R_S - R_T = R_S (T - S) R_T for a pair; by
     the Neumann series ||R_S(lambda)|| <= 1/(|lambda| - ||S||).  With sigma
     over the operator norms and the poles, t/(t - sigma) <= T/(T - sigma) for
     t >= T gives  c |T - S| prod_sigma T/(T - sigma) / (pi n T^n),
-    n = k + #sigma - 1 (no |T - S| for one operator);  None when
-    T < 2 max sigma."""
+    n = k + #sigma - 1 (no |T - S| for one operator);  inf (no bound) where
+    T < 2 max sigma.  ``t_eff`` is one height T, or an array of them."""
     sigmas = [operator_norm(op) for op in ops] + list(poles)
-    if t_eff < 2.0 * max(sigmas, default=0.0):
-        return None
+    low = 2.0 * max(sigmas)
     if len(ops) == 2:  # the Frobenius norm bounds |T - S|
         c *= float(np.linalg.norm(ops[1].entries - ops[0].entries))
     n = k + len(sigmas) - 1
-    return c * float(np.prod([t_eff / (t_eff - s) for s in sigmas])) / (np.pi * n * t_eff**n)
+    t = np.maximum(t_eff, low)
+    tail = c * np.prod([t / (t - s) for s in sigmas], axis=0) / (np.pi * n * t**n)
+    return np.where(t_eff < low, np.inf, tail)
 
 
-def _fitted_tail(ops, x0: float, t_eff: float, c: float, k: int, poles=()) -> float:
-    """The heuristic stand-in for :func:`_neumann_tail` below T = 2 ||S||: an
-    envelope ||R|| <= M_env |lambda|^{-beta} fitted on a log-spaced resample
-    of the line clear of the near field (|t| >= 10 |x0|) takes the place of
-    the operator factors in its closed form, so the tail decays like T^{-n},
-    n = k + beta + #poles - 1.  A fitted n <= 1e-6 is refused, one at or
-    below 0.1 warns."""
-    t = np.logspace(np.log10(max(10.0 * abs(x0), 1e-2)), np.log10(t_eff), 40)
-    lams = np.concatenate([x0 - 1j * t[::-1], x0 + 1j * t])
-    norms = _schur_norms(ops[0], lams) if len(ops) == 1 else _schur_diff_norms(*ops, lams)
-    keep = norms > 0.0
-    if not keep.any():  # R_S = R_T on the whole resample
-        return 0.0
-    beta, _, log_m_env, _ = _log_log_fit(np.abs(lams[keep]), norms[keep])
-    n = k + beta + len(poles) - 1
-    if n <= 1e-6:
-        raise QuadratureError(
-            f"no resolvent decay on the line (fitted tail exponent {n:.3g}); "
-            "the integral may diverge"
+def _line_tails(ops, spec: ContourSpec, scale: float, terms, at: float = 1.0):
+    """The truncation height T_eff of a line and the tail bound of each of
+    its integrals, before any node is solved.  ``terms`` holds per integral
+    the (c, k, poles) of :func:`_neumann_tail`, the tail's target at a
+    derived height and its budget at an explicit one; every tail is taken
+    from ``at * T_eff``.  T_eff is a dyadic height scale * 2^j: the first
+    one at or above ``spec.truncation_T``, or when that is None the first
+    of the 256 from 10 h up at which every tail is at most its target.  A tail
+    above its budget, or with no bound, raises :class:`TruncationError`."""
+    if spec.truncation_T is not None:
+        t_eff = float(_dyadic_breaks(scale, spec.truncation_T)[-1])
+    else:
+        heights = _dyadic_breaks(scale, 10.0 * spec.h)[-1] * 2.0 ** np.arange(256)
+        meets = np.all(
+            [_neumann_tail(ops, at * heights, c, k, p) <= target for c, k, p, target, _ in terms],
+            axis=0,
         )
-    if n <= 0.1:
-        warnings.warn(
-            f"slow resolvent decay on the line (fitted tail exponent {n:.3g})",
-            SlowDecayWarning,
-            stacklevel=5,
-        )
-    return _neumann_tail((), t_eff, c * float(np.exp(log_m_env)), k + beta, poles)
-
-
-def _tail_bound(ops, x0: float, t_eff: float, budget: float, c: float, k: int, poles=()):
-    """The tail of a line integral, as :func:`_neumann_tail` bounds it or
-    :func:`_fitted_tail` estimates it, and whether it is the estimate;
-    a tail above ``budget`` raises :class:`TruncationError`."""
-    tail = _neumann_tail(ops, t_eff, c, k, poles)
-    heuristic = tail is None
-    if heuristic:
-        tail = _fitted_tail(ops, x0, t_eff, c, k, poles)
-    if tail > budget:
-        raise TruncationError(
-            f"tail bound {tail:.2e} exceeds tol={budget:.2e}; increase T "
-            f"(currently T_eff={t_eff:.3g})"
-        )
-    return tail, heuristic
+        if not meets.any():
+            raise TruncationError(f"no truncation height meets tol={spec.tol:.2e}")
+        t_eff = float(heights[np.argmax(meets)])
+    tails = [float(_neumann_tail(ops, at * t_eff, c, k, poles)) for c, k, poles, _, _ in terms]
+    for tail, (*_, budget) in zip(tails, terms):
+        if np.isinf(tail):
+            raise TruncationError(
+                f"no tail bound from height {at * t_eff:.3g}, below twice the largest "
+                "operator norm or pole; increase T"
+            )
+        if tail > budget:
+            raise TruncationError(
+                f"tail bound {tail:.2e} exceeds tol={budget:.2e}; increase T "
+                f"(currently T_eff={t_eff:.3g})"
+            )
+    return t_eff, tails
 
 
 def _check_contour_admissible(ops, spec: ContourSpec):
@@ -418,7 +412,7 @@ def _side_sign(side: str) -> float:
 
 def _r_minus_weight(z: complex, spec: ContourSpec):
     """The weight of R_-(z), after checking that the pole z lies left of the
-    line Re lambda = -h and inside the truncation."""
+    line Re lambda = -h."""
     margin = -spec.h - z.real  # distance of the pole z to the contour line
     if margin < 1e-12 * (1.0 + abs(z)):
         raise NearSpectrumError(
@@ -426,49 +420,49 @@ def _r_minus_weight(z: complex, spec: ContourSpec):
             f"Re lambda = -{spec.h}",
             distance=float(abs(z.real + spec.h)),
         )
-    if spec.truncation_T < 2.0 * abs(z):
-        raise TruncationError(
-            f"truncation_T={spec.truncation_T} too small for |z|={abs(z):.3g}; increase T"
-        )
     return lambda lam: z**2 / (lam**2 * (lam - z))
 
 
 def _side_integrals(
-    op: Operator, side: str, spec: ContourSpec, kinds, z: complex | None = None
+    op: Operator, side: str, spec: ContourSpec, kinds, z=None, rank_cutoff=np.inf
 ) -> dict:
     """The integrals ``kinds`` on the line Re lambda = +-h, from one driver
     call: "A" and "B" as :func:`integrate_A` and :func:`integrate_B` return
-    them, "R" (side "-" only) the matrix R_-(z) of :func:`r_minus`."""
+    them, "R" (side "-" only) the matrix R_-(z) of :func:`r_minus`.  A
+    derived height holds the tail of A to min(tol, ``rank_cutoff``) /
+    max(1, ||S||)^2, as A feeds P = S^2 A and its rank test; that of R_-(z)
+    to tol / max(1, ||S|| + |z|), as it feeds (S - z) R_-(z); that of B to
+    tol.  An explicit one holds them to tol, R_-(z)'s to tol max(1, |z|^2)."""
     _check_contour_admissible((op,), spec)
     sgn = _side_sign(side)
     x0 = sgn * spec.h
-    # per integral: its weight and the weight's tail terms (c, k, poles) of
-    # _neumann_tail, |z^2/(lambda^2 (lambda - z))| <= |z|^2 t^{-2}/(t - |z|)
-    weights, tails = [], []
+    norm = operator_norm(op)
+    # per integral: its weight and its terms of _line_tails, the (c, k, poles)
+    # of _neumann_tail, |z^2/(lambda^2 (lambda - z))| <= |z|^2 t^{-2}/(t - |z|),
+    # then the target and the budget
+    weights, terms = [], []
     for kind in kinds:
         if kind == "A":
             weights.append(lambda lam: 1.0 / lam**2)
-            tails.append((1.0, 2, ()))
+            target = min(spec.tol, rank_cutoff) / max(1.0, norm) ** 2
+            terms.append((1.0, 2, (), target, spec.tol))
         elif kind == "B":
             weights.append(lambda lam: 1.0 / lam)
-            tails.append((1.0, 1, ()))
+            terms.append((1.0, 1, (), spec.tol, spec.tol))
         elif kind == "R" and side == "-":
             z = complex(z)
             weights.append(_r_minus_weight(z, spec))
-            tails.append((abs(z) ** 2, 2, (abs(z),)))
+            target = spec.tol / max(1.0, norm + abs(z))
+            terms.append((abs(z) ** 2, 2, (abs(z),), target, spec.tol * max(1.0, abs(z) ** 2)))
         else:
             raise ValueError(f"no integral {kind!r} on side {side!r}")
-    line = _line_integrals((op,), x0, weights, [spec.tol] * len(kinds), spec)
-    out = {}
-    for kind, value, est, (c, k, poles) in zip(kinds, line.values, line.est, tails):
-        budget = spec.tol * max(1.0, abs(z) ** 2) if kind == "R" else spec.tol
-        tail, heuristic = _tail_bound((op,), x0, line.t_eff, budget, c, k, poles)
-        if kind == "R":
-            out[kind] = value
-            continue
-        flags = ("tail-heuristic",) if heuristic else ()
-        out[kind] = QuadResult(sgn * value, tail, line.node_count, est + tail, flags)
-    return out
+    t_eff, tails = _line_tails((op,), spec, spec.h, terms)
+    line = _line_integrals((op,), x0, weights, [spec.tol] * len(kinds), spec, t_eff)
+    count = line.node_count
+    return {
+        kind: value if kind == "R" else QuadResult(sgn * value, tail, count, est + tail, t_eff)
+        for kind, value, est, tail in zip(kinds, line.values, line.est, tails)
+    }
 
 
 def integrate_A(op: Operator, side: str, spec: ContourSpec) -> QuadResult:
@@ -486,11 +480,10 @@ def integrate_B(op: Operator, side: str, spec: ContourSpec) -> QuadResult:
     """B_side = +-(1/2*pi*i) * integral of lambda^{-1} (S-lambda)^{-1} along
     Re lambda = +-h.
 
-    The 1/lambda weight converges only through resolvent decay on the line.
-    For T >= 2 ||S|| the Neumann bound gives that decay; below it the decay
-    exponent is fitted on a resample of the line (flag ``tail-heuristic``),
-    and a fitted exponent at or below 0.1 triggers a slow-decay warning.  The
-    relation A_side = B_side S^{-1} ties this to :func:`integrate_A`.
+    The 1/lambda weight converges only through resolvent decay on the line,
+    which the Neumann bound gives from T = 2 ||S|| on; an explicit
+    truncation height below that is refused with :class:`TruncationError`.
+    The relation A_side = B_side S^{-1} ties this to :func:`integrate_A`.
     """
     return _side_integrals(op, side, spec, ("B",))["B"]
 
@@ -508,7 +501,14 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
     """
     _spectral_gap(op)  # the axis then stays at least the gap from the spectrum
     scale = 1.0
-    _, t_eff = _line_panels(scale, spec.truncation_T, spec.scheme)
+    # I(inf) - I(T) = (1/pi) * integral over |t| > T of R(it) + (it)^{-1}, the
+    # odd term cancelling under symmetric truncation, and R + 1/lambda =
+    # R S / lambda; the Richardson value misses at most 2 tail(T) + tail(T/2)
+    # <= 3 tail(T/2), so c = 3 * 2 ||S||, taken at T/2.  An explicit height
+    # does not hold it to tol: est_error takes the smaller of it and the
+    # Richardson step.
+    terms = [(6.0 * operator_norm(op), 1, (), spec.tol, np.inf)]
+    t_eff, (tail,) = _line_tails((op,), spec, scale, terms, at=0.5)
 
     def ring(lo, hi):  # I(hi) - I(lo) of the symmetric truncations
         return lambda lam: np.where((np.abs(lam.imag) > lo) & (np.abs(lam.imag) <= hi), 2.0, 0.0)
@@ -525,6 +525,7 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
         ],
         [spec.tol, np.inf, np.inf],
         spec,
+        t_eff,
         scale=scale,
     )
     value, outer, inner = line.values
@@ -536,14 +537,6 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
     if step_outer > 1.05 * step_inner and step_outer > spec.tol:
         flags.append("pv-nonconvergent")
 
-    # I(inf) - I(T) = (1/pi) * integral over |t| > T of R(it) + (it)^{-1}, the
-    # odd term cancelling under symmetric truncation, and R + 1/lambda =
-    # R S / lambda; the Richardson value misses at most 2 tail(T) + tail(T/2)
-    # <= 3 tail(T/2), so c = 3 * 2 ||S||.  Below T/2 = 2 ||S|| it is unbounded.
-    tail = _neumann_tail((op,), t_eff / 2.0, 6.0 * operator_norm(op), 1)
-    if tail is None:
-        tail = float("inf")
-        flags.append("tail-heuristic")
     # value - (2 I(T/2) - I(T/4)), the change of the Richardson value
     richardson_resid = spectral_norm(2.0 * outer - inner)
     est_error = est_quad + min(tail, richardson_resid + step_outer)
@@ -552,6 +545,7 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
         tail_bound=tail,
         node_count=line.node_count,
         est_error=est_error,
+        t_eff=t_eff,
         flags=tuple(flags),
     )
 

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the toolkit.
+"""Exception types shared across the toolkit.
 
 The CLI maps these onto its exit-code contract: operator/usage problems
 exit 1, spectral preconditions exit 2, numerical non-convergence exit 3.
@@ -34,16 +34,11 @@ class QuadratureError(Exception):
 
 
 class TruncationError(QuadratureError):
-    """Raised when the tail bound exceeds the tolerance budget: the Neumann
-    bound, or below T = 2 ||S|| the fitted stand-in; the fix is a larger
-    truncation height ("increase T")."""
+    """Raised when an explicit truncation height leaves a tail above its
+    tolerance budget, or below T = 2 ||S|| leaves it without a Neumann bound;
+    the fix is a larger truncation height ("increase T")."""
 
 
 class SplittingMismatchError(Exception):
     """Raised when the ranks of the quadrature projections are inconsistent
     with the eigenvalue counts per half-plane."""
-
-
-class SlowDecayWarning(UserWarning):
-    """Emitted when the tail decay exponent fitted on the integration line
-    (below T = 2 ||S||) is too small for the integral to be trustworthy."""

@@ -8,7 +8,7 @@ block-diagonal family.  This module provides
 * the JSON operator descriptor (``operator_from_descriptor``),
 * basic spectral queries (``spectrum``, ``resolvent``, ``choose_h``),
 * the resolvent kernel behind every quadrature and norm sweep
-  (``resolvent_sums``, ``resolvent_many``, ``resolvent_norms``): per-block
+  (``_LineSums``, ``resolvent_many``, ``resolvent_norms``): per-block
   Schur forms of the operator's connected components, triangular inverses
   per node,
 * the ground-truth spectral projector ``oracle_projection``, computed from an
@@ -55,7 +55,6 @@ __all__ = [
     "resolvent",
     "resolvent_many",
     "resolvent_norms",
-    "resolvent_sums",
     "oracle_projection",
     "spectral_norm",
     "choose_h",
@@ -533,22 +532,6 @@ def _dense(n: int, layout, blocks) -> np.ndarray:
     return total
 
 
-def resolvent_sums(op: Operator, lams, coef_sets) -> tuple[list[np.ndarray], np.ndarray]:
-    """Ordered sums  sum_k coef[k] * (S - lam_k)^{-1}  for several coefficient
-    vectors over one node set, plus the Frobenius norm of every resolvent.
-
-    The sums are accumulated per diagonal block in Schur coordinates, node
-    chunk by node chunk in node order, and back-transformed once, so results
-    are reproducible.  The nodes are not checked against the spectrum;
-    callers do that first.
-    """
-    lams = np.asarray(lams, dtype=complex).ravel()
-    kernel = _LineSums((op,))
-    sums = kernel.sums(lams, coef_sets, max(1, lams.size))  # one panel
-    dense = [kernel.dense([s[i].sum(axis=0) for s in sums]) for i in range(len(coef_sets))]
-    return dense, _schur_norms(op, lams, spectral=False)
-
-
 class _LineSums:
     """Per-panel weighted resolvent sums for the quadrature driver, in block
     coordinates where Frobenius and spectral norms are taken block by block.
@@ -556,8 +539,8 @@ class _LineSums:
     For one operator the integrand is its resolvent, in Schur coordinates; for
     a pair (S, T) it is R_S - R_T, on the diagonal blocks of the union of both
     nonzero patterns, in operator coordinates.  Sums come as one
-    (sets, panels, count, m, m) array per block order; unchecked like
-    :func:`resolvent_sums`.
+    (sets, panels, count, m, m) array per block order.  The nodes are not
+    checked against the spectrum; callers do that first.
     """
 
     def __init__(self, ops):
@@ -599,14 +582,14 @@ class _LineSums:
         return _dense(self.ops[0].dim, self.layout, blocks)
 
 
-def _schur_norms(op: Operator, lams: np.ndarray, spectral: bool = True) -> np.ndarray:
-    """Per-node spectral (or Frobenius) norms of (S - lam_k)^{-1}, taken in
-    Schur coordinates; unchecked like :func:`resolvent_sums`."""
+def _schur_norms(op: Operator, lams: np.ndarray) -> np.ndarray:
+    """Per-node spectral norms of (S - lam_k)^{-1}, taken in Schur
+    coordinates; unchecked like :class:`_LineSums`."""
     groups = _schur_groups(op)
     out = np.empty(lams.size)
     for part in _node_chunks(sum(g.t.size for g in groups), lams.size):
-        per_block = [_block_norms(_triangular_inverses(g, lams[part]), spectral) for g in groups]
-        out[part] = _combine_norms(per_block, spectral)
+        per_block = [_block_norms(_triangular_inverses(g, lams[part]), True) for g in groups]
+        out[part] = _combine_norms(per_block, True)
     return out
 
 
@@ -648,7 +631,7 @@ def _schur_diff_norms(
 ) -> np.ndarray:
     """Per-node spectral (or Frobenius) norms of R_S(lam_k) - R_T(lam_k), on
     the diagonal blocks of the union of both nonzero patterns; unchecked like
-    :func:`resolvent_sums`."""
+    :class:`_LineSums`."""
     layout = _block_layout((s_op.entries != 0) | (t_op.entries != 0))
     out = np.empty(lams.size)
     for part in _node_chunks(sum(idx.size * idx.shape[1] for idx in layout), lams.size):

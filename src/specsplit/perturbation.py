@@ -30,8 +30,8 @@ from .contour import (
     ContourSpec,
     _check_contour_admissible,
     _line_integrals,
+    _line_tails,
     _log_log_fit,
-    _tail_bound,
 )
 from .errors import NearSpectrumError, OperatorError
 from .operators import (
@@ -177,16 +177,18 @@ def projection_diff_integral(
     difference of the plus projections P_+^S - P_+^T.
 
     The lambda^{-2} weights of the individual projection integrals cancel in
-    the difference, so convergence rests on the resolvent-difference decay:
-    the Neumann bound through R_S - R_T = R_S (T - S) R_T, or below
-    T = 2 max(||S||, ||T||) a decay exponent fitted on a resample of the
-    line, where an exponent at or below 1 raises a non-convergence error.
+    the difference, so convergence rests on the resolvent-difference decay,
+    which the Neumann bound through R_S - R_T = R_S (T - S) R_T gives from
+    T = 2 max(||S||, ||T||) on.  A derived height holds that tail to tol; an
+    explicit one whose tail exceeds tol, or lies below 2 max(||S||, ||T||),
+    raises :class:`~specsplit.errors.TruncationError`.
     """
     if s_op.dim != t_op.dim:
         raise OperatorError("operators must act on the same space")
     spec = _common_contour(s_op, t_op, spec)
-    line = _line_integrals((s_op, t_op), spec.h, [lambda lam: 1.0], [spec.tol], spec)
-    _tail_bound((s_op, t_op), spec.h, line.t_eff, spec.tol, 1.0, 0)
+    ops = (s_op, t_op)
+    t_eff, _ = _line_tails(ops, spec, spec.h, [(1.0, 0, (), spec.tol, spec.tol)])
+    line = _line_integrals(ops, spec.h, [lambda lam: 1.0], [spec.tol], spec, t_eff)
     return line.values[0]
 
 

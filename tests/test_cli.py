@@ -71,6 +71,21 @@ class TestSplitCommand:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_derived_height_at_a_loose_tol(self, capsys):
+        # the tail of A is held to tol / ||S||^2, so P = S^2 A keeps its ranks
+        code, out, _ = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--tol", "1e-3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert payload["contour"]["truncation_T"] is None
+        assert payload["t_eff_plus"] >= 10 * payload["contour"]["h"]
+
+    def test_truncation_below_twice_the_norm_exits_3(self, capsys):
+        # ||S|| ~ 200: below 2 ||S|| the tail has no bound
+        code, _, err = run_cli(capsys, "split", "dichotomy-2.3?N=10", "--truncation-T", "100")
+        assert code == 3
+        assert "increase T" in err
+
     def test_descriptor_file(self, capsys, tmp_path):
         path = tmp_path / "op.json"
         path.write_text(json.dumps({"kind": "family", "family": "constant-diag", "N": 1}))

@@ -10,7 +10,6 @@ from specsplit import (
     NearSpectrumError,
     Operator,
     QuadratureError,
-    SlowDecayWarning,
     TruncationError,
     build_block_operator,
     choose_h,
@@ -72,6 +71,11 @@ class TestContourSpec:
         again = ContourSpec.from_json_dict(spec.to_json_dict())
         assert again == spec
 
+    def test_json_round_trip_derived_height(self):
+        spec = ContourSpec(h=0.25)
+        assert spec.truncation_T is None
+        assert ContourSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict()))) == spec
+
     def test_json_rejects_unknown(self):
         with pytest.raises(ValueError):
             ContourSpec.from_json_dict({"h": 0.5, "shape": "circle"})
@@ -88,7 +92,7 @@ class TestIntegrateA:
         assert spectral_norm(quad.value - np.diag([1.0, 0.0])) <= 1e-9
         assert quad.est_error <= 1e-7
         summary = quad.summary()
-        assert set(summary) == {"tail_bound", "node_count", "est_error", "flags"}
+        assert set(summary) == {"tail_bound", "node_count", "est_error", "t_eff", "flags"}
         assert summary["tail_bound"] >= 0
 
     def test_block_n1_both_sides(self):
@@ -181,13 +185,12 @@ class TestIntegrateB:
         assert spectral_norm(quad.value - expect) <= 1e-7
 
     def test_slow_decay_warning_then_truncation_error(self):
-        # tiny truncation: the fitted decay on the short line is ~p-1 = -0.05,
-        # so the slow-decay warning fires and the tail bound blows the budget
+        # tiny truncation: T = 10 lies far below 2 ||S||, where the tail of
+        # the slowly decaying integrand has no bound, so it is refused
         op = build_block_operator("almost-bisect-5.5", 40, {"p": 0.95})
         spec = ContourSpec(h=0.45, truncation_T=10.0)
-        with pytest.warns(SlowDecayWarning):
-            with pytest.raises(TruncationError):
-                integrate_B(op, "+", spec)
+        with pytest.raises(TruncationError):
+            integrate_B(op, "+", spec)
 
 
 class TestPrincipalValue:
@@ -320,6 +323,41 @@ def test_split_node_budget(monkeypatch):
     assert 0 < sum(solved) <= 8000
 
 
+def test_derived_height_node_budget(monkeypatch):
+    solved = []
+
+    def counting_line_nodes(*args, **kwargs):
+        out = line_nodes(*args, **kwargs)
+        solved.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(contour_module, "line_nodes", counting_line_nodes)
+    op = random_gap_operator(64, 7)
+    result = split(op)
+    # each line stops at the first dyadic height where its tails meet their
+    # targets (4352 solves at a fixed T = 1e10)
+    assert 0 < sum(solved) <= 2600
+    assert spectral_norm(result.p_plus - oracle_projection(op).p_plus) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        random_gap_operator(16, 7),
+        random_gap_operator(32, 7),
+        random_gap_operator(48, 7),
+        build_block_operator("mcintosh-yagi", 1),
+    ],
+    ids=["random(16, 7)", "random(32, 7)", "random(48, 7)", "mcintosh-yagi?N=1"],
+)
+def test_derived_height_agrees_with_the_oracle(op):
+    # a tail of A held only to tol would leave P = S^2 A above the rank
+    # cutoff on mcintosh-yagi (ranks 9, 9 against 8, 8)
+    result = split(op)
+    assert result.t_eff_plus > 0 and result.t_eff_minus > 0
+    assert spectral_norm(result.p_plus - oracle_projection(op).p_plus) <= 1e-12
+
+
 def test_tolerance_below_rounding_hits_order_cap():
     op = dense_operator(block23(1))
     spec = dataclasses.replace(default_contour(op), tol=1e-20)
@@ -379,9 +417,9 @@ def test_error_estimate_covers_the_true_error(name, t_over_norm):
 
 def test_fitted_tail_only_below_twice_the_norm():
     op = build_block_operator("dichotomy-2.3", 10)  # ||S|| ~ 200
-    short = integrate_A(op, "+", default_contour(op, truncation_T=100.0, tol=1e-2))
+    with pytest.raises(TruncationError, match="increase T"):
+        integrate_A(op, "+", default_contour(op, truncation_T=100.0, tol=1e-2))
     long = integrate_A(op, "+", default_contour(op, truncation_T=1e4, tol=1e-2))
-    assert "tail-heuristic" in short.flags
     assert "tail-heuristic" not in long.flags
 
 
@@ -400,9 +438,10 @@ def test_pair_tail_bound_covers_the_truncation_error():
         _, t_eff = contour_module._line_panels(h, spec.truncation_T, spec.scheme)
         tail = contour_module._neumann_tail((s_op, t_op), t_eff, 1.0, 0)
         assert spectral_norm(projection_diff_integral(s_op, t_op, spec) - expect) <= tail
-    # below T = 2 max ||.|| the fitted stand-in keeps the result within tol
+    # below T = 2 max ||.|| the tail has no bound, so the integral is refused
     spec = ContourSpec(h=h, truncation_T=10.0, tol=1e-1)
-    assert spectral_norm(projection_diff_integral(s_op, t_op, spec) - expect) <= spec.tol
+    with pytest.raises(TruncationError, match="increase T"):
+        projection_diff_integral(s_op, t_op, spec)
 
 
 def test_dense_dim_160_splits():

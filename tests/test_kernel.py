@@ -23,12 +23,15 @@ from specsplit import (
 )
 from specsplit.contour import line_nodes
 from specsplit.operators import (
+    _LineSums,
+    _panel_sums,
     _schur_diff_norms,
     _schur_groups,
-    resolvent_sums,
+    _stack_norms,
 )
 
 REL_TOL = 1e-12
+Q = 4  # nodes per panel, as ``nodes_for`` lays them out
 
 
 def dense_resolvents(op, lams):
@@ -45,8 +48,14 @@ def rel(a, b):
 def nodes_for(op):
     """A quadrature line at half the gap, as the integrals lay it out."""
     h = 0.5 * spectrum(op).min_abs_real
-    t, w, _ = line_nodes(h, 1e8, 4, "tangent-substitution")
+    t, w, _ = line_nodes(h, 1e8, Q, "tangent-substitution")
     return h + 1j * t, w
+
+
+def summed(kernel, sums, i):
+    """Coefficient set ``i`` of per-panel kernel sums, summed over the panels,
+    in operator coordinates."""
+    return kernel.dense([s[i].sum(axis=0) for s in sums])
 
 
 def permuted_blocks():
@@ -99,10 +108,15 @@ class TestAgainstDenseLU:
     def test_weighted_sums_and_frobenius(self, case):
         op, lams, w, dense = case
         coef_sets = [w / (2.0 * np.pi), w / lams**2]
-        sums, fro = resolvent_sums(op, lams, coef_sets)
-        for s, coefs in zip(sums, coef_sets):
-            assert rel(s, np.tensordot(coefs, dense, axes=(0, 0))) <= REL_TOL
-        assert np.max(np.abs(fro / np.linalg.norm(dense, axis=(1, 2)) - 1.0)) <= REL_TOL
+        sums = _panel_sums(op, lams, coef_sets, Q)
+        per_panel = dense.reshape(-1, Q, op.dim, op.dim)
+        for i, coefs in enumerate(coef_sets):
+            assert rel(summed(_LineSums((op,)), sums, i),
+                       np.tensordot(coefs, dense, axes=(0, 0))) <= REL_TOL
+            # the Frobenius norm of every panel sum, taken in Schur coordinates
+            expect = np.einsum("pk,pkij->pij", coefs.reshape(-1, Q), per_panel)
+            fro = _stack_norms(sums, spectral=False)[i]
+            assert np.max(np.abs(fro / np.linalg.norm(expect, axis=(1, 2)) - 1.0)) <= REL_TOL
 
     def test_full_stack(self, case):
         op, lams, _, dense = case
@@ -116,11 +130,10 @@ class TestAgainstDenseLU:
     def test_cold_copy_is_byte_identical(self, case):
         op, lams, w, _ = case
         coef_sets = [w / lams**2]
-        warm = resolvent_sums(op, lams, coef_sets)
-        cold = resolvent_sums(Operator(entries=op.entries, family_tag=op.family_tag), lams,
-                              coef_sets)
-        assert warm[0][0].tobytes() == cold[0][0].tobytes()
-        assert warm[1].tobytes() == cold[1].tobytes()
+        warm = _panel_sums(op, lams, coef_sets, Q)
+        cold = _panel_sums(Operator(entries=op.entries, family_tag=op.family_tag), lams,
+                           coef_sets, Q)
+        assert [s.tobytes() for s in warm] == [s.tobytes() for s in cold]
 
 
 class TestBlocks:
@@ -161,8 +174,8 @@ class TestPerturbationPair:
         coefs = [w / (2.0 * np.pi)]
         diff = dense_resolvents(s_op, lams) - dense_resolvents(t_op, lams)
         expect = np.tensordot(coefs[0], diff, axes=(0, 0))
-        got = resolvent_sums(s_op, lams, coefs)[0][0] - resolvent_sums(t_op, lams, coefs)[0][0]
-        assert rel(got, expect) <= REL_TOL
+        pair = _LineSums((s_op, t_op))
+        assert rel(summed(pair, pair.sums(lams, coefs, Q), 0), expect) <= REL_TOL
 
 
 class TestPreconditions:
@@ -179,5 +192,5 @@ class TestPreconditions:
         op = build_block_operator("dichotomy-2.3", 3)
         assert resolvent_many(op, []).shape == (0, 6, 6)
         assert resolvent_norms(op, []).shape == (0,)
-        sums, fro = resolvent_sums(op, np.array([]), [np.array([])])
-        assert fro.shape == (0,) and np.array_equal(sums[0], np.zeros((6, 6)))
+        sums = _panel_sums(op, np.array([], dtype=complex), [np.array([])], Q)
+        assert np.array_equal(summed(_LineSums((op,)), sums, 0), np.zeros((6, 6)))
