@@ -29,7 +29,7 @@ from .operators import (
     Operator,
     _check_points_clear,
     _clear_points,
-    _schur_norms,
+    _Kernel,
     _spectrum_distance,
     eigenvalues_of,
     near_spectrum_tol,
@@ -400,7 +400,7 @@ def resolvent_sweep(
     if grid.size == 0:
         raise ValueError("sweep grid is empty")
     lams, skipped = _clear_points((op,), grid, near_spectrum_tol(op))
-    norms = _schur_norms(op, lams)
+    norms = _Kernel((op,)).norms(lams)
 
     lo, hi = fit_window
     mask = (np.abs(lams) >= lo) & (np.abs(lams) <= hi)
@@ -450,7 +450,7 @@ def _restricted_norms(restricted: np.ndarray, grid: np.ndarray) -> np.ndarray:
         return np.zeros(grid.size)
     op = Operator(entries=restricted)
     _check_points_clear(op, grid, 1e-12 * (1.0 + np.abs(eigenvalues_of(op)).max()))
-    return _schur_norms(op, grid)
+    return _Kernel((op,)).norms(grid)
 
 
 @dataclass(frozen=True)
@@ -583,7 +583,7 @@ def parabola_probe(op: Operator, alpha: float, beta: float, m_const: float, grid
     safe = grid[dist > tol]
     records, violations = [], []
     if safe.size:
-        norms = _schur_norms(op, safe)
+        norms = _Kernel((op,)).norms(safe)
         denom = 1.0 - alpha * m_const
         for lam, nrm in zip(safe, norms):
             bound = m_const / (denom * np.abs(lam.imag) ** beta) if denom > 0 else -np.inf

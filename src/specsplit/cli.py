@@ -141,8 +141,6 @@ def _contour_from_args(op: Operator, args) -> ContourSpec:
         overrides["truncation_T"] = args.truncation_T
     if args.nodes is not None:
         overrides["nodes_per_unit"] = args.nodes
-    if args.scheme is not None:
-        overrides["scheme"] = args.scheme
     if args.tol is not None:
         overrides["tol"] = args.tol
     if args.h is not None:
@@ -336,11 +334,6 @@ def _add_contour_args(p):
     p.add_argument("--truncation-T", dest="truncation_T", type=float, default=None,
                    help="integration height T (default: derived from --tol)")
     p.add_argument("--nodes", type=int, default=None, help="Gauss nodes per panel")
-    p.add_argument(
-        "--scheme",
-        choices=("tangent-substitution", "composite-gauss"),
-        default=None,
-    )
     p.add_argument("--tol", type=float, default=None, help="tolerance budget")
 
 

@@ -9,13 +9,10 @@ turns them into integrals over t in (-inf, inf) which are truncated at
 
 Node layout.  Panel breakpoints are dyadic in t (0, h, 2h, 4h, ..., T): the
 integrands vary on the scale of |lambda|, so log-spaced panels resolve both
-the near field and the algebraic tails with O(log(T/h)) panels.  The default
-``tangent-substitution`` scheme additionally maps t = h*tan(theta) and places
-the Gauss nodes in theta, where the integrand is analytic and slowly varying;
-the plain ``composite-gauss`` scheme (same breakpoints, nodes placed in t) is
-kept as a structurally different cross-check.  Both schemes subdivide the
-central panel further, concentrating nodes where the line passes closest to
-the spectrum.
+the near field and the algebraic tails with O(log(T/h)) panels.  The line is
+mapped by t = h*tan(theta) and the Gauss nodes are placed in theta, where the
+integrand is analytic and slowly varying; the central panel is subdivided
+further, concentrating nodes where the line passes closest to the spectrum.
 
 Error control.  One driver evaluates every integral.  It takes one line and
 the coefficient sets of all the integrals wanted on it, so a line is solved
@@ -54,7 +51,9 @@ every node costs one triangular inverse per block (vectorised over the nodes
 for small blocks, closed-form for blocks of order 1 and 2, one LAPACK call
 per node for larger blocks), and the weighted sums are accumulated per panel
 in Schur coordinates, where the per-panel norms are taken too, and
-back-transformed once per integral.  Only the panels still open keep their
+back-transformed once per integral.  A pair (S, T) is reduced on the blocks
+of the union of both patterns, and each panel sum is back-transformed before
+the difference R_S - R_T is taken.  Only the panels still open keep their
 own sums.  The reductions are ordered sums, so results are deterministic.
 """
 
@@ -68,7 +67,7 @@ import numpy as np
 from .errors import NearSpectrumError, QuadratureError, TruncationError
 from .operators import (
     Operator,
-    _LineSums,
+    _Kernel,
     _spectral_gap,
     _stack_norms,
     choose_h,
@@ -106,7 +105,6 @@ class ContourSpec:
     h: float
     truncation_T: float | None = None
     nodes_per_unit: int = 16
-    scheme: str = "tangent-substitution"
     tol: float = 1e-8
 
     def __post_init__(self):
@@ -122,8 +120,6 @@ class ContourSpec:
             )
         if not (isinstance(self.nodes_per_unit, int) and self.nodes_per_unit >= 2):
             raise ValueError(f"nodes_per_unit must be an integer >= 2, got {self.nodes_per_unit}")
-        if self.scheme not in ("composite-gauss", "tangent-substitution"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
@@ -132,13 +128,12 @@ class ContourSpec:
             "h": self.h,
             "truncation_T": self.truncation_T,
             "nodes_per_unit": self.nodes_per_unit,
-            "scheme": self.scheme,
             "tol": self.tol,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ContourSpec":
-        allowed = {"h", "truncation_T", "nodes_per_unit", "scheme", "tol"}
+        allowed = {"h", "truncation_T", "nodes_per_unit", "tol"}
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"unknown contour fields {sorted(unknown)}")
@@ -193,20 +188,17 @@ def _dyadic_breaks(scale: float, t_max: float) -> np.ndarray:
     return np.concatenate([[0.0], scale * 2.0 ** np.arange(0, k + 1)])
 
 
-def _line_panels(scale: float, t_max: float, scheme: str):
-    """Panel edges of the whole line in the variable that carries the Gauss
-    nodes (theta for ``tangent-substitution``, t otherwise), increasing, and
-    the effective truncation ``t_eff``."""
+def _line_panels(scale: float, t_max: float):
+    """Panel edges of the whole line in theta, where t = scale*tan(theta)
+    carries the Gauss nodes, increasing, and the effective truncation
+    ``t_eff``."""
     breaks = _dyadic_breaks(scale, t_max)
-    if scheme == "tangent-substitution":
-        theta = np.arctan(breaks / scale)
-        half = np.sort(np.concatenate([theta, theta[1] * np.array([0.125, 0.25, 0.5])]))
-    else:
-        half = np.sort(np.concatenate([breaks, breaks[1] * np.array([0.25, 0.5])]))
+    theta = np.arctan(breaks / scale)
+    half = np.sort(np.concatenate([theta, theta[1] * np.array([0.125, 0.25, 0.5])]))
     return np.concatenate([-half[:0:-1], half]), float(breaks[-1])
 
 
-def line_nodes(scale: float, t_max: float, q: int, scheme: str, panels=None):
+def line_nodes(scale: float, t_max: float, q: int, panels=None):
     """Symmetric quadrature nodes/weights for integral over t in [-T_eff, T_eff].
 
     Returns ``(t, w, t_eff)`` with ``t_eff = scale * 2^K >= t_max`` the
@@ -215,7 +207,7 @@ def line_nodes(scale: float, t_max: float, q: int, scheme: str, panels=None):
     their index along the line, from the bottom (all panels by default); each
     selected panel contributes ``q`` consecutive nodes, in increasing t.
     """
-    edges, t_eff = _line_panels(scale, t_max, scheme)
+    edges, t_eff = _line_panels(scale, t_max)
     lo, hi = edges[:-1], edges[1:]
     if panels is not None:
         lo, hi = lo[panels], hi[panels]
@@ -223,9 +215,7 @@ def line_nodes(scale: float, t_max: float, q: int, scheme: str, panels=None):
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
-    if scheme == "tangent-substitution":
-        return scale * np.tan(nodes), scale / np.cos(nodes) ** 2 * weights, t_eff
-    return nodes, weights, t_eff
+    return scale * np.tan(nodes), scale / np.cos(nodes) ** 2 * weights, t_eff
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +242,8 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, t_eff, sca
     ``ops`` is a pair (S, T).  Callers check the line with
     :func:`_check_contour_admissible`; the nodes are not checked."""
     scale = spec.h if scale is None else scale
-    kernel = _LineSums(ops)
-    edges, _ = _line_panels(scale, t_eff, spec.scheme)
+    kernel = _Kernel(ops)
+    edges, _ = _line_panels(scale, t_eff)
     n_panels = edges.size - 1
     tols = np.asarray(tols, dtype=float)
     cuts = tols[:, None] / n_panels
@@ -261,7 +251,7 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, t_eff, sca
 
     def solve(order, panels):
         nonlocal node_count
-        t, w, _ = line_nodes(scale, t_eff, order, spec.scheme, panels)
+        t, w, _ = line_nodes(scale, t_eff, order, panels)
         lams = x0 + 1j * t
         node_count += lams.size
         coefs = np.array([w * weight(lams) / (2.0 * np.pi) for weight in weights])
@@ -503,11 +493,13 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
     scale = 1.0
     # I(inf) - I(T) = (1/pi) * integral over |t| > T of R(it) + (it)^{-1}, the
     # odd term cancelling under symmetric truncation, and R + 1/lambda =
-    # R S / lambda; the Richardson value misses at most 2 tail(T) + tail(T/2)
-    # <= 3 tail(T/2), so c = 3 * 2 ||S||, taken at T/2.  An explicit height
+    # -S/lambda^2 + R S^2/lambda^2.  The first term gives exactly c/T, which
+    # the Richardson value 2 I(T) - I(T/2) cancels; the second, two-sided,
+    # leaves at most 2 (2 tail(T)) + 2 tail(T/2) <= 6 tail(T/2), so
+    # c = 6 ||S||^2 with the weight t^{-2}, taken at T/2.  An explicit height
     # does not hold it to tol: est_error takes the smaller of it and the
     # Richardson step.
-    terms = [(6.0 * operator_norm(op), 1, (), spec.tol, np.inf)]
+    terms = [(6.0 * operator_norm(op) ** 2, 2, (), spec.tol, np.inf)]
     t_eff, (tail,) = _line_tails((op,), spec, scale, terms, at=0.5)
 
     def ring(lo, hi):  # I(hi) - I(lo) of the symmetric truncations

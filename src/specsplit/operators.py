@@ -7,10 +7,11 @@ block-diagonal family.  This module provides
 * construction of the built-in block families (``build_block_operator``),
 * the JSON operator descriptor (``operator_from_descriptor``),
 * basic spectral queries (``spectrum``, ``resolvent``, ``choose_h``),
-* the resolvent kernel behind every quadrature and norm sweep
-  (``_LineSums``, ``resolvent_many``, ``resolvent_norms``): per-block
-  Schur forms of the operator's connected components, triangular inverses
-  per node,
+* the resolvent kernel behind every quadrature, norm sweep and resolvent
+  stack (``_Kernel``, ``resolvent_many``, ``resolvent_norms``): per-block
+  Schur forms of the operator's connected components, or for a pair of
+  both operators on the components of the union of their patterns,
+  triangular inverses per node,
 * the ground-truth spectral projector ``oracle_projection``, computed from an
   ordered triangular (Schur) decomposition with a Sylvester solve for the
   invariant-subspace coupling -- deliberately *not* by contour quadrature, so
@@ -306,11 +307,10 @@ def resolvent_many(op: Operator, lams, tol: float | None = None) -> np.ndarray:
     if tol is None:
         tol = near_spectrum_tol(op)
     _check_points_clear(op, lams, tol)
-    n = op.dim
-    whole = (np.arange(n)[None, :],)
-    out = np.empty((lams.size, n, n), dtype=complex)
-    for part in _node_chunks(n * n, lams.size):
-        out[part] = _restricted_stacks(op, lams[part], whole)[0][:, 0]
+    kernel = _Kernel((op,))
+    out = np.empty((lams.size, op.dim, op.dim), dtype=complex)
+    for part, _, _ in _panel_slices(op.dim**2, lams.size, 1):
+        out[part] = kernel.dense(kernel.nodes(lams[part]))
     return out
 
 
@@ -320,7 +320,7 @@ def resolvent_norms(op: Operator, lams, tol: float | None = None) -> np.ndarray:
     if tol is None:
         tol = near_spectrum_tol(op)
     _check_points_clear(op, lams, tol)
-    return _schur_norms(op, lams)
+    return _Kernel((op,)).norms(lams)
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +328,24 @@ def resolvent_norms(op: Operator, lams, tol: float | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # Every resolvent evaluation of the package except the certified single solve
-# of ``resolvent`` runs here.  The operator splits into the connected
-# components of the nonzero pattern of |S| + |S^H|; a permutation makes S
-# block diagonal with these components as blocks, so (S - lam)^{-1} is block
-# diagonal too.  Each block B is reduced once to complex Schur form
+# of ``resolvent`` runs in :class:`_Kernel`.  The operator splits into the
+# connected components of the nonzero pattern of |S| + |S^H|; a permutation
+# makes S block diagonal with these components as blocks, so (S - lam)^{-1}
+# is block diagonal too.  Each block B is reduced once to complex Schur form
 # B = Q T Q^H, cached on the operator, and (B - lam)^{-1} = Q (T - lam)^{-1}
 # Q^H (Golub & Van Loan, Matrix Computations, 7.6; Higham, Functions of
-# Matrices, ch. 9).  The triangular inverses of small blocks come from back
-# substitution vectorised over nodes and blocks (closed-form for order 1 and
-# 2), those of larger blocks from LAPACK ztrtri, one call per node.  Weighted
-# sums are accumulated in Schur coordinates, per quadrature panel when the
-# quadrature driver asks for it, and back-transformed once; Frobenius and
-# spectral norms are unitarily invariant and are taken in Schur coordinates.
-# None of these helpers checks the distance to the spectrum: callers do.
+# Matrices, ch. 9).  A pair (S, T) is reduced on the components of the union
+# of both patterns instead: every component of either operator lies inside
+# one of them, so R_S and R_T are block diagonal on the same blocks and their
+# difference is taken block by block.  The triangular inverses of small blocks
+# come from back substitution vectorised over nodes and blocks (closed-form
+# for order 1 and 2), those of larger blocks from LAPACK ztrtri, one call per
+# node.  For one operator, weighted sums are accumulated in Schur coordinates,
+# per quadrature panel when the quadrature driver asks for it, and
+# back-transformed once; Frobenius and spectral norms are unitarily invariant
+# and are taken there too.  For a pair, every panel sum (or node value) is
+# back-transformed before the difference.  None of this checks the distance
+# to the spectrum: callers do.
 
 # Complex entries per node chunk of the kernel's work arrays (16 MiB).
 _CHUNK_ENTRIES = 1 << 20
@@ -377,33 +382,26 @@ def _block_layout(pattern: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.array(by_size[m]) for m in sorted(by_size))
 
 
-def _schur_groups(op: Operator) -> tuple[_SchurGroup, ...]:
-    """Schur factors of the operator's diagonal blocks, grouped by order;
-    computed on first use and cached on the operator."""
-
-    def compute():
-        groups = []
-        for idx in _block_layout(op.entries != 0):
-            blocks = op.entries[idx[:, :, None], idx[:, None, :]]
-            if idx.shape[1] == 1:
-                t, q = blocks, np.ones_like(blocks)
-            else:
-                t, q = np.empty_like(blocks), np.empty_like(blocks)
-                for b, block in enumerate(blocks):
-                    t[b], q[b] = sla.schur(block, output="complex")
-            for a in (idx, t, q):
-                a.setflags(write=False)
-            groups.append(_SchurGroup(idx=idx, t=t, q=q))
-        return tuple(groups)
-
-    return op._cache("schur", compute)
-
-
-def _node_chunks(width: int, count: int):
-    """Slices of at most _CHUNK_ENTRIES // width nodes covering ``count``."""
-    step = max(1, _CHUNK_ENTRIES // width)
-    for start in range(0, count, step):
-        yield slice(start, min(start + step, count))
+def _schur_groups(op: Operator, layout=None) -> tuple[_SchurGroup, ...]:
+    """Schur factors of the operator's diagonal blocks on ``layout`` (index
+    arrays as from :func:`_block_layout`, each block a union of components of
+    the operator), grouped by order.  Without a layout, the operator's own
+    components, computed on first use and cached on the operator."""
+    if layout is None:
+        return op._cache("schur", lambda: _schur_groups(op, _block_layout(op.entries != 0)))
+    groups = []
+    for idx in layout:
+        blocks = op.entries[idx[:, :, None], idx[:, None, :]]
+        if idx.shape[1] == 1:
+            t, q = blocks, np.ones_like(blocks)
+        else:
+            t, q = np.empty_like(blocks), np.empty_like(blocks)
+            for b, block in enumerate(blocks):
+                t[b], q[b] = sla.schur(block, output="complex")
+        for a in (idx, t, q):
+            a.setflags(write=False)
+        groups.append(_SchurGroup(idx=idx, t=t, q=q))
+    return tuple(groups)
 
 
 def _triangular_inverses(group: _SchurGroup, lams: np.ndarray) -> np.ndarray:
@@ -453,21 +451,17 @@ def _block_norms(x: np.ndarray, spectral: bool) -> np.ndarray:
     return np.linalg.svd(x, compute_uv=False)[:, :, 0]
 
 
-def _combine_norms(per_block: list[np.ndarray], spectral: bool) -> np.ndarray:
-    """Norm of a block-diagonal matrix from the norms of its blocks: the
-    largest one (spectral) or the root of their sum of squares (Frobenius)."""
-    stacked = np.concatenate(per_block, axis=1)
-    if spectral:
-        return stacked.max(axis=1)
-    return np.sqrt((stacked**2).sum(axis=1))
-
-
 def _stack_norms(blocks: list[np.ndarray], spectral: bool) -> np.ndarray:
     """Norms of block-diagonal matrices given as one (..., count, m, m) array
-    per block order, all with the same leading shape, which the result has."""
+    per block order, all with the same leading shape, which the result has:
+    the largest block norm (spectral) or the root of their sum of squares
+    (Frobenius)."""
     lead = blocks[0].shape[:-3]
-    per_block = [_block_norms(b.reshape(-1, *b.shape[-3:]), spectral) for b in blocks]
-    return _combine_norms(per_block, spectral).reshape(lead)
+    per_block = np.concatenate(
+        [_block_norms(b.reshape(-1, *b.shape[-3:]), spectral) for b in blocks], axis=1
+    )
+    norms = per_block.max(axis=1) if spectral else np.sqrt((per_block**2).sum(axis=1))
+    return norms.reshape(lead)
 
 
 def _panel_slices(width: int, count: int, q: int):
@@ -488,27 +482,6 @@ def _panel_slices(width: int, count: int, q: int):
             yield slice(p * q + j, p * q + min(j + step, q)), p, 1
 
 
-def _panel_sums(op: Operator, lams: np.ndarray, coef_sets, q: int):
-    """Ordered sums  sum_k coef[k] * (S - lam_k)^{-1}  over every panel of
-    ``q`` consecutive nodes, for several coefficient vectors, in Schur
-    coordinates: one (sets, panels, nb, m, m) array per Schur group.  The
-    panels of a node chunk are reduced together by one batched product."""
-    coefs = np.asarray(coef_sets, dtype=complex)
-    n_sets, n_panels = coefs.shape[0], lams.size // q
-    groups = _schur_groups(op)
-    sums = [np.zeros((n_sets, n_panels, *g.t.shape), dtype=complex) for g in groups]
-    for part, first, n in _panel_slices(sum(g.t.size for g in groups), lams.size, q):
-        # (panels, sets, nodes per panel) against (panels, nodes per panel, entries)
-        c = coefs[:, part].reshape(n_sets, n, -1).transpose(1, 0, 2)
-        for group, out in zip(groups, sums):
-            x = _triangular_inverses(group, lams[part])
-            prod = np.matmul(c, x.reshape(n, -1, group.t.size))
-            out[:, first : first + n] += prod.transpose(1, 0, 2).reshape(
-                n_sets, n, *group.t.shape
-            )
-    return sums
-
-
 def _from_schur(group: _SchurGroup, x: np.ndarray) -> np.ndarray:
     """Q X Q^H for a (..., nb, m, m) stack given in the group's Schur
     coordinates.  The stack is folded into the columns, then the rows, of two
@@ -523,34 +496,28 @@ def _from_schur(group: _SchurGroup, x: np.ndarray) -> np.ndarray:
     return out.reshape(nb, k, m, m).transpose(1, 0, 2, 3).reshape(*lead, nb, m, m)
 
 
-def _dense(n: int, layout, blocks) -> np.ndarray:
-    """The n x n matrix with the diagonal blocks ``blocks`` ((count, m, m) per
-    entry of ``layout``) and zeros elsewhere."""
-    total = np.zeros((n, n), dtype=complex)
-    for idx, b in zip(layout, blocks):
-        total[idx[:, :, None], idx[:, None, :]] = b
-    return total
-
-
-class _LineSums:
-    """Per-panel weighted resolvent sums for the quadrature driver, in block
-    coordinates where Frobenius and spectral norms are taken block by block.
+class _Kernel:
+    """The resolvent kernel: node values, per-node norms and per-panel
+    weighted sums of the integrand, in block coordinates where Frobenius and
+    spectral norms are taken block by block.
 
     For one operator the integrand is its resolvent, in Schur coordinates; for
     a pair (S, T) it is R_S - R_T, on the diagonal blocks of the union of both
-    nonzero patterns, in operator coordinates.  Sums come as one
-    (sets, panels, count, m, m) array per block order.  The nodes are not
-    checked against the spectrum; callers do that first.
+    nonzero patterns, in operator coordinates.  Values come as one
+    (..., count, m, m) array per block order.  The nodes are not checked
+    against the spectrum; callers do that first.
     """
 
     def __init__(self, ops):
         self.ops = tuple(ops)
-        self.width = sum(g.t.size for op in self.ops for g in _schur_groups(op))
         if len(self.ops) == 1:
-            self.layout = [g.idx for g in _schur_groups(self.ops[0])]
+            self.groups = (_schur_groups(self.ops[0]),)
         else:
             s_op, t_op = self.ops
-            self.layout = _block_layout((s_op.entries != 0) | (t_op.entries != 0))
+            layout = _block_layout((s_op.entries != 0) | (t_op.entries != 0))
+            self.groups = tuple(_schur_groups(op, layout) for op in self.ops)
+        self.layout = [g.idx for g in self.groups[0]]
+        self.width = sum(g.t.size for groups in self.groups for g in groups)
 
     def zeros(self, n_sets: int) -> list[np.ndarray]:
         """Zero sums for ``n_sets`` coefficient sets, one (sets, count, m, m)
@@ -561,89 +528,60 @@ class _LineSums:
         """Panels of ``q`` nodes whose solves fill about one node chunk."""
         return max(1, _CHUNK_ENTRIES // (self.width * q))
 
-    def sums(self, lams: np.ndarray, coef_sets, q: int):
-        """Per-panel sums over panels of ``q`` consecutive nodes."""
-        if len(self.ops) == 1:
-            return _panel_sums(self.ops[0], lams, coef_sets, q)
-        lead = (len(coef_sets), lams.size // q)
-        placed = []
-        for op in self.ops:
-            sums = _panel_sums(op, lams, coef_sets, q)
-            groups = _schur_groups(op)
-            per_group = (_from_schur(g, s.reshape(-1, *g.t.shape)) for g, s in zip(groups, sums))
-            placed.append(_to_layout(op, per_group, self.layout, lead[0] * lead[1]))
-        return [(a - b).reshape(*lead, *a.shape[1:]) for a, b in zip(*placed)]
+    def _integrand(self, per_op) -> list[np.ndarray]:
+        """Kernel coordinates from Schur-coordinate stacks, one list per
+        operator: unchanged for one operator, back-transformed and subtracted
+        for a pair."""
+        if len(per_op) == 1:
+            return per_op[0]
+        s, t = ([_from_schur(g, x) for g, x in zip(gs, xs)] for gs, xs in zip(self.groups, per_op))
+        return [a - b for a, b in zip(s, t)]
+
+    def nodes(self, lams: np.ndarray) -> list[np.ndarray]:
+        """The integrand at every node, one (nodes, count, m, m) array per
+        block order."""
+        return self._integrand([[_triangular_inverses(g, lams) for g in gs] for gs in self.groups])
+
+    def norms(self, lams: np.ndarray) -> np.ndarray:
+        """Spectral norm of the integrand at every node."""
+        out = np.empty(lams.size)
+        for part, _, _ in _panel_slices(self.width, lams.size, 1):
+            out[part] = _stack_norms(self.nodes(lams[part]), spectral=True)
+        return out
+
+    def sums(self, lams: np.ndarray, coef_sets, q: int) -> list[np.ndarray]:
+        """Ordered sums  sum_k coef[k] * integrand(lam_k)  over every panel of
+        ``q`` consecutive nodes, for several coefficient vectors: one (sets,
+        panels, count, m, m) array per block order.  The panels of a node
+        chunk are reduced together by one batched product."""
+        coefs = np.asarray(coef_sets, dtype=complex)
+        n_sets, n_panels = coefs.shape[0], lams.size // q
+        sums = [
+            [np.zeros((n_sets, n_panels, *g.t.shape), dtype=complex) for g in gs]
+            for gs in self.groups
+        ]
+        for part, first, n in _panel_slices(self.width, lams.size, q):
+            # (panels, sets, nodes per panel) against (panels, nodes per panel, entries)
+            c = coefs[:, part].reshape(n_sets, n, -1).transpose(1, 0, 2)
+            for gs, outs in zip(self.groups, sums):
+                for g, out in zip(gs, outs):
+                    x = _triangular_inverses(g, lams[part])
+                    prod = np.matmul(c, x.reshape(n, -1, g.t.size))
+                    out[:, first : first + n] += prod.transpose(1, 0, 2).reshape(
+                        n_sets, n, *g.t.shape
+                    )
+        return self._integrand(sums)
 
     def dense(self, blocks) -> np.ndarray:
-        """The matrix in operator coordinates, from one (count, m, m) array
-        per block order."""
+        """The matrices in operator coordinates, from one (..., count, m, m)
+        array per block order, all with the same leading shape."""
         if len(self.ops) == 1:
-            blocks = [_from_schur(g, b) for g, b in zip(_schur_groups(self.ops[0]), blocks)]
-        return _dense(self.ops[0].dim, self.layout, blocks)
-
-
-def _schur_norms(op: Operator, lams: np.ndarray) -> np.ndarray:
-    """Per-node spectral norms of (S - lam_k)^{-1}, taken in Schur
-    coordinates; unchecked like :class:`_LineSums`."""
-    groups = _schur_groups(op)
-    out = np.empty(lams.size)
-    for part in _node_chunks(sum(g.t.size for g in groups), lams.size):
-        per_block = [_block_norms(_triangular_inverses(g, lams[part]), True) for g in groups]
-        out[part] = _combine_norms(per_block, True)
-    return out
-
-
-def _to_layout(op: Operator, per_group, layout, lead: int) -> list[np.ndarray]:
-    """Diagonal blocks of ``op`` in operator coordinates, one (lead, nb, m, m)
-    array per Schur group (any iterable, consumed in group order), placed on
-    the diagonal blocks of ``layout`` (index arrays (count, m) as from
-    :func:`_block_layout`): one (lead, count, m, m) array per entry of
-    ``layout``.  Every component of the operator must lie inside one block of
-    the layout."""
-    where = np.empty((3, op.dim), dtype=int)  # layout entry, block, position
-    for j, idx in enumerate(layout):
-        where[0, idx] = j
-        where[1, idx] = np.arange(idx.shape[0])[:, None]
-        where[2, idx] = np.arange(idx.shape[1])[None, :]
-    out = [np.zeros((lead, *idx.shape, idx.shape[1]), dtype=complex) for idx in layout]
-    for group, blocks in zip(_schur_groups(op), per_group):
-        first = group.idx[:, 0]
-        for j in np.unique(where[0, first]):
-            sel = where[0, first] == j
-            slots = where[1, first[sel]]
-            if group.idx.shape[1] == layout[j].shape[1]:  # blocks fill their slots
-                out[j][:, slots] = blocks[:, sel]
-            else:
-                pos = where[2, group.idx[sel]]
-                out[j][:, slots[:, None, None], pos[:, :, None], pos[:, None, :]] = blocks[:, sel]
-    return out
-
-
-def _restricted_stacks(op: Operator, lams: np.ndarray, layout) -> list[np.ndarray]:
-    """(S - lam_k)^{-1} on the diagonal blocks of ``layout`` in operator
-    coordinates, as :func:`_to_layout` places them."""
-    per_group = (_from_schur(g, _triangular_inverses(g, lams)) for g in _schur_groups(op))
-    return _to_layout(op, per_group, layout, lams.size)
-
-
-def _schur_diff_norms(
-    s_op: Operator, t_op: Operator, lams: np.ndarray, spectral: bool = True
-) -> np.ndarray:
-    """Per-node spectral (or Frobenius) norms of R_S(lam_k) - R_T(lam_k), on
-    the diagonal blocks of the union of both nonzero patterns; unchecked like
-    :class:`_LineSums`."""
-    layout = _block_layout((s_op.entries != 0) | (t_op.entries != 0))
-    out = np.empty(lams.size)
-    for part in _node_chunks(sum(idx.size * idx.shape[1] for idx in layout), lams.size):
-        per_block = [
-            _block_norms(rs - rt, spectral)
-            for rs, rt in zip(
-                _restricted_stacks(s_op, lams[part], layout),
-                _restricted_stacks(t_op, lams[part], layout),
-            )
-        ]
-        out[part] = _combine_norms(per_block, spectral)
-    return out
+            blocks = [_from_schur(g, b) for g, b in zip(self.groups[0], blocks)]
+        n = self.ops[0].dim
+        total = np.zeros((*blocks[0].shape[:-3], n, n), dtype=complex)
+        for idx, b in zip(self.layout, blocks):
+            total[..., idx[:, :, None], idx[:, None, :]] = b
+        return total
 
 
 def choose_h(op: Operator, safety: float) -> float:

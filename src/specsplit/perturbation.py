@@ -37,7 +37,7 @@ from .errors import NearSpectrumError, OperatorError
 from .operators import (
     Operator,
     _clear_points,
-    _schur_diff_norms,
+    _Kernel,
     _spectral_gap,
     eigenvalues_of,
     near_spectrum_tol,
@@ -85,7 +85,7 @@ def resolvent_diff_decay(
         raise ValueError("grid is empty")
     tol = max(near_spectrum_tol(s_op), near_spectrum_tol(t_op))
     lams, _ = _clear_points((s_op, t_op), grid, tol)
-    diffs = _schur_diff_norms(s_op, t_op, lams)
+    diffs = _Kernel((s_op, t_op)).norms(lams)
     samples = [(complex(l), float(d)) for l, d in zip(lams, diffs)]
     if not np.any(diffs > 0.0):
         return samples, math.inf

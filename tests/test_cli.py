@@ -44,8 +44,7 @@ class TestSplitCommand:
 
     def test_contour_flags(self, capsys):
         code, out, _ = run_cli(
-            capsys, "split", "dichotomy-2.3?N=2", "--h", "0.3", "--nodes", "8",
-            "--scheme", "composite-gauss",
+            capsys, "split", "dichotomy-2.3?N=2", "--h", "0.3", "--nodes", "8"
         )
         assert code == 0
         assert json.loads(out)["contour"]["h"] == 0.3

@@ -4,7 +4,9 @@ The dense-LU reference below is the one the kernel replaced; it lives only
 here.  Agreement is required to 1e-12 relative, on every block shape the
 kernel distinguishes: order-1 and order-2 blocks (closed-form inverses),
 larger blocks (triangular LAPACK inverses), non-contiguous components, and
-the union pattern of a perturbation pair.
+the union pattern of a perturbation pair, also where one block of the union
+holds several components of one operator (there relative to the resolvents,
+as their difference cancels below what dense LU resolves).
 """
 
 import numpy as np
@@ -22,13 +24,7 @@ from specsplit import (
     spectrum,
 )
 from specsplit.contour import line_nodes
-from specsplit.operators import (
-    _LineSums,
-    _panel_sums,
-    _schur_diff_norms,
-    _schur_groups,
-    _stack_norms,
-)
+from specsplit.operators import _Kernel, _schur_groups, _stack_norms
 
 REL_TOL = 1e-12
 Q = 4  # nodes per panel, as ``nodes_for`` lays them out
@@ -48,7 +44,7 @@ def rel(a, b):
 def nodes_for(op):
     """A quadrature line at half the gap, as the integrals lay it out."""
     h = 0.5 * spectrum(op).min_abs_real
-    t, w, _ = line_nodes(h, 1e8, Q, "tangent-substitution")
+    t, w, _ = line_nodes(h, 1e8, Q)
     return h + 1j * t, w
 
 
@@ -87,6 +83,34 @@ def criterion8_pair():
     return s_op, Operator(entries=s_op.entries + r)
 
 
+def coupled_permuted_blocks():
+    """``permuted_blocks`` and a copy with one entry coupling its order-2 and
+    order-5 components: the union pattern joins them into one block that
+    holds two components of S."""
+    s_op = permuted_blocks()
+    two, five = (g.idx[0] for g in _schur_groups(s_op) if g.idx.shape[1] in (2, 5))
+    entries = s_op.entries.copy()
+    entries[two[0], five[0]] = 0.4
+    return s_op, dense_operator(entries), [np.concatenate([two, five])]
+
+
+def recoupled_dichotomy():
+    """dichotomy-2.3?N=4 and a perturbation R that cancels S[0, 1], so that
+    T splits the first block into two components, and couples the blocks on
+    indices 2-3 and 4-5."""
+    s_op = build_block_operator("dichotomy-2.3", 4)
+    r = np.zeros((8, 8), dtype=complex)
+    r[0, 1] = -s_op.entries[0, 1]
+    r[3, 4] = 0.5
+    return s_op, Operator(entries=s_op.entries + r), [np.arange(2), np.arange(2, 6)]
+
+
+SHARED_BLOCK_PAIRS = {
+    "permuted blocks, order 2 and 5 coupled": coupled_permuted_blocks,
+    "dichotomy-2.3?N=4 recoupled": recoupled_dichotomy,
+}
+
+
 OPERATORS = {
     "dichotomy-2.3": lambda: build_block_operator("dichotomy-2.3", 6),
     "almost-bisect-5.5": lambda: build_block_operator("almost-bisect-5.5", 6, {"p": 0.5}),
@@ -108,10 +132,11 @@ class TestAgainstDenseLU:
     def test_weighted_sums_and_frobenius(self, case):
         op, lams, w, dense = case
         coef_sets = [w / (2.0 * np.pi), w / lams**2]
-        sums = _panel_sums(op, lams, coef_sets, Q)
+        kernel = _Kernel((op,))
+        sums = kernel.sums(lams, coef_sets, Q)
         per_panel = dense.reshape(-1, Q, op.dim, op.dim)
         for i, coefs in enumerate(coef_sets):
-            assert rel(summed(_LineSums((op,)), sums, i),
+            assert rel(summed(kernel, sums, i),
                        np.tensordot(coefs, dense, axes=(0, 0))) <= REL_TOL
             # the Frobenius norm of every panel sum, taken in Schur coordinates
             expect = np.einsum("pk,pkij->pij", coefs.reshape(-1, Q), per_panel)
@@ -130,9 +155,10 @@ class TestAgainstDenseLU:
     def test_cold_copy_is_byte_identical(self, case):
         op, lams, w, _ = case
         coef_sets = [w / lams**2]
-        warm = _panel_sums(op, lams, coef_sets, Q)
-        cold = _panel_sums(Operator(entries=op.entries, family_tag=op.family_tag), lams,
-                           coef_sets, Q)
+        warm = _Kernel((op,)).sums(lams, coef_sets, Q)
+        cold = _Kernel((Operator(entries=op.entries, family_tag=op.family_tag),)).sums(
+            lams, coef_sets, Q
+        )
         assert [s.tobytes() for s in warm] == [s.tobytes() for s in cold]
 
 
@@ -162,10 +188,11 @@ class TestPerturbationPair:
         s_op, t_op = criterion8_pair()
         lams, w = nodes_for(t_op)
         diff = dense_resolvents(s_op, lams) - dense_resolvents(t_op, lams)
-        got = _schur_diff_norms(s_op, t_op, lams)
+        pair = _Kernel((s_op, t_op))
+        got = pair.norms(lams)
         expect = np.linalg.svd(diff, compute_uv=False)[:, 0]
         assert np.max(np.abs(got / expect - 1.0)) <= REL_TOL
-        got_fro = _schur_diff_norms(s_op, t_op, lams, spectral=False)
+        got_fro = _stack_norms(pair.nodes(lams), spectral=False)
         assert np.max(np.abs(got_fro / np.linalg.norm(diff, axis=(1, 2)) - 1.0)) <= REL_TOL
 
     def test_difference_of_sums(self):
@@ -174,8 +201,33 @@ class TestPerturbationPair:
         coefs = [w / (2.0 * np.pi)]
         diff = dense_resolvents(s_op, lams) - dense_resolvents(t_op, lams)
         expect = np.tensordot(coefs[0], diff, axes=(0, 0))
-        pair = _LineSums((s_op, t_op))
+        pair = _Kernel((s_op, t_op))
         assert rel(summed(pair, pair.sums(lams, coefs, Q), 0), expect) <= REL_TOL
+
+    @pytest.mark.parametrize("name", sorted(SHARED_BLOCK_PAIRS))
+    def test_union_block_holding_several_components(self, name):
+        s_op, t_op, shared = SHARED_BLOCK_PAIRS[name]()
+        pair = _Kernel((s_op, t_op))
+        blocks = [list(idx) for group in pair.layout for idx in group]
+        assert all(sorted(block) in blocks for block in shared)
+        h = 0.5 * min(spectrum(s_op).min_abs_real, spectrum(t_op).min_abs_real)
+        t, w, _ = line_nodes(h, 1e8, Q)
+        lams = h + 1j * t
+        rs, rt = dense_resolvents(s_op, lams), dense_resolvents(t_op, lams)
+        diff = rs - rt
+        # the difference cancels to about 1e-9 of each resolvent, below what
+        # dense LU resolves, so the errors are measured against the resolvents
+        scale = np.maximum(np.linalg.norm(rs, axis=(1, 2)), np.linalg.norm(rt, axis=(1, 2)))
+        assert np.all(np.linalg.norm(pair.dense(pair.nodes(lams)) - diff, axis=(1, 2))
+                      <= REL_TOL * scale)
+        fro = _stack_norms(pair.nodes(lams), spectral=False)
+        assert np.all(np.abs(fro - np.linalg.norm(diff, axis=(1, 2))) <= REL_TOL * scale)
+        spectral = np.linalg.svd(diff, compute_uv=False)[:, 0]
+        assert np.all(np.abs(pair.norms(lams) - spectral) <= REL_TOL * scale)
+        coefs = w / (2.0 * np.pi)
+        got = summed(pair, pair.sums(lams, [coefs], Q), 0)
+        expect = np.tensordot(coefs, diff, axes=(0, 0))
+        assert np.linalg.norm(got - expect) <= REL_TOL * np.sum(np.abs(coefs) * scale)
 
 
 class TestPreconditions:
@@ -192,5 +244,7 @@ class TestPreconditions:
         op = build_block_operator("dichotomy-2.3", 3)
         assert resolvent_many(op, []).shape == (0, 6, 6)
         assert resolvent_norms(op, []).shape == (0,)
-        sums = _panel_sums(op, np.array([], dtype=complex), [np.array([])], Q)
-        assert np.array_equal(summed(_LineSums((op,)), sums, 0), np.zeros((6, 6)))
+        kernel = _Kernel((op,))
+        sums = kernel.sums(np.array([], dtype=complex), [np.array([])], Q)
+        assert np.array_equal(summed(kernel, sums, 0), np.zeros((6, 6)))
+        assert kernel.norms(np.array([], dtype=complex)).shape == (0,)
