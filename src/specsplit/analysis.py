@@ -394,15 +394,18 @@ def resolvent_sweep(
 
     Grid points within the near-spectrum tolerance are skipped with a
     warning; the least-squares fit of  log||R|| ~ log M - beta log|lambda|
-    runs over samples with |lambda| inside ``fit_window``.
+    runs over samples with |lambda| inside ``fit_window``, which must have
+    0 < lo < hi.
     """
     grid = np.asarray(grid, dtype=complex).ravel()
     if grid.size == 0:
         raise ValueError("sweep grid is empty")
+    lo, hi = fit_window
+    if not 0 < lo < hi:
+        raise ValueError(f"fit window needs 0 < lo < hi, got ({lo}, {hi})")
     lams, skipped = _clear_points((op,), grid, near_spectrum_tol(op))
     norms = _Kernel((op,)).norms(lams)
 
-    lo, hi = fit_window
     mask = (np.abs(lams) >= lo) & (np.abs(lams) <= hi)
     if mask.sum() >= 2:
         fitted_beta, log_m, _, resid = _log_log_fit(np.abs(lams[mask]), norms[mask])

@@ -136,13 +136,7 @@ def resolve_operator(source: str) -> Operator:
 
 
 def _contour_from_args(op: Operator, args) -> ContourSpec:
-    overrides = {}
-    if args.truncation_T is not None:
-        overrides["truncation_T"] = args.truncation_T
-    if args.nodes is not None:
-        overrides["nodes_per_unit"] = args.nodes
-    if args.tol is not None:
-        overrides["tol"] = args.tol
+    overrides = {} if args.tol is None else {"tol": args.tol}
     if args.h is not None:
         return ContourSpec(h=args.h, **overrides)
     return default_contour(op, **overrides)
@@ -331,9 +325,6 @@ def _add_output_args(p, default_format="json", choices=("json", "text")):
 
 def _add_contour_args(p):
     p.add_argument("--h", type=float, default=None, help="contour abscissa (default 0.5*gap)")
-    p.add_argument("--truncation-T", dest="truncation_T", type=float, default=None,
-                   help="integration height T (default: derived from --tol)")
-    p.add_argument("--nodes", type=int, default=None, help="Gauss nodes per panel")
     p.add_argument("--tol", type=float, default=None, help="tolerance budget")
 
 

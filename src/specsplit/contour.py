@@ -18,25 +18,24 @@ Error control.  One driver evaluates every integral.  It takes one line and
 the coefficient sets of all the integrals wanted on it, so a line is solved
 once for all of them: ``analysis.split`` puts A_+ (and B_+) on Re lambda = +h,
 and A_-, R_-(-2h) (and B_-) on Re lambda = -h.  Every panel is evaluated at
-the Gauss order q = ``nodes_per_unit`` and at q/2.  The quadrature error
-estimate of a set is the spectral norm of the sum over the panels of
-I_q - I_{q/2}, each panel at its own order.  While some set misses its
-tolerance, the order is doubled (up to 2^10) only on the panels whose
-Frobenius difference exceeds tol/n_panels for some set; the old order becomes
-their half order.  Such a panel exists whenever the test fails, since the
-spectral norm of a sum is at most the sum of the Frobenius norms, and a panel
-below the threshold is never refined again (per-panel refinement as in
-QUADPACK, Piessens et al. 1983).  The omitted |t| > T tail is bounded by the
-Neumann bound ||(S - lambda)^{-1}|| <= 1/(|lambda| - ||S||) (Kato,
-Perturbation Theory, I-5), integrated in closed form against the weight, for
-T >= 2 max(||S||, |z|), z the pole of R_-(z).  The default height T_eff is
-the smallest dyadic one, at least 10 h, at which every tail on the line meets
-the target of what its integral feeds (:func:`_side_integrals`); an explicit
-``truncation_T`` is held to tol and refused (:class:`TruncationError`) below
-2 max(||S||, |z|).  ``QuadResult`` reports T_eff, and its ``est_error`` is
-the quadrature estimate of the integral's own set plus its tail bound;
-``QuadResult.node_count`` counts every solve on the line, at every order and
-for every integral that shares the line.
+the Gauss order q = 16 and at q/2.  The quadrature error estimate of a set is
+the spectral norm of the sum over the panels of I_q - I_{q/2}, each panel at
+its own order.  While some set misses tol, the order is doubled (up to 2^10)
+only on the panels whose Frobenius difference exceeds tol/n_panels for some
+set; the old order becomes their half order.  Such a panel exists whenever
+the test fails, since the spectral norm of a sum is at most the sum of the
+Frobenius norms, and a panel below the threshold is never refined again
+(per-panel refinement as in QUADPACK, Piessens et al. 1983).  The omitted
+|t| > T tail is bounded by the Neumann bound ||(S - lambda)^{-1}|| <=
+1/(|lambda| - ||S||) (Kato, Perturbation Theory, I-5), integrated in closed
+form against the weight, for T >= 2 max(||S||, |z|), z the pole of R_-(z).
+Every line derives its height T_eff from ``tol``: the smallest dyadic one, at
+least 10 h, at which every tail on the line meets the target of what its
+integral feeds (:func:`_side_integrals`); where none does,
+:class:`TruncationError` is raised.  ``QuadResult`` reports T_eff, and its
+``est_error`` is the quadrature estimate of the integral's own set plus its
+tail bound; ``QuadResult.node_count`` counts every solve on the line, at
+every order and for every integral that shares the line.
 
 Spectral clearance.  A line Re lambda = +-h needs h <= 0.95 * gap, checked
 once before its nodes are solved; every node then lies at least 0.05 * gap
@@ -87,54 +86,38 @@ __all__ = [
     "line_nodes",
 ]
 
+_FIRST_ORDER = 16  # the Gauss order of every panel's first pass
 _MAX_NODES_PER_UNIT = 1024
 
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Vertical integration lines with truncation and node budget.
+    """Vertical integration lines and their tolerance.
 
     ``h`` is the line abscissa (the integrals of a side run along
-    Re lambda = +h or -h, oriented upward), ``truncation_T`` the integration
-    height |Im lambda| <= T, or None to derive it per line from ``tol``
-    (see the module docstring), ``nodes_per_unit`` the Gauss order per panel
-    (at least 2, since the error estimate compares it with half of it),
-    ``tol`` the absolute tolerance budget for matrix entries.
+    Re lambda = +h or -h, oriented upward), ``tol`` the absolute tolerance
+    budget for matrix entries, from which every line derives its truncation
+    height (see the module docstring).
     """
 
     h: float
-    truncation_T: float | None = None
-    nodes_per_unit: int = 16
     tol: float = 1e-8
 
     def __post_init__(self):
-        names = ("h", "tol") if self.truncation_T is None else ("h", "truncation_T", "tol")
-        for name in names:
+        for name in ("h", "tol"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.h > 0:
             raise ValueError(f"contour abscissa h must be positive, got {self.h}")
-        if self.truncation_T is not None and self.truncation_T < 10.0 * self.h:
-            raise ValueError(
-                f"truncation_T must be at least 10*h = {10 * self.h}, got {self.truncation_T}"
-            )
-        if not (isinstance(self.nodes_per_unit, int) and self.nodes_per_unit >= 2):
-            raise ValueError(f"nodes_per_unit must be an integer >= 2, got {self.nodes_per_unit}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "truncation_T": self.truncation_T,
-            "nodes_per_unit": self.nodes_per_unit,
-            "tol": self.tol,
-        }
+        return {"h": self.h, "tol": self.tol}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ContourSpec":
-        allowed = {"h", "truncation_T", "nodes_per_unit", "tol"}
-        unknown = set(data) - allowed
+        unknown = set(data) - {"h", "tol"}
         if unknown:
             raise ValueError(f"unknown contour fields {sorted(unknown)}")
         if "h" not in data:
@@ -152,7 +135,6 @@ class QuadResult:
     node_count: int
     est_error: float
     t_eff: float
-    flags: tuple[str, ...] = ()
 
     def summary(self) -> dict:
         return {
@@ -160,7 +142,6 @@ class QuadResult:
             "node_count": self.node_count,
             "est_error": self.est_error,
             "t_eff": self.t_eff,
-            "flags": list(self.flags),
         }
 
 
@@ -233,20 +214,19 @@ class _Line:
     node_count: int
 
 
-def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, t_eff, scale=None) -> _Line:
+def _line_integrals(ops, x0: float, weights, spec: ContourSpec, t_eff, scale=None) -> _Line:
     """Integrals (1/2*pi) * integral of w(lambda) R(lambda) dt over the line
     Re lambda = x0, |t| <= t_eff (a dyadic height from :func:`_line_tails`),
     one per weight, with per-panel order doubling until the quadrature
-    estimate of every weight meets its tolerance in ``tols`` (``inf`` lets a
-    weight ride along); R is the resolvent of ``ops[0]``, or R_S - R_T when
-    ``ops`` is a pair (S, T).  Callers check the line with
-    :func:`_check_contour_admissible`; the nodes are not checked."""
+    estimate of every weight meets ``spec.tol``; R is the resolvent of
+    ``ops[0]``, or R_S - R_T when ``ops`` is a pair (S, T).  Callers check
+    the line with :func:`_check_contour_admissible`; the nodes are not
+    checked."""
     scale = spec.h if scale is None else scale
     kernel = _Kernel(ops)
     edges, _ = _line_panels(scale, t_eff)
     n_panels = edges.size - 1
-    tols = np.asarray(tols, dtype=float)
-    cuts = tols[:, None] / n_panels
+    cut = spec.tol / n_panels
     node_count = 0
 
     def solve(order, panels):
@@ -257,7 +237,7 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, t_eff, sca
         coefs = np.array([w * weight(lams) / (2.0 * np.pi) for weight in weights])
         return lams, coefs
 
-    q = spec.nodes_per_unit
+    q = _FIRST_ORDER
     panels = np.arange(n_panels)  # the open panels, all at order q
     kept = None  # their sums at the previous order
     closed_hi, closed_diff = kernel.zeros(len(weights)), kernel.zeros(len(weights))
@@ -279,7 +259,7 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, t_eff, sca
             else:
                 lo = [k[:, p] for k in kept]
             diff = [h - l for h, l in zip(hi, lo)]
-            mask = np.any(_stack_norms(diff, spectral=False) > cuts, axis=0)
+            mask = np.any(_stack_norms(diff, spectral=False) > cut, axis=0)
             for acc, blocks, sel in (
                 (closed_hi, hi, ~mask),
                 (closed_diff, diff, ~mask),
@@ -292,7 +272,7 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, t_eff, sca
             next_kept.append([h[:, mask] for h in hi])
         est = _stack_norms([c + o for c, o in zip(closed_diff, open_diff)], spectral=True)
         # with every panel closed the estimate is below tol up to rounding
-        if np.all(est <= tols) or not is_open.any():
+        if np.all(est <= spec.tol) or not is_open.any():
             totals = [c + o for c, o in zip(closed_hi, open_hi)]
             return _Line(
                 values=[kernel.dense([t[i] for t in totals]) for i in range(len(weights))],
@@ -300,10 +280,9 @@ def _line_integrals(ops, x0: float, weights, tols, spec: ContourSpec, t_eff, sca
                 node_count=node_count,
             )
         if q >= _MAX_NODES_PER_UNIT:
-            worst = int(np.argmax(est / tols))
             raise QuadratureError(
-                f"quadrature on Re lambda = {x0:.6g} did not reach tol={tols[worst]:.2e} at "
-                f"{_MAX_NODES_PER_UNIT} nodes per panel (estimate {est[worst]:.2e})"
+                f"quadrature on Re lambda = {x0:.6g} did not reach tol={spec.tol:.2e} at "
+                f"{_MAX_NODES_PER_UNIT} nodes per panel (estimate {est.max():.2e})"
             )
         panels = panels[is_open]
         kept = [np.concatenate(parts, axis=1) for parts in zip(*next_kept)]
@@ -345,36 +324,17 @@ def _neumann_tail(ops, t_eff, c: float, k: float, poles=()):
 def _line_tails(ops, spec: ContourSpec, scale: float, terms, at: float = 1.0):
     """The truncation height T_eff of a line and the tail bound of each of
     its integrals, before any node is solved.  ``terms`` holds per integral
-    the (c, k, poles) of :func:`_neumann_tail`, the tail's target at a
-    derived height and its budget at an explicit one; every tail is taken
-    from ``at * T_eff``.  T_eff is a dyadic height scale * 2^j: the first
-    one at or above ``spec.truncation_T``, or when that is None the first
-    of the 256 from 10 h up at which every tail is at most its target.  A tail
-    above its budget, or with no bound, raises :class:`TruncationError`."""
-    if spec.truncation_T is not None:
-        t_eff = float(_dyadic_breaks(scale, spec.truncation_T)[-1])
-    else:
-        heights = _dyadic_breaks(scale, 10.0 * spec.h)[-1] * 2.0 ** np.arange(256)
-        meets = np.all(
-            [_neumann_tail(ops, at * heights, c, k, p) <= target for c, k, p, target, _ in terms],
-            axis=0,
-        )
-        if not meets.any():
-            raise TruncationError(f"no truncation height meets tol={spec.tol:.2e}")
-        t_eff = float(heights[np.argmax(meets)])
-    tails = [float(_neumann_tail(ops, at * t_eff, c, k, poles)) for c, k, poles, _, _ in terms]
-    for tail, (*_, budget) in zip(tails, terms):
-        if np.isinf(tail):
-            raise TruncationError(
-                f"no tail bound from height {at * t_eff:.3g}, below twice the largest "
-                "operator norm or pole; increase T"
-            )
-        if tail > budget:
-            raise TruncationError(
-                f"tail bound {tail:.2e} exceeds tol={budget:.2e}; increase T "
-                f"(currently T_eff={t_eff:.3g})"
-            )
-    return t_eff, tails
+    the (c, k, poles) of :func:`_neumann_tail` and the tail's target; every
+    tail is taken from ``at * T_eff``.  T_eff is the first of the 256 dyadic
+    heights scale * 2^j from 10 h up at which every tail is at most its
+    target; with none, :class:`TruncationError` is raised."""
+    heights = _dyadic_breaks(scale, 10.0 * spec.h)[-1] * 2.0 ** np.arange(256)
+    tails = np.array([_neumann_tail(ops, at * heights, c, k, p) for c, k, p, _ in terms])
+    meets = np.all(tails <= np.array([target for *_, target in terms])[:, None], axis=0)
+    if not meets.any():
+        raise TruncationError(f"no truncation height meets tol={spec.tol:.2e}")
+    j = int(np.argmax(meets))
+    return float(heights[j]), [float(tail) for tail in tails[:, j]]
 
 
 def _check_contour_admissible(ops, spec: ContourSpec):
@@ -418,36 +378,35 @@ def _side_integrals(
 ) -> dict:
     """The integrals ``kinds`` on the line Re lambda = +-h, from one driver
     call: "A" and "B" as :func:`integrate_A` and :func:`integrate_B` return
-    them, "R" (side "-" only) the matrix R_-(z) of :func:`r_minus`.  A
-    derived height holds the tail of A to min(tol, ``rank_cutoff``) /
-    max(1, ||S||)^2, as A feeds P = S^2 A and its rank test; that of R_-(z)
-    to tol / max(1, ||S|| + |z|), as it feeds (S - z) R_-(z); that of B to
-    tol.  An explicit one holds them to tol, R_-(z)'s to tol max(1, |z|^2)."""
+    them, "R" (side "-" only) the matrix R_-(z) of :func:`r_minus`.  The
+    height holds the tail of A to min(tol, ``rank_cutoff``) / max(1, ||S||)^2,
+    as A feeds P = S^2 A and its rank test; that of R_-(z) to
+    tol / max(1, ||S|| + |z|), as it feeds (S - z) R_-(z); that of B to tol."""
     _check_contour_admissible((op,), spec)
     sgn = _side_sign(side)
     x0 = sgn * spec.h
     norm = operator_norm(op)
     # per integral: its weight and its terms of _line_tails, the (c, k, poles)
     # of _neumann_tail, |z^2/(lambda^2 (lambda - z))| <= |z|^2 t^{-2}/(t - |z|),
-    # then the target and the budget
+    # then the target
     weights, terms = [], []
     for kind in kinds:
         if kind == "A":
             weights.append(lambda lam: 1.0 / lam**2)
             target = min(spec.tol, rank_cutoff) / max(1.0, norm) ** 2
-            terms.append((1.0, 2, (), target, spec.tol))
+            terms.append((1.0, 2, (), target))
         elif kind == "B":
             weights.append(lambda lam: 1.0 / lam)
-            terms.append((1.0, 1, (), spec.tol, spec.tol))
+            terms.append((1.0, 1, (), spec.tol))
         elif kind == "R" and side == "-":
             z = complex(z)
             weights.append(_r_minus_weight(z, spec))
             target = spec.tol / max(1.0, norm + abs(z))
-            terms.append((abs(z) ** 2, 2, (abs(z),), target, spec.tol * max(1.0, abs(z) ** 2)))
+            terms.append((abs(z) ** 2, 2, (abs(z),), target))
         else:
             raise ValueError(f"no integral {kind!r} on side {side!r}")
     t_eff, tails = _line_tails((op,), spec, spec.h, terms)
-    line = _line_integrals((op,), x0, weights, [spec.tol] * len(kinds), spec, t_eff)
+    line = _line_integrals((op,), x0, weights, spec, t_eff)
     count = line.node_count
     return {
         kind: value if kind == "R" else QuadResult(sgn * value, tail, count, est + tail, t_eff)
@@ -471,8 +430,7 @@ def integrate_B(op: Operator, side: str, spec: ContourSpec) -> QuadResult:
     Re lambda = +-h.
 
     The 1/lambda weight converges only through resolvent decay on the line,
-    which the Neumann bound gives from T = 2 ||S|| on; an explicit
-    truncation height below that is refused with :class:`TruncationError`.
+    which the Neumann bound gives from T = 2 ||S|| on.
     The relation A_side = B_side S^{-1} ties this to :func:`integrate_A`.
     """
     return _side_integrals(op, side, spec, ("B",))["B"]
@@ -486,8 +444,8 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
     Equals P_+ - P_- = 2 P_+ - I whenever the resolvent decays on the axis.
     The odd leading term of the resolvent cancels under symmetric truncation
     and the remaining tail is ~ c/T, which the two-point Richardson
-    combination removes; failure of the truncations to converge is reported
-    through a ``pv-nonconvergent`` flag rather than silently extrapolated.
+    combination removes; ``est_error`` is the quadrature estimate plus the
+    Neumann bound of what Richardson leaves.
     """
     _spectral_gap(op)  # the axis then stays at least the gap from the spectrum
     scale = 1.0
@@ -496,50 +454,15 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
     # -S/lambda^2 + R S^2/lambda^2.  The first term gives exactly c/T, which
     # the Richardson value 2 I(T) - I(T/2) cancels; the second, two-sided,
     # leaves at most 2 (2 tail(T)) + 2 tail(T/2) <= 6 tail(T/2), so
-    # c = 6 ||S||^2 with the weight t^{-2}, taken at T/2.  An explicit height
-    # does not hold it to tol: est_error takes the smaller of it and the
-    # Richardson step.
-    terms = [(6.0 * operator_norm(op) ** 2, 2, (), spec.tol, np.inf)]
+    # c = 6 ||S||^2 with the weight t^{-2}, taken at T/2.
+    terms = [(6.0 * operator_norm(op) ** 2, 2, (), spec.tol)]
     t_eff, (tail,) = _line_tails((op,), spec, scale, terms, at=0.5)
 
-    def ring(lo, hi):  # I(hi) - I(lo) of the symmetric truncations
-        return lambda lam: np.where((np.abs(lam.imag) > lo) & (np.abs(lam.imag) <= hi), 2.0, 0.0)
+    def richardson(lam):  # the weight of 2 I(T) - I(T/2)
+        return np.where(np.abs(lam.imag) <= t_eff / 2.0, 2.0, 4.0)
 
-    # the Richardson value 2 I(T) - I(T/2), and the rings I(T) - I(T/2) and
-    # I(T/2) - I(T/4), which ride along at the value's panel orders
-    line = _line_integrals(
-        (op,),
-        0.0,
-        [
-            lambda lam: np.where(np.abs(lam.imag) <= t_eff / 2.0, 2.0, 4.0),
-            ring(t_eff / 2.0, t_eff),
-            ring(t_eff / 4.0, t_eff / 2.0),
-        ],
-        [spec.tol, np.inf, np.inf],
-        spec,
-        t_eff,
-        scale=scale,
-    )
-    value, outer, inner = line.values
-    est_quad = line.est[0]
-
-    flags = []
-    step_outer = spectral_norm(outer)  # I(T) - I(T/2)
-    step_inner = spectral_norm(inner)  # I(T/2) - I(T/4)
-    if step_outer > 1.05 * step_inner and step_outer > spec.tol:
-        flags.append("pv-nonconvergent")
-
-    # value - (2 I(T/2) - I(T/4)), the change of the Richardson value
-    richardson_resid = spectral_norm(2.0 * outer - inner)
-    est_error = est_quad + min(tail, richardson_resid + step_outer)
-    return QuadResult(
-        value=value,
-        tail_bound=tail,
-        node_count=line.node_count,
-        est_error=est_error,
-        t_eff=t_eff,
-        flags=tuple(flags),
-    )
+    line = _line_integrals((op,), 0.0, [richardson], spec, t_eff, scale=scale)
+    return QuadResult(line.values[0], tail, line.node_count, line.est[0] + tail, t_eff)
 
 
 def r_minus(op: Operator, z: complex, spec: ContourSpec) -> np.ndarray:

@@ -267,7 +267,7 @@ def corpus_unbproj(n_blocks: int = 3, lambda_set=(1, 3)) -> CorpusCase:
     """
     if n_blocks < 1:
         raise OperatorError("need at least one block")
-    lambda_set = tuple(sorted(set(int(k) for k in lambda_set)))
+    lambda_set = tuple(sorted(set(int(k) for k in np.atleast_1d(lambda_set))))
     if any(k < 1 or k > n_blocks for k in lambda_set):
         raise OperatorError(f"lambda_set must be a subset of 1..{n_blocks}")
     op = build_block_operator("dichotomy-2.3", n_blocks)

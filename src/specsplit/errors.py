@@ -34,9 +34,9 @@ class QuadratureError(Exception):
 
 
 class TruncationError(QuadratureError):
-    """Raised when an explicit truncation height leaves a tail above its
-    tolerance budget, or below T = 2 ||S|| leaves it without a Neumann bound;
-    the fix is a larger truncation height ("increase T")."""
+    """Raised when no truncation height of a line holds every Neumann tail
+    bound on it to its target: the tolerance is below what any height tried
+    can reach ("no truncation height meets tol")."""
 
 
 class SplittingMismatchError(Exception):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Hashable
 
 import numpy as np
 import scipy.linalg as sla
@@ -112,9 +112,9 @@ class Operator:
         return self.entries.shape[0]
 
     # Eigenvalues, the operator norm and the Schur factors of the diagonal
-    # blocks (the resolvent kernel's "schur" entry) are cached on first use;
-    # the operator itself never changes, so the cache cannot go stale.
-    def _cache(self, key: str, compute: Callable[[], Any]):
+    # blocks (the kernel's "schur" entries) are cached on first use; the
+    # operator itself never changes, so the cache cannot go stale.
+    def _cache(self, key: Hashable, compute: Callable[[], Any]):
         store = self.__dict__.get("_lazy")
         if store is None:
             store = {}
@@ -385,23 +385,28 @@ def _block_layout(pattern: np.ndarray) -> tuple[np.ndarray, ...]:
 def _schur_groups(op: Operator, layout=None) -> tuple[_SchurGroup, ...]:
     """Schur factors of the operator's diagonal blocks on ``layout`` (index
     arrays as from :func:`_block_layout`, each block a union of components of
-    the operator), grouped by order.  Without a layout, the operator's own
-    components, computed on first use and cached on the operator."""
+    the operator), grouped by order; the operator's own components without
+    one.  Cached on the operator per layout, keyed by each group's shape and
+    indices, as one index list can be grouped in more than one way."""
     if layout is None:
         return op._cache("schur", lambda: _schur_groups(op, _block_layout(op.entries != 0)))
-    groups = []
-    for idx in layout:
-        blocks = op.entries[idx[:, :, None], idx[:, None, :]]
-        if idx.shape[1] == 1:
-            t, q = blocks, np.ones_like(blocks)
-        else:
-            t, q = np.empty_like(blocks), np.empty_like(blocks)
-            for b, block in enumerate(blocks):
-                t[b], q[b] = sla.schur(block, output="complex")
-        for a in (idx, t, q):
-            a.setflags(write=False)
-        groups.append(_SchurGroup(idx=idx, t=t, q=q))
-    return tuple(groups)
+
+    def factors():
+        groups = []
+        for idx in layout:
+            blocks = op.entries[idx[:, :, None], idx[:, None, :]]
+            if idx.shape[1] == 1:
+                t, q = blocks, np.ones_like(blocks)
+            else:
+                t, q = np.empty_like(blocks), np.empty_like(blocks)
+                for b, block in enumerate(blocks):
+                    t[b], q[b] = sla.schur(block, output="complex")
+            for a in (idx, t, q):
+                a.setflags(write=False)
+            groups.append(_SchurGroup(idx=idx, t=t, q=q))
+        return tuple(groups)
+
+    return op._cache(("schur", *((idx.shape, idx.tobytes()) for idx in layout)), factors)
 
 
 def _triangular_inverses(group: _SchurGroup, lams: np.ndarray) -> np.ndarray:
@@ -700,7 +705,7 @@ def _blocks_almost_bisect(params: dict, n_blocks: int) -> list[np.ndarray]:
 def _blocks_constant_diag(params: dict, n_blocks: int) -> list[np.ndarray]:
     _require_params("constant-diag", params, {"values"})
     values = params.get("values", (1.0, -1.0))
-    vals = np.asarray(list(values), dtype=complex)
+    vals = np.atleast_1d(np.asarray(values, dtype=complex))
     if vals.size == 0:
         raise OperatorError("family 'constant-diag' needs at least one diagonal value")
     return [np.diag(vals) for _ in range(n_blocks)]
@@ -786,7 +791,10 @@ def build_block_operator(family: str, n_blocks: int, params: dict | None = None)
     if not isinstance(n_blocks, numbers.Integral) or n_blocks < 1:
         raise OperatorError(f"N must be a positive integer, got {n_blocks!r}")
     params = dict(params or {})
-    blocks = _FAMILIES[family](params, int(n_blocks))
+    try:
+        blocks = _FAMILIES[family](params, int(n_blocks))
+    except TypeError as exc:  # a parameter of the wrong type, e.g. null
+        raise OperatorError(f"family '{family}' got a parameter of the wrong type: {exc}") from exc
     entries = sla.block_diag(*blocks).astype(complex)
     tag = FamilyTag(
         family=family,

@@ -179,16 +179,14 @@ def projection_diff_integral(
     The lambda^{-2} weights of the individual projection integrals cancel in
     the difference, so convergence rests on the resolvent-difference decay,
     which the Neumann bound through R_S - R_T = R_S (T - S) R_T gives from
-    T = 2 max(||S||, ||T||) on.  A derived height holds that tail to tol; an
-    explicit one whose tail exceeds tol, or lies below 2 max(||S||, ||T||),
-    raises :class:`~specsplit.errors.TruncationError`.
+    T = 2 max(||S||, ||T||) on; the derived height holds that tail to tol.
     """
     if s_op.dim != t_op.dim:
         raise OperatorError("operators must act on the same space")
     spec = _common_contour(s_op, t_op, spec)
     ops = (s_op, t_op)
-    t_eff, _ = _line_tails(ops, spec, spec.h, [(1.0, 0, (), spec.tol, spec.tol)])
-    line = _line_integrals(ops, spec.h, [lambda lam: 1.0], [spec.tol], spec, t_eff)
+    t_eff, _ = _line_tails(ops, spec, spec.h, [(1.0, 0, (), spec.tol)])
+    line = _line_integrals(ops, spec.h, [lambda lam: 1.0], spec, t_eff)
     return line.values[0]
 
 

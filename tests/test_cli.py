@@ -43,26 +43,16 @@ class TestSplitCommand:
         assert "non-convergence" in err
 
     def test_contour_flags(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "split", "dichotomy-2.3?N=2", "--h", "0.3", "--nodes", "8"
-        )
+        code, out, _ = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--h", "0.3")
         assert code == 0
         assert json.loads(out)["contour"]["h"] == 0.3
 
-    @pytest.mark.parametrize(
-        "flag, value", [("--truncation-T", "inf"), ("--truncation-T", "nan"), ("--tol", "inf")]
-    )
+    @pytest.mark.parametrize("flag, value", [("--tol", "inf")])
     def test_non_finite_contour_flag_exits_1(self, capsys, flag, value):
         code, _, err = run_cli(capsys, "split", "dichotomy-2.3?N=2", flag, value)
         assert code == 1
         assert err.startswith("error:")
         assert "must be finite" in err
-
-    def test_one_node_per_panel_exits_1(self, capsys):
-        # the error estimate compares q nodes with q/2, so q = 1 is refused
-        code, _, err = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--nodes", "1")
-        assert code == 1
-        assert "nodes_per_unit" in err
 
     def test_loose_tol_keeps_the_r_minus_pole(self, capsys):
         # z = -2h lies h left of the line Re lambda = -h whatever the tolerance
@@ -76,14 +66,15 @@ class TestSplitCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True
-        assert payload["contour"]["truncation_T"] is None
+        assert set(payload["contour"]) == {"h", "tol"}
         assert payload["t_eff_plus"] >= 10 * payload["contour"]["h"]
 
-    def test_truncation_below_twice_the_norm_exits_3(self, capsys):
-        # ||S|| ~ 200: below 2 ||S|| the tail has no bound
-        code, _, err = run_cli(capsys, "split", "dichotomy-2.3?N=10", "--truncation-T", "100")
+    def test_no_truncation_height_exits_3(self, capsys):
+        # the Neumann tail of A falls like T^-2, and no dyadic height tried
+        # brings it below 1e-300
+        code, _, err = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--tol", "1e-300")
         assert code == 3
-        assert "increase T" in err
+        assert "no truncation height meets tol" in err
 
     def test_descriptor_file(self, capsys, tmp_path):
         path = tmp_path / "op.json"
@@ -136,6 +127,13 @@ class TestSweepAndFit:
         assert "NaN" not in out
         assert json.loads(out)["fitted_beta"] is None
 
+    def test_inverted_fit_window_exits_1(self, capsys):
+        # the default window top of this family is N/2 = 25
+        code, _, err = run_cli(capsys, "fit", "almost-bisect-5.5?p=0.5&N=50", "--fit-lo", "30")
+        assert code == 1
+        assert err.startswith("error:")
+        assert "fit window" in err
+
     def test_sweep_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "constant-diag?N=1", "--format", "json", "--grid-hi", "10",
@@ -146,6 +144,17 @@ class TestSweepAndFit:
 
 
 class TestDescribe:
+    def test_scalar_family_values(self, capsys):
+        code, out, _ = run_cli(capsys, "describe", "constant-diag?N=2&values=2")
+        assert code == 0
+        assert json.loads(out)["dim"] == 2
+
+    def test_null_family_parameter_exits_1(self, capsys):
+        desc = {"kind": "family", "family": "almost-bisect-5.5", "N": 2, "params": {"p": None}}
+        code, _, err = run_cli(capsys, "describe", json.dumps(desc))
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "describe", "dichotomy-2.3?N=2")
         assert code == 0
@@ -165,6 +174,11 @@ class TestReproduce:
         assert code == 0
         payload = json.loads(out)
         assert payload["all_passed"] is True
+
+    def test_scalar_lambda_set(self, capsys):
+        code, out, _ = run_cli(capsys, "reproduce", "unbproj?lambda1=2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["params"]["lambda1"] == [2]
 
     def test_unknown_case(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "no-such-case")

@@ -11,6 +11,7 @@ as their difference cancels below what dense LU resolves).
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from specsplit import (
     NearSpectrumError,
@@ -203,6 +204,22 @@ class TestPerturbationPair:
         expect = np.tensordot(coefs[0], diff, axes=(0, 0))
         pair = _Kernel((s_op, t_op))
         assert rel(summed(pair, pair.sums(lams, coefs, Q), 0), expect) <= REL_TOL
+
+    def test_pair_reduced_once(self, monkeypatch):
+        # the Schur factors on the union layout are cached on each operator,
+        # so a second kernel of the same pair reduces no block again
+        s_op, t_op = (Operator(entries=op.entries) for op in criterion8_pair())
+        lams, w = nodes_for(t_op)
+        coefs = [w / (2.0 * np.pi)]
+        calls = []
+        schur = sla.schur
+        monkeypatch.setattr(sla, "schur", lambda *a, **k: calls.append(1) or schur(*a, **k))
+        first = _Kernel((s_op, t_op)).sums(lams, coefs, Q)
+        assert calls
+        calls.clear()
+        second = _Kernel((s_op, t_op)).sums(lams, coefs, Q)
+        assert calls == []
+        assert [a.tobytes() for a in first] == [b.tobytes() for b in second]
 
     @pytest.mark.parametrize("name", sorted(SHARED_BLOCK_PAIRS))
     def test_union_block_holding_several_components(self, name):
