@@ -362,10 +362,6 @@ class SweepReport:
     fit_window: tuple[float, float]
     skipped: int = 0
 
-    @property
-    def samples(self) -> list[tuple[complex, float]]:
-        return [(complex(l), float(n)) for l, n in zip(self.lambdas, self.norms)]
-
     def to_json_dict(self) -> dict:
         return {
             "sup_norm": self.sup_norm,
@@ -463,14 +459,6 @@ class HalfplaneCheck:
     bound: float
     worst_lambda: complex
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_norm": self.max_norm,
-            "bound": self.bound,
-            "worst_lambda": [self.worst_lambda.real, self.worst_lambda.imag],
-        }
-
 
 def halfplane_bound_check(
     result: SplitResult, side: str, grid, bound_m: float
@@ -508,15 +496,6 @@ class SectorialityCheck:
     max_weighted_plus: float
     max_weighted_minus: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "beta": self.beta,
-            "bound": self.bound,
-            "max_weighted_plus": self.max_weighted_plus,
-            "max_weighted_minus": self.max_weighted_minus,
-        }
-
 
 def sectoriality_report(
     result: SplitResult, beta: float, grid, bound_m: float
@@ -551,18 +530,6 @@ class ParabolaProbe:
     passed: bool
     intrusions: list = field(default_factory=list)
     violations: list = field(default_factory=list)
-    records: list = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        def cx(z):
-            return [z.real, z.imag]
-
-        return {
-            "passed": self.passed,
-            "intrusions": [cx(z) for z in self.intrusions],
-            "violations": [cx(z) for z in self.violations],
-            "n_points": len(self.records),
-        }
 
 
 def parabola_probe(op: Operator, alpha: float, beta: float, m_const: float, grid) -> ParabolaProbe:
@@ -584,20 +551,16 @@ def parabola_probe(op: Operator, alpha: float, beta: float, m_const: float, grid
     dist, _ = _spectrum_distance((op,), grid)
     intrusions = [complex(z) for z in grid[dist <= tol]]
     safe = grid[dist > tol]
-    records, violations = [], []
+    violations = []
     if safe.size:
         norms = _Kernel((op,)).norms(safe)
         denom = 1.0 - alpha * m_const
-        for lam, nrm in zip(safe, norms):
-            bound = m_const / (denom * np.abs(lam.imag) ** beta) if denom > 0 else -np.inf
-            records.append((complex(lam), float(nrm), float(bound)))
-            if nrm > bound:
-                violations.append(complex(lam))
+        bound = m_const / (denom * np.abs(safe.imag) ** beta) if denom > 0 else -np.inf
+        violations = [complex(z) for z in safe[norms > bound]]
     return ParabolaProbe(
         passed=not intrusions and not violations,
         intrusions=intrusions,
         violations=violations,
-        records=records,
     )
 
 

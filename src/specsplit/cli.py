@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=0.5)
     p.add_argument("--coupling", type=float, default=0.1)
     p.add_argument("--beta", type=float, default=None, help="axis decay exponent of S")
-    _add_output_args(p, choices=("json", "csv", "text"))
+    _add_output_args(p, choices=("json", "csv"))
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("reproduce", help="run a corpus case: " + ", ".join(case_names()))

@@ -15,6 +15,7 @@ documented headline claims of the family being reproduced.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,21 +62,23 @@ __all__ = [
 
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
 
+_ORACLE_TOL = 1e-8
+_BETA_TOL = 0.05
+_QUAD_TOL = 1e-8
+# Quadrature-based facts are skipped above this operator norm (and above
+# ``Budget.max_quad_dim``): multiplying the integral by S^2 amplifies float
+# error by ||S||^2, so P-level checks at ||S||^2 * eps above the identity
+# tolerance are mathematically out of reach in double precision, not merely
+# slow.
+_MAX_QUAD_NORM = 1e4
+
 
 @dataclass(frozen=True)
 class Budget:
     """Tolerance and size limits for a corpus run."""
 
     identity_tol: float = 1e-6
-    oracle_tol: float = 1e-8
-    beta_tol: float = 0.05
-    quad_tol: float = 1e-8
-    # Quadrature-based facts are skipped beyond these limits: multiplying the
-    # integral by S^2 amplifies float error by ||S||^2, so P-level checks at
-    # ||S||^2 * eps above the identity tolerance are mathematically out of
-    # reach in double precision, not merely slow.
     max_quad_dim: int = 200
-    max_quad_norm: float = 1e4
     per_decade: int = 64
 
 
@@ -115,21 +118,14 @@ class Fact:
     def run(self, budget: Budget) -> FactResult:
         try:
             passed, measured, detail = self.checker(budget)
+            skipped = False
         except BudgetExceeded as exc:
-            return FactResult(
-                name=self.name,
-                provenance=self.provenance,
-                passed=True,
-                skipped=True,
-                measured=None,
-                expected=self.expected,
-                detail=str(exc),
-            )
+            passed, measured, detail, skipped = True, None, str(exc), True
         return FactResult(
             name=self.name,
             provenance=self.provenance,
             passed=bool(passed),
-            skipped=False,
+            skipped=skipped,
             measured=None if measured is None else float(measured),
             expected=self.expected,
             detail=detail,
@@ -194,10 +190,10 @@ def _guard_quadrature(op: Operator, budget: Budget):
         raise BudgetExceeded(
             f"dim {op.dim} above quadrature budget {budget.max_quad_dim}"
         )
-    if operator_norm(op) > budget.max_quad_norm:
+    if operator_norm(op) > _MAX_QUAD_NORM:
         raise BudgetExceeded(
             f"operator norm {operator_norm(op):.3g} above quadrature budget "
-            f"{budget.max_quad_norm:.3g} (||S||^2 * eps exceeds the tolerance)"
+            f"{_MAX_QUAD_NORM:.3g} (||S||^2 * eps exceeds the tolerance)"
         )
 
 
@@ -265,6 +261,7 @@ def corpus_unbproj(n_blocks: int = 3, lambda_set=(1, 3)) -> CorpusCase:
     satisfies the closed-projection algebra even though only the all-plus
     choice gives the half-plane splitting.
     """
+    n_blocks = int(n_blocks)
     if n_blocks < 1:
         raise OperatorError("need at least one block")
     lambda_set = tuple(sorted(set(int(k) for k in np.atleast_1d(lambda_set))))
@@ -276,7 +273,7 @@ def corpus_unbproj(n_blocks: int = 3, lambda_set=(1, 3)) -> CorpusCase:
     def check_quad_a(side):
         def checker(budget: Budget):
             _guard_quadrature(op, budget)
-            spec = default_contour(op, tol=budget.quad_tol)
+            spec = default_contour(op, tol=_QUAD_TOL)
             quad = integrate_A(op, side, spec)
             key = "A_plus" if side == "+" else "A_minus"
             err = _per_block_error(op, quad.value, lambda n: dichotomy_block_forms(n)[key])
@@ -285,7 +282,7 @@ def corpus_unbproj(n_blocks: int = 3, lambda_set=(1, 3)) -> CorpusCase:
 
     def check_quad_p(budget: Budget):
         _guard_quadrature(op, budget)
-        spec = default_contour(op, tol=budget.quad_tol)
+        spec = default_contour(op, tol=_QUAD_TOL)
         s2 = op.entries @ op.entries
         worst = 0.0
         for side, key in (("+", "P_plus"), ("-", "P_minus")):
@@ -334,6 +331,7 @@ def corpus_unbproj(n_blocks: int = 3, lambda_set=(1, 3)) -> CorpusCase:
 def corpus_almbisect(n_blocks: int = 50, p: float = 0.5) -> CorpusCase:
     """Blocks [[n, 2n^(1+p)], [0, -n]]: axis decay exponent 1-p, projection
     norms sqrt(1 + n^(2p)) growing without bound."""
+    n_blocks, p = int(n_blocks), float(p)
     op = build_block_operator("almost-bisect-5.5", n_blocks, {"p": p})
     params = {"N": n_blocks, "p": p}
 
@@ -344,15 +342,21 @@ def corpus_almbisect(n_blocks: int = 50, p: float = 0.5) -> CorpusCase:
         window = (10.0, max(20.0, n_blocks / 2.0))
         report = resolvent_sweep(op, grid, fit_window=window)
         err = abs(report.fitted_beta - (1.0 - p))
-        return err <= budget.beta_tol, report.fitted_beta, f"beta =~ {1.0 - p}"
+        return err <= _BETA_TOL, report.fitted_beta, f"beta =~ {1.0 - p}"
 
+    def oracle(n):
+        return oracle_projection(
+            dense_operator(np.array([[n, 2.0 * n ** (1.0 + p)], [0.0, -n]], dtype=complex))
+        )
+
+    @functools.cache
     def sampled_blocks():
         picks = sorted(set(range(1, min(n_blocks, 8) + 1)) | {n_blocks})
-        for n in picks:
-            block = dense_operator(
-                np.array([[n, 2.0 * n ** (1.0 + p)], [0.0, -n]], dtype=complex)
-            )
-            yield n, oracle_projection(block)
+        return [(n, oracle(n)) for n in picks]
+
+    @functools.cache
+    def block100():
+        return spectral_norm(oracle(100).p_plus)
 
     def check_pattern(budget: Budget):
         worst = 0.0
@@ -360,26 +364,19 @@ def corpus_almbisect(n_blocks: int = 50, p: float = 0.5) -> CorpusCase:
             expect = almost_bisect_block_projections(n, p)
             worst = max(worst, float(np.abs(pair.p_plus - expect["P_plus"]).max()))
             worst = max(worst, float(np.abs(pair.p_minus - expect["P_minus"]).max()))
-        return worst <= budget.oracle_tol, worst, "P_n^+- = [[1,n^p],[0,0]] pattern"
+        return worst <= _ORACLE_TOL, worst, "P_n^+- = [[1,n^p],[0,0]] pattern"
 
     def check_norms(budget: Budget):
         worst = 0.0
         for n, pair in sampled_blocks():
             expect = np.sqrt(1.0 + float(n) ** (2.0 * p))
             worst = max(worst, abs(spectral_norm(pair.p_plus) - expect))
-        return worst <= budget.oracle_tol, worst, "||P_n^+|| = sqrt(1+n^(2p))"
-
-    def block100():
-        n = 100
-        block = dense_operator(
-            np.array([[n, 2.0 * n ** (1.0 + p)], [0.0, -n]], dtype=complex)
-        )
-        return spectral_norm(oracle_projection(block).p_plus)
+        return worst <= _ORACLE_TOL, worst, "||P_n^+|| = sqrt(1+n^(2p))"
 
     def check_block100(budget: Budget):
         measured = block100()
         expect = np.sqrt(1.0 + 100.0 ** (2.0 * p))
-        return abs(measured - expect) <= budget.oracle_tol, measured, (
+        return abs(measured - expect) <= _ORACLE_TOL, measured, (
             f"||P_100^+|| = {expect:.6g}"
         )
 
@@ -432,12 +429,17 @@ def corpus_mcintosh_yagi(m_const: float = 10.0, m_max: int = 3) -> CorpusCase:
     ||Z_m|| >= m even though the axis resolvent bound M/|lambda| holds
     uniformly: bounded axis decay without bounded projections.
     """
+    m_const, m_max = float(m_const), int(m_max)
     op = build_block_operator("mcintosh-yagi", m_max, {"Mconst": m_const})
     params = {"Mconst": m_const, "m_max": m_max}
+    slices = op.family_tag.block_slices()
 
-    def parts(m):
-        n, d, b = mcintosh_yagi_parts(m_const, m)
-        return n, d, b
+    @functools.cache
+    def solved(m):
+        """D, B D and the Z solving D Z + Z D = B D for block m."""
+        _, d, b = mcintosh_yagi_parts(m_const, m)
+        rhs = b @ d
+        return d, rhs, sylvester_diag_solve(np.diag(d), rhs)
 
     def check_n(m):
         def checker(budget: Budget):
@@ -450,26 +452,21 @@ def corpus_mcintosh_yagi(m_const: float = 10.0, m_max: int = 3) -> CorpusCase:
 
     def check_sylvester(m):
         def checker(budget: Budget):
-            _, d, b = parts(m)
-            rhs = b @ d
-            z = sylvester_diag_solve(np.diag(d), rhs)
+            d, rhs, z = solved(m)
             resid = np.linalg.norm(d @ z + z @ d - rhs, "fro") / np.linalg.norm(rhs, "fro")
             return resid < 1e-10, resid, "relative Sylvester residual"
         return checker
 
     def check_z_norm(m):
         def checker(budget: Budget):
-            _, d, b = parts(m)
-            z = sylvester_diag_solve(np.diag(d), b @ d)
-            nz = spectral_norm(z)
+            nz = spectral_norm(solved(m)[2])
             return nz >= m, nz, f"||Z_{m}|| >= {m}"
         return checker
 
     def check_idempotent(m):
         def checker(budget: Budget):
-            n, d, b = parts(m)
-            z = sylvester_diag_solve(np.diag(d), b @ d)
-            k = n + 1
+            z = solved(m)[2]
+            k = z.shape[0]
             proj = np.zeros((2 * k, 2 * k), dtype=complex)
             proj[:k, :k] = np.eye(k)
             proj[:k, k:] = z
@@ -479,9 +476,8 @@ def corpus_mcintosh_yagi(m_const: float = 10.0, m_max: int = 3) -> CorpusCase:
 
     def check_axis_bound(m):
         def checker(budget: Budget):
-            _, d, b = parts(m)
-            zero = np.zeros_like(d)
-            block = dense_operator(np.block([[d, b @ d], [zero, -d]]))
+            sl = slices[m - 1]
+            block = dense_operator(op.entries[sl, sl])
             t = np.logspace(-2, 4, 32)
             lams = np.concatenate([-1j * t[::-1], 1j * t])
             norms = resolvent_norms(block, lams)
@@ -507,10 +503,11 @@ def corpus_mcintosh_yagi(m_const: float = 10.0, m_max: int = 3) -> CorpusCase:
 # registry
 # ---------------------------------------------------------------------------
 
+# each case's builder, and the builder keyword of every CLI parameter name
 _CASE_BUILDERS = {
-    "unbproj": (corpus_unbproj, {"N": 3, "lambda1": [1, 3]}),
-    "almbisect": (corpus_almbisect, {"N": 50, "p": 0.5}),
-    "mcintosh-yagi": (corpus_mcintosh_yagi, {"Mconst": 10.0, "m_max": 3}),
+    "unbproj": (corpus_unbproj, {"N": "n_blocks", "lambda1": "lambda_set"}),
+    "almbisect": (corpus_almbisect, {"N": "n_blocks", "p": "p"}),
+    "mcintosh-yagi": (corpus_mcintosh_yagi, {"Mconst": "m_const", "m_max": "m_max"}),
 }
 
 
@@ -518,14 +515,14 @@ def case_names() -> tuple[str, ...]:
     return tuple(sorted(_CASE_BUILDERS))
 
 
-def make_case(name: str, **overrides) -> CorpusCase:
-    """Build a registered corpus case, optionally overriding its defaults."""
+def make_case(name: str, **params) -> CorpusCase:
+    """Build a registered corpus case, with its CLI parameter names
+    (``N``, ``lambda1``, ``p``, ``Mconst``, ``m_max``) overriding the
+    builder's defaults."""
     if name not in _CASE_BUILDERS:
         raise OperatorError(f"unknown corpus case '{name}'; known: {', '.join(case_names())}")
-    builder, defaults = _CASE_BUILDERS[name]
-    params = {**defaults, **overrides}
-    if name == "unbproj":
-        return builder(n_blocks=int(params["N"]), lambda_set=params["lambda1"])
-    if name == "almbisect":
-        return builder(n_blocks=int(params["N"]), p=float(params["p"]))
-    return builder(m_const=float(params["Mconst"]), m_max=int(params["m_max"]))
+    builder, keywords = _CASE_BUILDERS[name]
+    unknown = sorted(set(params) - set(keywords))
+    if unknown:
+        raise OperatorError(f"case '{name}' does not accept parameters {unknown}")
+    return builder(**{keywords[k]: v for k, v in params.items()})

@@ -12,10 +12,11 @@ block-diagonal family.  This module provides
   Schur forms of the operator's connected components, or for a pair of
   both operators on the components of the union of their patterns,
   triangular inverses per node,
-* the ground-truth spectral projector ``oracle_projection``, computed from an
-  ordered triangular (Schur) decomposition with a Sylvester solve for the
-  invariant-subspace coupling -- deliberately *not* by contour quadrature, so
-  it can serve as an independent oracle for the quadrature route.
+* the ground-truth spectral projector ``oracle_projection``, computed from one
+  ordered triangular (Schur) decomposition and one triangular Sylvester solve
+  for the invariant-subspace coupling -- deliberately *not* by contour
+  quadrature, so it can serve as an independent oracle for the quadrature
+  route.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.
@@ -30,6 +31,7 @@ from typing import Any, Callable, Hashable
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import ztrsyl as _ztrsyl
 from scipy.linalg.lapack import ztrtri as _ztrtri
 from scipy.sparse.csgraph import connected_components
 
@@ -602,22 +604,15 @@ def choose_h(op: Operator, safety: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sorted_schur_basis(entries: np.ndarray, want_plus: bool):
-    """Schur vectors with the selected half-plane eigenvalues leading."""
-    if want_plus:
-        t, q, sdim = sla.schur(entries, output="complex", sort=lambda z: z.real > 0)
-    else:
-        t, q, sdim = sla.schur(entries, output="complex", sort=lambda z: z.real < 0)
-    return t, q, int(sdim)
-
-
 def oracle_projection(op: Operator, tol: float | None = None) -> ProjectionPair:
     """Riesz spectral projections onto the right/left half-plane invariant
-    subspaces, by ordered Schur decomposition.
+    subspaces, by one ordered Schur decomposition.
 
     With ``S = Q T Q^H`` and the right-half-plane eigenvalues ordered first,
-    the coupling ``X`` solving ``T11 X - X T22 = T12`` yields the projection
-    ``[[I, X], [0, 0]]`` in Schur coordinates.  This is the ground-truth
+    the coupling ``X`` solving ``T11 X - X T22 = T12`` (one triangular
+    Sylvester solve, as in Bartels & Stewart) yields the projections
+    ``[[I, X], [0, 0]]`` and ``[[0, -X], [0, I]]`` in Schur coordinates, so
+    ``Q [-X; I]`` spans the range of ``P_-``.  This is the ground-truth
     oracle the contour quadrature is checked against; eigenvalues are never
     assumed simple.
     """
@@ -634,34 +629,25 @@ def oracle_projection(op: Operator, tol: float | None = None) -> ProjectionPair:
             tol=tol,
         )
     n = op.dim
-    t, q, k = _sorted_schur_basis(op.entries, want_plus=True)
-    if k == 0:
-        p_plus = np.zeros((n, n), dtype=complex)
-    elif k == n:
+    t, q, k = sla.schur(op.entries, output="complex", sort=lambda z: z.real > 0)
+    x = np.zeros((k, n - k), dtype=complex)
+    if 0 < k < n:  # ztrsyl rejects empty blocks
+        x, scale, _ = _ztrsyl(t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
+        x = x / scale
+    if k == n:
         p_plus = np.eye(n, dtype=complex)
     else:
-        x = sla.solve_sylvester(t[:k, :k], -t[k:, k:], t[:k, k:])
         core = np.zeros((n, n), dtype=complex)
         core[:k, :k] = np.eye(k)
         core[:k, k:] = x
         p_plus = q @ core @ q.conj().T
-    basis_plus = q[:, :k].copy()
-
-    _, q_minus, k_minus = _sorted_schur_basis(op.entries, want_plus=False)
-    if k + k_minus != n:
-        raise SplittingRankError(n, k, k_minus)
-    basis_minus = q_minus[:, :k_minus].copy()
-    p_minus = np.eye(n, dtype=complex) - p_plus
+    basis_minus = np.linalg.qr(q @ np.vstack([-x, np.eye(n - k)]))[0]
     return ProjectionPair(
-        p_plus=p_plus, p_minus=p_minus, basis_plus=basis_plus, basis_minus=basis_minus
+        p_plus=p_plus,
+        p_minus=np.eye(n, dtype=complex) - p_plus,
+        basis_plus=q[:, :k].copy(),
+        basis_minus=basis_minus,
     )
-
-
-class SplittingRankError(OperatorError):
-    def __init__(self, n, k_plus, k_minus):
-        super().__init__(
-            f"half-plane eigenvalue counts {k_plus}+{k_minus} do not sum to dimension {n}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -714,19 +700,18 @@ def _blocks_constant_diag(params: dict, n_blocks: int) -> list[np.ndarray]:
 def mcintosh_yagi_pick_n(m_const: float, m: int) -> int:
     """Smallest matrix order n with (M-1)/(pi*sqrt(18)) * log(n/2 + 1) >= m."""
     c = (m_const - 1.0) / (np.pi * np.sqrt(18.0))
-    target = np.exp(m / c)  # need n/2 + 1 >= target
-    # Start a little below the analytic answer and walk up, so the returned
-    # n is the smallest one satisfying the inequality despite float fuzz.
-    n = max(1, int(np.ceil(2.0 * (target - 1.0))) - 3)
-    while c * np.log(n / 2.0 + 1.0) < m:
-        n += 1
-        if n > _BLOCK_SIZE_CAP:
-            raise OperatorError(
-                f"desk-scale exceeded: block order n={n} above cap {_BLOCK_SIZE_CAP}"
-            )
-    if n > _BLOCK_SIZE_CAP:
+    with np.errstate(over="ignore"):
+        n = 2.0 * (np.exp(m / c) - 1.0)  # the real solution of n/2 + 1 = e^(m/c)
+    # Walk up from a little below it, so the returned n is the smallest integer
+    # satisfying the inequality despite float fuzz.  A solution above the cap,
+    # inf or nan skips the walk (int() would raise on inf) and is refused.
+    if n <= _BLOCK_SIZE_CAP:
+        n = max(1, int(np.ceil(n)) - 3)
+        while c * np.log(n / 2.0 + 1.0) < m:
+            n += 1
+    if not n <= _BLOCK_SIZE_CAP:
         raise OperatorError(
-            f"desk-scale exceeded: block order n={n} above cap {_BLOCK_SIZE_CAP}"
+            f"desk-scale exceeded: block order n={n:.6g} above cap {_BLOCK_SIZE_CAP}"
         )
     return n
 

@@ -201,13 +201,6 @@ class CorollaryVerdict:
     predicted_exponent: float
     reason: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "predicted_exponent": self.predicted_exponent,
-            "reason": self.reason,
-        }
-
 
 def corollary_check(beta: float, p: float) -> CorollaryVerdict:
     """Exponent arithmetic for p-subordinate perturbations of an operator
@@ -240,15 +233,6 @@ class DomainEchoReport:
     growth: list
     growth_monotone: bool
     note: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "conditions": dict(self.conditions),
-            "t_dichotomous_by_oracle": self.t_dichotomous_by_oracle,
-            "growth": [[int(n), float(g)] for n, g in self.growth],
-            "growth_monotone": self.growth_monotone,
-            "note": self.note,
-        }
 
 
 _DOMAIN_NOTE = (

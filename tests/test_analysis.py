@@ -16,6 +16,7 @@ from specsplit import (
     oracle_projection,
     parabola_probe,
     random_gap_operator,
+    resolvent_norms,
     resolvent_sweep,
     sectoriality_report,
     spectral_norm,
@@ -245,6 +246,22 @@ class TestParabolaProbe:
         probe = parabola_probe(op, alpha, 1.0, m, self.region_grid(alpha, 1.0))
         assert not probe.passed
         assert probe.violations
+
+    def test_violations_are_the_points_over_the_pointwise_bound(self):
+        # half the true axis constant: the bound holds at some points only
+        op = build_block_operator("dichotomy-2.3", 4)
+        m = 0.5 * resolvent_sweep(op, axis_grid(1e-1, 1e3, 16)).sup_norm
+        alpha = 0.5 / m
+        grid = self.region_grid(alpha, 1.0)
+        probe = parabola_probe(op, alpha, 1.0, m, grid)
+        norms = resolvent_norms(op, grid)
+        expect = [
+            complex(lam)
+            for lam, nrm in zip(grid, norms)
+            if nrm > m / ((1.0 - alpha * m) * abs(lam.imag))
+        ]
+        assert 0 < len(expect) < grid.size
+        assert probe.violations == expect
 
     def test_grid_outside_region_rejected(self):
         op = diag_operator([1, -1])

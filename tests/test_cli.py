@@ -167,6 +167,13 @@ class TestDescribe:
         assert code == 0
         assert "gap" in out
 
+    def test_mcintosh_yagi_order_above_cap_exits_1(self, capsys):
+        # M near 1 sends the analytic block order to inf
+        code, _, err = run_cli(capsys, "describe", "mcintosh-yagi?Mconst=1.0001&N=1")
+        assert code == 1
+        assert err.startswith("error:")
+        assert "desk-scale exceeded" in err
+
 
 class TestReproduce:
     def test_unbproj(self, capsys):
@@ -183,6 +190,19 @@ class TestReproduce:
     def test_unknown_case(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "no-such-case")
         assert code == 1
+
+    @pytest.mark.parametrize("case", ["unbproj?n=5", "unbproj?foo=1"])
+    def test_unknown_parameter_exits_1(self, capsys, case):
+        code, out, err = run_cli(capsys, "reproduce", case)
+        assert code == 1
+        assert out == ""
+        assert "does not accept parameters" in err
+
+    def test_mcintosh_yagi_order_above_cap_exits_1(self, capsys):
+        code, _, err = run_cli(capsys, "reproduce", "mcintosh-yagi?Mconst=1.0001&m_max=1")
+        assert code == 1
+        assert err.startswith("error:")
+        assert "desk-scale exceeded" in err
 
     def test_param_override(self, capsys):
         code, out, _ = run_cli(
@@ -208,6 +228,13 @@ class TestPerturb:
         payload = json.loads(out)
         assert payload["corollary_verdict"] in {"pass", "fail"}
         assert payload["delta_residual"] <= 1e-6
+
+    def test_text_format_refused(self, capsys):
+        # perturb writes JSON or CSV only
+        code, out, err = run_cli(capsys, "perturb", "dichotomy-2.3?N=2", "--format", "text")
+        assert code == 1
+        assert out == ""
+        assert "invalid choice" in err
 
 
 class TestUsageAndDeterminism:

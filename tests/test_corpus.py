@@ -141,6 +141,15 @@ class TestRegistry:
         with pytest.raises(OperatorError):
             make_case("no-such-case")
 
+    def test_unknown_parameter(self):
+        with pytest.raises(OperatorError, match=r"case 'unbproj' does not accept parameters \['n'\]"):
+            make_case("unbproj", n=5)
+
+    def test_builder_coerces_cli_values(self):
+        case = make_case("mcintosh-yagi", Mconst=12, m_max=1)
+        assert case.params == {"Mconst": 12.0, "m_max": 1}
+        assert isinstance(case.params["Mconst"], float)
+
     def test_bit_identical_regeneration(self):
         a = make_case("mcintosh-yagi", m_max=2)
         b = make_case("mcintosh-yagi", m_max=2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -277,6 +278,39 @@ class TestOracle:
         pair = oracle_projection(diag_operator([1, 2, 3]))
         assert np.allclose(pair.p_plus, np.eye(3), atol=1e-14)
         assert pair.rank_minus == 0
+        pair = oracle_projection(diag_operator([-1, -2]))
+        assert pair.rank_plus == 0
+        assert np.array_equal(pair.p_plus, np.zeros((2, 2)))
+        assert np.allclose(pair.p_minus, np.eye(2), atol=1e-14)
+
+    def test_one_schur_form(self, monkeypatch):
+        calls = []
+        schur = sla.schur
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr("specsplit.operators.sla.schur", counted)
+        oracle_projection(random_gap_operator(8, seed=3))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            build_block_operator("dichotomy-2.3", 10),
+            build_block_operator("almost-bisect-5.5", 50, {"p": 0.5}),
+            random_gap_operator(64, seed=7),
+        ],
+        ids=["dichotomy-2.3?N=10", "almost-bisect-5.5?N=50", "random(64, 7)"],
+    )
+    def test_basis_minus_spans_range_of_p_minus(self, op):
+        pair = oracle_projection(op)
+        b = pair.basis_minus
+        assert b.shape[1] == pair.rank_minus
+        assert spectral_norm(b.conj().T @ b - np.eye(b.shape[1])) <= 1e-12
+        residual = spectral_norm(pair.p_minus @ b - b)
+        assert residual <= 1e-12 * spectral_norm(pair.p_minus)
 
     def test_block_diagonal_structure(self):
         op = build_block_operator("dichotomy-2.3", 3)
