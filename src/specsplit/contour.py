@@ -5,27 +5,27 @@ The integrals all have the shape  (1/2*pi*i) * integral of  w(lambda) *
 imaginary axis), with weights w = 1/lambda^2, 1/lambda, 1, or the rational
 weight of the auxiliary half-plane resolvent.  Parameterising lambda = x0 + it
 turns them into integrals over t in (-inf, inf) which are truncated at
-|t| <= T and evaluated by composite Gauss-Legendre panels.
+|t| <= T and evaluated by composite Gauss-Kronrod panels.
 
 Node layout.  Panel breakpoints are dyadic in t (0, h, 2h, 4h, ..., T): the
 integrands vary on the scale of |lambda|, so log-spaced panels resolve both
 the near field and the algebraic tails with O(log(T/h)) panels.  The line is
-mapped by t = h*tan(theta) and the Gauss nodes are placed in theta, where the
-integrand is analytic and slowly varying; the central panel is subdivided
-further, concentrating nodes where the line passes closest to the spectrum.
+mapped by t = h*tan(theta), where the integrand is analytic and slowly
+varying, and every panel carries the 15 nodes in theta of the Kronrod
+extension of the 7-point Gauss rule (Piessens et al., QUADPACK, 1983).
 
 Error control.  One driver evaluates every integral.  It takes one line and
 the coefficient sets of all the integrals wanted on it, so a line is solved
 once for all of them: ``analysis.split`` puts A_+ (and B_+) on Re lambda = +h,
-and A_-, R_-(-2h) (and B_-) on Re lambda = -h.  Every panel is evaluated at
-the Gauss order q = 16 and at q/2.  The quadrature error estimate of a set is
-the spectral norm of the sum over the panels of I_q - I_{q/2}, each panel at
-its own order.  While some set misses tol, the order is doubled (up to 2^10)
-only on the panels whose Frobenius difference exceeds tol/n_panels for some
-set; the old order becomes their half order.  Such a panel exists whenever
-the test fails, since the spectral norm of a sum is at most the sum of the
-Frobenius norms, and a panel below the threshold is never refined again
-(per-panel refinement as in QUADPACK, Piessens et al. 1983).  The omitted
+and A_-, R_-(-2h) (and B_-) on Re lambda = -h.  A panel's value is its
+Kronrod sum and its estimate the Kronrod minus the embedded Gauss sum, from
+the same solves; the estimate of a set is the spectral norm of the sum over
+the panels.  While some set misses tol, the panels whose Frobenius estimate
+exceeds their share tol * width / (line width) in theta for some set are
+bisected, and only the halves are solved again, at most 6 times.  Such a
+panel exists whenever the test fails, since the shares sum to tol and the
+spectral norm of a sum is at most the sum of the Frobenius norms.  The dyadic
+edges, and the principal value's switch at T/2, stay panel edges.  The omitted
 |t| > T tail is bounded by the Neumann bound ||(S - lambda)^{-1}|| <=
 1/(|lambda| - ||S||) (Kato, Perturbation Theory, I-5), integrated in closed
 form against the weight, for T >= 2 max(||S||, |z|), z the pole of R_-(z).
@@ -34,8 +34,8 @@ least 10 h, at which every tail on the line meets the target of what its
 integral feeds (:func:`_side_integrals`); where none does,
 :class:`TruncationError` is raised.  ``QuadResult`` reports T_eff, and its
 ``est_error`` is the quadrature estimate of the integral's own set plus its
-tail bound; ``QuadResult.node_count`` counts every solve on the line, at
-every order and for every integral that shares the line.
+tail bound; ``QuadResult.node_count`` counts every solve on the line, in
+every pass and for every integral that shares the line.
 
 Spectral clearance.  A line Re lambda = +-h needs h <= 0.95 * gap, checked
 once before its nodes are solved; every node then lies at least 0.05 * gap
@@ -52,8 +52,9 @@ per node for larger blocks), and the weighted sums are accumulated per panel
 in Schur coordinates, where the per-panel norms are taken too, and
 back-transformed once per integral.  A pair (S, T) is reduced on the blocks
 of the union of both patterns, and each panel sum is back-transformed before
-the difference R_S - R_T is taken.  Only the panels still open keep their
-own sums.  The reductions are ordered sums, so results are deterministic.
+the difference R_S - R_T is taken.  A closed panel's sums go into running
+totals, and an open panel's are dropped once its halves are solved.  The
+reductions are ordered sums, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -85,10 +86,6 @@ __all__ = [
     "contour_shift_check",
     "line_nodes",
 ]
-
-_FIRST_ORDER = 16  # the Gauss order of every panel's first pass
-_MAX_NODES_PER_UNIT = 1024
-
 
 @dataclass(frozen=True)
 class ContourSpec:
@@ -154,13 +151,29 @@ def default_contour(op: Operator, safety: float = 0.5, **overrides) -> ContourSp
 # node generation
 # ---------------------------------------------------------------------------
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# The abscissae that extend the 7-point Gauss rule to the 15-point Kronrod
+# rule (QUADPACK qk15, Piessens et al. 1983).
+_KRONROD_ABSCISSAE = (
+    0.991455371120812639, 0.864864423359769073, 0.586087235467691130, 0.207784955007898468
+)
 
 
-def _gauss(q: int):
-    if q not in _GAUSS_CACHE:
-        _GAUSS_CACHE[q] = np.polynomial.legendre.leggauss(q)
-    return _GAUSS_CACHE[q]
+def _kronrod_rule():
+    """The 15 nodes on [-1, 1], increasing, with the Kronrod weights, which
+    make the rule exact on the Legendre polynomials up to degree 14, and the
+    weights of the embedded Gauss rule (zero on the Kronrod abscissae)."""
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(7)
+    x = np.concatenate([gauss_x, np.negative(_KRONROD_ABSCISSAE), _KRONROD_ABSCISSAE])
+    order = np.argsort(x)
+    moments = np.eye(x.size)[0] * 2.0  # the integrals of P_0, ..., P_14
+    weights = np.linalg.solve(np.polynomial.legendre.legvander(x[order], 14).T, moments)
+    return x[order], weights, np.concatenate([gauss_w, np.zeros(8)])[order]
+
+
+_NODES, _WEIGHTS, _GAUSS_WEIGHTS = _kronrod_rule()
+# a node's weight in the Kronrod-minus-Gauss estimate, relative to its weight
+_ESTIMATE_RATIO = 1.0 - _GAUSS_WEIGHTS / _WEIGHTS
+_MAX_BISECTIONS = 6
 
 
 def _dyadic_breaks(scale: float, t_max: float) -> np.ndarray:
@@ -171,12 +184,10 @@ def _dyadic_breaks(scale: float, t_max: float) -> np.ndarray:
 
 def _line_panels(scale: float, t_max: float):
     """Panel edges of the whole line in theta, where t = scale*tan(theta)
-    carries the Gauss nodes, increasing, and the effective truncation
-    ``t_eff``."""
+    carries the nodes, increasing, and the effective truncation ``t_eff``."""
     breaks = _dyadic_breaks(scale, t_max)
     theta = np.arctan(breaks / scale)
-    half = np.sort(np.concatenate([theta, theta[1] * np.array([0.125, 0.25, 0.5])]))
-    return np.concatenate([-half[:0:-1], half]), float(breaks[-1])
+    return np.concatenate([-theta[:0:-1], theta]), float(breaks[-1])
 
 
 def line_nodes(scale: float, t_max: float, q: int, panels=None):
@@ -184,18 +195,18 @@ def line_nodes(scale: float, t_max: float, q: int, panels=None):
 
     Returns ``(t, w, t_eff)`` with ``t_eff = scale * 2^K >= t_max`` the
     effective truncation (panel boundaries are kept exactly dyadic so that
-    prefix truncations remain exact sub-sums).  ``panels`` selects panels by
-    their index along the line, from the bottom (all panels by default); each
-    selected panel contributes ``q`` consecutive nodes, in increasing t.
+    prefix truncations remain exact sub-sums).  ``panels`` is a pair (lo, hi)
+    of panel edges in theta (the dyadic panels of the whole line by default);
+    each panel contributes the ``q = 15`` nodes of the Kronrod rule, in
+    increasing t, with their Kronrod weights.
     """
+    if q != _NODES.size:
+        raise ValueError(f"a panel carries the {_NODES.size} Kronrod nodes, got q={q}")
     edges, t_eff = _line_panels(scale, t_max)
-    lo, hi = edges[:-1], edges[1:]
-    if panels is not None:
-        lo, hi = lo[panels], hi[panels]
-    x, w = _gauss(q)
+    lo, hi = (edges[:-1], edges[1:]) if panels is None else panels
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
+    weights = (half[:, None] * _WEIGHTS[None, :]).ravel()
     return scale * np.tan(nodes), scale / np.cos(nodes) ** 2 * weights, t_eff
 
 
@@ -217,7 +228,7 @@ class _Line:
 def _line_integrals(ops, x0: float, weights, spec: ContourSpec, t_eff, scale=None) -> _Line:
     """Integrals (1/2*pi) * integral of w(lambda) R(lambda) dt over the line
     Re lambda = x0, |t| <= t_eff (a dyadic height from :func:`_line_tails`),
-    one per weight, with per-panel order doubling until the quadrature
+    one per weight, with the open panels bisected until the quadrature
     estimate of every weight meets ``spec.tol``; R is the resolvent of
     ``ops[0]``, or R_S - R_T when ``ops`` is a pair (S, T).  Callers check
     the line with :func:`_check_contour_admissible`; the nodes are not
@@ -225,68 +236,45 @@ def _line_integrals(ops, x0: float, weights, spec: ContourSpec, t_eff, scale=Non
     scale = spec.h if scale is None else scale
     kernel = _Kernel(ops)
     edges, _ = _line_panels(scale, t_eff)
-    n_panels = edges.size - 1
-    cut = spec.tol / n_panels
+    lo, hi = edges[:-1], edges[1:]
+    n, q = len(weights), _NODES.size
+    closed = kernel.zeros(2 * n)  # the values, then the estimates, of the closed panels
     node_count = 0
-
-    def solve(order, panels):
-        nonlocal node_count
-        t, w, _ = line_nodes(scale, t_eff, order, panels)
+    for _ in range(_MAX_BISECTIONS + 1):
+        t, w = line_nodes(scale, t_eff, q, (lo, hi))[:2]
         lams = x0 + 1j * t
         node_count += lams.size
         coefs = np.array([w * weight(lams) / (2.0 * np.pi) for weight in weights])
-        return lams, coefs
-
-    q = _FIRST_ORDER
-    panels = np.arange(n_panels)  # the open panels, all at order q
-    kept = None  # their sums at the previous order
-    closed_hi, closed_diff = kernel.zeros(len(weights)), kernel.zeros(len(weights))
-    while True:
-        lams, coefs = solve(q, panels)
-        if kept is None:
-            half = q // 2
-            lo_lams, lo_coefs = solve(half, panels)
-        open_hi, open_diff = kernel.zeros(len(weights)), kernel.zeros(len(weights))
-        is_open, next_kept = np.zeros(panels.size, dtype=bool), []
+        coefs = np.concatenate([coefs, coefs * np.tile(_ESTIMATE_RATIO, lo.size)])
+        share = spec.tol * (hi - lo) / (edges[-1] - edges[0])
+        still_open, is_open = kernel.zeros(2 * n), np.zeros(lo.size, dtype=bool)
         batch = kernel.panels_per_batch(q)
-        for first in range(0, panels.size, batch):
-            p = slice(first, min(first + batch, panels.size))
+        for first in range(0, lo.size, batch):
+            p = slice(first, min(first + batch, lo.size))
             nodes = slice(p.start * q, p.stop * q)
-            hi = kernel.sums(lams[nodes], coefs[:, nodes], q)
-            if kept is None:
-                lo_nodes = slice(p.start * half, p.stop * half)
-                lo = kernel.sums(lo_lams[lo_nodes], lo_coefs[:, lo_nodes], half)
-            else:
-                lo = [k[:, p] for k in kept]
-            diff = [h - l for h, l in zip(hi, lo)]
-            mask = np.any(_stack_norms(diff, spectral=False) > cut, axis=0)
-            for acc, blocks, sel in (
-                (closed_hi, hi, ~mask),
-                (closed_diff, diff, ~mask),
-                (open_hi, hi, mask),
-                (open_diff, diff, mask),
-            ):
-                for a, b in zip(acc, blocks):
+            sums = kernel.sums(lams[nodes], coefs[:, nodes], q)
+            fro = _stack_norms([s[n:] for s in sums], spectral=False)
+            is_open[p] = np.any(fro > share[p], axis=0)
+            for acc, sel in ((closed, ~is_open[p]), (still_open, is_open[p])):
+                for a, b in zip(acc, sums):
                     a += b[:, sel].sum(axis=1)
-            is_open[p] = mask
-            next_kept.append([h[:, mask] for h in hi])
-        est = _stack_norms([c + o for c, o in zip(closed_diff, open_diff)], spectral=True)
-        # with every panel closed the estimate is below tol up to rounding
+        totals = [c + o for c, o in zip(closed, still_open)]
+        est = _stack_norms([t[n:] for t in totals], spectral=True)
+        # the shares of the panels sum to tol, so with every panel closed the
+        # estimate is below tol up to rounding
         if np.all(est <= spec.tol) or not is_open.any():
-            totals = [c + o for c, o in zip(closed_hi, open_hi)]
             return _Line(
-                values=[kernel.dense([t[i] for t in totals]) for i in range(len(weights))],
+                values=[kernel.dense([t[i] for t in totals]) for i in range(n)],
                 est=[float(e) for e in est],
                 node_count=node_count,
             )
-        if q >= _MAX_NODES_PER_UNIT:
-            raise QuadratureError(
-                f"quadrature on Re lambda = {x0:.6g} did not reach tol={spec.tol:.2e} at "
-                f"{_MAX_NODES_PER_UNIT} nodes per panel (estimate {est.max():.2e})"
-            )
-        panels = panels[is_open]
-        kept = [np.concatenate(parts, axis=1) for parts in zip(*next_kept)]
-        q *= 2
+        mid = 0.5 * (lo + hi)[is_open]
+        lo = np.stack([lo[is_open], mid], axis=1).ravel()
+        hi = np.stack([mid, hi[is_open]], axis=1).ravel()
+    raise QuadratureError(
+        f"quadrature on Re lambda = {x0:.6g} did not reach tol={spec.tol:.2e} after "
+        f"{_MAX_BISECTIONS} bisections (estimate {est.max():.2e})"
+    )
 
 
 def _log_log_fit(abs_lams: np.ndarray, norms: np.ndarray):

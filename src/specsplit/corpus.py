@@ -253,43 +253,45 @@ def mixed_choice_pair(n_blocks: int, lambda_set) -> tuple[np.ndarray, np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def corpus_unbproj(n_blocks: int = 3, lambda_set=(1, 3)) -> CorpusCase:
+def corpus_unbproj(n_blocks: int = 3, lambda_set=None) -> CorpusCase:
     """Dichotomy blocks S_n = [[n, 2n^2], [0, -n]] with a chosen sign pattern.
 
     ``lambda_set`` selects the blocks whose plus-side integral operator goes
-    into A_1 (the complementary choice builds A_2); every such mixed pair
-    satisfies the closed-projection algebra even though only the all-plus
-    choice gives the half-plane splitting.
+    into A_1 (the complementary choice builds A_2), the odd block indices by
+    default; every such mixed pair satisfies the closed-projection algebra
+    even though only the all-plus choice gives the half-plane splitting.
     """
     n_blocks = int(n_blocks)
     if n_blocks < 1:
         raise OperatorError("need at least one block")
+    if lambda_set is None:
+        lambda_set = range(1, n_blocks + 1, 2)
     lambda_set = tuple(sorted(set(int(k) for k in np.atleast_1d(lambda_set))))
     if any(k < 1 or k > n_blocks for k in lambda_set):
         raise OperatorError(f"lambda_set must be a subset of 1..{n_blocks}")
     op = build_block_operator("dichotomy-2.3", n_blocks)
     params = {"N": n_blocks, "lambda1": list(lambda_set)}
 
+    @functools.cache
+    def quad_a(side):
+        return integrate_A(op, side, default_contour(op, tol=_QUAD_TOL)).value
+
     def check_quad_a(side):
         def checker(budget: Budget):
             _guard_quadrature(op, budget)
-            spec = default_contour(op, tol=_QUAD_TOL)
-            quad = integrate_A(op, side, spec)
             key = "A_plus" if side == "+" else "A_minus"
-            err = _per_block_error(op, quad.value, lambda n: dichotomy_block_forms(n)[key])
+            err = _per_block_error(op, quad_a(side), lambda n: dichotomy_block_forms(n)[key])
             return err <= budget.identity_tol, err, "max entry error vs closed form"
         return checker
 
     def check_quad_p(budget: Budget):
         _guard_quadrature(op, budget)
-        spec = default_contour(op, tol=_QUAD_TOL)
         s2 = op.entries @ op.entries
         worst = 0.0
         for side, key in (("+", "P_plus"), ("-", "P_minus")):
-            quad = integrate_A(op, side, spec)
             worst = max(
                 worst,
-                _per_block_error(op, s2 @ quad.value, lambda n: dichotomy_block_forms(n)[key]),
+                _per_block_error(op, s2 @ quad_a(side), lambda n: dichotomy_block_forms(n)[key]),
             )
         return worst <= budget.identity_tol, worst, "P = S^2 A vs closed block pattern"
 

@@ -187,6 +187,13 @@ class TestReproduce:
         assert code == 0
         assert json.loads(out)["params"]["lambda1"] == [2]
 
+    @pytest.mark.parametrize("case", ["unbproj?N=1", "unbproj?N=2"])
+    def test_default_lambda_set_below_three_blocks(self, capsys, case):
+        # the default choice is the odd blocks, a subset of 1..N for every N
+        code, out, _ = run_cli(capsys, "reproduce", case, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["params"]["lambda1"] == [1]
+
     def test_unknown_case(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "no-such-case")
         assert code == 1

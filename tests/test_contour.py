@@ -27,8 +27,17 @@ from specsplit import (
     spectrum,
     split,
 )
-from specsplit.contour import _log_log_fit, _side_integrals, line_nodes
-from specsplit.operators import _spectrum_distance, operator_norm
+from specsplit.contour import (
+    _ESTIMATE_RATIO,
+    _GAUSS_WEIGHTS,
+    _NODES,
+    _WEIGHTS,
+    _line_panels,
+    _log_log_fit,
+    _side_integrals,
+    line_nodes,
+)
+from specsplit.operators import _Kernel, _spectrum_distance, _stack_norms, operator_norm
 from specsplit.perturbation import projection_diff_integral
 
 
@@ -61,7 +70,7 @@ class TestContourSpec:
         spec = ContourSpec(h=0.25, tol=1e-6)
         again = ContourSpec.from_json_dict(spec.to_json_dict())
         assert again == spec
-        # the truncation height and the Gauss order are derived, not set
+        # the truncation height is derived and the rule fixed, neither is set
         for field, value in (("truncation_T", 1e6), ("nodes_per_unit", 8)):
             with pytest.raises(ValueError, match="unknown contour fields"):
                 ContourSpec.from_json_dict({**spec.to_json_dict(), field: value})
@@ -124,16 +133,16 @@ class TestIntegrateA:
         assert t2 <= 0.51 * t1
 
     def test_node_escalation(self, monkeypatch):
-        orders = []
+        passes = []
 
         def recording_line_nodes(*args, **kwargs):
-            orders.append(args[2])
+            passes.append(args[3])
             return line_nodes(*args, **kwargs)
 
         monkeypatch.setattr(contour_module, "line_nodes", recording_line_nodes)
         op = random_gap_operator(8, 3)
         quad = integrate_A(op, "+", default_contour(op))
-        assert max(orders) > 16
+        assert len(passes) > 1
         p_plus = op.entries @ op.entries @ quad.value
         assert spectral_norm(p_plus - oracle_projection(op).p_plus) <= 1e-12
 
@@ -284,8 +293,50 @@ class TestContourShift:
 
 
 # ---------------------------------------------------------------------------
-# the quadrature driver: shared lines, per-panel orders, the order cap
+# the quadrature driver: the rule, shared lines, bisection, the bisection cap
 # ---------------------------------------------------------------------------
+
+
+def test_kronrod_rule_exactness():
+    # the 15-point rule integrates x^d exactly for d <= 22 = 3*7 + 1 and the
+    # embedded 7-point Gauss rule for d <= 13, on [-1, 1]; the weights alone
+    # give d <= 14, so a mistyped abscissa fails the even degrees 16 to 22
+    # (from about its 12th digit on, at this tolerance)
+    for d in range(23):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(_WEIGHTS @ _NODES**d - exact) <= 1e-15
+        if d <= 13:
+            assert abs(_GAUSS_WEIGHTS @ _NODES**d - exact) <= 1e-15
+    assert np.count_nonzero(_GAUSS_WEIGHTS) == 7
+
+
+def test_each_pass_solves_the_halves_of_open_panels(monkeypatch):
+    passes = []
+
+    def recording_line_nodes(*args, **kwargs):
+        passes.append(args[3])
+        return line_nodes(*args, **kwargs)
+
+    monkeypatch.setattr(contour_module, "line_nodes", recording_line_nodes)
+    op = random_gap_operator(64, 7)
+    spec = default_contour(op)
+    quad = integrate_A(op, "+", spec)
+    assert len(passes) > 1
+    edges, _ = _line_panels(spec.h, quad.t_eff)
+    assert np.array_equal(passes[0][0], edges[:-1]) and np.array_equal(passes[0][1], edges[1:])
+    kernel = _Kernel((op,))
+    for (lo, hi), (next_lo, next_hi) in zip(passes, passes[1:]):
+        # the open panels: Kronrod-minus-Gauss estimate above the panel's share
+        t, w, _ = line_nodes(spec.h, quad.t_eff, 15, (lo, hi))
+        lams = spec.h + 1j * t
+        coefs = w / lams**2 / (2.0 * np.pi) * np.tile(_ESTIMATE_RATIO, lo.size)
+        fro = _stack_norms(kernel.sums(lams, [coefs], 15), spectral=False)[0]
+        is_open = fro > spec.tol * (hi - lo) / (edges[-1] - edges[0])
+        # consecutive pairs are the two halves of one open panel of the last pass
+        assert np.array_equal(next_lo[::2], lo[is_open]) and np.array_equal(next_hi[1::2], hi[is_open])
+        assert np.array_equal(next_hi[::2], next_lo[1::2])
+        assert np.array_equal(next_hi[::2], 0.5 * (lo + hi)[is_open])
+    assert quad.node_count == 15 * sum(lo.size for lo, _ in passes)
 
 
 SHARED_LINE_OPERATORS = {
@@ -363,7 +414,7 @@ def test_derived_height_agrees_with_the_oracle(op):
 def test_tolerance_below_rounding_hits_order_cap():
     op = dense_operator(block23(1))
     spec = dataclasses.replace(default_contour(op), tol=1e-20)
-    with pytest.raises(QuadratureError, match="1024 nodes per panel"):
+    with pytest.raises(QuadratureError, match="after 6 bisections"):
         integrate_A(op, "+", spec)
 
 

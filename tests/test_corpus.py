@@ -16,6 +16,8 @@ from specsplit import (
     spectral_norm,
     sylvester_diag_solve,
 )
+import specsplit.corpus as corpus_module
+from specsplit.contour import integrate_A
 from specsplit.corpus import dichotomy_block_forms, mixed_choice_pair
 from specsplit.operators import mcintosh_yagi_parts
 
@@ -54,6 +56,22 @@ class TestUnbproj:
     def test_lambda_set_validation(self):
         with pytest.raises(OperatorError):
             corpus_unbproj(2, (5,))
+
+    def test_each_side_is_integrated_once(self, monkeypatch):
+        sides = []
+
+        def counting_integrate_A(op, side, spec):
+            sides.append(side)
+            return integrate_A(op, side, spec)
+
+        monkeypatch.setattr(corpus_module, "integrate_A", counting_integrate_A)
+        report = run_case(make_case("unbproj"))
+        assert report.all_passed
+        assert sorted(sides) == ["+", "-"]
+
+    def test_default_lambda_set_is_the_odd_blocks(self):
+        assert corpus_unbproj().params["lambda1"] == [1, 3]
+        assert corpus_unbproj(6).params["lambda1"] == [1, 3, 5]
 
     def test_budget_skips_quadrature(self):
         report = run_case(corpus_unbproj(3, (1, 3)), Budget(max_quad_dim=1))

@@ -28,7 +28,7 @@ from specsplit.contour import line_nodes
 from specsplit.operators import _Kernel, _schur_groups, _stack_norms
 
 REL_TOL = 1e-12
-Q = 4  # nodes per panel, as ``nodes_for`` lays them out
+Q = 15  # nodes per panel: the Kronrod rule, as ``nodes_for`` lays them out
 
 
 def dense_resolvents(op, lams):
