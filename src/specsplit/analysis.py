@@ -1,8 +1,9 @@
 """Assembly of the spectral splitting and its diagnostic checks.
 
 ``split`` turns the two vertical-line integrals into the half-plane
-projections P_+- = S^2 A_+-, extracts orthonormal bases of the invariant
-subspaces by a rank-revealing factorisation, restricts the operator to them,
+projections P_+- = S^2 A_+-, takes their ranks from their traces and
+orthonormal bases of the invariant subspaces from their singular vectors,
+restricts the operator to them,
 and records the residual of every identity the construction is supposed to
 satisfy: complementarity and idempotency of the projections, the algebra of
 the A operators (sum to S^{-2}, annihilate each other, commute with the
@@ -27,13 +28,13 @@ from .contour import ContourSpec, _log_log_fit, _side_integrals, default_contour
 from .errors import OperatorError, SplittingMismatchError
 from .operators import (
     Operator,
-    _check_points_clear,
     _clear_points,
     _Kernel,
     _spectrum_distance,
     eigenvalues_of,
     near_spectrum_tol,
     resolvent,
+    resolvent_norms,
     spectral_norm,
     spectrum,
 )
@@ -58,9 +59,6 @@ __all__ = [
     "SectorialityCheck",
     "ParabolaProbe",
 ]
-
-_RANK_CUTOFF = 1e-8  # singular values below cutoff*sigma_max count as zero
-
 
 def json_safe_float(value: float):
     """Representable float for strict-JSON payloads: NaN becomes null,
@@ -96,24 +94,18 @@ def subspace_angle(v: np.ndarray, w: np.ndarray) -> float:
     return float(np.arcsin(np.clip(sine, 0.0, 1.0)))
 
 
-def orthonormal_range(m: np.ndarray, cutoff: float = _RANK_CUTOFF) -> np.ndarray:
-    """Column-orthonormal basis of range(m) by singular value thresholding."""
-    m = np.asarray(m, dtype=complex)
-    u, sig, _ = np.linalg.svd(m, full_matrices=False)
-    if sig.size == 0 or sig[0] == 0.0:
-        return u[:, :0]
-    rank = int(np.sum(sig > cutoff * sig[0]))
-    return u[:, :rank]
-
-
-def m_subspace(a_side: np.ndarray, tol: float = _RANK_CUTOFF) -> np.ndarray:
-    """Orthonormal basis of the closure of range(A_side).
+def m_subspace(a_side: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Orthonormal basis of the closure of range(A_side), by singular value
+    thresholding: singular values below ``tol`` * sigma_max count as zero.
 
     At finite dimension this must coincide with the invariant-subspace basis
     of the same side whenever the projections are bounded, so the subspace
     angle against ``basis_g_plus``/``basis_g_minus`` is the natural check.
     """
-    return orthonormal_range(a_side, cutoff=tol)
+    u, sig, _ = np.linalg.svd(np.asarray(a_side, dtype=complex), full_matrices=False)
+    if sig.size == 0 or sig[0] == 0.0:
+        return u[:, :0]
+    return u[:, : int(np.sum(sig > tol * sig[0]))]
 
 
 def multiset_match_distance(ev_a, ev_b, rel_tol_scale: float = 1.0) -> float:
@@ -228,17 +220,13 @@ class SplitResult:
         }
 
 
-def split(
-    op: Operator,
-    spec: ContourSpec | None = None,
-    with_b: bool = False,
-    rank_cutoff: float = _RANK_CUTOFF,
-) -> SplitResult:
+def split(op: Operator, spec: ContourSpec | None = None, with_b: bool = False) -> SplitResult:
     """Compute the half-plane splitting of ``op`` from contour quadrature.
 
     P_+- = S^2 A_+- with A_+- as :func:`specsplit.contour.integrate_A`
-    returns them; bases of the invariant subspaces come from a rank-revealing
-    factorisation of the projections.  Each contour line is evaluated once:
+    returns them; the rank of P_+- is Re tr P_+- rounded, as the trace of a
+    projection is its rank, and its leading left singular vectors are the
+    basis of the invariant subspace.  Each contour line is evaluated once:
     Re lambda = +h for A_+ (and B_+), Re lambda = -h for A_-, R_-(-2h) (and
     B_-).  Operators whose spectrum touches the imaginary axis are refused
     rather than regularised.
@@ -248,14 +236,14 @@ def split(
     NearSpectrumError
         Zero spectral gap, or a contour too close to the spectrum.
     SplittingMismatchError
-        Projection ranks inconsistent with the eigenvalue counts per
+        Projection traces that do not round to the eigenvalue counts per
         half-plane.
     """
     spec = default_contour(op) if spec is None else spec
     z = -2.0 * spec.h
     b = ("B",) if with_b else ()
-    plus = _side_integrals(op, "+", spec, ("A", *b), rank_cutoff=rank_cutoff)
-    minus = _side_integrals(op, "-", spec, ("A", "R", *b), z, rank_cutoff)
+    plus = _side_integrals(op, "+", spec, ("A", *b))
+    minus = _side_integrals(op, "-", spec, ("A", "R", *b), z)
     quad_plus, quad_minus = plus["A"], minus["A"]
     a_plus, a_minus = quad_plus.value, quad_minus.value
     est_error = quad_plus.est_error + quad_minus.est_error
@@ -268,13 +256,14 @@ def split(
     n_right = int(np.sum(ev.real > 0))
     n_left = op.dim - n_right
 
-    basis_plus = orthonormal_range(p_plus, cutoff=rank_cutoff)
-    basis_minus = orthonormal_range(p_minus, cutoff=rank_cutoff)
-    if basis_plus.shape[1] != n_right or basis_minus.shape[1] != n_left:
+    traces = np.trace(p_plus).real, np.trace(p_minus).real
+    if not np.array_equal(np.rint(traces), (n_right, n_left)):  # also for a NaN trace
         raise SplittingMismatchError(
-            f"projection ranks ({basis_plus.shape[1]}, {basis_minus.shape[1]}) "
-            f"inconsistent with half-plane eigenvalue counts ({n_right}, {n_left})"
+            f"projection traces ({traces[0]:.6g}, {traces[1]:.6g}) inconsistent "
+            f"with half-plane eigenvalue counts ({n_right}, {n_left})"
         )
+    basis_plus = np.linalg.svd(p_plus, full_matrices=False)[0][:, :n_right]
+    basis_minus = np.linalg.svd(p_minus, full_matrices=False)[0][:, :n_left]
 
     # The spans are invariant, so the compression V^H S V is the restriction
     # of S in the chosen orthonormal coordinates.
@@ -448,8 +437,7 @@ def _restricted_norms(restricted: np.ndarray, grid: np.ndarray) -> np.ndarray:
     if k == 0:
         return np.zeros(grid.size)
     op = Operator(entries=restricted)
-    _check_points_clear(op, grid, 1e-12 * (1.0 + np.abs(eigenvalues_of(op)).max()))
-    return _Kernel((op,)).norms(grid)
+    return resolvent_norms(op, grid, 1e-12 * (1.0 + np.abs(eigenvalues_of(op)).max()))
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,11 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _non_convergence(message: str) -> int:
+    print(f"numerical non-convergence: {message}", file=sys.stderr)
+    return EXIT_NUMERIC
+
+
 def _write_output(text: str, out: str | None):
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -190,7 +195,14 @@ def cmd_split(args) -> int:
         **result.to_json_dict(),
     }
     _write_output(_json_text(payload), args.out)
-    return EXIT_OK if passed else EXIT_NUMERIC
+    if passed:
+        return EXIT_OK
+    worst = max(result.residuals, key=result.residuals.get)
+    return _non_convergence(
+        f"split residual {worst} = {result.residuals[worst]:.3e} against pass_tol "
+        f"{args.pass_tol:.3g} (spectrum margins {result.spectrum_margin_plus:.3g}, "
+        f"{result.spectrum_margin_minus:.3g})"
+    )
 
 
 def _default_fit_hi(op: Operator) -> float:
@@ -270,12 +282,10 @@ def cmd_perturb(args) -> int:
     op = resolve_operator(args.operator)
     r = _perturbation_matrix(op, args)
     beta = args.beta
-    if beta is None:
-        grid = axis_grid(1e-1, 1e4, 32)
-        window = (10.0, max(20.0, op.dim / 2.0))
-        fit = resolvent_sweep(op, grid, fit_window=window)
-        beta = min(1.0, fit.fitted_beta) if np.isfinite(fit.fitted_beta) else None
     window = (10.0, max(20.0, op.dim / 2.0))
+    if beta is None:
+        fit = resolvent_sweep(op, axis_grid(1e-1, 1e4, 32), fit_window=window)
+        beta = min(1.0, fit.fitted_beta) if np.isfinite(fit.fitted_beta) else None
     report = perturb_pair_report(op, r, beta=beta, fit_window=window)
     payload = {
         "version": __version__,
@@ -310,7 +320,10 @@ def cmd_reproduce(args) -> int:
     else:
         payload = {"version": __version__, **report.to_json_dict()}
         _write_output(_json_text(payload), args.out)
-    return EXIT_OK if report.all_passed else EXIT_NUMERIC
+    if report.all_passed:
+        return EXIT_OK
+    failed = ", ".join(f.name for f in report.facts if not f.passed)
+    return _non_convergence(f"reproduce {report.case}: failed facts {failed}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +417,7 @@ def main(argv=None) -> int:
         print(f"spectral precondition failed: {exc}", file=sys.stderr)
         return EXIT_SPECTRAL
     except (QuadratureError, SplittingMismatchError) as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _non_convergence(str(exc))
 
 
 if __name__ == "__main__":

@@ -174,6 +174,9 @@ _NODES, _WEIGHTS, _GAUSS_WEIGHTS = _kronrod_rule()
 # a node's weight in the Kronrod-minus-Gauss estimate, relative to its weight
 _ESTIMATE_RATIO = 1.0 - _GAUSS_WEIGHTS / _WEIGHTS
 _MAX_BISECTIONS = 6
+# A feeds P = S^2 A, so its tail is held to min(tol, _P_TAIL) / max(1, ||S||)^2:
+# the tail of P then stays below the residual suite's default pass_tol (1e-6).
+_P_TAIL = 1e-8
 
 
 def _dyadic_breaks(scale: float, t_max: float) -> np.ndarray:
@@ -361,15 +364,13 @@ def _r_minus_weight(z: complex, spec: ContourSpec):
     return lambda lam: z**2 / (lam**2 * (lam - z))
 
 
-def _side_integrals(
-    op: Operator, side: str, spec: ContourSpec, kinds, z=None, rank_cutoff=np.inf
-) -> dict:
+def _side_integrals(op: Operator, side: str, spec: ContourSpec, kinds, z=None) -> dict:
     """The integrals ``kinds`` on the line Re lambda = +-h, from one driver
     call: "A" and "B" as :func:`integrate_A` and :func:`integrate_B` return
     them, "R" (side "-" only) the matrix R_-(z) of :func:`r_minus`.  The
-    height holds the tail of A to min(tol, ``rank_cutoff``) / max(1, ||S||)^2,
-    as A feeds P = S^2 A and its rank test; that of R_-(z) to
-    tol / max(1, ||S|| + |z|), as it feeds (S - z) R_-(z); that of B to tol."""
+    height holds the tail of A to min(tol, _P_TAIL) / max(1, ||S||)^2, as A
+    feeds P = S^2 A; that of R_-(z) to tol / max(1, ||S|| + |z|), as it feeds
+    (S - z) R_-(z); that of B to tol."""
     _check_contour_admissible((op,), spec)
     sgn = _side_sign(side)
     x0 = sgn * spec.h
@@ -381,7 +382,7 @@ def _side_integrals(
     for kind in kinds:
         if kind == "A":
             weights.append(lambda lam: 1.0 / lam**2)
-            target = min(spec.tol, rank_cutoff) / max(1.0, norm) ** 2
+            target = min(spec.tol, _P_TAIL) / max(1.0, norm) ** 2
             terms.append((1.0, 2, (), target))
         elif kind == "B":
             weights.append(lambda lam: 1.0 / lam)

@@ -255,15 +255,7 @@ def resolvent(op: Operator, lam: complex, tol: float | None = None) -> np.ndarra
     """
     if tol is None:
         tol = near_spectrum_tol(op)
-    dist, nearest = _spectrum_distance((op,), np.array([lam], dtype=complex))
-    ev, dist = complex(nearest[0]), float(dist[0])
-    if dist <= tol:
-        raise NearSpectrumError(
-            f"lambda={lam} is within {dist:.3e} of eigenvalue {ev} (tol {tol:.3e})",
-            eigenvalue=ev,
-            distance=dist,
-            tol=tol,
-        )
+    dist, ev = _check_points_clear(op, np.array([lam], dtype=complex), tol)
     n = op.dim
     shifted = op.entries - lam * np.eye(n)
     res = np.linalg.solve(shifted, np.eye(n, dtype=complex))
@@ -279,20 +271,25 @@ def resolvent(op: Operator, lam: complex, tol: float | None = None) -> np.ndarra
     return res
 
 
-def _check_points_clear(op: Operator, lams: np.ndarray, tol: float):
-    """Refuse when any point of ``lams`` is within ``tol`` of the spectrum."""
+def _check_points_clear(op: Operator, lams: np.ndarray, tol: float | None = None):
+    """Refuse when any point of ``lams`` is within ``tol`` (by default
+    :func:`near_spectrum_tol`) of the spectrum; otherwise the distance of the
+    closest point to the spectrum and the eigenvalue nearest to it (inf and
+    None for no points)."""
     if lams.size == 0:
-        return
+        return float("inf"), None
+    tol = near_spectrum_tol(op) if tol is None else tol
     dist, nearest = _spectrum_distance((op,), lams)
     bad = int(np.argmin(dist))
-    if dist[bad] <= tol:
+    dist, ev = float(dist[bad]), complex(nearest[bad])
+    if dist <= tol:
         raise NearSpectrumError(
-            f"lambda={lams[bad]} is within {dist[bad]:.3e} of eigenvalue "
-            f"{nearest[bad]} (tol {tol:.3e})",
-            eigenvalue=complex(nearest[bad]),
-            distance=float(dist[bad]),
+            f"lambda={lams[bad]} is within {dist:.3e} of eigenvalue {ev} (tol {tol:.3e})",
+            eigenvalue=ev,
+            distance=dist,
             tol=tol,
         )
+    return dist, ev
 
 
 def resolvent_many(op: Operator, lams, tol: float | None = None) -> np.ndarray:
@@ -306,8 +303,6 @@ def resolvent_many(op: Operator, lams, tol: float | None = None) -> np.ndarray:
     callers that need certified values estimate errors at a higher level.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
-    if tol is None:
-        tol = near_spectrum_tol(op)
     _check_points_clear(op, lams, tol)
     kernel = _Kernel((op,))
     out = np.empty((lams.size, op.dim, op.dim), dtype=complex)
@@ -319,8 +314,6 @@ def resolvent_many(op: Operator, lams, tol: float | None = None) -> np.ndarray:
 def resolvent_norms(op: Operator, lams, tol: float | None = None) -> np.ndarray:
     """Operator norms ||(S - lam)^{-1}|| on a grid of spectral parameters."""
     lams = np.asarray(lams, dtype=complex).ravel()
-    if tol is None:
-        tol = near_spectrum_tol(op)
     _check_points_clear(op, lams, tol)
     return _Kernel((op,)).norms(lams)
 

@@ -46,6 +46,14 @@ class TestSplit:
             assert np.abs(result.p_minus[sl, sl] - [[0, -n], [0, 1]]).max() <= 1e-8
         assert result.rank_plus == 4 and result.rank_minus == 4
 
+    def test_ranks_from_the_trace_at_the_precision_floor(self):
+        # ||S|| = 5.5e11, so P = S^2 A carries the roundoff of A times ||S||^2:
+        # spurious singular values of P rise far above roundoff, but tr P still
+        # rounds to the eigenvalue count, and the residuals of P fail instead
+        result = split(build_block_operator("mcintosh-yagi", 2))
+        assert (result.rank_plus, result.rank_minus) == (46, 46)
+        assert not result.passes(1e-6)
+
     @pytest.mark.parametrize("seed", [1, 8])
     def test_matches_oracle(self, seed):
         op = random_gap_operator(8, seed=seed)

@@ -36,11 +36,22 @@ class TestSplitCommand:
         assert json.loads(out)["passed"] is True
 
     def test_conditioning_failure_exits_3(self, capsys):
-        # the P = S^2 A route degrades beyond float range for this family's
-        # second block (||S|| ~ 5e11), surfacing as a splitting mismatch
+        # P = S^2 A multiplies the roundoff of A by ||S||^2 ~ 3e23 on this
+        # family's second block (||S|| ~ 5.5e11), so the residuals of P miss
+        # pass_tol
         code, _, err = run_cli(capsys, "split", "mcintosh-yagi?N=2")
         assert code == 3
         assert "non-convergence" in err
+
+    def test_failed_pass_names_the_worst_residual(self, capsys):
+        code, out, err = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--pass-tol", "1e-20")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        worst = max(payload["residuals"], key=payload["residuals"].get)
+        assert err.count("\n") == 1
+        assert err.startswith(f"numerical non-convergence: split residual {worst} = ")
+        assert "pass_tol 1e-20" in err
 
     def test_contour_flags(self, capsys):
         code, out, _ = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--h", "0.3")
@@ -193,6 +204,15 @@ class TestReproduce:
         code, out, _ = run_cli(capsys, "reproduce", case, "--format", "json")
         assert code == 0
         assert json.loads(out)["params"]["lambda1"] == [1]
+
+    def test_failed_facts_named_on_stderr(self, capsys):
+        code, out, err = run_cli(capsys, "reproduce", "unbproj?N=2", "--tol", "1e-30",
+                                 "--format", "json")
+        assert code == 3
+        failed = [f["name"] for f in json.loads(out)["facts"] if not f["passed"]]
+        assert failed
+        expect = f"reproduce unbproj: failed facts {', '.join(failed)}"
+        assert err == f"numerical non-convergence: {expect}\n"
 
     def test_unknown_case(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "no-such-case")

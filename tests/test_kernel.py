@@ -25,7 +25,7 @@ from specsplit import (
     spectrum,
 )
 from specsplit.contour import line_nodes
-from specsplit.operators import _Kernel, _schur_groups, _stack_norms
+from specsplit.operators import _Kernel, _schur_groups, _stack_norms, operator_norm
 
 REL_TOL = 1e-12
 Q = 15  # nodes per panel: the Kronrod rule, as ``nodes_for`` lays them out
@@ -43,9 +43,11 @@ def rel(a, b):
 
 
 def nodes_for(op):
-    """A quadrature line at half the gap, as the integrals lay it out."""
+    """A quadrature line at half the gap, as the integrals lay it out, up to
+    the height 2 ||S|| where their Neumann tail bounds start: the nodes
+    beyond it meet no block shape that these miss."""
     h = 0.5 * spectrum(op).min_abs_real
-    t, w, _ = line_nodes(h, 1e8, Q)
+    t, w, _ = line_nodes(h, 2.0 * max(1.0, operator_norm(op)), Q)
     return h + 1j * t, w
 
 
