@@ -33,6 +33,7 @@ from .operators import (
     _spectrum_distance,
     eigenvalues_of,
     near_spectrum_tol,
+    operator_norm,
     resolvent,
     resolvent_norms,
     spectral_norm,
@@ -170,7 +171,11 @@ def projection_pair_residuals(p1: np.ndarray, p2: np.ndarray) -> dict:
 
 @dataclass(frozen=True)
 class SplitResult:
-    """Projections, invariant-subspace bases, restrictions, and residuals."""
+    """Projections, invariant-subspace bases, restrictions, and residuals.
+
+    ``est_error`` is the sum of both lines' error estimates for A_+-;
+    ``p_est_error`` = max(1, ||S||)^2 est_error is what it implies for
+    P_+- = S^2 A_+-, the matrices the residuals check."""
 
     a_plus: np.ndarray
     a_minus: np.ndarray
@@ -184,6 +189,7 @@ class SplitResult:
     spectrum_margin_plus: float
     spectrum_margin_minus: float
     est_error: float
+    p_est_error: float
     t_eff_plus: float
     t_eff_minus: float
     b_plus: np.ndarray | None = None
@@ -214,6 +220,7 @@ class SplitResult:
             "spectrum_margin_plus": self.spectrum_margin_plus,
             "spectrum_margin_minus": self.spectrum_margin_minus,
             "est_error": self.est_error,
+            "p_est_error": self.p_est_error,
             "t_eff_plus": self.t_eff_plus,
             "t_eff_minus": self.t_eff_minus,
             "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
@@ -317,6 +324,7 @@ def split(op: Operator, spec: ContourSpec | None = None, with_b: bool = False) -
         spectrum_margin_plus=margin_plus,
         spectrum_margin_minus=margin_minus,
         est_error=est_error,
+        p_est_error=max(1.0, operator_norm(op)) ** 2 * est_error,
         t_eff_plus=quad_plus.t_eff,
         t_eff_minus=quad_minus.t_eff,
         b_plus=b_plus,

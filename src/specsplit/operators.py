@@ -33,6 +33,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import ztrsyl as _ztrsyl
 from scipy.linalg.lapack import ztrtri as _ztrtri
+from scipy.linalg.lapack import ztrtrs as _ztrtrs
 from scipy.sparse.csgraph import connected_components
 
 from .errors import NearSpectrumError, OperatorError
@@ -296,23 +297,37 @@ def resolvent_many(op: Operator, lams, tol: float | None = None) -> np.ndarray:
     """Resolvents at many spectral parameters, as a (k, dim, dim) stack.
 
     Same near-spectrum precondition as :func:`resolvent`, checked for every
-    point at once.  The values come from the resolvent kernel (one cached
-    Schur form per diagonal block, triangular inverses per point,
-    back-transformed per point), not from the certified solve of
+    point at once.  The values come from the cached Schur forms of the
+    diagonal blocks, B = Q T Q^H: per point one triangular solve
+    (T - lam) Y = Q^H (LAPACK ztrtrs, or back substitution below order
+    _LAPACK_MIN_ORDER) and one product Q Y, not from the certified solve of
     :func:`resolvent`: per-point residual verification is skipped, and
     callers that need certified values estimate errors at a higher level.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     _check_points_clear(op, lams, tol)
-    kernel = _Kernel((op,))
-    out = np.empty((lams.size, op.dim, op.dim), dtype=complex)
+    groups = _schur_groups(op)
+    out = np.zeros((lams.size, op.dim, op.dim), dtype=complex)
     for part, _, _ in _panel_slices(op.dim**2, lams.size, 1):
-        out[part] = kernel.dense(kernel.nodes(lams[part]))
+        for g in groups:
+            # Q (T - lam)^{-1} Q^H: one triangular solve with Q^H, one product
+            y = _triangular_inverses(g, lams[part], g.q.conj().transpose(0, 2, 1))
+            out[part, g.idx[:, :, None], g.idx[:, None, :]] = g.q @ y
     return out
 
 
 def resolvent_norms(op: Operator, lams, tol: float | None = None) -> np.ndarray:
-    """Operator norms ||(S - lam)^{-1}|| on a grid of spectral parameters."""
+    """Operator norms ||(S - lam)^{-1}|| on a grid of spectral parameters.
+
+    The norm is the largest over the operator's connected components, each
+    in Schur form T, of ||(T - lam)^{-1}||: in closed form for components
+    of order 1 and 2, by an SVD below order _LANCZOS_MIN_ORDER (64), and
+    from there on by Lanczos on X^H X, X = (T - lam)^{-1}.  The Lanczos
+    value sqrt(theta_1 + rho_1), top Ritz value plus its residual, is
+    returned only where the trace of X^H X and Cauchy interlacing prove it
+    an upper bound on ||X||^2, and the SVD is used at every other node (see
+    ``_lanczos_norms``); both agree with the SVD to rounding.
+    """
     lams = np.asarray(lams, dtype=complex).ravel()
     _check_points_clear(op, lams, tol)
     return _Kernel((op,)).norms(lams)
@@ -338,9 +353,16 @@ def resolvent_norms(op: Operator, lams, tol: float | None = None) -> np.ndarray:
 # node.  For one operator, weighted sums are accumulated in Schur coordinates,
 # per quadrature panel when the quadrature driver asks for it, and
 # back-transformed once; Frobenius and spectral norms are unitarily invariant
-# and are taken there too.  For a pair, every panel sum (or node value) is
-# back-transformed before the difference.  None of this checks the distance
-# to the spectrum: callers do.
+# and are taken there too.  The spectral norm of a triangular inverse X of
+# order m is the closed form for m <= 2, an SVD below _LANCZOS_MIN_ORDER, and
+# from there on Lanczos on X^H X (the standard pseudospectra method:
+# Trefethen, "Computation of pseudospectra", Acta Numerica 8, 1999; Wright &
+# Trefethen, EigTool, 2002), whose value sqrt(theta_1 + rho_1) is certified
+# as an upper bound by the trace of X^H X and Cauchy interlacing, with the SVD
+# wherever that certificate does not close (_lanczos_norms).  For a pair,
+# every panel sum (or node value) is back-transformed before the difference,
+# and spectral norms always come from the SVD.  None of this checks the
+# distance to the spectrum: callers do.
 
 # Complex entries per node chunk of the kernel's work arrays (16 MiB).
 _CHUNK_ENTRIES = 1 << 20
@@ -351,6 +373,19 @@ _CHUNK_ENTRIES = 1 << 20
 # 0.6 against 5 us per node at order 4, equal near order 12, 12 against 8 us
 # at order 16).
 _LAPACK_MIN_ORDER = 12
+
+# One operator's blocks of this order and above take their spectral norms
+# from Lanczos on X^H X, X the triangular inverse (_lanczos_norms): each step
+# is two O(m^2) products, against an O(m^3) SVD per node below.  Measured on
+# random_gap_operator(d, 7) sweeps (one BLAS thread, 64 axis points or 128
+# line nodes), the two break even near order 64; on the order-340
+# McIntosh-Yagi block the 64-point axis sweep falls from about 1.6 to 0.4 s.
+# A node takes at most m/4 steps, and at most _LANCZOS_MAX_STEPS, about the
+# cost of one SVD; the top Ritz pair is accepted at a relative residual of
+# _LANCZOS_RTOL.
+_LANCZOS_MIN_ORDER = 64
+_LANCZOS_MAX_STEPS = 80
+_LANCZOS_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -404,8 +439,9 @@ def _schur_groups(op: Operator, layout=None) -> tuple[_SchurGroup, ...]:
     return op._cache(("schur", *((idx.shape, idx.tobytes()) for idx in layout)), factors)
 
 
-def _triangular_inverses(group: _SchurGroup, lams: np.ndarray) -> np.ndarray:
-    """(T_b - lam_k)^{-1} for every node k and block b, shape (k, nb, m, m)."""
+def _triangular_inverses(group: _SchurGroup, lams: np.ndarray, rhs=None) -> np.ndarray:
+    """(T_b - lam_k)^{-1} C_b for every node k and block b, shape
+    (k, nb, m, m), where C_b is ``rhs[b]``, by default the identity."""
     t = group.t
     nb, m = group.idx.shape
     if m >= _LAPACK_MIN_ORDER:
@@ -415,26 +451,120 @@ def _triangular_inverses(group: _SchurGroup, lams: np.ndarray) -> np.ndarray:
             for k, lam in enumerate(lams):
                 shifted = tb.copy(order="F")
                 shifted.ravel(order="K")[:: m + 1] -= lam  # the diagonal
-                out[k, b], info = _ztrtri(shifted, overwrite_c=1)
+                if rhs is None:
+                    out[k, b], info = _ztrtri(shifted, overwrite_c=1)
+                else:
+                    out[k, b], info = _ztrtrs(shifted, rhs[b])
                 if info != 0:
                     raise np.linalg.LinAlgError(f"singular resolvent at lambda={lam}")
         return out
     # Back substitution row by row from the bottom, vectorised over nodes and
-    # blocks; for m = 2 it is the closed form
+    # blocks; for m = 2 and no ``rhs`` it is the closed form
     # [[a, c], [0, d]]^{-1} = [[1/a, -c/(a d)], [0, 1/d]].
     inv_diag = 1.0 / (np.diagonal(t, axis1=1, axis2=2)[None] - lams[:, None, None])
     out = np.zeros((lams.size, nb, m, m), dtype=complex)
+    if rhs is None:
+        out[..., np.arange(m), np.arange(m)] = 1.0
+    else:
+        out[...] = rhs
     for i in range(m - 1, -1, -1):
         row = out[:, :, i, :]
-        row[:, :, i] = 1.0
         for j in range(i + 1, m):
             row -= t[None, :, i, j, None] * out[:, :, j, :]
         row *= inv_diag[:, :, i, None]
     return out
 
 
-def _block_norms(x: np.ndarray, spectral: bool) -> np.ndarray:
-    """Norm of every block of a (k, nb, m, m) stack, shape (k, nb)."""
+def _lanczos_start(m: int) -> np.ndarray:
+    """The fixed unit start vector of :func:`_lanczos_norms`: Weyl sequences
+    in its real and imaginary parts, deterministic and without a symmetry
+    that a structured block could be orthogonal to."""
+    j = np.arange(1.0, m + 1.0)
+    v = (j * 0.6180339887498949) % 1.0 - 0.5 + 1j * ((j * 1.4142135623730951) % 1.0 - 0.5)
+    return v / np.linalg.norm(v)
+
+
+def _lanczos_norms(x: np.ndarray) -> np.ndarray:
+    """Upper bounds on the spectral norms of an (n, m, m) stack, certified by
+    Lanczos on A = X^H X, or the SVD norms where the certificate fails.
+
+    Lanczos with full reorthogonalisation runs from the fixed start vector,
+    two matrix-vector products per step.  After k steps the Ritz values
+    theta_1 >= ... >= theta_k of the tridiagonal T_k satisfy
+    theta_j <= lambda_j, the eigenvalues of A (Cauchy interlacing), and some
+    eigenvalue lies within rho_1 = beta_k |e_k^T s_1| of theta_1.  As
+    tr A = ||X||_F^2 and tr T_k is the sum of the Ritz values,
+
+        lambda_2 <= tr A - theta_1 - sum_{j>=3} theta_j = theta_2 + tr A - tr T_k.
+
+    Once that bound, plus a rounding margin of 4 m eps tr A, is below
+    theta_1 - rho_1, the eigenvalue within rho_1 of theta_1 is lambda_1, so
+    ||X||_2^2 = lambda_1 <= theta_1 + rho_1, and sqrt(theta_1 + rho_1) is
+    returned at the first step where also rho_1 <= _LANCZOS_RTOL theta_1.
+
+    Every other matrix gets its SVD norm: one whose certificate has not
+    closed within min(m/4, _LANCZOS_MAX_STEPS) steps, or whose Krylov space
+    turns invariant, and, from the fourth step on, one whose tr A - tr T_k
+    exceeds the steps left times G, the Gershgorin bound of T_k: each step
+    takes off at most lambda_1, which G estimates, so the bound could not
+    close in time.
+    """
+    n, m, _ = x.shape
+    steps = min(_LANCZOS_MAX_STEPS, m // 4)
+    out = np.empty(n)
+    real = np.ascontiguousarray(x).view(np.float64).reshape(n, -1)
+    trace = np.einsum("nk,nk->n", real, real)
+    # the matrices still iterating, and per step their Lanczos vectors and
+    # coefficients; x itself is never copied
+    todo = np.arange(n)
+    basis = [np.tile(_lanczos_start(m), (n, 1))]
+    alpha, beta = [], []
+    fallback = []
+    for k in range(steps):
+        xv = np.array([x[i] @ v for i, v in zip(todo, basis[-1])])
+        w = np.array([x[i].T @ u for i, u in zip(todo, xv.conj())]).conj()  # A v_k
+        alpha.append(np.einsum("nm,nm->n", xv.conj(), xv).real)
+        vs = np.stack(basis, axis=1)
+        for _ in range(2):  # classical Gram-Schmidt against the whole basis, twice
+            w -= np.einsum("njm,nj->nm", vs, np.einsum("njm,nm->nj", vs.conj(), w))
+        beta.append(np.linalg.norm(w, axis=1))
+        a, b = np.stack(alpha, axis=1), np.stack(beta, axis=1)
+        rest = trace - a.sum(axis=1) + 4 * m * _MACHINE_EPS * trace
+        gersh = a.max(axis=1) + 2.0 * b.max(axis=1)
+        certified = np.zeros(todo.size, dtype=bool)
+        if np.any(rest < gersh):  # else no gap test can pass, as theta_1 <= G
+            tri = np.zeros((todo.size, k + 1, k + 1))
+            diag = np.arange(k + 1)
+            tri[:, diag, diag] = a
+            tri[:, diag[1:], diag[:-1]] = tri[:, diag[:-1], diag[1:]] = b[:, :-1]
+            theta, s = np.linalg.eigh(tri)
+            top = theta[:, -1]
+            rho = b[:, -1] * np.abs(s[:, -1, -1])
+            second = theta[:, -2] if k else 0.0
+            certified = (rho <= _LANCZOS_RTOL * top) & (second + rest < top - rho)
+            out[todo[certified]] = np.sqrt(top + rho)[certified]
+        done = (
+            certified
+            | (k == steps - 1)
+            | (b[:, -1] <= _MACHINE_EPS * gersh)
+            | ((k >= 3) & (rest > (steps - k) * gersh))
+        )
+        fallback.extend(todo[done & ~certified])
+        if done.all():
+            break
+        keep = ~done
+        todo, trace, w = todo[keep], trace[keep], w[keep]
+        basis, alpha, beta = ([c[keep] for c in cs] for cs in (basis, alpha, beta))
+        basis.append(w / beta[-1][:, None])
+    if fallback:
+        out[fallback] = np.linalg.svd(x[fallback], compute_uv=False)[:, 0]
+    return out
+
+
+def _block_norms(x: np.ndarray, spectral: bool, lanczos: bool = False) -> np.ndarray:
+    """Norm of every block of a (k, nb, m, m) stack, shape (k, nb); with
+    ``lanczos``, spectral norms of order _LANCZOS_MIN_ORDER and above come
+    from :func:`_lanczos_norms`."""
     m = x.shape[-1]
     if not spectral or m == 1:
         # one pass over a real view: no temporaries the size of the stack
@@ -448,17 +578,19 @@ def _block_norms(x: np.ndarray, spectral: bool) -> np.ndarray:
         z = x[:, :, 0, 0].conj() * x[:, :, 0, 1] + x[:, :, 1, 0].conj() * x[:, :, 1, 1]
         half_gap = 0.5 * (col[:, :, 0] - col[:, :, 1])
         return np.sqrt(0.5 * fro2 + np.hypot(half_gap, np.abs(z)))
+    if lanczos and m >= _LANCZOS_MIN_ORDER:
+        return _lanczos_norms(x.reshape(-1, m, m)).reshape(x.shape[:2])
     return np.linalg.svd(x, compute_uv=False)[:, :, 0]
 
 
-def _stack_norms(blocks: list[np.ndarray], spectral: bool) -> np.ndarray:
+def _stack_norms(blocks: list[np.ndarray], spectral: bool, lanczos: bool = False) -> np.ndarray:
     """Norms of block-diagonal matrices given as one (..., count, m, m) array
     per block order, all with the same leading shape, which the result has:
     the largest block norm (spectral) or the root of their sum of squares
-    (Frobenius)."""
+    (Frobenius).  ``lanczos`` is passed on to :func:`_block_norms`."""
     lead = blocks[0].shape[:-3]
     per_block = np.concatenate(
-        [_block_norms(b.reshape(-1, *b.shape[-3:]), spectral) for b in blocks], axis=1
+        [_block_norms(b.reshape(-1, *b.shape[-3:]), spectral, lanczos) for b in blocks], axis=1
     )
     norms = per_block.max(axis=1) if spectral else np.sqrt((per_block**2).sum(axis=1))
     return norms.reshape(lead)
@@ -543,10 +675,12 @@ class _Kernel:
         return self._integrand([[_triangular_inverses(g, lams) for g in gs] for gs in self.groups])
 
     def norms(self, lams: np.ndarray) -> np.ndarray:
-        """Spectral norm of the integrand at every node."""
+        """Spectral norm of the integrand at every node; for one operator,
+        blocks of order _LANCZOS_MIN_ORDER and above give certified upper
+        bounds by :func:`_lanczos_norms`."""
         out = np.empty(lams.size)
         for part, _, _ in _panel_slices(self.width, lams.size, 1):
-            out[part] = _stack_norms(self.nodes(lams[part]), spectral=True)
+            out[part] = _stack_norms(self.nodes(lams[part]), True, len(self.ops) == 1)
         return out
 
     def sums(self, lams: np.ndarray, coef_sets, q: int) -> list[np.ndarray]:

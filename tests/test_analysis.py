@@ -30,6 +30,11 @@ def block23(n):
     return np.array([[n, 2.0 * n * n], [0.0, -n]], dtype=complex)
 
 
+@pytest.fixture(scope="module")
+def mcintosh_yagi_n2():
+    return split(build_block_operator("mcintosh-yagi", 2))
+
+
 class TestSplit:
     def test_diag(self):
         result = split(diag_operator([1, -1]))
@@ -46,13 +51,22 @@ class TestSplit:
             assert np.abs(result.p_minus[sl, sl] - [[0, -n], [0, 1]]).max() <= 1e-8
         assert result.rank_plus == 4 and result.rank_minus == 4
 
-    def test_ranks_from_the_trace_at_the_precision_floor(self):
+    def test_ranks_from_the_trace_at_the_precision_floor(self, mcintosh_yagi_n2):
         # ||S|| = 5.5e11, so P = S^2 A carries the roundoff of A times ||S||^2:
         # spurious singular values of P rise far above roundoff, but tr P still
         # rounds to the eigenvalue count, and the residuals of P fail instead
-        result = split(build_block_operator("mcintosh-yagi", 2))
+        result = mcintosh_yagi_n2
         assert (result.rank_plus, result.rank_minus) == (46, 46)
         assert not result.passes(1e-6)
+
+    def test_error_of_p_beside_error_of_a(self, mcintosh_yagi_n2):
+        # A's estimate meets the CLI's default pass_tol, but P = S^2 A is
+        # checked, and ||S||^2 = 3e23 times it does not
+        result = mcintosh_yagi_n2
+        pass_tol = 1e-6
+        assert result.est_error <= pass_tol < result.p_est_error
+        norm = spectral_norm(build_block_operator("mcintosh-yagi", 2).entries)
+        assert result.p_est_error == norm**2 * result.est_error
 
     @pytest.mark.parametrize("seed", [1, 8])
     def test_matches_oracle(self, seed):
@@ -98,6 +112,7 @@ class TestSplit:
     def test_json_dict(self):
         payload = split(diag_operator([1, -1])).to_json_dict()
         assert payload["rank_plus"] == 1
+        assert payload["p_est_error"] == payload["est_error"]  # ||S|| = 1
         assert set(payload["residuals"]) >= {"a_sum", "p_sum_identity", "r_minus_identity"}
 
 

@@ -24,8 +24,17 @@ from specsplit import (
     resolvent_norms,
     spectrum,
 )
+from specsplit import operators
 from specsplit.contour import line_nodes
-from specsplit.operators import _Kernel, _schur_groups, _stack_norms, operator_norm
+from specsplit.operators import (
+    _Kernel,
+    _lanczos_norms,
+    _lanczos_start,
+    _schur_groups,
+    _stack_norms,
+    operator_norm,
+    oracle_projection,
+)
 
 REL_TOL = 1e-12
 Q = 15  # nodes per panel: the Kronrod rule, as ``nodes_for`` lays them out
@@ -247,6 +256,124 @@ class TestPerturbationPair:
         got = summed(pair, pair.sums(lams, [coefs], Q), 0)
         expect = np.tensordot(coefs, diff, axes=(0, 0))
         assert np.linalg.norm(got - expect) <= REL_TOL * np.sum(np.abs(coefs) * scale)
+
+
+def mcintosh_yagi_block(m):
+    """The m-th block of the McIntosh-Yagi family as one dense operator."""
+    op = build_block_operator("mcintosh-yagi", m)
+    sl = op.family_tag.block_slices()[m - 1]
+    return dense_operator(op.entries[sl, sl])
+
+
+def axis_grid():
+    """The 64 points of the corpus's McIntosh-Yagi axis-bound check."""
+    t = np.logspace(-2, 4, 32)
+    return np.concatenate([-1j * t[::-1], 1j * t])
+
+
+def top_singular_values(stack, lams, chunk=8):
+    """Largest singular value of every matrix of ``stack(part)``, over the
+    points ``lams`` a few at a time."""
+    parts = (lams[i : i + chunk] for i in range(0, lams.size, chunk))
+    return np.concatenate([np.linalg.svd(stack(p), compute_uv=False)[:, 0] for p in parts])
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The shapes of the arguments of every ``np.linalg.svd`` call made
+    after the fixture: a stack of n matrices is an SVD fallback for n nodes."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
+def random_128_line():
+    op = random_gap_operator(128, 7)
+    return op, nodes_for(op)[0]
+
+
+LANCZOS_CASES = {
+    "mcintosh-yagi m=2 (order 76), axis": lambda: (mcintosh_yagi_block(2), axis_grid()),
+    "mcintosh-yagi m=3 (order 340), axis": lambda: (mcintosh_yagi_block(3), axis_grid()),
+    "random(128, 7), line": random_128_line,
+    "random(128, 7), axis": lambda: (random_gap_operator(128, 7), axis_grid()),
+}
+
+
+class TestLanczosNorms:
+    """Spectral norms of blocks of order 64 and above come from Lanczos on
+    X^H X, certified as upper bounds, with the SVD where that fails."""
+
+    @pytest.mark.parametrize("name", sorted(LANCZOS_CASES))
+    def test_matches_svd_from_above(self, name, svd_shapes):
+        op, lams = LANCZOS_CASES[name]()
+        m = op.dim
+        expect = top_singular_values(lambda part: dense_resolvents(op, part), lams)
+        svd_shapes.clear()
+        got = resolvent_norms(op, lams)
+        fallbacks = sum(shape[0] for shape in svd_shapes if len(shape) == 3)
+        assert np.max(np.abs(got / expect - 1.0)) <= REL_TOL
+        # an upper bound on the norm of the same triangular inverses, up to
+        # the rounding of their SVD (dense LU differs from them by more)
+        exact = top_singular_values(lambda part: _Kernel((op,)).nodes(part)[0][:, 0], lams)
+        assert np.all(got >= exact * (1.0 - 4 * m * np.finfo(float).eps))
+        if name.startswith("mcintosh-yagi"):
+            assert fallbacks == 0  # every axis point certified
+        else:
+            assert fallbacks < lams.size  # some nodes certified, the rest by SVD
+
+    @pytest.mark.parametrize("decay", [0.5, 0.95])
+    @pytest.mark.parametrize("invariant", [True, False], ids=["invariant", "mixed"])
+    def test_top_vector_orthogonal_to_the_start(self, decay, invariant):
+        # the start vector is orthogonal to the top right singular vector, so
+        # in exact arithmetic the Krylov space never sees it.  ``invariant``:
+        # the start vector is the second right singular vector, so the Krylov
+        # space is invariant after one step, with a Ritz pair of zero residual
+        # at the wrong value; else it mixes all the others.  The certificate
+        # must fail (or close on the right value once rounding brings the top
+        # vector in); an underestimate is never returned
+        m = 96
+        rng = np.random.default_rng(5)
+        start = _lanczos_start(m)
+        top = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        top -= start * np.vdot(start, top)
+        second = start if invariant else rng.standard_normal(m)
+        cols = np.column_stack([top, second, rng.standard_normal((m, m - 2))])
+        v = np.linalg.qr(cols)[0]
+        u = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+        x = u @ np.diag(decay ** np.arange(m)) @ v.conj().T
+        assert abs(np.vdot(v[:, 0], start)) <= 1e-15
+        expect = np.linalg.svd(x, compute_uv=False)[0]
+        got = _lanczos_norms(x[None])[0]
+        assert abs(got / expect - 1.0) <= REL_TOL
+
+    def test_deterministic(self):
+        op, lams = mcintosh_yagi_block(2), axis_grid()
+        first = resolvent_norms(op, lams)
+        cold = dense_operator(op.entries)
+        assert resolvent_norms(cold, lams).tobytes() == first.tobytes()
+
+    def test_pairs_and_oracle_stay_off_lanczos(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("Lanczos called")
+
+        monkeypatch.setattr(operators, "_lanczos_norms", refuse)
+        s_op = random_gap_operator(64, 7)
+        t_op = dense_operator(s_op.entries + 0.01 * np.eye(64))
+        lams, _ = nodes_for(s_op)
+        lams = lams[:Q]
+        diff = dense_resolvents(s_op, lams) - dense_resolvents(t_op, lams)
+        expect = np.linalg.svd(diff, compute_uv=False)[:, 0]
+        assert np.max(np.abs(_Kernel((s_op, t_op)).norms(lams) / expect - 1.0)) <= REL_TOL
+        oracle_projection(s_op)
+        with pytest.raises(AssertionError, match="Lanczos called"):
+            resolvent_norms(s_op, lams)
 
 
 class TestPreconditions:
