@@ -135,32 +135,33 @@ def multiset_match_distance(ev_a, ev_b, rel_tol_scale: float = 1.0) -> float:
 
 def pair_identity_residuals(op: Operator, a1: np.ndarray, a2: np.ndarray) -> dict:
     """Residuals of the closed-projection algebra for a candidate pair
-    (A1, A2): sum to S^{-2}, mutual annihilation, commutation with S^{-1}
-    and with the resolvent at i."""
+    (A1, A2) = (A_+, A_-): sum to S^{-2}, mutual annihilation, commutation
+    with S^{-1} and with the resolvent at i."""
     eye = np.eye(op.dim, dtype=complex)
     s_inv = np.linalg.solve(op.entries, eye)
     s_inv2 = np.linalg.solve(op.entries @ op.entries, eye)
     res_i = resolvent(op, 1j)
     return {
-        "sum": spectral_norm(a1 + a2 - s_inv2),
-        "cross_12": spectral_norm(a1 @ a2),
-        "cross_21": spectral_norm(a2 @ a1),
-        "comm_inv_1": spectral_norm(a1 @ s_inv - s_inv @ a1),
-        "comm_inv_2": spectral_norm(a2 @ s_inv - s_inv @ a2),
-        "comm_resolvent_1": spectral_norm(a1 @ res_i - res_i @ a1),
-        "comm_resolvent_2": spectral_norm(a2 @ res_i - res_i @ a2),
+        "a_sum": spectral_norm(a1 + a2 - s_inv2),
+        "a_cross_pm": spectral_norm(a1 @ a2),
+        "a_cross_mp": spectral_norm(a2 @ a1),
+        "a_comm_inv_plus": spectral_norm(a1 @ s_inv - s_inv @ a1),
+        "a_comm_inv_minus": spectral_norm(a2 @ s_inv - s_inv @ a2),
+        "a_comm_resolvent_plus": spectral_norm(a1 @ res_i - res_i @ a1),
+        "a_comm_resolvent_minus": spectral_norm(a2 @ res_i - res_i @ a2),
     }
 
 
 def projection_pair_residuals(p1: np.ndarray, p2: np.ndarray) -> dict:
-    """Complementarity/idempotency residuals for a candidate projection pair."""
+    """Complementarity/idempotency residuals for a candidate projection pair
+    (P1, P2) = (P_+, P_-); ``p_cross`` is the larger of ||P1 P2|| and
+    ||P2 P1||."""
     eye = np.eye(p1.shape[0], dtype=complex)
     return {
-        "sum_identity": spectral_norm(p1 + p2 - eye),
-        "idempotent_1": spectral_norm(p1 @ p1 - p1),
-        "idempotent_2": spectral_norm(p2 @ p2 - p2),
-        "cross_12": spectral_norm(p1 @ p2),
-        "cross_21": spectral_norm(p2 @ p1),
+        "p_sum_identity": spectral_norm(p1 + p2 - eye),
+        "p_idempotent_plus": spectral_norm(p1 @ p1 - p1),
+        "p_idempotent_minus": spectral_norm(p2 @ p2 - p2),
+        "p_cross": max(spectral_norm(p1 @ p2), spectral_norm(p2 @ p1)),
     }
 
 
@@ -281,32 +282,18 @@ def split(op: Operator, spec: ContourSpec | None = None, with_b: bool = False) -
     margin_plus = float(ev_plus.real.min()) if ev_plus.size else float("inf")
     margin_minus = float(-ev_minus.real.max()) if ev_minus.size else float("inf")
 
-    residuals = {}
-    pair = pair_identity_residuals(op, a_plus, a_minus)
-    residuals["a_sum"] = pair["sum"]
-    residuals["a_cross_pm"] = pair["cross_12"]
-    residuals["a_cross_mp"] = pair["cross_21"]
-    residuals["a_comm_inv_plus"] = pair["comm_inv_1"]
-    residuals["a_comm_inv_minus"] = pair["comm_inv_2"]
-    residuals["a_comm_resolvent_plus"] = pair["comm_resolvent_1"]
-    residuals["a_comm_resolvent_minus"] = pair["comm_resolvent_2"]
-    proj = projection_pair_residuals(p_plus, p_minus)
-    residuals["p_sum_identity"] = proj["sum_identity"]
-    residuals["p_idempotent_plus"] = proj["idempotent_1"]
-    residuals["p_idempotent_minus"] = proj["idempotent_2"]
-    residuals["p_cross"] = max(proj["cross_12"], proj["cross_21"])
-    residuals["basis_span_plus"] = spectral_norm(
-        p_plus - basis_plus @ (basis_plus.conj().T @ p_plus)
-    )
-    residuals["basis_span_minus"] = spectral_norm(
-        p_minus - basis_minus @ (basis_minus.conj().T @ p_minus)
-    )
-    residuals["spectrum_split"] = multiset_match_distance(
-        np.concatenate([ev_plus, ev_minus]), ev
-    )
-    residuals["r_minus_identity"] = spectral_norm(
-        (op.entries - z * np.eye(op.dim)) @ minus["R"] - np.eye(op.dim) + z**2 * a_minus
-    )
+    residuals = {
+        **pair_identity_residuals(op, a_plus, a_minus),
+        **projection_pair_residuals(p_plus, p_minus),
+        "basis_span_plus": spectral_norm(p_plus - basis_plus @ (basis_plus.conj().T @ p_plus)),
+        "basis_span_minus": spectral_norm(
+            p_minus - basis_minus @ (basis_minus.conj().T @ p_minus)
+        ),
+        "spectrum_split": multiset_match_distance(np.concatenate([ev_plus, ev_minus]), ev),
+        "r_minus_identity": spectral_norm(
+            (op.entries - z * np.eye(op.dim)) @ minus["R"] - np.eye(op.dim) + z**2 * a_minus
+        ),
+    }
 
     b_plus = plus["B"].value if with_b else None
     b_minus = minus["B"].value if with_b else None

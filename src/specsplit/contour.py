@@ -251,10 +251,8 @@ def _line_integrals(ops, x0: float, weights, spec: ContourSpec, t_eff, scale=Non
         coefs = np.concatenate([coefs, coefs * np.tile(_ESTIMATE_RATIO, lo.size)])
         share = spec.tol * (hi - lo) / (edges[-1] - edges[0])
         still_open, is_open = kernel.zeros(2 * n), np.zeros(lo.size, dtype=bool)
-        batch = kernel.panels_per_batch(q)
-        for first in range(0, lo.size, batch):
-            p = slice(first, min(first + batch, lo.size))
-            nodes = slice(p.start * q, p.stop * q)
+        for nodes in kernel.chunks(lams.size, q):
+            p = slice(nodes.start // q, nodes.stop // q)
             sums = kernel.sums(lams[nodes], coefs[:, nodes], q)
             fro = _stack_norms([s[n:] for s in sums], spectral=False)
             is_open[p] = np.any(fro > share[p], axis=0)

@@ -33,7 +33,6 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import ztrsyl as _ztrsyl
 from scipy.linalg.lapack import ztrtri as _ztrtri
-from scipy.linalg.lapack import ztrtrs as _ztrtrs
 from scipy.sparse.csgraph import connected_components
 
 from .errors import NearSpectrumError, OperatorError
@@ -297,22 +296,19 @@ def resolvent_many(op: Operator, lams, tol: float | None = None) -> np.ndarray:
     """Resolvents at many spectral parameters, as a (k, dim, dim) stack.
 
     Same near-spectrum precondition as :func:`resolvent`, checked for every
-    point at once.  The values come from the cached Schur forms of the
-    diagonal blocks, B = Q T Q^H: per point one triangular solve
-    (T - lam) Y = Q^H (LAPACK ztrtrs, or back substitution below order
-    _LAPACK_MIN_ORDER) and one product Q Y, not from the certified solve of
-    :func:`resolvent`: per-point residual verification is skipped, and
-    callers that need certified values estimate errors at a higher level.
+    point at once.  The values come from the resolvent kernel, as for every
+    other evaluation: per point the triangular inverses (T - lam)^{-1} of the
+    cached Schur forms B = Q T Q^H of the diagonal blocks, back-transformed
+    by Q, not from the certified solve of :func:`resolvent`: per-point
+    residual verification is skipped, and callers that need certified values
+    estimate errors at a higher level.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     _check_points_clear(op, lams, tol)
-    groups = _schur_groups(op)
-    out = np.zeros((lams.size, op.dim, op.dim), dtype=complex)
-    for part, _, _ in _panel_slices(op.dim**2, lams.size, 1):
-        for g in groups:
-            # Q (T - lam)^{-1} Q^H: one triangular solve with Q^H, one product
-            y = _triangular_inverses(g, lams[part], g.q.conj().transpose(0, 2, 1))
-            out[part, g.idx[:, :, None], g.idx[:, None, :]] = g.q @ y
+    kernel = _Kernel((op,))
+    out = np.empty((lams.size, op.dim, op.dim), dtype=complex)
+    for part in kernel.chunks(lams.size):
+        out[part] = kernel.dense(kernel.nodes(lams[part]))
     return out
 
 
@@ -347,11 +343,13 @@ def resolvent_norms(op: Operator, lams, tol: float | None = None) -> np.ndarray:
 # Matrices, ch. 9).  A pair (S, T) is reduced on the components of the union
 # of both patterns instead: every component of either operator lies inside
 # one of them, so R_S and R_T are block diagonal on the same blocks and their
-# difference is taken block by block.  The triangular inverses of small blocks
-# come from back substitution vectorised over nodes and blocks (closed-form
-# for order 1 and 2), those of larger blocks from LAPACK ztrtri, one call per
-# node.  For one operator, weighted sums are accumulated in Schur coordinates,
-# per quadrature panel when the quadrature driver asks for it, and
+# difference is taken block by block.  Nodes are solved in the chunks of
+# _Kernel.chunks, runs of whole quadrature panels.  The triangular inverses of
+# small blocks come from back substitution vectorised over nodes and blocks
+# (closed-form for order 1 and 2), those of larger blocks from LAPACK ztrtri,
+# one call per node and block, in place in the output array.  For one
+# operator, weighted sums are accumulated in Schur coordinates, per
+# quadrature panel when the quadrature driver asks for it, and
 # back-transformed once; Frobenius and spectral norms are unitarily invariant
 # and are taken there too.  The spectral norm of a triangular inverse X of
 # order m is the closed form for m <= 2, an SVD below _LANCZOS_MIN_ORDER, and
@@ -364,7 +362,8 @@ def resolvent_norms(op: Operator, lams, tol: float | None = None) -> np.ndarray:
 # and spectral norms always come from the SVD.  None of this checks the
 # distance to the spectrum: callers do.
 
-# Complex entries per node chunk of the kernel's work arrays (16 MiB).
+# Complex entries per node chunk of the kernel's work arrays (16 MiB); a
+# chunk holds at least one panel, so it is larger where one panel is.
 _CHUNK_ENTRIES = 1 << 20
 
 # Blocks of this order and above are inverted by LAPACK, one call per node;
@@ -439,34 +438,27 @@ def _schur_groups(op: Operator, layout=None) -> tuple[_SchurGroup, ...]:
     return op._cache(("schur", *((idx.shape, idx.tobytes()) for idx in layout)), factors)
 
 
-def _triangular_inverses(group: _SchurGroup, lams: np.ndarray, rhs=None) -> np.ndarray:
-    """(T_b - lam_k)^{-1} C_b for every node k and block b, shape
-    (k, nb, m, m), where C_b is ``rhs[b]``, by default the identity."""
+def _triangular_inverses(group: _SchurGroup, lams: np.ndarray) -> np.ndarray:
+    """(T_b - lam_k)^{-1} for every node k and block b, shape (k, nb, m, m)."""
     t = group.t
     nb, m = group.idx.shape
+    diag = np.arange(m)
     if m >= _LAPACK_MIN_ORDER:
         out = np.empty((lams.size, nb, m, m), dtype=complex)
-        for b in range(nb):
-            tb = np.asfortranarray(t[b])  # LAPACK then works in place
-            for k, lam in enumerate(lams):
-                shifted = tb.copy(order="F")
-                shifted.ravel(order="K")[:: m + 1] -= lam  # the diagonal
-                if rhs is None:
-                    out[k, b], info = _ztrtri(shifted, overwrite_c=1)
-                else:
-                    out[k, b], info = _ztrtrs(shifted, rhs[b])
-                if info != 0:
-                    raise np.linalg.LinAlgError(f"singular resolvent at lambda={lam}")
+        out[...] = t
+        out[..., diag, diag] -= lams[:, None, None]
+        # x.T is the lower triangular (T - lam)^T in Fortran order, which
+        # LAPACK inverts in place, so x holds (T - lam)^{-1}
+        for k, x in enumerate(out.reshape(-1, m, m)):
+            if _ztrtri(x.T, lower=1, overwrite_c=1)[1] != 0:
+                raise np.linalg.LinAlgError(f"singular resolvent at lambda={lams[k // nb]}")
         return out
     # Back substitution row by row from the bottom, vectorised over nodes and
-    # blocks; for m = 2 and no ``rhs`` it is the closed form
+    # blocks; for m = 2 it is the closed form
     # [[a, c], [0, d]]^{-1} = [[1/a, -c/(a d)], [0, 1/d]].
     inv_diag = 1.0 / (np.diagonal(t, axis1=1, axis2=2)[None] - lams[:, None, None])
     out = np.zeros((lams.size, nb, m, m), dtype=complex)
-    if rhs is None:
-        out[..., np.arange(m), np.arange(m)] = 1.0
-    else:
-        out[...] = rhs
+    out[..., diag, diag] = 1.0
     for i in range(m - 1, -1, -1):
         row = out[:, :, i, :]
         for j in range(i + 1, m):
@@ -596,24 +588,6 @@ def _stack_norms(blocks: list[np.ndarray], spectral: bool, lanczos: bool = False
     return norms.reshape(lead)
 
 
-def _panel_slices(width: int, count: int, q: int):
-    """Node slices covering ``count`` nodes in panels of ``q`` consecutive
-    nodes, each of at most _CHUNK_ENTRIES // width nodes: runs of whole
-    panels, or pieces of one panel when a panel is longer than that.  Yields
-    (nodes, first panel, panel count)."""
-    step = max(1, _CHUNK_ENTRIES // width)
-    n_panels = count // q
-    if step >= q:
-        per = step // q
-        for p in range(0, n_panels, per):
-            n = min(per, n_panels - p)
-            yield slice(p * q, (p + n) * q), p, n
-        return
-    for p in range(n_panels):
-        for j in range(0, q, step):
-            yield slice(p * q + j, p * q + min(j + step, q)), p, 1
-
-
 def _from_schur(group: _SchurGroup, x: np.ndarray) -> np.ndarray:
     """Q X Q^H for a (..., nb, m, m) stack given in the group's Schur
     coordinates.  The stack is folded into the columns, then the rows, of two
@@ -656,9 +630,12 @@ class _Kernel:
         array per block order."""
         return [np.zeros((n_sets, *idx.shape, idx.shape[1]), dtype=complex) for idx in self.layout]
 
-    def panels_per_batch(self, q: int) -> int:
-        """Panels of ``q`` nodes whose solves fill about one node chunk."""
-        return max(1, _CHUNK_ENTRIES // (self.width * q))
+    def chunks(self, count: int, q: int = 1) -> list[slice]:
+        """Node slices covering ``count`` nodes in runs of whole panels of
+        ``q`` consecutive nodes, each filling about one node chunk of
+        _CHUNK_ENTRIES complex entries, and at least one panel."""
+        step = q * max(1, _CHUNK_ENTRIES // (self.width * q))
+        return [slice(first, min(first + step, count)) for first in range(0, count, step)]
 
     def _integrand(self, per_op) -> list[np.ndarray]:
         """Kernel coordinates from Schur-coordinate stacks, one list per
@@ -679,32 +656,26 @@ class _Kernel:
         blocks of order _LANCZOS_MIN_ORDER and above give certified upper
         bounds by :func:`_lanczos_norms`."""
         out = np.empty(lams.size)
-        for part, _, _ in _panel_slices(self.width, lams.size, 1):
+        for part in self.chunks(lams.size):
             out[part] = _stack_norms(self.nodes(lams[part]), True, len(self.ops) == 1)
         return out
 
     def sums(self, lams: np.ndarray, coef_sets, q: int) -> list[np.ndarray]:
         """Ordered sums  sum_k coef[k] * integrand(lam_k)  over every panel of
         ``q`` consecutive nodes, for several coefficient vectors: one (sets,
-        panels, count, m, m) array per block order.  The panels of a node
-        chunk are reduced together by one batched product."""
+        panels, count, m, m) array per block order.  All the given nodes are
+        solved at once and their panels reduced by one batched product per
+        block order, so callers pass one of :meth:`chunks` at a time."""
         coefs = np.asarray(coef_sets, dtype=complex)
-        n_sets, n_panels = coefs.shape[0], lams.size // q
-        sums = [
-            [np.zeros((n_sets, n_panels, *g.t.shape), dtype=complex) for g in gs]
-            for gs in self.groups
-        ]
-        for part, first, n in _panel_slices(self.width, lams.size, q):
-            # (panels, sets, nodes per panel) against (panels, nodes per panel, entries)
-            c = coefs[:, part].reshape(n_sets, n, -1).transpose(1, 0, 2)
-            for gs, outs in zip(self.groups, sums):
-                for g, out in zip(gs, outs):
-                    x = _triangular_inverses(g, lams[part])
-                    prod = np.matmul(c, x.reshape(n, -1, g.t.size))
-                    out[:, first : first + n] += prod.transpose(1, 0, 2).reshape(
-                        n_sets, n, *g.t.shape
-                    )
-        return self._integrand(sums)
+        n_sets, n = coefs.shape[0], lams.size // q
+        # (panels, sets, nodes per panel) against (panels, nodes per panel, entries)
+        c = coefs.reshape(n_sets, n, q).transpose(1, 0, 2)
+
+        def panel_sums(g):
+            prod = np.matmul(c, _triangular_inverses(g, lams).reshape(n, q, g.t.size))
+            return prod.transpose(1, 0, 2).reshape(n_sets, n, *g.t.shape)
+
+        return self._integrand([[panel_sums(g) for g in gs] for gs in self.groups])
 
     def dense(self, blocks) -> np.ndarray:
         """The matrices in operator coordinates, from one (..., count, m, m)

@@ -24,6 +24,7 @@ from specsplit import (
     spectrum,
     subspace_angle,
 )
+from specsplit.analysis import pair_identity_residuals, projection_pair_residuals
 
 
 def block23(n):
@@ -114,6 +115,16 @@ class TestSplit:
         assert payload["rank_plus"] == 1
         assert payload["p_est_error"] == payload["est_error"]  # ||S|| = 1
         assert set(payload["residuals"]) >= {"a_sum", "p_sum_identity", "r_minus_identity"}
+
+    def test_residual_helpers_keep_their_keys_apart(self):
+        # split and the unbproj mixed-choice fact merge both helpers' residuals
+        # into one dict, so a shared key would drop one of the two values
+        op = diag_operator([1, -1])
+        a_plus, a_minus = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        pair = pair_identity_residuals(op, a_plus, a_minus)
+        proj = projection_pair_residuals(a_plus, a_minus)
+        assert not set(pair) & set(proj)
+        assert set(split(op).residuals) >= set(pair) | set(proj)
 
 
 class TestSweep:

@@ -52,6 +52,9 @@ class TestUnbproj:
     def test_all_facts_pass(self):
         report = run_case(corpus_unbproj(3, (1, 3)))
         assert report.all_passed and not report.incomplete
+        # the mixed-choice fact checks all seven A residuals and four P ones
+        (mixed,) = [f for f in report.facts if f.name == "mixed_choice_pair_identities"]
+        assert mixed.detail.count("'a_") == 7 and mixed.detail.count("'p_") == 4
 
     def test_lambda_set_validation(self):
         with pytest.raises(OperatorError):

@@ -9,6 +9,8 @@ holds several components of one operator (there relative to the resolvents,
 as their difference cancels below what dense LU resolves).
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -25,13 +27,14 @@ from specsplit import (
     spectrum,
 )
 from specsplit import operators
-from specsplit.contour import line_nodes
+from specsplit.contour import _side_integrals, default_contour, line_nodes
 from specsplit.operators import (
     _Kernel,
     _lanczos_norms,
     _lanczos_start,
     _schur_groups,
     _stack_norms,
+    _triangular_inverses,
     operator_norm,
     oracle_projection,
 )
@@ -376,7 +379,57 @@ class TestLanczosNorms:
             resolvent_norms(s_op, lams)
 
 
+class TestChunks:
+    """The kernel solves a line chunk by chunk, each of whole panels holding
+    about _CHUNK_ENTRIES entries; nothing may depend on where the chunks end."""
+
+    def test_whole_panels_cover_the_nodes(self, monkeypatch):
+        kernel = _Kernel((random_gap_operator(8, 7),))
+        monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 3 * Q * kernel.width + 1)
+        bounds = [0, 3 * Q, 6 * Q, 7 * Q]  # three panels a chunk, and what is left
+        assert kernel.chunks(7 * Q, Q) == [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        assert kernel.chunks(7) == [slice(0, 7)]
+        monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 1)  # at least one panel each
+        assert kernel.chunks(2 * Q, Q) == [slice(0, Q), slice(Q, 2 * Q)]
+        assert kernel.chunks(2) == [slice(0, 1), slice(1, 2)]
+        assert kernel.chunks(0, Q) == []
+
+    @pytest.mark.parametrize("dim", [16, 64])
+    def test_norms_and_stack_byte_identical(self, dim, monkeypatch):
+        op = random_gap_operator(dim, 7)
+        lams, _ = nodes_for(op)
+        whole = resolvent_norms(op, lams), resolvent_many(op, lams)
+        monkeypatch.setattr(operators, "_CHUNK_ENTRIES", 3 * dim**2)  # three nodes a chunk
+        assert len(_Kernel((op,)).chunks(lams.size)) > 1
+        chunked = resolvent_norms(op, lams), resolvent_many(op, lams)
+        for a, b in zip(whole, chunked):
+            assert a.tobytes() == b.tobytes()
+
+    def test_line_integrals_one_panel_a_chunk(self, monkeypatch):
+        op = random_gap_operator(64, 7)
+        spec = default_contour(op)
+        z = -2.0 * spec.h
+        whole = _side_integrals(op, "-", spec, ("A", "R"), z)
+        monkeypatch.setattr(operators, "_CHUNK_ENTRIES", Q * op.dim**2)
+        chunked = _side_integrals(op, "-", spec, ("A", "R"), z)
+        assert chunked["A"].node_count == whole["A"].node_count
+        # the per-chunk totals are added in another order, so not byte-identical
+        assert rel(chunked["A"].value, whole["A"].value) <= 1e-13
+        assert rel(chunked["R"], whole["R"]) <= 1e-13
+
+
 class TestPreconditions:
+    def test_singular_node_named(self):
+        # two blocks of order 13, solved by LAPACK: the node hitting the second
+        # block's spectrum is named, not its position in the (node, block) loop
+        rng = np.random.default_rng(5)
+        blocks = rng.standard_normal((2, 13, 13)) + 1j * rng.standard_normal((2, 13, 13))
+        (group,) = _schur_groups(dense_operator(sla.block_diag(*blocks)))
+        assert group.idx.shape == (2, 13)
+        lams = np.array([3j, -2j, group.t[1, 4, 4], 1j])
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(f"lambda={lams[2]}")):
+            _triangular_inverses(group, lams)
+
     def test_node_near_spectrum_refused(self):
         op = random_gap_operator(8, 3)
         ev = spectrum(op).eigenvalues[0]
