@@ -95,9 +95,9 @@ def subspace_angle(v: np.ndarray, w: np.ndarray) -> float:
     return float(np.arcsin(np.clip(sine, 0.0, 1.0)))
 
 
-def m_subspace(a_side: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def m_subspace(a_side: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the closure of range(A_side), by singular value
-    thresholding: singular values below ``tol`` * sigma_max count as zero.
+    thresholding: singular values below 1e-8 * sigma_max count as zero.
 
     At finite dimension this must coincide with the invariant-subspace basis
     of the same side whenever the projections are bounded, so the subspace
@@ -106,10 +106,10 @@ def m_subspace(a_side: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     u, sig, _ = np.linalg.svd(np.asarray(a_side, dtype=complex), full_matrices=False)
     if sig.size == 0 or sig[0] == 0.0:
         return u[:, :0]
-    return u[:, : int(np.sum(sig > tol * sig[0]))]
+    return u[:, : int(np.sum(sig > 1e-8 * sig[0]))]
 
 
-def multiset_match_distance(ev_a, ev_b, rel_tol_scale: float = 1.0) -> float:
+def multiset_match_distance(ev_a, ev_b) -> float:
     """Optimal-matching distance between two eigenvalue multisets.
 
     Pairs the values by a minimum-cost assignment of relative distances
@@ -123,7 +123,7 @@ def multiset_match_distance(ev_a, ev_b, rel_tol_scale: float = 1.0) -> float:
     if a.size == 0:
         return 0.0
     scale = 1.0 + np.maximum(np.abs(a)[:, None], np.abs(b)[None, :])
-    cost = np.abs(a[:, None] - b[None, :]) / (rel_tol_scale * scale)
+    cost = np.abs(a[:, None] - b[None, :]) / scale
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 
@@ -388,7 +388,7 @@ def resolvent_sweep(
 
     mask = (np.abs(lams) >= lo) & (np.abs(lams) <= hi)
     if mask.sum() >= 2:
-        fitted_beta, log_m, _, resid = _log_log_fit(np.abs(lams[mask]), norms[mask])
+        fitted_beta, log_m, resid = _log_log_fit(np.abs(lams[mask]), norms[mask])
         fitted_m = float(np.exp(log_m))
     else:
         fitted_beta, fitted_m, resid = float("nan"), float("nan"), float("nan")

@@ -14,34 +14,35 @@ mapped by t = h*tan(theta), where the integrand is analytic and slowly
 varying, and every panel carries the 15 nodes in theta of the Kronrod
 extension of the 7-point Gauss rule (Piessens et al., QUADPACK, 1983).
 
-Error control.  One driver evaluates every integral.  It takes one line and
-the coefficient sets of all the integrals wanted on it, so a line is solved
-once for all of them: ``analysis.split`` puts A_+ (and B_+) on Re lambda = +h,
-and A_-, R_-(-2h) (and B_-) on Re lambda = -h.  A panel's value is its
-Kronrod sum and its estimate the Kronrod minus the embedded Gauss sum, from
-the same solves; the estimate of a set is the spectral norm of the sum over
-the panels.  While some set misses tol, the panels whose Frobenius estimate
+Error control.  One driver, :func:`_line_integrals`, evaluates every
+integral.  It takes one line and, per integral wanted on it, the weight, the
+tail terms and the tail's target, so a line is solved once for all of them:
+``analysis.split`` puts A_+ (and B_+) on Re lambda = +h, and A_-, R_-(-2h)
+(and B_-) on Re lambda = -h.  It checks the strip, derives the height and
+returns one ``QuadResult`` per integral.  A panel's value is its Kronrod sum
+and its estimate the Kronrod minus the embedded Gauss sum, from the same
+solves; the estimate of a set is the spectral norm of the sum over the
+panels.  While some set misses tol, the panels whose Frobenius estimate
 exceeds their share tol * width / (line width) in theta for some set are
 bisected, and only the halves are solved again, at most 6 times.  Such a
 panel exists whenever the test fails, since the shares sum to tol and the
-spectral norm of a sum is at most the sum of the Frobenius norms.  The dyadic
-edges, and the principal value's switch at T/2, stay panel edges.  The omitted
-|t| > T tail is bounded by the Neumann bound ||(S - lambda)^{-1}|| <=
-1/(|lambda| - ||S||) (Kato, Perturbation Theory, I-5), integrated in closed
-form against the weight, for T >= 2 max(||S||, |z|), z the pole of R_-(z).
-Every line derives its height T_eff from ``tol``: the smallest dyadic one, at
-least 10 h, at which every tail on the line meets the target of what its
-integral feeds (:func:`_side_integrals`); where none does,
-:class:`TruncationError` is raised.  ``QuadResult`` reports T_eff, and its
-``est_error`` is the quadrature estimate of the integral's own set plus its
-tail bound; ``QuadResult.node_count`` counts every solve on the line, in
-every pass and for every integral that shares the line.
+spectral norm of a sum is at most the sum of the Frobenius norms.  The
+omitted |t| > T tail is bounded by the Neumann bound ||(S - lambda)^{-1}||
+<= 1/(|lambda| - ||S||) (Kato, Perturbation Theory, I-5), integrated in
+closed form against the weight, for T >= 2 max(||S||, |z|), z the pole of
+R_-(z).  The height T_eff is the smallest dyadic one, at least 10 h, at which
+every tail on the line meets the target of what its integral feeds
+(:func:`_side_integrals`); where none does, :class:`TruncationError` is
+raised.  ``QuadResult`` reports T_eff, and its ``est_error`` is the
+quadrature estimate of the integral's own set plus its tail bound;
+``QuadResult.node_count`` counts every solve on the line, in every pass and
+for every integral that shares the line.
 
-Spectral clearance.  A line Re lambda = +-h needs h <= 0.95 * gap, checked
-once before its nodes are solved; every node then lies at least 0.05 * gap
-from the spectrum (on the principal value's axis, at least the gap).  Grid
-sweeps skip the points near the spectrum with a warning; explicit points
-near it are refused.
+Spectral clearance.  A line Re lambda = +-h needs h <= 0.95 * gap, which the
+driver checks once before its nodes are solved; every node then lies at least
+0.05 * gap from the spectrum (on the principal value's axis, at least the
+gap).  Grid sweeps skip the points near the spectrum with a warning; explicit
+points near it are refused.
 
 Node evaluations go through the resolvent kernel of
 :mod:`specsplit.operators`: each diagonal block of the operator (a connected
@@ -218,36 +219,45 @@ def line_nodes(scale: float, t_max: float, q: int, panels=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Line:
-    """The integrals of one driver call, one entry per coefficient set in
-    ``values`` and ``est``."""
-
-    values: list
-    est: list
-    node_count: int
-
-
-def _line_integrals(ops, x0: float, weights, spec: ContourSpec, t_eff, scale=None) -> _Line:
+def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) -> list:
     """Integrals (1/2*pi) * integral of w(lambda) R(lambda) dt over the line
-    Re lambda = x0, |t| <= t_eff (a dyadic height from :func:`_line_tails`),
-    one per weight, with the open panels bisected until the quadrature
-    estimate of every weight meets ``spec.tol``; R is the resolvent of
-    ``ops[0]``, or R_S - R_T when ``ops`` is a pair (S, T).  Callers check
-    the line with :func:`_check_contour_admissible`; the nodes are not
-    checked."""
+    Re lambda = x0, |t| <= T_eff, one :class:`QuadResult` per entry (w, c, k,
+    poles, target) of ``integrals``; R is the resolvent of ``ops[0]``, or
+    R_S - R_T when ``ops`` is a pair (S, T).
+
+    The line is refused where |x0| > 0.95 * gap of ``ops``, the only check
+    before the solves: every node then lies at least 0.05 * gap from every
+    eigenvalue.  T_eff is the first of the 256 dyadic heights scale * 2^j from
+    10 h up at which the tail (c, k, poles) of :func:`_neumann_tail` of every
+    integral is at most its target; with none, :class:`TruncationError` is
+    raised.  The open panels are then bisected until the quadrature estimate
+    of every integral meets ``spec.tol``."""
+    gap = _spectral_gap(*ops)
+    if abs(x0) > 0.95 * gap:
+        raise NearSpectrumError(
+            f"contour abscissa h={abs(x0)} exceeds 0.95 * spectral gap ({0.95 * gap:.6g})",
+            distance=float(gap - abs(x0)),
+        )
     scale = spec.h if scale is None else scale
+    heights = _dyadic_breaks(scale, 10.0 * spec.h)[-1] * 2.0 ** np.arange(256)
+    tails = np.array([_neumann_tail(ops, heights, c, k, p) for _, c, k, p, _ in integrals])
+    meets = np.all(tails <= np.array([target for *_, target in integrals])[:, None], axis=0)
+    if not meets.any():
+        raise TruncationError(f"no truncation height meets tol={spec.tol:.2e}")
+    j = int(np.argmax(meets))
+    t_eff, tails = float(heights[j]), [float(tail) for tail in tails[:, j]]
+
     kernel = _Kernel(ops)
     edges, _ = _line_panels(scale, t_eff)
     lo, hi = edges[:-1], edges[1:]
-    n, q = len(weights), _NODES.size
+    n, q, dim = len(integrals), _NODES.size, ops[0].dim
     closed = kernel.zeros(2 * n)  # the values, then the estimates, of the closed panels
     node_count = 0
     for _ in range(_MAX_BISECTIONS + 1):
         t, w = line_nodes(scale, t_eff, q, (lo, hi))[:2]
         lams = x0 + 1j * t
         node_count += lams.size
-        coefs = np.array([w * weight(lams) / (2.0 * np.pi) for weight in weights])
+        coefs = np.array([w * weight(lams) / (2.0 * np.pi) for weight, *_ in integrals])
         coefs = np.concatenate([coefs, coefs * np.tile(_ESTIMATE_RATIO, lo.size)])
         share = spec.tol * (hi - lo) / (edges[-1] - edges[0])
         still_open, is_open = kernel.zeros(2 * n), np.zeros(lo.size, dtype=bool)
@@ -264,11 +274,16 @@ def _line_integrals(ops, x0: float, weights, spec: ContourSpec, t_eff, scale=Non
         # the shares of the panels sum to tol, so with every panel closed the
         # estimate is below tol up to rounding
         if np.all(est <= spec.tol) or not is_open.any():
-            return _Line(
-                values=[kernel.dense([t[i] for t in totals]) for i in range(n)],
-                est=[float(e) for e in est],
-                node_count=node_count,
-            )
+            return [
+                QuadResult(
+                    kernel.dense([t[i] for t in totals], np.zeros((dim, dim), complex)),
+                    tails[i],
+                    node_count,
+                    float(est[i]) + tails[i],
+                    t_eff,
+                )
+                for i in range(n)
+            ]
         mid = 0.5 * (lo + hi)[is_open]
         lo = np.stack([lo[is_open], mid], axis=1).ravel()
         hi = np.stack([mid, hi[is_open]], axis=1).ravel()
@@ -280,15 +295,13 @@ def _line_integrals(ops, x0: float, weights, spec: ContourSpec, t_eff, scale=Non
 
 def _log_log_fit(abs_lams: np.ndarray, norms: np.ndarray):
     """Least-squares fit  log(norm) ~ log M - beta * log|lambda|  on all the
-    samples: beta, log M, log M_env (the smallest M_env with M_env/|lambda|^beta
-    >= every sample) and the largest absolute residual in log space."""
+    samples: beta, log M and the largest absolute residual in log space."""
     x = np.log(abs_lams)
     y = np.log(norms)
     design = np.vstack([np.ones(x.size), -x]).T
     (log_m, beta), *_ = np.linalg.lstsq(design, y, rcond=None)
-    log_m_env = float(np.max(y + beta * x))
     resid = float(np.abs(design @ np.array([log_m, beta]) - y).max())
-    return float(beta), float(log_m), log_m_env, resid
+    return float(beta), float(log_m), resid
 
 
 def _neumann_tail(ops, t_eff, c: float, k: float, poles=()):
@@ -308,34 +321,6 @@ def _neumann_tail(ops, t_eff, c: float, k: float, poles=()):
     t = np.maximum(t_eff, low)
     tail = c * np.prod([t / (t - s) for s in sigmas], axis=0) / (np.pi * n * t**n)
     return np.where(t_eff < low, np.inf, tail)
-
-
-def _line_tails(ops, spec: ContourSpec, scale: float, terms, at: float = 1.0):
-    """The truncation height T_eff of a line and the tail bound of each of
-    its integrals, before any node is solved.  ``terms`` holds per integral
-    the (c, k, poles) of :func:`_neumann_tail` and the tail's target; every
-    tail is taken from ``at * T_eff``.  T_eff is the first of the 256 dyadic
-    heights scale * 2^j from 10 h up at which every tail is at most its
-    target; with none, :class:`TruncationError` is raised."""
-    heights = _dyadic_breaks(scale, 10.0 * spec.h)[-1] * 2.0 ** np.arange(256)
-    tails = np.array([_neumann_tail(ops, at * heights, c, k, p) for c, k, p, _ in terms])
-    meets = np.all(tails <= np.array([target for *_, target in terms])[:, None], axis=0)
-    if not meets.any():
-        raise TruncationError(f"no truncation height meets tol={spec.tol:.2e}")
-    j = int(np.argmax(meets))
-    return float(heights[j]), [float(tail) for tail in tails[:, j]]
-
-
-def _check_contour_admissible(ops, spec: ContourSpec):
-    """Refuse h > 0.95 * gap of ``ops``, the only check before the solves:
-    every node on Re lambda = +-h then lies at least gap - h >= 0.05 * gap
-    from every eigenvalue, so no node needs a check of its own."""
-    gap = _spectral_gap(*ops)
-    if spec.h > 0.95 * gap:
-        raise NearSpectrumError(
-            f"contour abscissa h={spec.h} exceeds 0.95 * spectral gap ({0.95 * gap:.6g})",
-            distance=float(gap - spec.h),
-        )
 
 
 def _side_sign(side: str) -> float:
@@ -369,36 +354,25 @@ def _side_integrals(op: Operator, side: str, spec: ContourSpec, kinds, z=None) -
     height holds the tail of A to min(tol, _P_TAIL) / max(1, ||S||)^2, as A
     feeds P = S^2 A; that of R_-(z) to tol / max(1, ||S|| + |z|), as it feeds
     (S - z) R_-(z); that of B to tol."""
-    _check_contour_admissible((op,), spec)
     sgn = _side_sign(side)
-    x0 = sgn * spec.h
     norm = operator_norm(op)
-    # per integral: its weight and its terms of _line_tails, the (c, k, poles)
-    # of _neumann_tail, |z^2/(lambda^2 (lambda - z))| <= |z|^2 t^{-2}/(t - |z|),
-    # then the target
-    weights, terms = [], []
+    # per integral: its weight, the (c, k, poles) of _neumann_tail, with
+    # |z^2/(lambda^2 (lambda - z))| <= |z|^2 t^{-2}/(t - |z|), and the target
+    integrals = []
     for kind in kinds:
         if kind == "A":
-            weights.append(lambda lam: 1.0 / lam**2)
             target = min(spec.tol, _P_TAIL) / max(1.0, norm) ** 2
-            terms.append((1.0, 2, (), target))
+            integrals.append((lambda lam: sgn / lam**2, 1.0, 2, (), target))
         elif kind == "B":
-            weights.append(lambda lam: 1.0 / lam)
-            terms.append((1.0, 1, (), spec.tol))
+            integrals.append((lambda lam: sgn / lam, 1.0, 1, (), spec.tol))
         elif kind == "R" and side == "-":
             z = complex(z)
-            weights.append(_r_minus_weight(z, spec))
             target = spec.tol / max(1.0, norm + abs(z))
-            terms.append((abs(z) ** 2, 2, (abs(z),), target))
+            integrals.append((_r_minus_weight(z, spec), abs(z) ** 2, 2, (abs(z),), target))
         else:
             raise ValueError(f"no integral {kind!r} on side {side!r}")
-    t_eff, tails = _line_tails((op,), spec, spec.h, terms)
-    line = _line_integrals((op,), x0, weights, spec, t_eff)
-    count = line.node_count
-    return {
-        kind: value if kind == "R" else QuadResult(sgn * value, tail, count, est + tail, t_eff)
-        for kind, value, est, tail in zip(kinds, line.values, line.est, tails)
-    }
+    results = _line_integrals((op,), sgn * spec.h, integrals, spec)
+    return {kind: r.value if kind == "R" else r for kind, r in zip(kinds, results)}
 
 
 def integrate_A(op: Operator, side: str, spec: ContourSpec) -> QuadResult:
@@ -425,31 +399,20 @@ def integrate_B(op: Operator, side: str, spec: ContourSpec) -> QuadResult:
 
 def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
     """Principal value (1/pi*i) * integral of (S-lambda)^{-1} over the whole
-    imaginary axis, realised as symmetric truncation plus Richardson
-    extrapolation over (T/2, T).
+    imaginary axis, realised as symmetric truncation at T plus the exact
+    integral of the leading even term beyond it.
 
     Equals P_+ - P_- = 2 P_+ - I whenever the resolvent decays on the axis.
-    The odd leading term of the resolvent cancels under symmetric truncation
-    and the remaining tail is ~ c/T, which the two-point Richardson
-    combination removes; ``est_error`` is the quadrature estimate plus the
-    Neumann bound of what Richardson leaves.
+    Beyond T, R = -1/lambda - S/lambda^2 + R S^2/lambda^2: the odd first term
+    cancels under symmetric truncation, the second integrates to 2S/(pi T),
+    which is added to the value, and ``est_error`` is the quadrature estimate
+    plus the Neumann bound of the third.
     """
-    _spectral_gap(op)  # the axis then stays at least the gap from the spectrum
-    scale = 1.0
-    # I(inf) - I(T) = (1/pi) * integral over |t| > T of R(it) + (it)^{-1}, the
-    # odd term cancelling under symmetric truncation, and R + 1/lambda =
-    # -S/lambda^2 + R S^2/lambda^2.  The first term gives exactly c/T, which
-    # the Richardson value 2 I(T) - I(T/2) cancels; the second, two-sided,
-    # leaves at most 2 (2 tail(T)) + 2 tail(T/2) <= 6 tail(T/2), so
-    # c = 6 ||S||^2 with the weight t^{-2}, taken at T/2.
-    terms = [(6.0 * operator_norm(op) ** 2, 2, (), spec.tol)]
-    t_eff, (tail,) = _line_tails((op,), spec, scale, terms, at=0.5)
-
-    def richardson(lam):  # the weight of 2 I(T) - I(T/2)
-        return np.where(np.abs(lam.imag) <= t_eff / 2.0, 2.0, 4.0)
-
-    line = _line_integrals((op,), 0.0, [richardson], spec, t_eff, scale=scale)
-    return QuadResult(line.values[0], tail, line.node_count, line.est[0] + tail, t_eff)
+    # the tail of the third term, two-sided: c = 2 ||S||^2 with the weight t^{-2}
+    integral = (lambda lam: 2.0, 2.0 * operator_norm(op) ** 2, 2, (), spec.tol)
+    (quad,) = _line_integrals((op,), 0.0, [integral], spec, scale=1.0)
+    value = quad.value + 2.0 * op.entries / (np.pi * quad.t_eff)
+    return dataclasses.replace(quad, value=value)
 
 
 def r_minus(op: Operator, z: complex, spec: ContourSpec) -> np.ndarray:

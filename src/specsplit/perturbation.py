@@ -26,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import json_safe_float, multiset_match_distance
-from .contour import (
-    ContourSpec,
-    _check_contour_admissible,
-    _line_integrals,
-    _line_tails,
-    _log_log_fit,
-)
+from .contour import ContourSpec, _line_integrals, _log_log_fit
 from .errors import NearSpectrumError, OperatorError
 from .operators import (
     Operator,
@@ -102,9 +96,9 @@ def resolvent_diff_decay(
 # ---------------------------------------------------------------------------
 
 
-def subordination_curve(s_op: Operator, r: np.ndarray, samples, p_step: float = 0.01):
+def subordination_curve(s_op: Operator, r: np.ndarray, samples):
     """The tight constant c(p) = max over samples of
-    ||Rx|| / (||x||^{1-p} ||Sx||^p) on a p grid."""
+    ||Rx|| / (||x||^{1-p} ||Sx||^p) on the p grid 0, 0.01, ..., 1."""
     r = np.asarray(r, dtype=complex)
     ratios = []
     for x in samples:
@@ -120,7 +114,7 @@ def subordination_curve(s_op: Operator, r: np.ndarray, samples, p_step: float = 
             )
         if rx > 0.0:
             ratios.append((rx, nx, sx))
-    p_grid = np.round(np.arange(0.0, 1.0 + p_step / 2, p_step), 10)
+    p_grid = np.round(np.arange(0.0, 1.005, 0.01), 10)
     if not ratios:
         return p_grid, np.zeros_like(p_grid)
     log_r = np.log([t[0] for t in ratios])
@@ -163,13 +157,6 @@ def p_subordination_fit(s_op: Operator, r: np.ndarray, samples) -> tuple[float, 
 # ---------------------------------------------------------------------------
 
 
-def _common_contour(s_op: Operator, t_op: Operator, spec: ContourSpec | None) -> ContourSpec:
-    if spec is None:
-        return ContourSpec(h=0.5 * _spectral_gap(s_op, t_op))
-    _check_contour_admissible((s_op, t_op), spec)
-    return spec
-
-
 def projection_diff_integral(
     s_op: Operator, t_op: Operator, spec: ContourSpec | None = None
 ) -> np.ndarray:
@@ -183,11 +170,9 @@ def projection_diff_integral(
     """
     if s_op.dim != t_op.dim:
         raise OperatorError("operators must act on the same space")
-    spec = _common_contour(s_op, t_op, spec)
     ops = (s_op, t_op)
-    t_eff, _ = _line_tails(ops, spec, spec.h, [(1.0, 0, (), spec.tol)])
-    line = _line_integrals(ops, spec.h, [lambda lam: 1.0], spec, t_eff)
-    return line.values[0]
+    spec = ContourSpec(h=0.5 * _spectral_gap(*ops)) if spec is None else spec
+    return _line_integrals(ops, spec.h, [(lambda lam: 1.0, 1.0, 0, (), spec.tol)], spec)[0].value
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from specsplit.contour import (
     _WEIGHTS,
     _line_panels,
     _log_log_fit,
+    _neumann_tail,
     _side_integrals,
     line_nodes,
 )
@@ -216,8 +217,8 @@ class TestPrincipalValue:
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
     @pytest.mark.parametrize("name", sorted(PV_OPERATORS))
     def test_error_estimate_covers_the_residual(self, name, tol):
-        # the derived height keeps only the tail that the Richardson value
-        # leaves, R S^2 / lambda^2, so est_error must still cover the residual
+        # the derived height keeps only the tail left after the exact 2S/(pi T)
+        # term, R S^2 / lambda^2, so est_error must still cover the residual
         op = PV_OPERATORS[name]()
         quad = pv_axis_integral(op, default_contour(op, tol=tol))
         expect = 2 * oracle_projection(op).p_plus - np.eye(op.dim)
@@ -227,9 +228,18 @@ class TestPrincipalValue:
         # ||S|| = 711: a height held to the uncancelled c/T tail took 2016 nodes
         op = build_block_operator("almost-bisect-5.5", 50, {"p": 0.5})
         quad = pv_axis_integral(op, default_contour(op, tol=1e-8))
-        assert quad.node_count <= 1400
+        assert quad.node_count <= 720
         expect = 2 * oracle_projection(op).p_plus - np.eye(op.dim)
         assert spectral_norm(quad.value - expect) <= quad.est_error
+
+
+    @pytest.mark.parametrize("name", sorted(PV_OPERATORS))
+    def test_tail_bound_is_the_neumann_bound_at_t_eff(self, name):
+        # beyond T only R S^2 / lambda^2 is left, on both halves of the axis
+        op = PV_OPERATORS[name]()
+        quad = pv_axis_integral(op, default_contour(op))
+        tail = _neumann_tail((op,), quad.t_eff, 2.0 * operator_norm(op) ** 2, 2)
+        assert quad.tail_bound == pytest.approx(float(tail), rel=1e-12)
 
 
 class TestRMinus:
@@ -532,16 +542,30 @@ def test_log_log_fit_recovers_power_law():
     abs_lams = np.logspace(0, 4, 30)
     beta, m = 0.75, 3.0
     norms = m * abs_lams**-beta
-    fit_beta, log_m, log_m_env, resid = _log_log_fit(abs_lams, norms)
+    fit_beta, log_m, resid = _log_log_fit(abs_lams, norms)
     assert fit_beta == pytest.approx(beta, rel=1e-12)
     assert np.exp(log_m) == pytest.approx(m, rel=1e-12)
     assert resid <= 1e-12
-    # the envelope lies on or above every sample
-    assert np.all(np.exp(log_m_env) * abs_lams**-fit_beta >= norms * (1.0 - 1e-12))
-    # with noise the envelope still covers every sample
-    noisy = norms * np.exp(np.random.default_rng(0).normal(0.0, 0.1, abs_lams.size))
-    fit_beta, _, log_m_env, _ = _log_log_fit(abs_lams, noisy)
-    assert np.all(log_m_env - fit_beta * np.log(abs_lams) >= np.log(noisy) - 1e-12)
+
+
+GAP_ONE = diag_operator([1.0, -1.0])
+TOO_WIDE = ContourSpec(h=0.96)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate_A(GAP_ONE, "+", TOO_WIDE),
+        lambda: r_minus(GAP_ONE, -3.0, TOO_WIDE),
+        lambda: split(GAP_ONE, TOO_WIDE),
+        lambda: projection_diff_integral(GAP_ONE, diag_operator([2.0, -1.0]), TOO_WIDE),
+    ],
+    ids=["integrate_A", "r_minus", "split", "projection_diff_integral"],
+)
+def test_line_beyond_the_strip_refused(call):
+    # every line is checked by the quadrature driver before any node is solved
+    with pytest.raises(NearSpectrumError, match="exceeds 0.95"):
+        call()
 
 
 ZERO_GAP = diag_operator([1j, -1.0])

@@ -66,7 +66,8 @@ def nodes_for(op):
 def summed(kernel, sums, i):
     """Coefficient set ``i`` of per-panel kernel sums, summed over the panels,
     in operator coordinates."""
-    return kernel.dense([s[i].sum(axis=0) for s in sums])
+    dim = kernel.ops[0].dim
+    return kernel.dense([s[i].sum(axis=0) for s in sums], np.zeros((dim, dim), complex))
 
 
 def permuted_blocks():
@@ -249,8 +250,8 @@ class TestPerturbationPair:
         # the difference cancels to about 1e-9 of each resolvent, below what
         # dense LU resolves, so the errors are measured against the resolvents
         scale = np.maximum(np.linalg.norm(rs, axis=(1, 2)), np.linalg.norm(rt, axis=(1, 2)))
-        assert np.all(np.linalg.norm(pair.dense(pair.nodes(lams)) - diff, axis=(1, 2))
-                      <= REL_TOL * scale)
+        dense = pair.dense(pair.nodes(lams), np.zeros_like(diff))
+        assert np.all(np.linalg.norm(dense - diff, axis=(1, 2)) <= REL_TOL * scale)
         fro = _stack_norms(pair.nodes(lams), spectral=False)
         assert np.all(np.abs(fro - np.linalg.norm(diff, axis=(1, 2))) <= REL_TOL * scale)
         spectral = np.linalg.svd(diff, compute_uv=False)[:, 0]

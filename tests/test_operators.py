@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -118,6 +120,20 @@ class TestResolvent:
             resolvent(op, 1.0 + 1e-12j)
         assert err.value.eigenvalue == pytest.approx(1.0)
         assert err.value.distance <= err.value.tol
+
+    def test_resolvent_many_writes_into_its_result(self):
+        # each chunk's values go straight into the result, so the peak stays
+        # near the result's size on block-diagonal operators, whose chunks
+        # span many nodes of dim x dim matrices
+        op = build_block_operator("dichotomy-2.3", 50)
+        lams = 1j * np.linspace(1, 200, 200)
+        tracemalloc.start()
+        try:
+            out = resolvent_many(op, lams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
 
     def test_resolvent_many_matches_single(self):
         op = random_gap_operator(6, seed=3)
@@ -331,6 +347,11 @@ class TestRandomGapOperator:
         spec = spectrum(op)
         assert spec.min_abs_real >= 0.5 - 1e-9
         assert spectral_norm(op.entries) <= 10.0
+
+    def test_gap_holds_at_large_dims(self):
+        # the norm grows with dim and is not capped: a cap that rescaled the
+        # entries shrank the gap to 0.447 here
+        assert spectrum(random_gap_operator(256, 7)).min_abs_real >= 0.5
 
     def test_deterministic(self):
         a = random_gap_operator(7, seed=11)
