@@ -26,17 +26,22 @@ panels.  While some set misses tol, the panels whose Frobenius estimate
 exceeds their share tol * width / (line width) in theta for some set are
 bisected, and only the halves are solved again, at most 6 times.  Such a
 panel exists whenever the test fails, since the shares sum to tol and the
-spectral norm of a sum is at most the sum of the Frobenius norms.  The
-omitted |t| > T tail is bounded by the Neumann bound ||(S - lambda)^{-1}||
-<= 1/(|lambda| - ||S||) (Kato, Perturbation Theory, I-5), integrated in
-closed form against the weight, for T >= 2 max(||S||, |z|), z the pole of
-R_-(z).  The height T_eff is the smallest dyadic one, at least 10 h, at which
-every tail on the line meets the target of what its integral feeds
-(:func:`_side_integrals`); where none does, :class:`TruncationError` is
-raised.  ``QuadResult`` reports T_eff, and its ``est_error`` is the
-quadrature estimate of the integral's own set plus its tail bound;
-``QuadResult.node_count`` counts every solve on the line, in every pass and
-for every integral that shares the line.
+spectral norm of a sum is at most the sum of the Frobenius norms.  Beyond
+|t| = T the resolvent is R = -sum_{k<K} S^k lambda^{-k-1} + R (S/lambda)^K,
+K = 24: the polynomial is integrated exactly (:func:`_far_moments`) and added
+to the value, and the remainder is bounded in closed form through
+||R(lambda)|| <= 1/(|lambda| - ||S||) (Kato, Perturbation Theory, I-5), for
+T >= 2 max(||S||, |z|), z the pole of R_-(z); a pair's remainder is the sum
+of both operators'.  T_eff is the smallest dyadic height, at least 10 h, at
+which every remainder on the line meets the target of what its integral
+feeds (:func:`_side_integrals`); where none does (||S||^K overflows),
+:class:`TruncationError` is raised.  ``QuadResult`` reports T_eff, the
+remainder as ``tail_bound``, and as ``est_error`` the quadrature estimate of
+the integral's own set plus the remainder plus dim * eps * ||value||, the
+rounding of the back-transform from Schur coordinates (inner products of
+length at most dim; Higham, Accuracy and Stability, 3.1), which the estimate
+cannot see.  ``node_count`` counts every solve on the line, in every pass
+and for every integral that shares the line.
 
 Spectral clearance.  A line Re lambda = +-h needs h <= 0.95 * gap, which the
 driver checks once before its nodes are solved; every node then lies at least
@@ -45,17 +50,12 @@ gap).  Grid sweeps skip the points near the spectrum with a warning; explicit
 points near it are refused.
 
 Node evaluations go through the resolvent kernel of
-:mod:`specsplit.operators`: each diagonal block of the operator (a connected
-component of its nonzero pattern) is reduced once to complex Schur form,
-every node costs one triangular inverse per block (vectorised over the nodes
-for small blocks, closed-form for blocks of order 1 and 2, one LAPACK call
-per node for larger blocks), and the weighted sums are accumulated per panel
-in Schur coordinates, where the per-panel norms are taken too, and
-back-transformed once per integral.  A pair (S, T) is reduced on the blocks
-of the union of both patterns, and each panel sum is back-transformed before
-the difference R_S - R_T is taken.  A closed panel's sums go into running
-totals, and an open panel's are dropped once its halves are solved.  The
-reductions are ordered sums, so results are deterministic.
+:mod:`specsplit.operators` (``_Kernel``): a panel's weighted sums and the far
+field are formed per diagonal block in Schur coordinates, where the per-panel
+norms are taken too, and back-transformed once per integral, for a pair
+before the difference R_S - R_T is taken.  A closed panel's sums go into
+running totals, and an open panel's are dropped once its halves are solved.
+The reductions are ordered sums, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -64,9 +64,11 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import eval_legendre
 
 from .errors import NearSpectrumError, QuadratureError, TruncationError
 from .operators import (
+    _MACHINE_EPS,
     Operator,
     _Kernel,
     _spectral_gap,
@@ -175,6 +177,20 @@ _NODES, _WEIGHTS, _GAUSS_WEIGHTS = _kronrod_rule()
 # a node's weight in the Kronrod-minus-Gauss estimate, relative to its weight
 _ESTIMATE_RATIO = 1.0 - _GAUSS_WEIGHTS / _WEIGHTS
 _MAX_BISECTIONS = 6
+# the terms of the Neumann polynomial integrated exactly over |t| > T_eff
+_NEUMANN_TERMS = 24
+
+
+def _gauss_legendre(n: int):
+    """Gauss-Legendre rule on [-1, 1]: numpy's nodes after a Newton step, and
+    weights 2 / ((1 - x^2) P_n'^2), by scipy's P_n; numpy's own weights are
+    about 20 times less accurate at n = 64 (on u^26: 7.8e-16, 1.4e-14)."""
+    x = np.polynomial.legendre.leggauss(n)[0]
+    slope = n * (eval_legendre(n - 1, x) - x * eval_legendre(n, x)) / (1.0 - x * x)
+    return x - eval_legendre(n, x) / slope, 2.0 / ((1.0 - x * x) * slope**2)
+
+
+_FAR_NODES, _FAR_WEIGHTS = _gauss_legendre(64)
 # A feeds P = S^2 A, so its tail is held to min(tol, _P_TAIL) / max(1, ||S||)^2:
 # the tail of P then stays below the residual suite's default pass_tol (1e-6).
 _P_TAIL = 1e-8
@@ -219,19 +235,26 @@ def line_nodes(scale: float, t_max: float, q: int, panels=None):
 # ---------------------------------------------------------------------------
 
 
+def _far_moments(weights, x0: float, t_eff: float) -> np.ndarray:
+    """mu[i, k] = T^k (1/2*pi) * integral over |t| > T of w_i(lambda)
+    lambda^{-k-1} dt, lambda = x0 + it, so that integral i has the far field
+    -sum_k mu[i, k] (S/T)^k.  In u = T/|t| both half-lines give one integrand
+    u^{-2} sum_+- w(lambda) (T/lambda)^{k+1} on (0, 1], whose 1/u terms cancel
+    at k = 0; for T >= 10 |x0| and T >= 2 |z|, z the pole of R_-(z), it is
+    analytic for |u| < 5/3, and the Gauss-Legendre rule exact to rounding."""
+    u = 0.5 * (_FAR_NODES + 1.0)
+    lam = x0 + 1j * t_eff / np.concatenate([u, -u])  # both half-lines
+    w = np.tile(_FAR_WEIGHTS / u**2, 2) / (4.0 * np.pi)
+    powers = (t_eff / lam)[:, None] ** np.arange(1, _NEUMANN_TERMS + 1)
+    return np.array([(w * weight(lam)) @ powers for weight in weights])
+
+
 def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) -> list:
     """Integrals (1/2*pi) * integral of w(lambda) R(lambda) dt over the line
-    Re lambda = x0, |t| <= T_eff, one :class:`QuadResult` per entry (w, c, k,
-    poles, target) of ``integrals``; R is the resolvent of ``ops[0]``, or
-    R_S - R_T when ``ops`` is a pair (S, T).
-
-    The line is refused where |x0| > 0.95 * gap of ``ops``, the only check
-    before the solves: every node then lies at least 0.05 * gap from every
-    eigenvalue.  T_eff is the first of the 256 dyadic heights scale * 2^j from
-    10 h up at which the tail (c, k, poles) of :func:`_neumann_tail` of every
-    integral is at most its target; with none, :class:`TruncationError` is
-    raised.  The open panels are then bisected until the quadrature estimate
-    of every integral meets ``spec.tol``."""
+    Re lambda = x0 (see "Error control"), one :class:`QuadResult` per entry
+    (w, c, k, poles, target) of ``integrals``, whose remainder is
+    :func:`_neumann_tail` with (c ||S||^K, k + K, poles); R is the resolvent
+    of ``ops[0]``, or R_S - R_T when ``ops`` is a pair (S, T)."""
     gap = _spectral_gap(*ops)
     if abs(x0) > 0.95 * gap:
         raise NearSpectrumError(
@@ -240,7 +263,11 @@ def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) ->
         )
     scale = spec.h if scale is None else scale
     heights = _dyadic_breaks(scale, 10.0 * spec.h)[-1] * 2.0 ** np.arange(256)
-    tails = np.array([_neumann_tail(ops, heights, c, k, p) for _, c, k, p, _ in integrals])
+    big_k = _NEUMANN_TERMS
+    with np.errstate(over="ignore"):  # ||S||^K beyond the float range leaves no bound
+        tails = np.array([sum(
+            _neumann_tail((op,), heights, c * np.float64(operator_norm(op)) ** big_k, k + big_k, p)
+            for op in ops) for _, c, k, p, _ in integrals])
     meets = np.all(tails <= np.array([target for *_, target in integrals])[:, None], axis=0)
     if not meets.any():
         raise TruncationError(f"no truncation height meets tol={spec.tol:.2e}")
@@ -252,6 +279,9 @@ def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) ->
     lo, hi = edges[:-1], edges[1:]
     n, q, dim = len(integrals), _NODES.size, ops[0].dim
     closed = kernel.zeros(2 * n)  # the values, then the estimates, of the closed panels
+    mu = _far_moments([weight for weight, *_ in integrals], x0, t_eff)
+    for acc, far in zip(closed, kernel.neumann(mu, t_eff)):
+        acc[:n] += far
     node_count = 0
     for _ in range(_MAX_BISECTIONS + 1):
         t, w = line_nodes(scale, t_eff, q, (lo, hi))[:2]
@@ -274,12 +304,13 @@ def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) ->
         # the shares of the panels sum to tol, so with every panel closed the
         # estimate is below tol up to rounding
         if np.all(est <= spec.tol) or not is_open.any():
+            rounding = dim * _MACHINE_EPS * _stack_norms([t[:n] for t in totals], spectral=True)
             return [
                 QuadResult(
                     kernel.dense([t[i] for t in totals], np.zeros((dim, dim), complex)),
                     tails[i],
                     node_count,
-                    float(est[i]) + tails[i],
+                    float(est[i] + rounding[i]) + tails[i],
                     t_eff,
                 )
                 for i in range(n)
@@ -306,21 +337,19 @@ def _log_log_fit(abs_lams: np.ndarray, norms: np.ndarray):
 
 def _neumann_tail(ops, t_eff, c: float, k: float, poles=()):
     """Bound of  (1/pi) * integral over t > T of  c t^{-k} prod_p 1/(t - p)
-    ||R(x0 + it)|| dt  on a vertical line, where |lambda| >= t.  R is the
-    resolvent of ``ops[0]``, or R_S - R_T = R_S (T - S) R_T for a pair; by
-    the Neumann series ||R_S(lambda)|| <= 1/(|lambda| - ||S||).  With sigma
-    over the operator norms and the poles, t/(t - sigma) <= T/(T - sigma) for
-    t >= T gives  c |T - S| prod_sigma T/(T - sigma) / (pi n T^n),
-    n = k + #sigma - 1 (no |T - S| for one operator);  inf (no bound) where
-    T < 2 max sigma.  ``t_eff`` is one height T, or an array of them."""
-    sigmas = [operator_norm(op) for op in ops] + list(poles)
+    ||R(x0 + it)|| dt,  R the resolvent of the one operator in ``ops``, with
+    |lambda| >= t and ||R|| <= 1/(|lambda| - ||S||): by t/(t - sigma) <=
+    T/(T - sigma), sigma over ||S|| and the poles, it is  c prod_sigma
+    T/(T - sigma) / (pi n T^n),  n = k + #sigma - 1, taken in logarithms;
+    inf where T < 2 max sigma.  ``t_eff`` is one height T or an array."""
+    (op,) = ops
+    sigmas = [operator_norm(op), *poles]
     low = 2.0 * max(sigmas)
-    if len(ops) == 2:  # the Frobenius norm bounds |T - S|
-        c *= float(np.linalg.norm(ops[1].entries - ops[0].entries))
     n = k + len(sigmas) - 1
     t = np.maximum(t_eff, low)
-    tail = c * np.prod([t / (t - s) for s in sigmas], axis=0) / (np.pi * n * t**n)
-    return np.where(t_eff < low, np.inf, tail)
+    log_tail = np.log(c / (np.pi * n)) - n * np.log(t) + sum(np.log(t / (t - s)) for s in sigmas)
+    with np.errstate(over="ignore"):
+        return np.where(t_eff < low, np.inf, np.exp(log_tail))
 
 
 def _side_sign(side: str) -> float:
@@ -390,29 +419,20 @@ def integrate_B(op: Operator, side: str, spec: ContourSpec) -> QuadResult:
     """B_side = +-(1/2*pi*i) * integral of lambda^{-1} (S-lambda)^{-1} along
     Re lambda = +-h.
 
-    The 1/lambda weight converges only through resolvent decay on the line,
-    which the Neumann bound gives from T = 2 ||S|| on.
-    The relation A_side = B_side S^{-1} ties this to :func:`integrate_A`.
+    The 1/lambda weight converges only through the decay of the resolvent,
+    whose Neumann polynomial integrates exactly beyond T_eff.  The relation
+    A_side = B_side S^{-1} ties this to :func:`integrate_A`.
     """
     return _side_integrals(op, side, spec, ("B",))["B"]
 
 
 def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
     """Principal value (1/pi*i) * integral of (S-lambda)^{-1} over the whole
-    imaginary axis, realised as symmetric truncation at T plus the exact
-    integral of the leading even term beyond it.
-
-    Equals P_+ - P_- = 2 P_+ - I whenever the resolvent decays on the axis.
-    Beyond T, R = -1/lambda - S/lambda^2 + R S^2/lambda^2: the odd first term
-    cancels under symmetric truncation, the second integrates to 2S/(pi T),
-    which is added to the value, and ``est_error`` is the quadrature estimate
-    plus the Neumann bound of the third.
-    """
-    # the tail of the third term, two-sided: c = 2 ||S||^2 with the weight t^{-2}
-    integral = (lambda lam: 2.0, 2.0 * operator_norm(op) ** 2, 2, (), spec.tol)
-    (quad,) = _line_integrals((op,), 0.0, [integral], spec, scale=1.0)
-    value = quad.value + 2.0 * op.entries / (np.pi * quad.t_eff)
-    return dataclasses.replace(quad, value=value)
+    imaginary axis: symmetric truncation at T plus the exact integral of the
+    Neumann polynomial beyond it, whose odd powers of lambda cancel (-1/lambda
+    does not converge on its own).  Equals P_+ - P_- = 2 P_+ - I whenever the
+    resolvent decays on the axis."""
+    return _line_integrals((op,), 0.0, [(lambda lam: 2.0, 2.0, 0, (), spec.tol)], spec, scale=1.0)[0]
 
 
 def r_minus(op: Operator, z: complex, spec: ContourSpec) -> np.ndarray:

@@ -676,6 +676,21 @@ class _Kernel:
 
         return self._integrand([[panel_sums(g) for g in gs] for gs in self.groups])
 
+    def neumann(self, mu, scale: float) -> list[np.ndarray]:
+        """The far fields  -sum_k mu[i, k] (X/scale)^k  of the moment sets, an
+        array ``mu`` (sets, K), X the operator, like :meth:`sums`.  Powers of
+        X/scale, of norm at most 1/2 for scale >= 2 ||X||, cannot overflow
+        where those of X can."""
+        def polynomial(g):
+            x, power = g.t / scale, np.broadcast_to(np.eye(g.t.shape[-1]), g.t.shape)
+            out = np.zeros((mu.shape[0], *x.shape), dtype=complex)
+            for coef in mu.T:
+                out -= coef[:, None, None, None] * power
+                power = power @ x
+            return out
+
+        return self._integrand([[polynomial(g) for g in gs] for gs in self.groups])
+
     def dense(self, blocks, out: np.ndarray) -> np.ndarray:
         """The matrices in operator coordinates, from one (..., count, m, m)
         array per block order, all with the same leading shape, written into

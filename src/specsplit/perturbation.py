@@ -164,9 +164,9 @@ def projection_diff_integral(
     difference of the plus projections P_+^S - P_+^T.
 
     The lambda^{-2} weights of the individual projection integrals cancel in
-    the difference, so convergence rests on the resolvent-difference decay,
-    which the Neumann bound through R_S - R_T = R_S (T - S) R_T gives from
-    T = 2 max(||S||, ||T||) on; the derived height holds that tail to tol.
+    the difference, so convergence rests on the decay of R_S - R_T: beyond
+    the height the difference of the two Neumann polynomials is integrated
+    exactly, and the sum of their remainders is held to tol.
     """
     if s_op.dim != t_op.dim:
         raise OperatorError("operators must act on the same space")

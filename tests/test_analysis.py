@@ -56,7 +56,10 @@ class TestSplit:
         # ||S|| = 5.5e11, so P = S^2 A carries the roundoff of A times ||S||^2:
         # spurious singular values of P rise far above roundoff, but tr P still
         # rounds to the eigenvalue count, and the residuals of P fail instead
+        # (||S||/T)^k, not ||S||^k, enters the far field: S^24 would overflow
         result = mcintosh_yagi_n2
+        for p in (result.p_plus, result.p_minus):
+            assert np.isfinite(p).all() and np.isfinite(np.trace(p))
         assert (result.rank_plus, result.rank_minus) == (46, 46)
         assert not result.passes(1e-6)
 

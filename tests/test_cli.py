@@ -80,12 +80,14 @@ class TestSplitCommand:
         assert set(payload["contour"]) == {"h", "tol"}
         assert payload["t_eff_plus"] >= 10 * payload["contour"]["h"]
 
-    def test_no_truncation_height_exits_3(self, capsys):
-        # the Neumann tail of A falls like T^-2, and no dyadic height tried
-        # brings it below 1e-300
+    def test_unreachable_tol_exits_3(self, capsys):
+        # the remainder of the Neumann polynomial falls like T^-26, so a
+        # height meets 1e-300, and the quadrature of the near field cannot
         code, _, err = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--tol", "1e-300")
         assert code == 3
-        assert "no truncation height meets tol" in err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical non-convergence: ")
+        assert "did not reach tol=1.00e-300" in err
 
     def test_descriptor_file(self, capsys, tmp_path):
         path = tmp_path / "op.json"

@@ -30,6 +30,7 @@ from specsplit import (
 from specsplit.contour import (
     _ESTIMATE_RATIO,
     _GAUSS_WEIGHTS,
+    _NEUMANN_TERMS,
     _NODES,
     _WEIGHTS,
     _line_panels,
@@ -217,28 +218,32 @@ class TestPrincipalValue:
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
     @pytest.mark.parametrize("name", sorted(PV_OPERATORS))
     def test_error_estimate_covers_the_residual(self, name, tol):
-        # the derived height keeps only the tail left after the exact 2S/(pi T)
-        # term, R S^2 / lambda^2, so est_error must still cover the residual
+        # the derived height keeps only the remainder R (S/lambda)^K of the
+        # exactly integrated Neumann polynomial, so est_error must still cover
+        # the residual
         op = PV_OPERATORS[name]()
         quad = pv_axis_integral(op, default_contour(op, tol=tol))
         expect = 2 * oracle_projection(op).p_plus - np.eye(op.dim)
         assert spectral_norm(quad.value - expect) <= quad.est_error
 
     def test_node_budget(self):
-        # ||S|| = 711: a height held to the uncancelled c/T tail took 2016 nodes
+        # ||S|| = 711: a height held to the uncancelled c/T tail took 2016
+        # nodes, and one held to the R S^2 / lambda^2 tail 690
         op = build_block_operator("almost-bisect-5.5", 50, {"p": 0.5})
         quad = pv_axis_integral(op, default_contour(op, tol=1e-8))
-        assert quad.node_count <= 720
+        assert quad.node_count <= 400
         expect = 2 * oracle_projection(op).p_plus - np.eye(op.dim)
         assert spectral_norm(quad.value - expect) <= quad.est_error
 
 
     @pytest.mark.parametrize("name", sorted(PV_OPERATORS))
     def test_tail_bound_is_the_neumann_bound_at_t_eff(self, name):
-        # beyond T only R S^2 / lambda^2 is left, on both halves of the axis
+        # beyond T only the remainder 2 R (S/lambda)^K of the Neumann
+        # polynomial is left, on both halves of the axis
         op = PV_OPERATORS[name]()
         quad = pv_axis_integral(op, default_contour(op))
-        tail = _neumann_tail((op,), quad.t_eff, 2.0 * operator_norm(op) ** 2, 2)
+        k = _NEUMANN_TERMS
+        tail = _neumann_tail((op,), quad.t_eff, 2.0 * operator_norm(op) ** k, k)
         assert quad.tail_bound == pytest.approx(float(tail), rel=1e-12)
 
 
@@ -320,6 +325,25 @@ def test_kronrod_rule_exactness():
     assert np.count_nonzero(_GAUSS_WEIGHTS) == 7
 
 
+@pytest.mark.parametrize("x0, t_eff", [(0.5, 10.0), (-0.25, 4.0), (0.0, 32.0), (-1.0, 2.0**20)])
+def test_far_moments_match_the_closed_form(x0, t_eff):
+    # the integral of lambda^{-n} over |t| > T, n = k + 1 + j for the weight
+    # lambda^{-j}, is ((x0 + iT)^{1-n} - (x0 - iT)^{1-n}) / (i (n - 1))
+    weights = [lambda lam, j=j: lam ** -float(j) for j in (1, 2, 3)]
+    mu = contour_module._far_moments(weights, x0, t_eff)
+    k = np.arange(_NEUMANN_TERMS)
+    for j, row in zip((1, 2, 3), mu):
+        n = k + 1 + j
+        exact = ((x0 + 1j * t_eff) ** (1.0 - n) - (x0 - 1j * t_eff) ** (1.0 - n)) / (1j * (n - 1))
+        got = 2.0 * np.pi * row / t_eff**k
+        # relative to the integral of |lambda|^{-n}: the two terms of the
+        # closed form cancel to zero on the axis at odd n, and nearly so
+        # elsewhere, where it is itself exact only to that scale
+        scale = 2.0 * np.abs(x0 + 1j * t_eff) ** (1.0 - n) / (n - 1)
+        assert np.all(np.abs(got - exact) <= 1e-14 * scale)
+    assert sorted({n for j in (1, 2, 3) for n in k + 1 + j}) == list(range(2, 28))
+
+
 def test_each_pass_solves_the_halves_of_open_panels(monkeypatch):
     passes = []
 
@@ -383,7 +407,7 @@ def test_split_node_budget(monkeypatch):
     split(random_gap_operator(64, 7))
     # two lines, each evaluated once for all of its integrals, and refined
     # only where a panel misses its share of the tolerance
-    assert 0 < sum(solved) <= 8000
+    assert 0 < sum(solved) <= 1300
 
 
 def test_derived_height_node_budget(monkeypatch):
@@ -398,8 +422,9 @@ def test_derived_height_node_budget(monkeypatch):
     op = random_gap_operator(64, 7)
     result = split(op)
     # each line stops at the first dyadic height where its tails meet their
-    # targets (4352 solves at a fixed T = 1e10)
-    assert 0 < sum(solved) <= 2600
+    # targets (4352 solves at a fixed T = 1e10, 2520 at the height of the bare
+    # Neumann tails, without the exact far field)
+    assert 0 < sum(solved) <= 1300
     assert spectral_norm(result.p_plus - oracle_projection(op).p_plus) <= 1e-12
 
 

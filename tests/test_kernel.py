@@ -63,6 +63,24 @@ def nodes_for(op):
     return h + 1j * t, w
 
 
+def neumann_reference(entries, mu, scale):
+    """-sum_k mu[i, k] (S/scale)^k for every set i, by dense powers of S/scale."""
+    x = entries / scale
+    power = np.eye(x.shape[0], dtype=complex)
+    out = np.zeros((mu.shape[0], *x.shape), dtype=complex)
+    for coef in mu.T:
+        out -= coef[:, None, None] * power
+        power = power @ x
+    return out
+
+
+def neumann_moments():
+    """Two sets of moments of the size the far field's have, about 1/k."""
+    rng = np.random.default_rng(0)
+    mu = rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24))
+    return mu / np.arange(1, 25)
+
+
 def summed(kernel, sums, i):
     """Coefficient set ``i`` of per-panel kernel sums, summed over the panels,
     in operator coordinates."""
@@ -159,6 +177,15 @@ class TestAgainstDenseLU:
             fro = _stack_norms(sums, spectral=False)[i]
             assert np.max(np.abs(fro / np.linalg.norm(expect, axis=(1, 2)) - 1.0)) <= REL_TOL
 
+    def test_neumann_polynomial(self, case):
+        # the far field in Schur coordinates, at the least height a line
+        # takes it at (2 ||S||), against dense powers of S
+        op = case[0]
+        mu, scale = neumann_moments(), 2.0 * operator_norm(op)
+        kernel = _Kernel((op,))
+        got = kernel.dense(kernel.neumann(mu, scale), np.zeros((2, op.dim, op.dim), complex))
+        assert rel(got, neumann_reference(op.entries, mu, scale)) <= REL_TOL
+
     def test_full_stack(self, case):
         op, lams, _, dense = case
         assert rel(resolvent_many(op, lams), dense) <= REL_TOL
@@ -219,6 +246,18 @@ class TestPerturbationPair:
         expect = np.tensordot(coefs[0], diff, axes=(0, 0))
         pair = _Kernel((s_op, t_op))
         assert rel(summed(pair, pair.sums(lams, coefs, Q), 0), expect) <= REL_TOL
+
+    @pytest.mark.parametrize("pair", ["criterion 8", *sorted(SHARED_BLOCK_PAIRS)])
+    def test_neumann_polynomial_of_a_pair(self, pair):
+        # the difference of both operators' polynomials, each back-transformed
+        s_op, t_op = criterion8_pair() if pair == "criterion 8" else SHARED_BLOCK_PAIRS[pair]()[:2]
+        mu = neumann_moments()
+        scale = 2.0 * max(operator_norm(s_op), operator_norm(t_op))
+        kernel = _Kernel((s_op, t_op))
+        got = kernel.dense(kernel.neumann(mu, scale), np.zeros((2, s_op.dim, s_op.dim), complex))
+        expect = [neumann_reference(op.entries, mu, scale) for op in (s_op, t_op)]
+        # the k = 0 terms cancel, so the error is measured against each polynomial
+        assert np.linalg.norm(got - (expect[0] - expect[1])) <= REL_TOL * np.linalg.norm(expect[0])
 
     def test_pair_reduced_once(self, monkeypatch):
         # the Schur factors on the union layout are cached on each operator,
