@@ -18,7 +18,6 @@ parabola-shaped resolvent-set region that a decay exponent guarantees.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +69,13 @@ def json_safe_float(value: float):
     if np.isinf(value):
         return "inf" if value > 0 else "-inf"
     return value
+
+
+def samples_csv(column: str, samples) -> str:
+    """CSV of ``(lambda, value)`` pairs under the header
+    ``re_lambda,im_lambda,<column>``, every number in its round-trip repr."""
+    rows = (f"{float(lam.real)!r},{float(lam.imag)!r},{float(value)!r}\n" for lam, value in samples)
+    return f"re_lambda,im_lambda,{column}\n" + "".join(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +364,7 @@ class SweepReport:
         }
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("re_lambda,im_lambda,resolvent_norm\n")
-        for lam, nrm in zip(self.lambdas, self.norms):
-            buf.write(f"{float(lam.real)!r},{float(lam.imag)!r},{float(nrm)!r}\n")
-        return buf.getvalue()
+        return samples_csv("resolvent_norm", zip(self.lambdas, self.norms))
 
 
 def resolvent_sweep(
@@ -383,7 +385,7 @@ def resolvent_sweep(
     lo, hi = fit_window
     if not 0 < lo < hi:
         raise ValueError(f"fit window needs 0 < lo < hi, got ({lo}, {hi})")
-    lams, skipped = _clear_points((op,), grid, near_spectrum_tol(op))
+    lams, skipped = _clear_points((op,), grid)
     norms = _Kernel((op,)).norms(lams)
 
     mask = (np.abs(lams) >= lo) & (np.abs(lams) <= hi)

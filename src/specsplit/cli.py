@@ -36,7 +36,6 @@ from .errors import (
 )
 from .operators import (
     Operator,
-    build_block_operator,
     descriptor_of,
     family_names,
     operator_from_descriptor,
@@ -74,10 +73,7 @@ def _write_output(text: str, out: str | None):
     if out is None or out == "-":
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out))
-    if not os.path.isdir(directory):
-        raise UsageError(f"output directory does not exist: {directory}")
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(out, "w", encoding="utf-8") as fh:  # a missing directory raises OSError: exit 1
         fh.write(text)
 
 
@@ -123,16 +119,18 @@ def resolve_operator(source: str) -> Operator:
             return operator_from_descriptor(json.load(fh))
     name, params = _parse_shorthand(source)
     if name == "random":
-        dim = int(params.pop("dim", 8))
-        seed = int(params.pop("seed", 0))
+        dim, seed = params.pop("dim", 8), params.pop("seed", 0)
         if params:
             raise UsageError(f"random source does not accept {sorted(params)}")
+        if not isinstance(dim, int) or not isinstance(seed, int):
+            raise UsageError(f"random source needs integer dim and seed, got {dim!r}, {seed!r}")
         return random_gap_operator(dim, seed)
     if name in family_names():
         n = params.pop("N", None)
         if n is None:
             raise UsageError(f"family source '{name}' needs N, e.g. {name}?N=4")
-        return build_block_operator(name, int(n), params)
+        desc = {"kind": "family", "family": name, "params": params, "N": n}
+        return operator_from_descriptor(desc)  # refuses a non-integer N
     raise UsageError(
         f"cannot resolve operator source '{source}'; known families: "
         + ", ".join(family_names())
@@ -245,14 +243,11 @@ def cmd_sweep(args) -> int:
 def cmd_fit(args) -> int:
     op, report = _sweep_report(args)
     summary = report.to_json_dict()
+    fields = ("fitted_beta", "fitted_M", "fit_residual", "fit_window", "sup_norm")
     payload = {
         "version": __version__,
         "operator": _operator_summary(args.operator, op),
-        "fitted_beta": summary["fitted_beta"],
-        "fitted_M": summary["fitted_M"],
-        "fit_residual": summary["fit_residual"],
-        "fit_window": summary["fit_window"],
-        "sup_norm": summary["sup_norm"],
+        **{key: summary[key] for key in fields},
     }
     if args.format == "text":
         _write_output(
@@ -407,10 +402,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OperatorError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (UsageError, OperatorError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NearSpectrumError as exc:

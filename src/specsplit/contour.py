@@ -112,8 +112,7 @@ class ContourSpec:
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
-    def to_json_dict(self) -> dict:
-        return {"h": self.h, "tol": self.tol}
+    to_json_dict = dataclasses.asdict
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ContourSpec":
@@ -145,9 +144,9 @@ class QuadResult:
         }
 
 
-def default_contour(op: Operator, safety: float = 0.5, **overrides) -> ContourSpec:
-    """Contour at ``h = safety * gap`` with the module defaults."""
-    return ContourSpec(h=choose_h(op, safety), **overrides)
+def default_contour(op: Operator, **overrides) -> ContourSpec:
+    """Contour at ``h = gap / 2`` (:func:`choose_h` at 0.5); ``overrides`` may set ``tol``."""
+    return ContourSpec(h=choose_h(op, 0.5), **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +269,11 @@ def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) ->
             for op in ops) for _, c, k, p, _ in integrals])
     meets = np.all(tails <= np.array([target for *_, target in integrals])[:, None], axis=0)
     if not meets.any():
-        raise TruncationError(f"no truncation height meets tol={spec.tol:.2e}")
+        cause = ""
+        if np.isinf(tails).all(axis=1).any():  # c ||S||^K overflowed: inf at every height
+            norm = max(operator_norm(op) for op in ops)
+            cause = f": ||S|| = {norm:.3e}, whose {big_k}th power leaves the float range"
+        raise TruncationError(f"no truncation height meets tol={spec.tol:.2e}{cause}")
     j = int(np.argmax(meets))
     t_eff, tails = float(heights[j]), [float(tail) for tail in tails[:, j]]
 

@@ -16,7 +16,7 @@ documented headline claims of the family being reproduced.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -96,16 +96,7 @@ class FactResult:
     expected: str
     detail: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "provenance": self.provenance,
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "measured": self.measured,
-            "expected": self.expected,
-            "detail": self.detail,
-        }
+    to_json_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -148,14 +139,7 @@ class CaseReport:
     all_passed: bool
     incomplete: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "params": {k: self.params[k] for k in sorted(self.params)},
-            "facts": [f.to_json_dict() for f in self.facts],
-            "all_passed": self.all_passed,
-            "incomplete": self.incomplete,
-        }
+    to_json_dict = asdict  # facts as a tuple of dicts; dumped with sort_keys, as a list
 
     def to_text(self) -> str:
         lines = [f"case {self.case} params={self.params}"]

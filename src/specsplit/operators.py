@@ -197,8 +197,9 @@ def spectrum(op: Operator) -> Spectrum:
     return Spectrum(eigenvalues=ev, min_abs_real=float(np.abs(ev.real).min()))
 
 
-def near_spectrum_tol(op: Operator) -> float:
-    """Default tolerance for the "near spectrum" precondition.
+def near_spectrum_tol(*ops: Operator) -> float:
+    """Default tolerance for the "near spectrum" precondition, the largest
+    over ``ops`` (a pair is clear where it is clear of both spectra).
 
     Scale-aware default 1e-8*(1+||S||), capped at a quarter of the spectral
     gap.  The cap keeps operators with a huge norm but a modest gap usable
@@ -206,11 +207,12 @@ def near_spectrum_tol(op: Operator) -> float:
     while its gap stays 1); without it every point of interest would be
     rejected as "near spectrum".
     """
-    base = 1e-8 * (1.0 + operator_norm(op))
-    gap = spectrum(op).min_abs_real
-    if gap > 0:
-        return min(base, 0.25 * gap)
-    return base
+
+    def tol(op):
+        base, gap = 1e-8 * (1.0 + operator_norm(op)), spectrum(op).min_abs_real
+        return min(base, 0.25 * gap) if gap > 0 else base
+
+    return max(map(tol, ops))
 
 
 def _spectral_gap(*ops: Operator) -> float:
@@ -231,9 +233,11 @@ def _spectrum_distance(ops, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d[np.arange(lams.size), nearest], ev[nearest]
 
 
-def _clear_points(ops, grid: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
-    """The points of ``grid`` farther than ``tol`` from the joint spectrum of
-    ``ops`` and the count of the others, skipped with a warning; refuses if none is left."""
+def _clear_points(ops, grid: np.ndarray) -> tuple[np.ndarray, int]:
+    """The points of ``grid`` farther than :func:`near_spectrum_tol` from the
+    joint spectrum of ``ops`` and the count of the others, skipped with a
+    warning; refuses if none is left."""
+    tol = near_spectrum_tol(*ops)
     dist, _ = _spectrum_distance(ops, grid)
     keep = dist > tol
     skipped = int(np.sum(~keep))
@@ -725,19 +729,10 @@ def oracle_projection(op: Operator) -> ProjectionPair:
     ``[[I, X], [0, 0]]`` and ``[[0, -X], [0, I]]`` in Schur coordinates, so
     ``Q [-X; I]`` spans the range of ``P_-``.  This is the ground-truth
     oracle the contour quadrature is checked against; eigenvalues are never
-    assumed simple.
+    assumed simple.  An eigenvalue on the imaginary axis is refused by the
+    same zero-gap check as the quadrature's (:func:`_spectral_gap`).
     """
-    tol = near_spectrum_tol(op)
-    spec = spectrum(op)
-    if spec.min_abs_real <= tol:
-        offender = spec.eigenvalues[int(np.argmin(np.abs(spec.eigenvalues.real)))]
-        raise NearSpectrumError(
-            f"eigenvalue {offender} is within {spec.min_abs_real:.3e} of the "
-            f"imaginary axis (tol {tol:.3e})",
-            eigenvalue=complex(offender),
-            distance=spec.min_abs_real,
-            tol=tol,
-        )
+    _spectral_gap(op)
     n = op.dim
     t, q, k = sla.schur(op.entries, output="complex", sort=lambda z: z.real > 0)
     x = np.zeros((k, n - k), dtype=complex)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import json_safe_float, multiset_match_distance
+from .analysis import json_safe_float, multiset_match_distance, samples_csv
 from .contour import ContourSpec, _line_integrals, _log_log_fit
 from .errors import NearSpectrumError, OperatorError
 from .operators import (
@@ -34,7 +34,6 @@ from .operators import (
     _Kernel,
     _spectral_gap,
     eigenvalues_of,
-    near_spectrum_tol,
     oracle_projection,
     spectral_norm,
     spectrum,
@@ -72,13 +71,13 @@ def resolvent_diff_decay(
     Returns ``(samples, exponent)`` where samples is a list of
     ``(lambda, norm)`` pairs and exponent is the fitted delta in
     ||R_S - R_T|| ~ |lambda|^{-delta}; identical resolvents give the +inf
-    sentinel.  Grid points near either spectrum are skipped with a warning.
+    sentinel.  Grid points within ``near_spectrum_tol(s_op, t_op)`` of either
+    spectrum are skipped with a warning.
     """
     grid = np.asarray(grid, dtype=complex).ravel()
     if grid.size == 0:
         raise ValueError("grid is empty")
-    tol = max(near_spectrum_tol(s_op), near_spectrum_tol(t_op))
-    lams, _ = _clear_points((s_op, t_op), grid, tol)
+    lams, _ = _clear_points((s_op, t_op), grid)
     diffs = _Kernel((s_op, t_op)).norms(lams)
     samples = [(complex(l), float(d)) for l, d in zip(lams, diffs)]
     if not np.any(diffs > 0.0):
@@ -374,22 +373,19 @@ class PerturbReport:
         }
 
     def diff_samples_csv(self) -> str:
-        lines = ["re_lambda,im_lambda,diff_norm"]
-        for lam, nrm in self.diff_samples:
-            lines.append(f"{lam.real!r},{lam.imag!r},{nrm!r}")
-        return "\n".join(lines) + "\n"
+        return samples_csv("diff_norm", self.diff_samples)
 
 
 def perturb_pair_report(
     s_op: Operator,
     r: np.ndarray,
-    grid=None,
-    spec: ContourSpec | None = None,
     beta: float | None = None,
     fit_window: tuple[float, float] = (10.0, 1e4),
-    subordination_samples=None,
 ) -> PerturbReport:
-    """Run the full perturbation diagnosis for T = S + R.
+    """Run the full perturbation diagnosis for T = S + R: the resolvent
+    difference at 128 log-spaced axis points per side, 1 <= |lambda| <=
+    max(fit_window[1], 10), the subordination fit over the standard basis,
+    and the projection difference on Re lambda = half the pair's gap.
 
     ``beta`` is the axis-decay exponent of S (fitted upstream); without it
     the exponent arithmetic is reported as not-applicable.
@@ -398,19 +394,16 @@ def perturb_pair_report(
     if r.shape != (s_op.dim, s_op.dim):
         raise OperatorError("R must have the same shape as S")
     t_op = Operator(entries=s_op.entries + r)
-    if grid is None:
-        t_vals = np.logspace(0, np.log10(max(fit_window[1], 10.0)), 128)
-        grid = np.concatenate([-1j * t_vals[::-1], 1j * t_vals])
+    t_vals = np.logspace(0, np.log10(max(fit_window[1], 10.0)), 128)
+    grid = np.concatenate([-1j * t_vals[::-1], 1j * t_vals])
     samples, exponent = resolvent_diff_decay(s_op, t_op, grid, fit_window=fit_window)
-    if subordination_samples is None:
-        subordination_samples = list(np.eye(s_op.dim, dtype=complex).T)
-    c_fit, p_fit = p_subordination_fit(s_op, r, subordination_samples)
+    c_fit, p_fit = p_subordination_fit(s_op, r, list(np.eye(s_op.dim, dtype=complex).T))
     if beta is None:
         verdict, predicted = "not-applicable", float("nan")
     else:
         v = corollary_check(beta, p_fit)
         verdict, predicted = ("pass" if v.passed else "fail"), v.predicted_exponent
-    delta = projection_diff_integral(s_op, t_op, spec)
+    delta = projection_diff_integral(s_op, t_op)
     oracle_delta = oracle_projection(s_op).p_plus - oracle_projection(t_op).p_plus
     return PerturbReport(
         diff_samples=samples,

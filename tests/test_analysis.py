@@ -169,6 +169,15 @@ class TestSweep:
             assert len(parts) == 3
             float(parts[0]), float(parts[1]), float(parts[2])
 
+    def test_csv_round_trips(self):
+        report = resolvent_sweep(random_gap_operator(6, 3), axis_grid(0.1, 100, 16))
+        rows = np.array(
+            [[float(x) for x in line.split(",")] for line in report.to_csv().splitlines()[1:]]
+        )
+        assert rows[:, 0].tobytes() == report.lambdas.real.tobytes()
+        assert rows[:, 1].tobytes() == report.lambdas.imag.tobytes()
+        assert rows[:, 2].tobytes() == report.norms.tobytes()
+
 
 class TestHalfplaneChecks:
     def test_diag(self):

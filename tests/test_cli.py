@@ -280,6 +280,19 @@ class TestUsageAndDeterminism:
         code, _, err = run_cli(capsys, "split", "dichotomy-2.3")
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["2.5", "0", "abc", "2,3"])
+    def test_non_integer_N_exits_1(self, capsys, value):
+        # the shorthand goes through the descriptor's N check; no truncation to 2
+        code, out, err = run_cli(capsys, "describe", f"dichotomy-2.3?N={value}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 'N' must be a positive integer")
+
+    @pytest.mark.parametrize("query", ["dim=3.9", "seed=1.5", "dim=4&seed=x"])
+    def test_non_integer_random_parameter_exits_1(self, capsys, query):
+        code, out, err = run_cli(capsys, "describe", f"random?{query}")
+        assert (code, out) == (1, "")
+        assert "integer dim and seed" in err
+
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "split", "dichotomy-2.3?N=3")
         _, out2, _ = run_cli(capsys, "split", "dichotomy-2.3?N=3")

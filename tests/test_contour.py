@@ -10,6 +10,7 @@ from specsplit import (
     NearSpectrumError,
     Operator,
     QuadratureError,
+    TruncationError,
     build_block_operator,
     choose_h,
     contour_shift_check,
@@ -607,6 +608,7 @@ ZERO_GAP = diag_operator([1j, -1.0])
         lambda: projection_diff_integral(
             diag_operator([1.0, -1.0]), ZERO_GAP, ContourSpec(h=0.5)
         ),
+        lambda: oracle_projection(ZERO_GAP),
     ],
     ids=[
         "default_contour",
@@ -615,8 +617,18 @@ ZERO_GAP = diag_operator([1j, -1.0])
         "pv_axis_integral",
         "projection_diff_integral",
         "projection_diff_integral with spec",
+        "oracle_projection",
     ],
 )
 def test_zero_gap_refused(call):
     with pytest.raises(NearSpectrumError, match="gap to the imaginary axis is zero"):
         call()
+
+
+def test_far_field_overflow_named():
+    # ||S||^24 = 1e312 leaves the float range, so no height has a finite
+    # remainder bound; the refusal names the norm and the power
+    op = diag_operator([1e13, -1.0])
+    message = r"\|\|S\|\| = 1\.000e\+13, whose 24th power leaves the float range"
+    with pytest.raises(TruncationError, match=message):
+        integrate_A(op, "+", default_contour(op))

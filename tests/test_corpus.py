@@ -182,3 +182,28 @@ class TestRegistry:
         s1 = json.dumps(r1.to_json_dict(), sort_keys=True)
         s2 = json.dumps(r2.to_json_dict(), sort_keys=True)
         assert s1 == s2
+
+    def test_report_json_is_the_explicit_dict(self):
+        # the dataclass fields, as the hand-written serialiser listed them
+        report = run_case(make_case("unbproj"))
+        explicit = {
+            "case": report.case,
+            "params": {k: report.params[k] for k in sorted(report.params)},
+            "facts": [
+                {
+                    "name": f.name,
+                    "provenance": f.provenance,
+                    "passed": f.passed,
+                    "skipped": f.skipped,
+                    "measured": f.measured,
+                    "expected": f.expected,
+                    "detail": f.detail,
+                }
+                for f in report.facts
+            ],
+            "all_passed": report.all_passed,
+            "incomplete": report.incomplete,
+        }
+        got = report.to_json_dict()
+        assert {**got, "facts": list(got["facts"])} == explicit
+        assert json.dumps(got, sort_keys=True) == json.dumps(explicit, sort_keys=True)

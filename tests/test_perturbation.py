@@ -25,6 +25,7 @@ from specsplit import (
     split,
     subordination_curve,
 )
+from specsplit.operators import near_spectrum_tol
 
 
 def axis_points(lo, hi, n):
@@ -77,6 +78,24 @@ class TestDiffDecay:
         with pytest.warns(UserWarning, match="skipped"):
             samples, _ = resolvent_diff_decay(s_op, t_op, grid)
         assert len(samples) == 2
+
+    def test_pair_tolerance_is_the_larger(self):
+        # T's norm sets the pair's tolerance (1e-2) far above S's (2e-8), so
+        # a point 5e-3 from an eigenvalue of S alone is skipped
+        s_op, t_op = diag_operator([1, -1]), diag_operator([1e6, -2])
+        tol = near_spectrum_tol(s_op, t_op)
+        assert tol == max(near_spectrum_tol(s_op), near_spectrum_tol(t_op))
+        assert tol == near_spectrum_tol(t_op) > 1e3 * near_spectrum_tol(s_op)
+        grid = np.array([1.0 + 5e-3j, 10j, 100j])
+        with pytest.warns(UserWarning, match="skipped 1 grid points"):
+            samples, _ = resolvent_diff_decay(s_op, t_op, grid)
+        assert [lam for lam, _ in samples] == [10j, 100j]
+
+    def test_csv_round_trips(self):
+        s_op = alternating_diag(8)
+        report = perturb_pair_report(s_op, 0.1 * np.eye(8), fit_window=(2.0, 50.0))
+        rows = [line.split(",") for line in report.diff_samples_csv().splitlines()[1:]]
+        assert [(complex(float(re), float(im)), float(d)) for re, im, d in rows] == report.diff_samples
 
 
 class TestSubordination:
