@@ -297,7 +297,7 @@ def split(op: Operator, spec: ContourSpec | None = None, with_b: bool = False) -
         ),
         "spectrum_split": multiset_match_distance(np.concatenate([ev_plus, ev_minus]), ev),
         "r_minus_identity": spectral_norm(
-            (op.entries - z * np.eye(op.dim)) @ minus["R"] - np.eye(op.dim) + z**2 * a_minus
+            (op.entries - z * np.eye(op.dim)) @ minus["R"].value - np.eye(op.dim) + z**2 * a_minus
         ),
     }
 
@@ -434,7 +434,7 @@ def _restricted_norms(restricted: np.ndarray, grid: np.ndarray) -> np.ndarray:
     if k == 0:
         return np.zeros(grid.size)
     op = Operator(entries=restricted)
-    return resolvent_norms(op, grid, 1e-12 * (1.0 + np.abs(eigenvalues_of(op)).max()))
+    return resolvent_norms(op, grid)
 
 
 @dataclass(frozen=True)

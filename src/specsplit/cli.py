@@ -105,6 +105,8 @@ def _parse_shorthand(source: str):
             key, eq, value = item.partition("=")
             if not eq:
                 raise UsageError(f"malformed parameter '{item}' (expected key=value)")
+            if key in params:
+                raise UsageError(f"parameter '{key}' given more than once")
             params[key] = _parse_value(value)
     return name, params
 
@@ -122,8 +124,8 @@ def resolve_operator(source: str) -> Operator:
         dim, seed = params.pop("dim", 8), params.pop("seed", 0)
         if params:
             raise UsageError(f"random source does not accept {sorted(params)}")
-        if not isinstance(dim, int) or not isinstance(seed, int):
-            raise UsageError(f"random source needs integer dim and seed, got {dim!r}, {seed!r}")
+        if not isinstance(dim, int) or not isinstance(seed, int) or seed < 0:
+            raise UsageError(f"random source needs integer dim and seed >= 0, got {dim!r}, {seed!r}")
         return random_gap_operator(dim, seed)
     if name in family_names():
         n = params.pop("N", None)

@@ -15,33 +15,36 @@ varying, and every panel carries the 15 nodes in theta of the Kronrod
 extension of the 7-point Gauss rule (Piessens et al., QUADPACK, 1983).
 
 Error control.  One driver, :func:`_line_integrals`, evaluates every
-integral.  It takes one line and, per integral wanted on it, the weight, the
-tail terms and the tail's target, so a line is solved once for all of them:
-``analysis.split`` puts A_+ (and B_+) on Re lambda = +h, and A_-, R_-(-2h)
-(and B_-) on Re lambda = -h.  It checks the strip, derives the height and
-returns one ``QuadResult`` per integral.  A panel's value is its Kronrod sum
-and its estimate the Kronrod minus the embedded Gauss sum, from the same
-solves; the estimate of a set is the spectral norm of the sum over the
-panels.  While some set misses tol, the panels whose Frobenius estimate
-exceeds their share tol * width / (line width) in theta for some set are
-bisected, and only the halves are solved again, at most 6 times.  Such a
-panel exists whenever the test fails, since the shares sum to tol and the
-spectral norm of a sum is at most the sum of the Frobenius norms.  Beyond
-|t| = T the resolvent is R = -sum_{k<K} S^k lambda^{-k-1} + R (S/lambda)^K,
-K = 24: the polynomial is integrated exactly (:func:`_far_moments`) and added
-to the value, and the remainder is bounded in closed form through
-||R(lambda)|| <= 1/(|lambda| - ||S||) (Kato, Perturbation Theory, I-5), for
-T >= 2 max(||S||, |z|), z the pole of R_-(z); a pair's remainder is the sum
-of both operators'.  T_eff is the smallest dyadic height, at least 10 h, at
-which every remainder on the line meets the target of what its integral
-feeds (:func:`_side_integrals`); where none does (||S||^K overflows),
-:class:`TruncationError` is raised.  ``QuadResult`` reports T_eff, the
-remainder as ``tail_bound``, and as ``est_error`` the quadrature estimate of
-the integral's own set plus the remainder plus dim * eps * ||value||, the
-rounding of the back-transform from Schur coordinates (inner products of
-length at most dim; Higham, Accuracy and Stability, 3.1), which the estimate
-cannot see.  ``node_count`` counts every solve on the line, in every pass
-and for every integral that shares the line.
+integral.  It takes one line and, per integral wanted on it, one description
+(c, k, poles) of the weight w = c lambda^{-k} prod_p (lambda - p)^{-1}
+(:func:`_weight`), from which its node coefficients, far field and remainder
+follow, so a line is solved once for all of them: ``analysis.split`` puts
+A_+ (and B_+) on Re lambda = +h, and A_-, R_-(-2h) (and B_-) on Re lambda =
+-h.  It checks the strip, derives the height and returns one ``QuadResult``
+per integral.  A panel's value is its Kronrod sum and its estimate the
+Kronrod minus the embedded Gauss sum, from the same solves; the estimate of a
+set is the spectral norm of the sum over the panels.  While some set misses
+tol, the panels whose Frobenius estimate exceeds their share tol * width /
+(line width) in theta for some set are bisected, and only the halves are
+solved again, at most 6 times.  Such a panel exists whenever the test fails,
+since the shares sum to tol and the spectral norm of a sum is at most the sum
+of the Frobenius norms.  Beyond |t| = T the resolvent is R = -sum_{k<K} S^k
+lambda^{-k-1} + R (S/lambda)^K, K = 24: the polynomial is integrated exactly
+(:func:`_far_moments`) and added to the value, and the remainder is bounded in
+closed form through ||R(lambda)|| <= 1/(|lambda| - ||S||) (Kato, Perturbation
+Theory, I-5), for T >= 2 max(||S||, |p|) (:func:`_neumann_tail`); a pair's
+remainder is the sum of both operators'.  T_eff is the smallest dyadic
+height, at least 10 h, at which every remainder on the line is at most tol;
+where none is (c ||S||^K overflows), :class:`TruncationError` is raised.  For
+||S|| >= 1 the first height with a finite bound holds A's remainder to
+3.65e-10 / ||S||^2 and that of R_-(-2h) to 7e-11 / T, so targets scaled by
+what they feed (P = S^2 A, (S - z) R_-(z)) would differ only below tol 4e-10.
+``QuadResult`` reports T_eff, the remainder as ``tail_bound``, and as
+``est_error`` the quadrature estimate of the integral's own set plus the
+remainder plus dim * eps * ||value||, the rounding of the back-transform from
+Schur coordinates (inner products of length at most dim; Higham, Accuracy and
+Stability, 3.1), which the estimate cannot see.  ``node_count`` counts every
+solve on the line, in every pass and for every integral that shares the line.
 
 Spectral clearance.  A line Re lambda = +-h needs h <= 0.95 * gap, which the
 driver checks once before its nodes are solved; every node then lies at least
@@ -114,15 +117,6 @@ class ContourSpec:
 
     to_json_dict = dataclasses.asdict
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ContourSpec":
-        unknown = set(data) - {"h", "tol"}
-        if unknown:
-            raise ValueError(f"unknown contour fields {sorted(unknown)}")
-        if "h" not in data:
-            raise ValueError("contour spec requires 'h'")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -190,9 +184,6 @@ def _gauss_legendre(n: int):
 
 
 _FAR_NODES, _FAR_WEIGHTS = _gauss_legendre(64)
-# A feeds P = S^2 A, so its tail is held to min(tol, _P_TAIL) / max(1, ||S||)^2:
-# the tail of P then stays below the residual suite's default pass_tol (1e-6).
-_P_TAIL = 1e-8
 
 
 def _dyadic_breaks(scale: float, t_max: float) -> np.ndarray:
@@ -234,12 +225,17 @@ def line_nodes(scale: float, t_max: float, q: int, panels=None):
 # ---------------------------------------------------------------------------
 
 
+def _weight(c: complex, k: int, poles=()):
+    """The weight  lambda -> c / (lambda^k prod_p (lambda - p))  of an integral."""
+    return lambda lam: c / (lam**k * np.prod([lam - p for p in poles], axis=0))
+
+
 def _far_moments(weights, x0: float, t_eff: float) -> np.ndarray:
     """mu[i, k] = T^k (1/2*pi) * integral over |t| > T of w_i(lambda)
     lambda^{-k-1} dt, lambda = x0 + it, so that integral i has the far field
     -sum_k mu[i, k] (S/T)^k.  In u = T/|t| both half-lines give one integrand
     u^{-2} sum_+- w(lambda) (T/lambda)^{k+1} on (0, 1], whose 1/u terms cancel
-    at k = 0; for T >= 10 |x0| and T >= 2 |z|, z the pole of R_-(z), it is
+    at k = 0; for T >= 10 |x0| and T >= 2 |p|, p over the poles of w, it is
     analytic for |u| < 5/3, and the Gauss-Legendre rule exact to rounding."""
     u = 0.5 * (_FAR_NODES + 1.0)
     lam = x0 + 1j * t_eff / np.concatenate([u, -u])  # both half-lines
@@ -251,9 +247,9 @@ def _far_moments(weights, x0: float, t_eff: float) -> np.ndarray:
 def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) -> list:
     """Integrals (1/2*pi) * integral of w(lambda) R(lambda) dt over the line
     Re lambda = x0 (see "Error control"), one :class:`QuadResult` per entry
-    (w, c, k, poles, target) of ``integrals``, whose remainder is
-    :func:`_neumann_tail` with (c ||S||^K, k + K, poles); R is the resolvent
-    of ``ops[0]``, or R_S - R_T when ``ops`` is a pair (S, T)."""
+    (c, k, poles) of ``integrals``, with weight :func:`_weight` and remainder
+    :func:`_neumann_tail` of (|c| ||S||^K, k + K, |poles|); R is the
+    resolvent of ``ops[0]``, or R_S - R_T when ``ops`` is a pair (S, T)."""
     gap = _spectral_gap(*ops)
     if abs(x0) > 0.95 * gap:
         raise NearSpectrumError(
@@ -262,17 +258,16 @@ def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) ->
         )
     scale = spec.h if scale is None else scale
     heights = _dyadic_breaks(scale, 10.0 * spec.h)[-1] * 2.0 ** np.arange(256)
-    big_k = _NEUMANN_TERMS
+    big_k, norms = _NEUMANN_TERMS, [np.float64(operator_norm(op)) for op in ops]
     with np.errstate(over="ignore"):  # ||S||^K beyond the float range leaves no bound
         tails = np.array([sum(
-            _neumann_tail((op,), heights, c * np.float64(operator_norm(op)) ** big_k, k + big_k, p)
-            for op in ops) for _, c, k, p, _ in integrals])
-    meets = np.all(tails <= np.array([target for *_, target in integrals])[:, None], axis=0)
+            _neumann_tail(norm, heights, abs(c) * norm**big_k, k + big_k, [abs(p) for p in poles])
+            for norm in norms) for c, k, poles in integrals])
+    meets = np.all(tails <= spec.tol, axis=0)
     if not meets.any():
         cause = ""
         if np.isinf(tails).all(axis=1).any():  # c ||S||^K overflowed: inf at every height
-            norm = max(operator_norm(op) for op in ops)
-            cause = f": ||S|| = {norm:.3e}, whose {big_k}th power leaves the float range"
+            cause = f": ||S|| = {max(norms):.3e}, whose {big_k}th power leaves the float range"
         raise TruncationError(f"no truncation height meets tol={spec.tol:.2e}{cause}")
     j = int(np.argmax(meets))
     t_eff, tails = float(heights[j]), [float(tail) for tail in tails[:, j]]
@@ -282,7 +277,8 @@ def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) ->
     lo, hi = edges[:-1], edges[1:]
     n, q, dim = len(integrals), _NODES.size, ops[0].dim
     closed = kernel.zeros(2 * n)  # the values, then the estimates, of the closed panels
-    mu = _far_moments([weight for weight, *_ in integrals], x0, t_eff)
+    weights = [_weight(*integral) for integral in integrals]
+    mu = _far_moments(weights, x0, t_eff)
     for acc, far in zip(closed, kernel.neumann(mu, t_eff)):
         acc[:n] += far
     node_count = 0
@@ -290,7 +286,7 @@ def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) ->
         t, w = line_nodes(scale, t_eff, q, (lo, hi))[:2]
         lams = x0 + 1j * t
         node_count += lams.size
-        coefs = np.array([w * weight(lams) / (2.0 * np.pi) for weight, *_ in integrals])
+        coefs = np.array([w * weight(lams) / (2.0 * np.pi) for weight in weights])
         coefs = np.concatenate([coefs, coefs * np.tile(_ESTIMATE_RATIO, lo.size)])
         share = spec.tol * (hi - lo) / (edges[-1] - edges[0])
         still_open, is_open = kernel.zeros(2 * n), np.zeros(lo.size, dtype=bool)
@@ -338,15 +334,14 @@ def _log_log_fit(abs_lams: np.ndarray, norms: np.ndarray):
     return float(beta), float(log_m), resid
 
 
-def _neumann_tail(ops, t_eff, c: float, k: float, poles=()):
+def _neumann_tail(norm: float, t_eff, c: float, k: float, poles=()):
     """Bound of  (1/pi) * integral over t > T of  c t^{-k} prod_p 1/(t - p)
-    ||R(x0 + it)|| dt,  R the resolvent of the one operator in ``ops``, with
-    |lambda| >= t and ||R|| <= 1/(|lambda| - ||S||): by t/(t - sigma) <=
+    ||R(x0 + it)|| dt,  R the resolvent of an operator S of norm ``norm``,
+    with |lambda| >= t and ||R|| <= 1/(|lambda| - ||S||): by t/(t - sigma) <=
     T/(T - sigma), sigma over ||S|| and the poles, it is  c prod_sigma
     T/(T - sigma) / (pi n T^n),  n = k + #sigma - 1, taken in logarithms;
     inf where T < 2 max sigma.  ``t_eff`` is one height T or an array."""
-    (op,) = ops
-    sigmas = [operator_norm(op), *poles]
+    sigmas = [norm, *poles]
     low = 2.0 * max(sigmas)
     n = k + len(sigmas) - 1
     t = np.maximum(t_eff, low)
@@ -366,45 +361,29 @@ def _side_sign(side: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _r_minus_weight(z: complex, spec: ContourSpec):
-    """The weight of R_-(z), after checking that the pole z lies left of the
-    line Re lambda = -h."""
-    margin = -spec.h - z.real  # distance of the pole z to the contour line
-    if margin < 1e-12 * (1.0 + abs(z)):
-        raise NearSpectrumError(
-            f"z={z} is on the wrong side of (or too close to) the contour "
-            f"Re lambda = -{spec.h}",
-            distance=float(abs(z.real + spec.h)),
-        )
-    return lambda lam: z**2 / (lam**2 * (lam - z))
-
-
 def _side_integrals(op: Operator, side: str, spec: ContourSpec, kinds, z=None) -> dict:
     """The integrals ``kinds`` on the line Re lambda = +-h, from one driver
-    call: "A" and "B" as :func:`integrate_A` and :func:`integrate_B` return
-    them, "R" (side "-" only) the matrix R_-(z) of :func:`r_minus`.  The
-    height holds the tail of A to min(tol, _P_TAIL) / max(1, ||S||)^2, as A
-    feeds P = S^2 A; that of R_-(z) to tol / max(1, ||S|| + |z|), as it feeds
-    (S - z) R_-(z); that of B to tol."""
+    call, as one :class:`QuadResult` each: "A" and "B" as :func:`integrate_A`
+    and :func:`integrate_B` return them, "R" (side "-" only) that of R_-(z),
+    whose pole z must lie left of the line.  Every remainder is held to tol
+    (see "Error control")."""
     sgn = _side_sign(side)
-    norm = operator_norm(op)
-    # per integral: its weight, the (c, k, poles) of _neumann_tail, with
-    # |z^2/(lambda^2 (lambda - z))| <= |z|^2 t^{-2}/(t - |z|), and the target
-    integrals = []
+    integrals = []  # per integral its (c, k, poles)
     for kind in kinds:
-        if kind == "A":
-            target = min(spec.tol, _P_TAIL) / max(1.0, norm) ** 2
-            integrals.append((lambda lam: sgn / lam**2, 1.0, 2, (), target))
-        elif kind == "B":
-            integrals.append((lambda lam: sgn / lam, 1.0, 1, (), spec.tol))
+        if kind in ("A", "B"):
+            integrals.append((sgn, 2 if kind == "A" else 1, ()))
         elif kind == "R" and side == "-":
             z = complex(z)
-            target = spec.tol / max(1.0, norm + abs(z))
-            integrals.append((_r_minus_weight(z, spec), abs(z) ** 2, 2, (abs(z),), target))
+            if -spec.h - z.real < 1e-12 * (1.0 + abs(z)):  # the pole's distance to the line
+                raise NearSpectrumError(
+                    f"z={z} is on the wrong side of (or too close to) the contour "
+                    f"Re lambda = -{spec.h}",
+                    distance=float(abs(z.real + spec.h)),
+                )
+            integrals.append((z**2, 2, (z,)))
         else:
             raise ValueError(f"no integral {kind!r} on side {side!r}")
-    results = _line_integrals((op,), sgn * spec.h, integrals, spec)
-    return {kind: r.value if kind == "R" else r for kind, r in zip(kinds, results)}
+    return dict(zip(kinds, _line_integrals((op,), sgn * spec.h, integrals, spec)))
 
 
 def integrate_A(op: Operator, side: str, spec: ContourSpec) -> QuadResult:
@@ -435,7 +414,7 @@ def pv_axis_integral(op: Operator, spec: ContourSpec) -> QuadResult:
     Neumann polynomial beyond it, whose odd powers of lambda cancel (-1/lambda
     does not converge on its own).  Equals P_+ - P_- = 2 P_+ - I whenever the
     resolvent decays on the axis."""
-    return _line_integrals((op,), 0.0, [(lambda lam: 2.0, 2.0, 0, (), spec.tol)], spec, scale=1.0)[0]
+    return _line_integrals((op,), 0.0, [(2.0, 0, ())], spec, scale=1.0)[0]
 
 
 def r_minus(op: Operator, z: complex, spec: ContourSpec) -> np.ndarray:
@@ -446,7 +425,7 @@ def r_minus(op: Operator, z: complex, spec: ContourSpec) -> np.ndarray:
     acts as the resolvent of the restriction, extending it to the open left
     half-plane.
     """
-    return _side_integrals(op, "-", spec, ("R",), z)["R"]
+    return _side_integrals(op, "-", spec, ("R",), z)["R"].value
 
 
 def contour_shift_check(

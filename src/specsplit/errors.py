@@ -29,14 +29,13 @@ class NearSpectrumError(Exception):
 
 class QuadratureError(Exception):
     """Raised when a contour integral cannot be computed to the requested
-    tolerance: node escalation exhausted, or no resolvent decay where the
-    integrand needs it."""
+    tolerance: the panel bisections of a line are exhausted."""
 
 
 class TruncationError(QuadratureError):
-    """Raised when no truncation height of a line holds every Neumann tail
-    bound on it to its target: the tolerance is below what any height tried
-    can reach ("no truncation height meets tol")."""
+    """Raised when a line has no truncation height: c ||S||^24, the scale of
+    the Neumann remainder bound, leaves the float range, so no height has a
+    finite bound ("no truncation height meets tol")."""
 
 
 class SplittingMismatchError(Exception):

@@ -257,8 +257,7 @@ def resolvent(op: Operator, lam: complex) -> np.ndarray:
     and verifies the solve residual ``||(S - lambda) R - I||`` against a
     backward-stability bound.
     """
-    tol = near_spectrum_tol(op)
-    dist, ev = _check_points_clear(op, np.array([lam], dtype=complex), tol)
+    dist, ev = _check_points_clear(op, np.array([lam], dtype=complex))
     n = op.dim
     shifted = op.entries - lam * np.eye(n)
     res = np.linalg.solve(shifted, np.eye(n, dtype=complex))
@@ -269,19 +268,18 @@ def resolvent(op: Operator, lam: complex) -> np.ndarray:
             f"resolvent solve at lambda={lam} lost accuracy (residual {residual:.3e})",
             eigenvalue=ev,
             distance=dist,
-            tol=tol,
+            tol=near_spectrum_tol(op),
         )
     return res
 
 
-def _check_points_clear(op: Operator, lams: np.ndarray, tol: float | None = None):
-    """Refuse when any point of ``lams`` is within ``tol`` (by default
-    :func:`near_spectrum_tol`) of the spectrum; otherwise the distance of the
-    closest point to the spectrum and the eigenvalue nearest to it (inf and
-    None for no points)."""
+def _check_points_clear(op: Operator, lams: np.ndarray):
+    """Refuse when any point of ``lams`` is within :func:`near_spectrum_tol`
+    of the spectrum; otherwise the distance of the closest point to the
+    spectrum and the eigenvalue nearest to it (inf and None for no points)."""
     if lams.size == 0:
         return float("inf"), None
-    tol = near_spectrum_tol(op) if tol is None else tol
+    tol = near_spectrum_tol(op)
     dist, nearest = _spectrum_distance((op,), lams)
     bad = int(np.argmin(dist))
     dist, ev = float(dist[bad]), complex(nearest[bad])
@@ -315,7 +313,7 @@ def resolvent_many(op: Operator, lams) -> np.ndarray:
     return out
 
 
-def resolvent_norms(op: Operator, lams, tol: float | None = None) -> np.ndarray:
+def resolvent_norms(op: Operator, lams) -> np.ndarray:
     """Operator norms ||(S - lam)^{-1}|| on a grid of spectral parameters.
 
     The norm is the largest over the operator's connected components, each
@@ -325,10 +323,11 @@ def resolvent_norms(op: Operator, lams, tol: float | None = None) -> np.ndarray:
     value sqrt(theta_1 + rho_1), top Ritz value plus its residual, is
     returned only where the trace of X^H X and Cauchy interlacing prove it
     an upper bound on ||X||^2, and the SVD is used at every other node (see
-    ``_lanczos_norms``); both agree with the SVD to rounding.
+    ``_lanczos_norms``); both agree with the SVD to rounding.  Points within
+    :func:`near_spectrum_tol` of the spectrum are refused.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
-    _check_points_clear(op, lams, tol)
+    _check_points_clear(op, lams)
     return _Kernel((op,)).norms(lams)
 
 

@@ -171,7 +171,7 @@ def projection_diff_integral(
         raise OperatorError("operators must act on the same space")
     ops = (s_op, t_op)
     spec = ContourSpec(h=0.5 * _spectral_gap(*ops)) if spec is None else spec
-    return _line_integrals(ops, spec.h, [(lambda lam: 1.0, 1.0, 0, (), spec.tol)], spec)[0].value
+    return _line_integrals(ops, spec.h, [(1.0, 0, ())], spec)[0].value
 
 
 # ---------------------------------------------------------------------------

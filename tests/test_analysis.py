@@ -218,7 +218,7 @@ class TestHalfplaneChecks:
         grid = opposite_halfplane_grid("+")
         from specsplit import resolvent_norms
 
-        norms = resolvent_norms(restricted, grid, tol=0.0)
+        norms = resolvent_norms(restricted, grid)
         assert norms.max() <= sup
 
 

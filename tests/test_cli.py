@@ -187,6 +187,26 @@ class TestDescribe:
         assert err.startswith("error:")
         assert "desk-scale exceeded" in err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("describe", "dichotomy-2.3?N=2&N=3"), "N"),
+            (("describe", "random?seed=1&dim=2&dim=3"), "dim"),
+            (("reproduce", "unbproj?N=2&N=3"), "N"),
+        ],
+    )
+    def test_repeated_shorthand_key_exits_1(self, capsys, argv, key):
+        # the last value used to win silently
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: parameter '{key}' given more than once\n"
+
+    def test_negative_random_seed_exits_1(self, capsys):
+        # numpy's own refusal did not name the parameter
+        code, _, err = run_cli(capsys, "describe", "random?seed=-1&dim=2")
+        assert code == 1
+        assert err.startswith("error:") and "seed" in err
+
 
 class TestReproduce:
     def test_unbproj(self, capsys):

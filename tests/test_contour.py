@@ -38,6 +38,7 @@ from specsplit.contour import (
     _log_log_fit,
     _neumann_tail,
     _side_integrals,
+    _weight,
     line_nodes,
 )
 from specsplit.operators import _Kernel, _spectrum_distance, _stack_norms, operator_norm
@@ -68,23 +69,6 @@ class TestContourSpec:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ContourSpec(**{"h": 0.5, field: value})
-
-    def test_json_round_trip(self):
-        spec = ContourSpec(h=0.25, tol=1e-6)
-        again = ContourSpec.from_json_dict(spec.to_json_dict())
-        assert again == spec
-        # the truncation height is derived and the rule fixed, neither is set
-        for field, value in (("truncation_T", 1e6), ("nodes_per_unit", 8)):
-            with pytest.raises(ValueError, match="unknown contour fields"):
-                ContourSpec.from_json_dict({**spec.to_json_dict(), field: value})
-
-    def test_json_round_trip_derived_height(self):
-        spec = ContourSpec(h=0.25)
-        assert ContourSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict()))) == spec
-
-    def test_json_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            ContourSpec.from_json_dict({"h": 0.5, "shape": "circle"})
 
     def test_default_contour_uses_gap(self):
         op = diag_operator([2, -2])
@@ -132,7 +116,7 @@ class TestIntegrateA:
 
     def test_tail_bound_halves_when_T_doubles(self):
         op = diag_operator([1, -1])
-        t1, t2 = contour_module._neumann_tail((op,), np.array([1e6, 2e6]), 1.0, 2)
+        t1, t2 = _neumann_tail(operator_norm(op), np.array([1e6, 2e6]), 1.0, 2)
         assert t2 <= 0.51 * t1
 
     def test_node_escalation(self, monkeypatch):
@@ -244,7 +228,7 @@ class TestPrincipalValue:
         op = PV_OPERATORS[name]()
         quad = pv_axis_integral(op, default_contour(op))
         k = _NEUMANN_TERMS
-        tail = _neumann_tail((op,), quad.t_eff, 2.0 * operator_norm(op) ** k, k)
+        tail = _neumann_tail(operator_norm(op), quad.t_eff, 2.0 * operator_norm(op) ** k, k)
         assert quad.tail_bound == pytest.approx(float(tail), rel=1e-12)
 
 
@@ -326,11 +310,25 @@ def test_kronrod_rule_exactness():
     assert np.count_nonzero(_GAUSS_WEIGHTS) == 7
 
 
+def test_weight_matches_the_closed_forms():
+    # each integral is described once, as (c, k, poles); its weight follows
+    lams = np.array([0.5 + 0.25j, -0.5 - 3.0j, 0.1 + 1e6j])
+    z = -1.5 + 0j
+    for (c, k, poles), closed in (
+        ((-1.0, 2, ()), lambda lam: -1.0 / lam**2),  # A_-
+        ((1.0, 1, ()), lambda lam: 1.0 / lam),  # B_+
+        ((z**2, 2, (z,)), lambda lam: z**2 / (lam**2 * (lam - z))),  # R_-(z)
+        ((2.0, 0, ()), lambda lam: np.full(lam.shape, 2.0)),  # the principal value
+        ((1.0, 0, ()), lambda lam: np.ones(lam.shape)),  # a pair's difference
+    ):
+        np.testing.assert_allclose(_weight(c, k, poles)(lams), closed(lams), rtol=1e-15, atol=0)
+
+
 @pytest.mark.parametrize("x0, t_eff", [(0.5, 10.0), (-0.25, 4.0), (0.0, 32.0), (-1.0, 2.0**20)])
 def test_far_moments_match_the_closed_form(x0, t_eff):
     # the integral of lambda^{-n} over |t| > T, n = k + 1 + j for the weight
     # lambda^{-j}, is ((x0 + iT)^{1-n} - (x0 - iT)^{1-n}) / (i (n - 1))
-    weights = [lambda lam, j=j: lam ** -float(j) for j in (1, 2, 3)]
+    weights = [_weight(1.0, j, ()) for j in (1, 2, 3)]
     mu = contour_module._far_moments(weights, x0, t_eff)
     k = np.arange(_NEUMANN_TERMS)
     for j, row in zip((1, 2, 3), mu):
@@ -386,14 +384,11 @@ def test_shared_line_matches_standalone_integrals(name):
     spec = default_contour(op)
     z = -2.0 * spec.h
     shared = _side_integrals(op, "-", spec, ("A", "R"), z)
-    alone = integrate_A(op, "-", spec)
-    assert spectral_norm(shared["A"].value - alone.value) <= (
-        shared["A"].est_error + alone.est_error
-    )
-    # r_minus meets its quadrature tolerance and its tail budget
-    # tol * max(1, |z|^2), on the shared line and alone
-    r_error = spec.tol + spec.tol * max(1.0, abs(z) ** 2)
-    assert spectral_norm(shared["R"] - r_minus(op, z, spec)) <= 2.0 * r_error
+    alone = {"A": integrate_A(op, "-", spec), "R": _side_integrals(op, "-", spec, ("R",), z)["R"]}
+    for kind in ("A", "R"):
+        assert spectral_norm(shared[kind].value - alone[kind].value) <= (
+            shared[kind].est_error + alone[kind].est_error
+        )
 
 
 def test_split_node_budget(monkeypatch):
@@ -445,6 +440,33 @@ def test_derived_height_agrees_with_the_oracle(op):
     result = split(op)
     assert result.t_eff_plus > 0 and result.t_eff_minus > 0
     assert spectral_norm(result.p_plus - oracle_projection(op).p_plus) <= 1e-12
+
+
+HEIGHT_OPERATORS = {
+    "diag(1, -1)": lambda: diag_operator([1.0, -1.0]),
+    "dichotomy-2.3?N=10": lambda: build_block_operator("dichotomy-2.3", 10),
+    "mcintosh-yagi?N=1": lambda: build_block_operator("mcintosh-yagi", 1),
+    "random(16, 7)": lambda: random_gap_operator(16, 7),
+    "random(64, 7)": lambda: random_gap_operator(64, 7),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-8])
+@pytest.mark.parametrize("name", sorted(HEIGHT_OPERATORS))
+def test_every_remainder_meets_tol_at_the_floor_height(name, tol):
+    # every height is at least 2 max(||S||, |z|), z = -2h the pole of
+    # R_-(z); there A's remainder is 2 / (26 pi 2^26 ||S||^2) = 3.65e-10 /
+    # ||S||^2 and those of B and R_- are below 1e-9, so for ||S|| >= 1 one
+    # target, tol, is met at the first height with a finite bound, as the
+    # targets scaled for P = S^2 A and (S - z) R_-(z) were
+    op = HEIGHT_OPERATORS[name]()
+    spec = default_contour(op, tol=tol)
+    floor = max(10.0 * spec.h, 2.0 * max(operator_norm(op), 2.0 * spec.h))
+    height = spec.h
+    while height < floor:
+        height *= 2.0
+    result = split(op, spec, with_b=True)
+    assert result.t_eff_plus == result.t_eff_minus == height
 
 
 def test_tolerance_below_rounding_hits_order_cap():

@@ -455,7 +455,7 @@ class TestChunks:
         assert chunked["A"].node_count == whole["A"].node_count
         # the per-chunk totals are added in another order, so not byte-identical
         assert rel(chunked["A"].value, whole["A"].value) <= 1e-13
-        assert rel(chunked["R"], whole["R"]) <= 1e-13
+        assert rel(chunked["R"].value, whole["R"].value) <= 1e-13
 
 
 class TestPreconditions:
