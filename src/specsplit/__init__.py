@@ -61,7 +61,6 @@ from .operators import (
     ProjectionPair,
     Spectrum,
     build_block_operator,
-    choose_h,
     dense_operator,
     descriptor_of,
     diag_operator,

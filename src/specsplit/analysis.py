@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .contour import ContourSpec, _log_log_fit, _side_integrals, default_contour
+from .contour import ContourSpec, _side_integrals, _side_sign, default_contour
 from .errors import OperatorError, SplittingMismatchError
 from .operators import (
     Operator,
@@ -118,9 +119,11 @@ def m_subspace(a_side: np.ndarray) -> np.ndarray:
 def multiset_match_distance(ev_a, ev_b) -> float:
     """Optimal-matching distance between two eigenvalue multisets.
 
-    Pairs the values by a minimum-cost assignment of relative distances
+    Pairs the values by a minimum-sum assignment of relative distances
     |a - b| / (1 + max(|a|, |b|)) and returns the largest matched cost;
-    infinity when the multisets have different sizes.
+    infinity when the multisets have different sizes.  The assignment comes
+    from ``scipy.sparse.csgraph``, whose sparse input would drop an exact
+    zero cost, so every cost is raised to at least the smallest normal float.
     """
     a = np.asarray(ev_a, dtype=complex).ravel()
     b = np.asarray(ev_b, dtype=complex).ravel()
@@ -130,7 +133,9 @@ def multiset_match_distance(ev_a, ev_b) -> float:
         return 0.0
     scale = 1.0 + np.maximum(np.abs(a)[:, None], np.abs(b)[None, :])
     cost = np.abs(a[:, None] - b[None, :]) / scale
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    rows, cols = min_weight_full_bipartite_matching(
+        csr_matrix(np.maximum(cost, np.finfo(float).tiny))
+    )
     return float(cost[rows, cols].max())
 
 
@@ -339,6 +344,17 @@ def axis_grid(lo: float = 1e-2, hi: float = 1e4, per_decade: int = 64) -> np.nda
     return np.concatenate([-1j * t[::-1], 1j * t])
 
 
+def _log_log_fit(abs_lams: np.ndarray, norms: np.ndarray):
+    """Least-squares fit  log(norm) ~ log M - beta * log|lambda|  on all the
+    samples: beta, log M and the largest absolute residual in log space."""
+    x = np.log(abs_lams)
+    y = np.log(norms)
+    design = np.vstack([np.ones(x.size), -x]).T
+    (log_m, beta), *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = float(np.abs(design @ np.array([log_m, beta]) - y).max())
+    return float(beta), float(log_m), resid
+
+
 @dataclass(frozen=True)
 class SweepReport:
     """Resolvent norms on a grid plus the fitted decay law M/|lambda|^beta."""
@@ -419,13 +435,9 @@ def opposite_halfplane_grid(
     n_angles: int = 16,
 ) -> np.ndarray:
     """Log-polar grid in the closed half-plane opposite to ``side``."""
+    start = _side_sign(side) * np.pi / 2
     radii = np.logspace(np.log10(r_lo), np.log10(r_hi), n_radii)
-    if side == "+":
-        angles = np.linspace(np.pi / 2, 3 * np.pi / 2, n_angles)
-    elif side == "-":
-        angles = np.linspace(-np.pi / 2, np.pi / 2, n_angles)
-    else:
-        raise ValueError(f"side must be '+' or '-', got {side!r}")
+    angles = np.linspace(start, start + np.pi, n_angles)
     return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 
 
@@ -451,17 +463,12 @@ def halfplane_bound_check(
     """Verify the uniform resolvent bound of the restriction on the closed
     opposite half-plane: max over the grid of ||(S|G_side - lambda)^{-1}||
     must not exceed ``bound_m``."""
+    sgn = _side_sign(side)
     grid = np.asarray(grid, dtype=complex).ravel()
-    if side == "+":
-        if np.any(grid.real > 1e-12):
-            raise ValueError("grid for side '+' must lie in the closed left half-plane")
-        restricted = result.restricted_plus
-    elif side == "-":
-        if np.any(grid.real < -1e-12):
-            raise ValueError("grid for side '-' must lie in the closed right half-plane")
-        restricted = result.restricted_minus
-    else:
-        raise ValueError(f"side must be '+' or '-', got {side!r}")
+    if np.any(sgn * grid.real > 1e-12):
+        half = "left" if sgn > 0 else "right"
+        raise ValueError(f"grid for side {side!r} must lie in the closed {half} half-plane")
+    restricted = result.restricted_plus if sgn > 0 else result.restricted_minus
     norms = _restricted_norms(restricted, grid)
     worst = int(np.argmax(norms)) if norms.size else 0
     max_norm = float(norms.max()) if norms.size else 0.0

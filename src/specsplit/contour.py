@@ -46,11 +46,12 @@ Schur coordinates (inner products of length at most dim; Higham, Accuracy and
 Stability, 3.1), which the estimate cannot see.  ``node_count`` counts every
 solve on the line, in every pass and for every integral that shares the line.
 
-Spectral clearance.  A line Re lambda = +-h needs h <= 0.95 * gap, which the
-driver checks once before its nodes are solved; every node then lies at least
-0.05 * gap from the spectrum (on the principal value's axis, at least the
-gap).  Grid sweeps skip the points near the spectrum with a warning; explicit
-points near it are refused.
+Spectral clearance.  :func:`default_contour` places the lines at h = gap / 2,
+the gap taken over one operator or a pair.  A line Re lambda = +-h needs
+h <= 0.95 * gap, which the driver checks once before its nodes are solved;
+every node then lies at least 0.05 * gap from the spectrum (on the principal
+value's axis, at least the gap).  Grid sweeps skip the points near the
+spectrum with a warning; explicit points near it are refused.
 
 Node evaluations go through the resolvent kernel of
 :mod:`specsplit.operators` (``_Kernel``): a panel's weighted sums and the far
@@ -76,7 +77,6 @@ from .operators import (
     _Kernel,
     _spectral_gap,
     _stack_norms,
-    choose_h,
     operator_norm,
     spectral_norm,
 )
@@ -138,9 +138,9 @@ class QuadResult:
         }
 
 
-def default_contour(op: Operator, **overrides) -> ContourSpec:
-    """Contour at ``h = gap / 2`` (:func:`choose_h` at 0.5); ``overrides`` may set ``tol``."""
-    return ContourSpec(h=choose_h(op, 0.5), **overrides)
+def default_contour(*ops: Operator, **overrides) -> ContourSpec:
+    """Contour at ``h = gap / 2`` of one operator or a pair; ``overrides`` may set ``tol``."""
+    return ContourSpec(h=0.5 * _spectral_gap(*ops), **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +321,6 @@ def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) ->
         f"quadrature on Re lambda = {x0:.6g} did not reach tol={spec.tol:.2e} after "
         f"{_MAX_BISECTIONS} bisections (estimate {est.max():.2e})"
     )
-
-
-def _log_log_fit(abs_lams: np.ndarray, norms: np.ndarray):
-    """Least-squares fit  log(norm) ~ log M - beta * log|lambda|  on all the
-    samples: beta, log M and the largest absolute residual in log space."""
-    x = np.log(abs_lams)
-    y = np.log(norms)
-    design = np.vstack([np.ones(x.size), -x]).T
-    (log_m, beta), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = float(np.abs(design @ np.array([log_m, beta]) - y).max())
-    return float(beta), float(log_m), resid
 
 
 def _neumann_tail(norm: float, t_eff, c: float, k: float, poles=()):

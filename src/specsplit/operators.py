@@ -6,7 +6,7 @@ block-diagonal family.  This module provides
 
 * construction of the built-in block families (``build_block_operator``),
 * the JSON operator descriptor (``operator_from_descriptor``),
-* basic spectral queries (``spectrum``, ``resolvent``, ``choose_h``),
+* basic spectral queries (``spectrum``, ``resolvent``, the zero-gap refusal ``_spectral_gap``),
 * the resolvent kernel behind every quadrature, norm sweep and resolvent
   stack (``_Kernel``, ``resolvent_many``, ``resolvent_norms``): per-block
   Schur forms of the operator's connected components, or for a pair of
@@ -60,7 +60,6 @@ __all__ = [
     "resolvent_norms",
     "oracle_projection",
     "spectral_norm",
-    "choose_h",
 ]
 
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
@@ -705,14 +704,6 @@ class _Kernel:
         return out
 
 
-def choose_h(op: Operator, safety: float) -> float:
-    """Contour abscissa ``h = safety * gap``; the strip |Re z| <= h is then
-    inside the resolvent set."""
-    if not 0.0 < safety < 1.0:
-        raise OperatorError(f"safety must lie in (0, 1), got {safety}")
-    return safety * _spectral_gap(op)
-
-
 # ---------------------------------------------------------------------------
 # the projection oracle
 # ---------------------------------------------------------------------------
@@ -827,20 +818,22 @@ def mcintosh_yagi_parts(m_const: float, m: int):
     antisymmetric Toeplitz coupling with entries (M-1)/(pi*(j-i)) off the
     diagonal.  The block itself is [[D, B@D], [0, -D]].
     """
-    if m_const <= 1.0:
-        raise OperatorError(f"constant M must exceed 1, got {m_const}")
+    if not 1.0 < m_const < np.inf:
+        raise OperatorError(f"constant M must be finite and exceed 1, got {m_const}")
     if m < 1:
         raise OperatorError(f"block index m must be >= 1, got {m}")
     n = mcintosh_yagi_pick_n(m_const, m)
+    # the largest entry of D and B@D, max(1, (M-1)/pi) 2^n = f 2^(e+n) with frexp's
+    # f in [0.5, 1), is finite iff e + n <= maxexp: refuse the block before it overflows
+    if np.frexp(max(1.0, (m_const - 1.0) / np.pi))[1] + n > np.finfo(float).maxexp:
+        raise OperatorError(
+            f"mcintosh-yagi block m={m} needs order n={n}, whose entries up to "
+            f"max(1, (M-1)/pi) * 2^n leave the float range (below 2^{np.finfo(float).maxexp})"
+        )
     d = np.diag(2.0 ** np.arange(0, n + 1))
     j = np.arange(n + 1)
     diff = j[None, :] - j[:, None]
-    with np.errstate(divide="ignore"):
-        b = np.where(
-            diff == 0,
-            0.0,
-            (m_const - 1.0) / np.pi * np.sign(diff) / np.maximum(np.abs(diff), 1),
-        )
+    b = (m_const - 1.0) / np.pi * np.sign(diff) / np.maximum(np.abs(diff), 1)
     return n, d, b
 
 

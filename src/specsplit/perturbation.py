@@ -25,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import json_safe_float, multiset_match_distance, samples_csv
-from .contour import ContourSpec, _line_integrals, _log_log_fit
+from .analysis import _log_log_fit, json_safe_float, multiset_match_distance, samples_csv
+from .contour import ContourSpec, _line_integrals, default_contour
 from .errors import NearSpectrumError, OperatorError
 from .operators import (
     Operator,
     _clear_points,
     _Kernel,
-    _spectral_gap,
     eigenvalues_of,
     oracle_projection,
     spectral_norm,
@@ -170,7 +169,7 @@ def projection_diff_integral(
     if s_op.dim != t_op.dim:
         raise OperatorError("operators must act on the same space")
     ops = (s_op, t_op)
-    spec = ContourSpec(h=0.5 * _spectral_gap(*ops)) if spec is None else spec
+    spec = default_contour(*ops) if spec is None else spec
     return _line_integrals(ops, spec.h, [(1.0, 0, ())], spec)[0].value
 
 

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from specsplit import (
     NearSpectrumError,
     OperatorError,
+    SplittingMismatchError,
     axis_grid,
     block_commutant_check,
     build_block_operator,
@@ -79,6 +82,11 @@ class TestSplit:
         pair = oracle_projection(op)
         assert spectral_norm(result.p_plus - pair.p_plus) <= 1e-6
         assert result.max_residual() <= 1e-6
+
+    def test_rank_refusal_when_the_traces_miss_the_counts(self, zero_a_integrals):
+        message = r"traces \(0, 0\) inconsistent with half-plane eigenvalue counts \(2, 2\)"
+        with pytest.raises(SplittingMismatchError, match=message):
+            split(build_block_operator("dichotomy-2.3", 2))
 
     def test_refuses_axis_spectrum(self):
         with pytest.raises(NearSpectrumError):
@@ -384,6 +392,31 @@ class TestMultisetMatch:
 
     def test_size_mismatch(self):
         assert multiset_match_distance([1.0], [1.0, 2.0]) == np.inf
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_largest_cost_of_the_min_sum_assignment(self, n):
+        # against the minimum-sum assignment over all n! permutations
+        rng = np.random.default_rng(n)
+        perms = np.array(list(itertools.permutations(range(n))))
+        for trial in range(20):
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            if trial % 2:  # a perturbed permutation of a
+                b = rng.permutation(a) + 1e-3 * b
+            scale = 1.0 + np.maximum(np.abs(a)[:, None], np.abs(b)[None, :])
+            cost = np.abs(a[:, None] - b[None, :]) / scale
+            sums = cost[np.arange(n), perms].sum(axis=1)
+            order = np.argsort(sums)
+            assert n == 1 or sums[order[1]] - sums[order[0]] > 1e-9  # no ties
+            best = perms[order[0]]
+            assert multiset_match_distance(a, b) == cost[np.arange(n), best].max()
+
+    def test_permutation_with_repeated_values(self):
+        # constant-diag's +-1 blocks: every match costs exactly 0, which a
+        # sparse cost matrix would drop
+        op = build_block_operator("constant-diag", 3)
+        assert multiset_match_distance(spectrum(op).eigenvalues, np.diag(op.entries)) == 0.0
+        assert multiset_match_distance([2.0, 2.0, -1.0, 2.0], [-1.0, 2.0, 2.0, 2.0]) == 0.0
 
 
 def test_restricted_bounds_on_empty_grids_pass_vacuously():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -42,6 +43,15 @@ class TestSplitCommand:
         code, _, err = run_cli(capsys, "split", "mcintosh-yagi?N=2")
         assert code == 3
         assert "non-convergence" in err
+
+    def test_rank_refusal_exits_3(self, capsys, zero_a_integrals):
+        # round(Re tr P+-) must equal the half-plane eigenvalue counts
+        code, out, err = run_cli(capsys, "split", "dichotomy-2.3?N=2")
+        assert code == 3 and out == ""
+        assert err == (
+            "numerical non-convergence: projection traces (0, 0) inconsistent "
+            "with half-plane eigenvalue counts (2, 2)\n"
+        )
 
     def test_failed_pass_names_the_worst_residual(self, capsys):
         code, out, err = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--pass-tol", "1e-20")
@@ -155,6 +165,22 @@ class TestSweepAndFit:
         assert code == 0
         assert "sup_norm" in json.loads(out)
 
+    def test_sweep_text_format(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "bound-4.6?N=10", "--format", "text", "--grid-hi", "100",
+            "--grid-per-decade", "8",
+        )
+        assert code == 0
+        pattern = r"sweep of bound-4\.6\?N=10: 66 samples, sup (\S+), beta \S+, M \S+\n"
+        match = re.fullmatch(pattern, out)
+        assert match and float(match[1]) <= 3.0 + 1e-9
+
+    def test_fit_text_format(self, capsys):
+        code, out, _ = run_cli(capsys, "fit", "almost-bisect-5.5?p=0.5&N=50", "--format", "text")
+        assert code == 0
+        match = re.fullmatch(r"beta (\S+)  M \S+  residual \S+\n", out)
+        assert match and 0.45 <= float(match[1]) <= 0.55
+
 
 class TestDescribe:
     def test_scalar_family_values(self, capsys):
@@ -186,6 +212,14 @@ class TestDescribe:
         assert code == 1
         assert err.startswith("error:")
         assert "desk-scale exceeded" in err
+
+    def test_mcintosh_yagi_entries_beyond_float_range_exit_1(self, capsys):
+        # order 1566 is under the cap, but 2^n overflows from n = 1024
+        code, out, err = run_cli(capsys, "describe", "mcintosh-yagi?N=1&Mconst=3")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: mcintosh-yagi block m=1 needs order n=1566, ")
+        assert "float range" in err
 
     @pytest.mark.parametrize(
         "argv, key",
@@ -253,6 +287,36 @@ class TestReproduce:
         assert err.startswith("error:")
         assert "desk-scale exceeded" in err
 
+    def test_mcintosh_yagi_entries_beyond_float_range_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "reproduce", "mcintosh-yagi?Mconst=3&m_max=1")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: mcintosh-yagi block m=1 needs order n=1566, ")
+
+    def test_text_report(self, capsys):
+        code, out, err = run_cli(capsys, "reproduce", "unbproj?N=2")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "case unbproj params={'N': 2, 'lambda1': [1]}"
+        assert len(lines) == 8 and all(line.startswith("  [PASS] ") for line in lines[1:-1])
+        assert lines[-1] == "  => all facts pass"
+
+    def test_text_report_of_budget_skipped_facts(self, capsys):
+        code, out, _ = run_cli(capsys, "reproduce", "unbproj?N=2", "--max-quad-dim", "2")
+        assert code == 0
+        lines = out.splitlines()
+        assert "  [SKIP] quadrature_a_plus_blocks (stated): per-block A_n^+ to 1e-6" in lines
+        assert "         dim 4 above quadrature budget 2" in lines
+        assert lines[-1] == "  => all facts pass (incomplete: budget skipped facts)"
+
+    def test_text_report_of_failed_facts(self, capsys):
+        code, out, err = run_cli(capsys, "reproduce", "unbproj?N=2", "--tol", "1e-300")
+        assert code == 3
+        lines = out.splitlines()
+        assert any(line.startswith("  [FAIL] quadrature_a_plus_blocks ") for line in lines)
+        assert lines[-1] == "  => FAILURES present"
+        assert err.count("\n") == 1
+
     def test_param_override(self, capsys):
         code, out, _ = run_cli(
             capsys, "reproduce", "mcintosh-yagi?m_max=1", "--format", "json"
@@ -277,6 +341,23 @@ class TestPerturb:
         payload = json.loads(out)
         assert payload["corollary_verdict"] in {"pass", "fail"}
         assert payload["delta_residual"] <= 1e-6
+
+    def test_csv_format(self, capsys):
+        code, out, _ = run_cli(capsys, "perturb", "dichotomy-2.3?N=6", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "re_lambda,im_lambda,diff_norm"
+        blank = lines.index("")
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:blank]]
+        assert rows and all(len(row) == 3 for row in rows)
+        assert json.loads("\n".join(lines[blank:]))["n_diff_samples"] == len(rows)
+
+    def test_beta_fitted_without_the_flag(self, capsys):
+        code, out, _ = run_cli(capsys, "perturb", "almost-bisect-5.5?p=0.5&N=50")
+        assert code == 0
+        payload = json.loads(out)
+        assert 0.45 <= payload["beta"] < 1.0
+        assert payload["corollary_verdict"] in {"pass", "fail"}
 
     def test_text_format_refused(self, capsys):
         # perturb writes JSON or CSV only

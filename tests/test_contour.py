@@ -12,7 +12,6 @@ from specsplit import (
     QuadratureError,
     TruncationError,
     build_block_operator,
-    choose_h,
     contour_shift_check,
     default_contour,
     dense_operator,
@@ -28,6 +27,7 @@ from specsplit import (
     spectrum,
     split,
 )
+from specsplit.analysis import _log_log_fit
 from specsplit.contour import (
     _ESTIMATE_RATIO,
     _GAUSS_WEIGHTS,
@@ -35,7 +35,6 @@ from specsplit.contour import (
     _NODES,
     _WEIGHTS,
     _line_panels,
-    _log_log_fit,
     _neumann_tail,
     _side_integrals,
     _weight,
@@ -73,6 +72,13 @@ class TestContourSpec:
     def test_default_contour_uses_gap(self):
         op = diag_operator([2, -2])
         assert default_contour(op).h == pytest.approx(1.0)
+
+    def test_default_contour_of_a_pair_takes_the_smaller_gap(self):
+        s_op = build_block_operator("dichotomy-2.3", 4)
+        t_op = diag_operator([0.6, -3.0, 2.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        gap = min(spectrum(s_op).min_abs_real, spectrum(t_op).min_abs_real)
+        assert default_contour(s_op, t_op).h == 0.5 * gap == 0.3
+        assert default_contour(s_op, t_op, tol=1e-6).tol == 1e-6
 
 
 class TestIntegrateA:
@@ -616,6 +622,17 @@ def test_line_beyond_the_strip_refused(call):
         call()
 
 
+def test_projection_diff_integral_defaults_to_default_contour():
+    s_op = build_block_operator("almost-bisect-5.5", 4, {"p": 0.5})
+    rng = np.random.default_rng(5)
+    t_op = dense_operator(s_op.entries + 0.05 * rng.standard_normal((s_op.dim, s_op.dim)))
+    spec = default_contour(s_op, t_op)
+    assert spec.h < 0.5 * spectrum(s_op).min_abs_real  # the pair's gap is T's
+    assert np.array_equal(
+        projection_diff_integral(s_op, t_op), projection_diff_integral(s_op, t_op, spec)
+    )
+
+
 ZERO_GAP = diag_operator([1j, -1.0])
 
 
@@ -623,7 +640,6 @@ ZERO_GAP = diag_operator([1j, -1.0])
     "call",
     [
         lambda: default_contour(ZERO_GAP),
-        lambda: choose_h(ZERO_GAP, 0.5),
         lambda: split(ZERO_GAP, ContourSpec(h=0.5)),
         lambda: pv_axis_integral(ZERO_GAP, ContourSpec(h=0.5)),
         lambda: projection_diff_integral(diag_operator([1.0, -1.0]), ZERO_GAP),
@@ -634,7 +650,6 @@ ZERO_GAP = diag_operator([1j, -1.0])
     ],
     ids=[
         "default_contour",
-        "choose_h",
         "split",
         "pv_axis_integral",
         "projection_diff_integral",

@@ -10,7 +10,6 @@ from specsplit import (
     NearSpectrumError,
     OperatorError,
     build_block_operator,
-    choose_h,
     dense_operator,
     descriptor_of,
     diag_operator,
@@ -22,7 +21,8 @@ from specsplit import (
     spectral_norm,
     spectrum,
 )
-from specsplit.operators import mcintosh_yagi_pick_n
+import specsplit.operators as operators_module
+from specsplit.operators import mcintosh_yagi_parts, mcintosh_yagi_pick_n
 
 
 def block23(n):
@@ -81,6 +81,30 @@ class TestFamilies:
         assert mcintosh_yagi_pick_n(10.0, 1) == 7
         c = 9.0 / (np.pi * np.sqrt(18.0))
         assert c * np.log(6 / 2 + 1) < 1.0  # the next smaller order fails
+
+    @pytest.mark.parametrize("m_const", [1.0, 0.5, np.inf, np.nan])
+    def test_mcintosh_yagi_constant_refused(self, m_const):
+        # inf used to reach the entries as nan under a numpy warning
+        with pytest.raises(OperatorError, match="constant M must be finite and exceed 1"):
+            build_block_operator("mcintosh-yagi", 1, {"Mconst": m_const})
+
+    def test_mcintosh_yagi_float_overflow_named(self):
+        # M = 3, m = 1 needs order 1566, under the cap, but 2^n overflows from n = 1024
+        message = r"m=1 needs order n=1566, .* leave the float range \(below 2\^1024\)"
+        with pytest.raises(OperatorError, match=message):
+            mcintosh_yagi_parts(3.0, 1)
+
+    @pytest.mark.parametrize("m_const, refused", [(3.0, False), (1.0 + 2.0 * np.pi, True)])
+    def test_mcintosh_yagi_float_range_edge(self, monkeypatch, m_const, refused):
+        # at n = 1023 the diagonal 2^n is finite, and the largest entry
+        # (M-1)/pi * 2^n of B@D is too while (M-1)/pi < 2
+        monkeypatch.setattr(operators_module, "mcintosh_yagi_pick_n", lambda m_const, m: 1023)
+        if refused:
+            with pytest.raises(OperatorError, match="n=1023"):
+                mcintosh_yagi_parts(m_const, 1)
+        else:
+            _, d, b = mcintosh_yagi_parts(m_const, 1)
+            assert d[-1, -1] == 2.0**1023 and np.isfinite(b @ d).all()
 
     def test_entries_immutable(self):
         op = build_block_operator("dichotomy-2.3", 1)
@@ -201,20 +225,6 @@ class TestSpectrum:
         expect = np.sort(np.concatenate([2.0 ** np.arange(n + 1), -(2.0 ** np.arange(n + 1))]))
         assert np.allclose(np.sort(spectrum(op).eigenvalues.real), expect, rtol=1e-12)
 
-    def test_choose_h(self):
-        assert choose_h(build_block_operator("dichotomy-2.3", 4), 0.5) == pytest.approx(0.5)
-        assert choose_h(diag_operator([1, -1]), 0.9) == pytest.approx(0.9)
-        assert choose_h(
-            build_block_operator("mcintosh-yagi", 1, {"Mconst": 10.0}), 0.5
-        ) == pytest.approx(0.5)
-
-    def test_choose_h_zero_gap(self):
-        with pytest.raises(NearSpectrumError):
-            choose_h(diag_operator([1j, -1j]), 0.5)
-
-    def test_choose_h_bad_safety(self):
-        with pytest.raises(OperatorError):
-            choose_h(diag_operator([1, -1]), 1.5)
 
 
 # ---------------------------------------------------------------------------
