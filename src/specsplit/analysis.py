@@ -229,8 +229,8 @@ class SplitResult:
         return {
             "rank_plus": self.rank_plus,
             "rank_minus": self.rank_minus,
-            "spectrum_margin_plus": self.spectrum_margin_plus,
-            "spectrum_margin_minus": self.spectrum_margin_minus,
+            "spectrum_margin_plus": json_safe_float(self.spectrum_margin_plus),
+            "spectrum_margin_minus": json_safe_float(self.spectrum_margin_minus),
             "est_error": self.est_error,
             "p_est_error": self.p_est_error,
             "t_eff_plus": self.t_eff_plus,
@@ -346,7 +346,10 @@ def axis_grid(lo: float = 1e-2, hi: float = 1e4, per_decade: int = 64) -> np.nda
 
 def _log_log_fit(abs_lams: np.ndarray, norms: np.ndarray):
     """Least-squares fit  log(norm) ~ log M - beta * log|lambda|  on all the
-    samples: beta, log M and the largest absolute residual in log space."""
+    samples: beta, log M and the largest absolute residual in log space, all
+    three NaN when the samples hold fewer than two distinct |lambda|."""
+    if np.unique(abs_lams).size < 2:
+        return float("nan"), float("nan"), float("nan")
     x = np.log(abs_lams)
     y = np.log(norms)
     design = np.vstack([np.ones(x.size), -x]).T
@@ -405,17 +408,13 @@ def resolvent_sweep(
     norms = _Kernel((op,)).norms(lams)
 
     mask = (np.abs(lams) >= lo) & (np.abs(lams) <= hi)
-    if mask.sum() >= 2:
-        fitted_beta, log_m, resid = _log_log_fit(np.abs(lams[mask]), norms[mask])
-        fitted_m = float(np.exp(log_m))
-    else:
-        fitted_beta, fitted_m, resid = float("nan"), float("nan"), float("nan")
+    fitted_beta, log_m, resid = _log_log_fit(np.abs(lams[mask]), norms[mask])
     return SweepReport(
         lambdas=lams,
         norms=norms,
         sup_norm=float(norms.max()),
         fitted_beta=fitted_beta,
-        fitted_m=fitted_m,
+        fitted_m=float(np.exp(log_m)),
         fit_residual=resid,
         fit_window=(float(lo), float(hi)),
         skipped=skipped,
@@ -427,17 +426,12 @@ def resolvent_sweep(
 # ---------------------------------------------------------------------------
 
 
-def opposite_halfplane_grid(
-    side: str,
-    r_lo: float = 1e-1,
-    r_hi: float = 1e3,
-    n_radii: int = 16,
-    n_angles: int = 16,
-) -> np.ndarray:
-    """Log-polar grid in the closed half-plane opposite to ``side``."""
+def opposite_halfplane_grid(side: str) -> np.ndarray:
+    """Log-polar grid in the closed half-plane opposite to ``side``: 16
+    radii from 1e-1 to 1e3 by 16 angles."""
     start = _side_sign(side) * np.pi / 2
-    radii = np.logspace(np.log10(r_lo), np.log10(r_hi), n_radii)
-    angles = np.linspace(start, start + np.pi, n_angles)
+    radii = np.logspace(-1.0, 3.0, 16)
+    angles = np.linspace(start, start + np.pi, 16)
     return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 
 

@@ -24,6 +24,7 @@ import scipy.linalg as sla
 
 from .analysis import (
     axis_grid,
+    json_safe_float,
     pair_identity_residuals,
     projection_pair_residuals,
     resolvent_sweep,
@@ -96,7 +97,9 @@ class FactResult:
     expected: str
     detail: str = ""
 
-    to_json_dict = asdict
+    def to_json_dict(self) -> dict:
+        measured = None if self.measured is None else json_safe_float(self.measured)
+        return {**asdict(self), "measured": measured}
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,8 @@ class CaseReport:
     all_passed: bool
     incomplete: bool
 
-    to_json_dict = asdict  # facts as a tuple of dicts; dumped with sort_keys, as a list
+    def to_json_dict(self) -> dict:
+        return {**asdict(self), "facts": [f.to_json_dict() for f in self.facts]}
 
     def to_text(self) -> str:
         lines = [f"case {self.case} params={self.params}"]

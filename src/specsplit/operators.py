@@ -239,13 +239,13 @@ def _clear_points(ops, grid: np.ndarray) -> tuple[np.ndarray, int]:
     tol = near_spectrum_tol(*ops)
     dist, _ = _spectrum_distance(ops, grid)
     keep = dist > tol
+    if not keep.any():
+        raise NearSpectrumError("all grid points are near the spectrum", tol=tol)
     skipped = int(np.sum(~keep))
     if skipped:
         warnings.warn(
             f"skipped {skipped} grid points within {tol:.2e} of the spectrum", stacklevel=3
         )
-    if not keep.any():
-        raise NearSpectrumError("all grid points are near the spectrum", tol=tol)
     return grid[keep], skipped
 
 

@@ -69,9 +69,12 @@ def resolvent_diff_decay(
 
     Returns ``(samples, exponent)`` where samples is a list of
     ``(lambda, norm)`` pairs and exponent is the fitted delta in
-    ||R_S - R_T|| ~ |lambda|^{-delta}; identical resolvents give the +inf
-    sentinel.  Grid points within ``near_spectrum_tol(s_op, t_op)`` of either
-    spectrum are skipped with a warning.
+    ||R_S - R_T|| ~ |lambda|^{-delta}, fitted over the nonzero samples
+    with |lambda| in ``fit_window``, or over all nonzero samples when the
+    window holds fewer than two distinct |lambda|; NaN when those do too, and
+    identical resolvents give the +inf sentinel.  Grid points within
+    ``near_spectrum_tol(s_op, t_op)`` of either spectrum are skipped with a
+    warning.
     """
     grid = np.asarray(grid, dtype=complex).ravel()
     if grid.size == 0:
@@ -83,7 +86,7 @@ def resolvent_diff_decay(
         return samples, math.inf
     lo, hi = fit_window
     mask = (np.abs(lams) >= lo) & (np.abs(lams) <= hi) & (diffs > 0.0)
-    if mask.sum() < 2:
+    if np.unique(np.abs(lams[mask])).size < 2:
         mask = diffs > 0.0
     delta, *_ = _log_log_fit(np.abs(lams[mask]), diffs[mask])
     return samples, delta

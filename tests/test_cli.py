@@ -6,9 +6,20 @@ import pytest
 from specsplit.cli import main
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_loads(text):
+    """``json.loads`` that refuses NaN and the infinities, as a strict parser does."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if captured.out.startswith("{"):  # every JSON payload on stdout parses strictly
+        strict_loads(captured.out)
     return code, captured.out, captured.err
 
 
@@ -21,7 +32,7 @@ class TestSplitCommand:
     def test_corpus_family_passes(self, capsys):
         code, out, _ = run_cli(capsys, "split", "dichotomy-2.3?N=4")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert payload["passed"] is True
         assert payload["rank_plus"] == 4
         assert payload["residuals"]["a_sum"] <= 1e-6
@@ -34,7 +45,7 @@ class TestSplitCommand:
     def test_random_seed_operator(self, capsys):
         code, out, _ = run_cli(capsys, "split", "random?seed=7&dim=8")
         assert code == 0
-        assert json.loads(out)["passed"] is True
+        assert strict_loads(out)["passed"] is True
 
     def test_conditioning_failure_exits_3(self, capsys):
         # P = S^2 A multiplies the roundoff of A by ||S||^2 ~ 3e23 on this
@@ -56,17 +67,27 @@ class TestSplitCommand:
     def test_failed_pass_names_the_worst_residual(self, capsys):
         code, out, err = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--pass-tol", "1e-20")
         assert code == 3
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert payload["passed"] is False
         worst = max(payload["residuals"], key=payload["residuals"].get)
         assert err.count("\n") == 1
         assert err.startswith(f"numerical non-convergence: split residual {worst} = ")
         assert "pass_tol 1e-20" in err
 
+    def test_empty_half_plane_margin_is_the_string_inf(self, capsys):
+        # no eigenvalue in the left half-plane: its margin is +inf, which
+        # strict JSON cannot carry as a number
+        code, out, _ = run_cli(capsys, "split", "constant-diag?N=2&values=1,2")
+        assert code == 0
+        assert "Infinity" not in out
+        payload = strict_loads(out)
+        assert payload["spectrum_margin_minus"] == "inf"
+        assert payload["spectrum_margin_plus"] == 1.0
+
     def test_contour_flags(self, capsys):
         code, out, _ = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--h", "0.3")
         assert code == 0
-        assert json.loads(out)["contour"]["h"] == 0.3
+        assert strict_loads(out)["contour"]["h"] == 0.3
 
     @pytest.mark.parametrize("flag, value", [("--tol", "inf")])
     def test_non_finite_contour_flag_exits_1(self, capsys, flag, value):
@@ -79,13 +100,13 @@ class TestSplitCommand:
         # z = -2h lies h left of the line Re lambda = -h whatever the tolerance
         code, out, _ = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--tol", "1")
         assert code == 0
-        assert json.loads(out)["passed"] is True
+        assert strict_loads(out)["passed"] is True
 
     def test_derived_height_at_a_loose_tol(self, capsys):
         # the tail of A is held to tol / ||S||^2, so P = S^2 A keeps its ranks
         code, out, _ = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--tol", "1e-3")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert payload["passed"] is True
         assert set(payload["contour"]) == {"h", "tol"}
         assert payload["t_eff_plus"] >= 10 * payload["contour"]["h"]
@@ -110,7 +131,7 @@ class TestSplitCommand:
         code, out, _ = run_cli(capsys, "split", "constant-diag?N=1", "--out", str(out_path))
         assert code == 0
         assert out == ""
-        assert json.loads(out_path.read_text())["passed"] is True
+        assert strict_loads(out_path.read_text())["passed"] is True
 
     def test_missing_output_directory(self, capsys, tmp_path):
         target = tmp_path / "nope" / "result.json"
@@ -127,13 +148,13 @@ class TestSweepAndFit:
         lines = out.splitlines()
         assert lines[0] == "re_lambda,im_lambda,resolvent_norm"
         blank = lines.index("")
-        summary = json.loads("\n".join(lines[blank:]))
+        summary = strict_loads("\n".join(lines[blank:]))
         assert summary["sup_norm"] <= 3.0 + 1e-9
 
     def test_fit_exponent_window_defaults_to_truncation(self, capsys):
         code, out, _ = run_cli(capsys, "fit", "almost-bisect-5.5?p=0.5&N=50")
         assert code == 0
-        beta = json.loads(out)["fitted_beta"]
+        beta = strict_loads(out)["fitted_beta"]
         assert 0.45 <= beta <= 0.55
 
     def test_empty_grid_usage_error(self, capsys):
@@ -148,7 +169,16 @@ class TestSweepAndFit:
         )
         assert code == 0
         assert "NaN" not in out
-        assert json.loads(out)["fitted_beta"] is None
+        assert strict_loads(out)["fitted_beta"] is None
+
+    def test_one_radius_in_the_window_gives_null(self, capsys):
+        # one point per decade leaves only +-10i in the window (10, 25): two
+        # samples at one radius fix no slope
+        code, out, _ = run_cli(capsys, "fit", "almost-bisect-5.5?p=0.5&N=50", "--grid-per-decade", "1")
+        assert code == 0
+        payload = strict_loads(out)
+        assert payload["fitted_beta"] is None
+        assert payload["fitted_M"] is None and payload["fit_residual"] is None
 
     def test_inverted_fit_window_exits_1(self, capsys):
         # the default window top of this family is N/2 = 25
@@ -163,7 +193,7 @@ class TestSweepAndFit:
             "--grid-per-decade", "4",
         )
         assert code == 0
-        assert "sup_norm" in json.loads(out)
+        assert "sup_norm" in strict_loads(out)
 
     def test_sweep_text_format(self, capsys):
         code, out, _ = run_cli(
@@ -186,7 +216,7 @@ class TestDescribe:
     def test_scalar_family_values(self, capsys):
         code, out, _ = run_cli(capsys, "describe", "constant-diag?N=2&values=2")
         assert code == 0
-        assert json.loads(out)["dim"] == 2
+        assert strict_loads(out)["dim"] == 2
 
     def test_null_family_parameter_exits_1(self, capsys):
         desc = {"kind": "family", "family": "almost-bisect-5.5", "N": 2, "params": {"p": None}}
@@ -197,7 +227,7 @@ class TestDescribe:
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "describe", "dichotomy-2.3?N=2")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert payload["dim"] == 4
         assert payload["spectral_gap"] == pytest.approx(1.0)
 
@@ -246,29 +276,37 @@ class TestReproduce:
     def test_unbproj(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "unbproj", "--format", "json")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert payload["all_passed"] is True
 
     def test_scalar_lambda_set(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "unbproj?lambda1=2", "--format", "json")
         assert code == 0
-        assert json.loads(out)["params"]["lambda1"] == [2]
+        assert strict_loads(out)["params"]["lambda1"] == [2]
 
     @pytest.mark.parametrize("case", ["unbproj?N=1", "unbproj?N=2"])
     def test_default_lambda_set_below_three_blocks(self, capsys, case):
         # the default choice is the odd blocks, a subset of 1..N for every N
         code, out, _ = run_cli(capsys, "reproduce", case, "--format", "json")
         assert code == 0
-        assert json.loads(out)["params"]["lambda1"] == [1]
+        assert strict_loads(out)["params"]["lambda1"] == [1]
 
     def test_failed_facts_named_on_stderr(self, capsys):
         code, out, err = run_cli(capsys, "reproduce", "unbproj?N=2", "--tol", "1e-30",
                                  "--format", "json")
         assert code == 3
-        failed = [f["name"] for f in json.loads(out)["facts"] if not f["passed"]]
+        failed = [f["name"] for f in strict_loads(out)["facts"] if not f["passed"]]
         assert failed
         expect = f"reproduce unbproj: failed facts {', '.join(failed)}"
         assert err == f"numerical non-convergence: {expect}\n"
+
+    def test_fit_from_one_radius_fails_with_null_measured(self, capsys):
+        code, out, err = run_cli(capsys, "reproduce", "almbisect?N=50", "--grid-per-decade", "1",
+                                 "--format", "json")
+        assert code == 3
+        fact = next(f for f in strict_loads(out)["facts"] if f["name"] == "fitted_beta")
+        assert fact["passed"] is False and fact["measured"] is None
+        assert err == "numerical non-convergence: reproduce almbisect: failed facts fitted_beta\n"
 
     def test_unknown_case(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "no-such-case")
@@ -322,7 +360,7 @@ class TestReproduce:
             capsys, "reproduce", "mcintosh-yagi?m_max=1", "--format", "json"
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert payload["params"]["m_max"] == 1
         assert payload["all_passed"] is True
 
@@ -338,7 +376,7 @@ class TestPerturb:
         path.write_text(json.dumps({"kind": "dense", "entries": entries}))
         code, out, _ = run_cli(capsys, "perturb", str(path), "--beta", "1.0")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert payload["corollary_verdict"] in {"pass", "fail"}
         assert payload["delta_residual"] <= 1e-6
 
@@ -350,12 +388,12 @@ class TestPerturb:
         blank = lines.index("")
         rows = [[float(x) for x in line.split(",")] for line in lines[1:blank]]
         assert rows and all(len(row) == 3 for row in rows)
-        assert json.loads("\n".join(lines[blank:]))["n_diff_samples"] == len(rows)
+        assert strict_loads("\n".join(lines[blank:]))["n_diff_samples"] == len(rows)
 
     def test_beta_fitted_without_the_flag(self, capsys):
         code, out, _ = run_cli(capsys, "perturb", "almost-bisect-5.5?p=0.5&N=50")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_loads(out)
         assert 0.45 <= payload["beta"] < 1.0
         assert payload["corollary_verdict"] in {"pass", "fail"}
 
@@ -393,6 +431,17 @@ class TestUsageAndDeterminism:
         code, out, err = run_cli(capsys, "describe", f"random?{query}")
         assert (code, out) == (1, "")
         assert "integer dim and seed" in err
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("dichotomy-2.3?N", "error: malformed parameter 'N' (expected key=value)\n"),
+            ("random?dim=4&x=1", "error: random source does not accept ['x']\n"),
+        ],
+    )
+    def test_malformed_shorthand_exits_1(self, capsys, source, message):
+        code, out, err = run_cli(capsys, "describe", source)
+        assert (code, out, err) == (1, "", message)
 
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "split", "dichotomy-2.3?N=3")

@@ -349,6 +349,26 @@ def test_far_moments_match_the_closed_form(x0, t_eff):
     assert sorted({n for j in (1, 2, 3) for n in k + 1 + j}) == list(range(2, 28))
 
 
+@pytest.mark.parametrize("x0", [1.0, -1.0])
+def test_far_moments_of_r_minus_at_the_contract_edge(x0):
+    # T = 10 |x0| = 2 |z| puts the nearest singularity of the u-integrand at
+    # |u| = 5/3; the moments against a 40-digit reference
+    import mpmath
+    t_eff, z = 10.0, -5.0
+    mu = contour_module._far_moments([_weight(z**2, 2, (z,))], x0, t_eff)[0]
+    exact = []
+    with mpmath.workdps(40):
+        for k in range(_NEUMANN_TERMS):
+
+            def integrand(u, k=k):
+                lams = [mpmath.mpc(x0, sign * t_eff / u) for sign in (1, -1)]
+                return sum(z**2 / (lam**2 * (lam - z)) * (t_eff / lam) ** (k + 1) for lam in lams) / u**2
+
+            exact.append(complex(mpmath.quad(integrand, [0, 0.5, 1]) / (2 * mpmath.pi)))
+    exact = np.array(exact)
+    assert np.abs(mu - exact).max() <= 1e-15 * np.abs(exact).max()
+
+
 def test_each_pass_solves_the_halves_of_open_panels(monkeypatch):
     passes = []
 
@@ -600,6 +620,13 @@ def test_log_log_fit_recovers_power_law():
     assert fit_beta == pytest.approx(beta, rel=1e-12)
     assert np.exp(log_m) == pytest.approx(m, rel=1e-12)
     assert resid <= 1e-12
+
+
+@pytest.mark.parametrize("abs_lams", [[], [10.0], [10.0, 10.0], [20.0, 20.0, 20.0]])
+def test_log_log_fit_needs_two_radii(abs_lams):
+    # one radius fixes no slope: lstsq's minimum-norm answer is no fit
+    abs_lams = np.array(abs_lams)
+    assert np.isnan(_log_log_fit(abs_lams, np.full(abs_lams.shape, 0.5))).all()
 
 
 GAP_ONE = diag_operator([1.0, -1.0])
