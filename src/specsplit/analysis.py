@@ -386,6 +386,15 @@ class SweepReport:
         return samples_csv("resolvent_norm", zip(self.lambdas, self.norms))
 
 
+def _fit_window(op: Operator) -> tuple[float, float]:
+    """Default decay-fit window: a truncated block family obeys its decay law
+    only below its largest block scale, so the window ends at N/2 (at least
+    20, at most 1e4); an untagged operator gets the full asymptotic window."""
+    if op.family_tag is None:
+        return 10.0, 1e4
+    return 10.0, min(1e4, max(20.0, op.family_tag.n_blocks / 2.0))
+
+
 def resolvent_sweep(
     op: Operator,
     grid,

@@ -10,6 +10,11 @@ inline JSON descriptor (first character ``{``), or a shorthand
 ``name?key=value&key=value`` for the built-in families, e.g.
 ``dichotomy-2.3?N=4`` or ``random?seed=7&dim=8``.
 
+The front end decides nothing the library owns: ``sweep``, ``fit`` and
+``perturb`` fit in ``analysis._fit_window``, ``reproduce`` defaults to
+``corpus.Budget``, and every subcommand hands its payload (with a text or
+CSV rendering where ``--format`` offers one) to ``_emit``, the one writer.
+
 Exit codes: 0 success, 1 usage or I/O problems, 2 spectral preconditions
 violated, 3 numerical non-convergence.  Output is deterministic: repeated
 runs with the same inputs produce byte-identical bytes.
@@ -25,7 +30,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import axis_grid, resolvent_sweep, split
+from .analysis import _fit_window, axis_grid, resolvent_sweep, split
 from .contour import ContourSpec, default_contour
 from .corpus import Budget, case_names, make_case, run_case
 from .errors import (
@@ -69,12 +74,19 @@ def _non_convergence(message: str) -> int:
     return EXIT_NUMERIC
 
 
-def _write_output(text: str, out: str | None):
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        return
-    with open(out, "w", encoding="utf-8") as fh:  # a missing directory raises OSError: exit 1
-        fh.write(text)
+def _emit(args, payload: dict, text: str | None = None, csv: str | None = None) -> int:
+    """Write ``payload``, stamped with the version, in the ``--format`` asked
+    for: its JSON, the ``text`` rendering, or the ``csv`` samples followed by
+    the JSON; a command without a text rendering writes JSON.  The bytes go
+    to ``--out`` or stdout, and the exit code is 0."""
+    body = _json_text({"version": __version__, **payload})
+    body = {"text": text, "csv": csv and f"{csv}\n{body}"}.get(args.format) or body
+    if args.out is None or args.out == "-":
+        sys.stdout.write(body)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:  # a missing directory raises OSError: exit 1
+            fh.write(body)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -162,23 +174,18 @@ def cmd_describe(args) -> int:
     op = resolve_operator(args.operator)
     spec = spectrum(op)
     payload = {
-        "version": __version__,
         "operator": _operator_summary(args.operator, op),
         "dim": op.dim,
         "norm": operator_norm(op),
         "spectral_gap": spec.min_abs_real,
         "eigenvalues": [[z.real, z.imag] for z in spec.eigenvalues],
     }
-    if args.format == "text":
-        lines = [
-            f"operator: {payload['operator']}",
-            f"dim: {op.dim}  norm: {payload['norm']:.6g}  gap: {payload['spectral_gap']:.6g}",
-            "eigenvalues: " + ", ".join(f"{z.real:.6g}{z.imag:+.6g}i" for z in spec.eigenvalues),
-        ]
-        _write_output("\n".join(lines) + "\n", args.out)
-    else:
-        _write_output(_json_text(payload), args.out)
-    return EXIT_OK
+    lines = [
+        f"operator: {payload['operator']}",
+        f"dim: {op.dim}  norm: {payload['norm']:.6g}  gap: {payload['spectral_gap']:.6g}",
+        "eigenvalues: " + ", ".join(f"{z.real:.6g}{z.imag:+.6g}i" for z in spec.eigenvalues),
+    ]
+    return _emit(args, payload, text="\n".join(lines) + "\n")
 
 
 def cmd_split(args) -> int:
@@ -187,14 +194,13 @@ def cmd_split(args) -> int:
     result = split(op, spec)
     passed = result.passes(args.pass_tol)
     payload = {
-        "version": __version__,
         "operator": _operator_summary(args.operator, op),
         "contour": spec.to_json_dict(),
         "pass_tol": args.pass_tol,
         "passed": passed,
         **result.to_json_dict(),
     }
-    _write_output(_json_text(payload), args.out)
+    _emit(args, payload)
     if passed:
         return EXIT_OK
     worst = max(result.residuals, key=result.residuals.get)
@@ -205,41 +211,22 @@ def cmd_split(args) -> int:
     )
 
 
-def _default_fit_hi(op: Operator) -> float:
-    # A truncated block family obeys its decay law only below the largest
-    # block scale; an untagged operator gets the full asymptotic window.
-    if op.family_tag is not None:
-        return min(1e4, max(20.0, op.family_tag.n_blocks / 2.0))
-    return 1e4
-
-
 def _sweep_report(args):
     op = resolve_operator(args.operator)
     grid = axis_grid(args.grid_lo, args.grid_hi, args.grid_per_decade)
-    fit_hi = args.fit_hi if args.fit_hi is not None else _default_fit_hi(op)
-    window = (args.fit_lo, fit_hi)
-    return op, resolvent_sweep(op, grid, fit_window=window)
+    fit_hi = _fit_window(op)[1] if args.fit_hi is None else args.fit_hi
+    return op, resolvent_sweep(op, grid, fit_window=(args.fit_lo, fit_hi))
 
 
 def cmd_sweep(args) -> int:
     op, report = _sweep_report(args)
-    summary = {
-        "version": __version__,
-        "operator": _operator_summary(args.operator, op),
-        **report.to_json_dict(),
-    }
-    if args.format == "csv":
-        text = report.to_csv() + "\n" + _json_text(summary)
-    elif args.format == "text":
-        text = (
-            f"sweep of {args.operator}: {report.lambdas.size} samples, "
-            f"sup {report.sup_norm:.6g}, beta {report.fitted_beta:.4f}, "
-            f"M {report.fitted_m:.4f}\n"
-        )
-    else:
-        text = _json_text(summary)
-    _write_output(text, args.out)
-    return EXIT_OK
+    payload = {"operator": _operator_summary(args.operator, op), **report.to_json_dict()}
+    text = (
+        f"sweep of {args.operator}: {report.lambdas.size} samples, "
+        f"sup {report.sup_norm:.6g}, beta {report.fitted_beta:.4f}, "
+        f"M {report.fitted_m:.4f}\n"
+    )
+    return _emit(args, payload, text=text, csv=report.to_csv())
 
 
 def cmd_fit(args) -> int:
@@ -247,19 +234,14 @@ def cmd_fit(args) -> int:
     summary = report.to_json_dict()
     fields = ("fitted_beta", "fitted_M", "fit_residual", "fit_window", "sup_norm")
     payload = {
-        "version": __version__,
         "operator": _operator_summary(args.operator, op),
         **{key: summary[key] for key in fields},
     }
-    if args.format == "text":
-        _write_output(
-            f"beta {report.fitted_beta:.4f}  M {report.fitted_m:.4f}  "
-            f"residual {report.fit_residual:.3g}\n",
-            args.out,
-        )
-    else:
-        _write_output(_json_text(payload), args.out)
-    return EXIT_OK
+    text = (
+        f"beta {report.fitted_beta:.4f}  M {report.fitted_m:.4f}  "
+        f"residual {report.fit_residual:.3g}\n"
+    )
+    return _emit(args, payload, text=text)
 
 
 def _perturbation_matrix(op: Operator, args) -> np.ndarray:
@@ -279,13 +261,12 @@ def cmd_perturb(args) -> int:
     op = resolve_operator(args.operator)
     r = _perturbation_matrix(op, args)
     beta = args.beta
-    window = (10.0, max(20.0, op.dim / 2.0))
+    window = _fit_window(op)
     if beta is None:
         fit = resolvent_sweep(op, axis_grid(1e-1, 1e4, 32), fit_window=window)
         beta = min(1.0, fit.fitted_beta) if np.isfinite(fit.fitted_beta) else None
     report = perturb_pair_report(op, r, beta=beta, fit_window=window)
     payload = {
-        "version": __version__,
         "operator": _operator_summary(args.operator, op),
         "perturbation": {
             "subordinate_p": args.subordinate_p,
@@ -295,28 +276,17 @@ def cmd_perturb(args) -> int:
         "beta": beta,
         **report.to_json_dict(),
     }
-    if args.format == "csv":
-        text = report.diff_samples_csv() + "\n" + _json_text(payload)
-    else:
-        text = _json_text(payload)
-    _write_output(text, args.out)
-    return EXIT_OK
+    return _emit(args, payload, csv=report.diff_samples_csv())
 
 
 def cmd_reproduce(args) -> int:
     name, params = _parse_shorthand(args.case)
     case = make_case(name, **params)
     budget = Budget(
-        identity_tol=args.tol if args.tol is not None else 1e-6,
-        max_quad_dim=args.max_quad_dim,
-        per_decade=args.grid_per_decade,
+        identity_tol=args.tol, max_quad_dim=args.max_quad_dim, per_decade=args.grid_per_decade
     )
     report = run_case(case, budget)
-    if args.format == "text":
-        _write_output(report.to_text() + "\n", args.out)
-    else:
-        payload = {"version": __version__, **report.to_json_dict()}
-        _write_output(_json_text(payload), args.out)
+    _emit(args, report.to_json_dict(), text=report.to_text() + "\n")
     if report.all_passed:
         return EXIT_OK
     failed = ", ".join(f.name for f in report.facts if not f.passed)
@@ -391,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a corpus case: " + ", ".join(case_names()))
     p.add_argument("case")
-    p.add_argument("--tol", type=float, default=None, help="identity tolerance")
-    p.add_argument("--max-quad-dim", dest="max_quad_dim", type=int, default=200)
-    p.add_argument("--grid-per-decade", dest="grid_per_decade", type=int, default=64)
+    p.add_argument("--tol", type=float, default=Budget.identity_tol, help="identity tolerance")
+    p.add_argument("--max-quad-dim", dest="max_quad_dim", type=int, default=Budget.max_quad_dim)
+    p.add_argument("--grid-per-decade", dest="grid_per_decade", type=int, default=Budget.per_decade)
     _add_output_args(p, default_format="text")
     p.set_defaults(func=cmd_reproduce)
     return parser

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .analysis import (
+    _fit_window,
     axis_grid,
     json_safe_float,
     pair_identity_residuals,
@@ -32,6 +33,7 @@ from .analysis import (
 from .contour import default_contour, integrate_A
 from .errors import OperatorError
 from .operators import (
+    _MACHINE_EPS,
     Operator,
     build_block_operator,
     dense_operator,
@@ -61,11 +63,8 @@ __all__ = [
     "mixed_choice_pair",
 ]
 
-_MACHINE_EPS = float(np.finfo(np.float64).eps)
-
 _ORACLE_TOL = 1e-8
 _BETA_TOL = 0.05
-_QUAD_TOL = 1e-8
 # Quadrature-based facts are skipped above this operator norm (and above
 # ``Budget.max_quad_dim``): multiplying the integral by S^2 amplifies float
 # error by ||S||^2, so P-level checks at ||S||^2 * eps above the identity
@@ -262,7 +261,7 @@ def corpus_unbproj(n_blocks: int = 3, lambda_set=None) -> CorpusCase:
 
     @functools.cache
     def quad_a(side):
-        return integrate_A(op, side, default_contour(op, tol=_QUAD_TOL)).value
+        return integrate_A(op, side, default_contour(op)).value
 
     def check_quad_a(side):
         def checker(budget: Budget):
@@ -327,10 +326,7 @@ def corpus_almbisect(n_blocks: int = 50, p: float = 0.5) -> CorpusCase:
 
     def check_beta(budget: Budget):
         grid = axis_grid(1e-2, 1e4, budget.per_decade)
-        # The decay law of the infinite family holds on the truncation only
-        # below the largest block scale; fit inside that regime.
-        window = (10.0, max(20.0, n_blocks / 2.0))
-        report = resolvent_sweep(op, grid, fit_window=window)
+        report = resolvent_sweep(op, grid, fit_window=_fit_window(op))
         err = abs(report.fitted_beta - (1.0 - p))
         return err <= _BETA_TOL, report.fitted_beta, f"beta =~ {1.0 - p}"
 

@@ -426,3 +426,26 @@ def test_restricted_bounds_on_empty_grids_pass_vacuously():
     report = sectoriality_report(result, 1.0, [], 3.0)
     assert report.passed
     assert report.max_weighted_plus == 0.0 and report.max_weighted_minus == 0.0
+
+
+def test_restricted_bound_on_an_empty_side_passes():
+    # no eigenvalue of diag(1, 2) lies left of the axis, so S|G_- is 0 x 0
+    result = split(build_block_operator("constant-diag", 2, {"values": [1, 2]}))
+    check = halfplane_bound_check(result, "-", opposite_halfplane_grid("-"), 1.0)
+    assert check.passed and check.max_norm == 0.0
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda: subspace_angle(np.zeros((3, 0)), np.zeros((3, 0))),
+        lambda: multiset_match_distance([], []),
+        lambda: spectral_norm(np.zeros((0, 3))),
+    ],
+)
+def test_empty_inputs_measure_zero(measure):
+    assert measure() == 0.0
+
+
+def test_range_of_zero_is_empty():
+    assert m_subspace(np.zeros((3, 3))).shape == (3, 0)

@@ -157,6 +157,11 @@ class TestSweepAndFit:
         beta = strict_loads(out)["fitted_beta"]
         assert 0.45 <= beta <= 0.55
 
+    def test_untagged_operator_fits_the_full_window(self, capsys):
+        code, out, _ = run_cli(capsys, "fit", "random?seed=3&dim=6")
+        assert code == 0
+        assert strict_loads(out)["fit_window"] == [10.0, 10000.0]
+
     def test_empty_grid_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "constant-diag?N=1", "--grid-lo", "10", "--grid-hi", "1")
         assert code == 1
@@ -308,6 +313,19 @@ class TestReproduce:
         assert fact["passed"] is False and fact["measured"] is None
         assert err == "numerical non-convergence: reproduce almbisect: failed facts fitted_beta\n"
 
+    def test_norm_above_the_quadrature_budget_skips_the_quadrature_facts(self, capsys):
+        # ||S|| = 1.28e4 is above the norm cap while dim 160 is within max-quad-dim
+        code, out, _ = run_cli(capsys, "reproduce", "unbproj?N=80")
+        assert code == 0
+        lines = out.splitlines()
+        assert sum(line.startswith("  [SKIP] ") for line in lines) == 3
+        assert sum("operator norm 1.28e+04 above quadrature budget" in line for line in lines) == 3
+        assert lines[-1] == "  => all facts pass (incomplete: budget skipped facts)"
+
+    def test_no_blocks_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "reproduce", "unbproj?N=0")
+        assert (code, out, err) == (1, "", "error: need at least one block\n")
+
     def test_unknown_case(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "no-such-case")
         assert code == 1
@@ -397,6 +415,13 @@ class TestPerturb:
         assert 0.45 <= payload["beta"] < 1.0
         assert payload["corollary_verdict"] in {"pass", "fail"}
 
+    def test_beta_is_fitted_in_the_fit_window(self, capsys):
+        # the block-scale window of ``fit``, (10, N/2), where the truncation
+        # follows the family's decay law: true beta = 1 - p = 0.5
+        code, out, _ = run_cli(capsys, "perturb", "almost-bisect-5.5?p=0.5&N=50")
+        assert code == 0
+        assert 0.45 <= strict_loads(out)["beta"] <= 0.55
+
     def test_text_format_refused(self, capsys):
         # perturb writes JSON or CSV only
         code, out, err = run_cli(capsys, "perturb", "dichotomy-2.3?N=2", "--format", "text")
@@ -442,6 +467,25 @@ class TestUsageAndDeterminism:
     def test_malformed_shorthand_exits_1(self, capsys, source, message):
         code, out, err = run_cli(capsys, "describe", source)
         assert (code, out, err) == (1, "", message)
+
+    def test_empty_shorthand_item_is_skipped(self, capsys):
+        code, out, _ = run_cli(capsys, "describe", "dichotomy-2.3?N=2&")
+        assert code == 0
+        assert out == run_cli(capsys, "describe", "dichotomy-2.3?N=2")[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("describe", "dichotomy-2.3?N=2"),
+            ("reproduce", "unbproj?N=2", "--format", "text"),
+            ("sweep", "constant-diag?N=1", "--grid-hi", "10", "--grid-per-decade", "4"),
+        ],
+    )
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        path = tmp_path / "out"
+        code, out, _ = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--out", str(path)) == (code, "", "")
+        assert path.read_text() == out
 
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "split", "dichotomy-2.3?N=3")

@@ -125,6 +125,11 @@ class TestSubordination:
         assert p == 0.0
         assert c == pytest.approx(1.0)
 
+    def test_increasing_curve_without_kink_is_zero_subordinate(self):
+        # c(p) = 2^p rises on the whole p grid with no elbow: the p = 0 end
+        c, p = p_subordination_fit(diag_operator([0.5, 0.5]), np.eye(2), list(np.eye(2)))
+        assert (c, p) == (1.0, 0.0)
+
     def test_sqrt_coupling_has_p_half(self):
         n = 128
         k = np.arange(1, n + 1, dtype=float)
@@ -240,6 +245,14 @@ class TestDomainEcho:
         assert report.growth_monotone
         values = dict(report.growth)
         assert values[64] > values[16]
+
+    def test_prefix_without_w_is_skipped(self):
+        # w vanishes on the first quarter, so the prefix-2 truncation has no w
+        s_op = diag_operator(np.arange(1, 9, dtype=float))
+        w = np.concatenate([np.zeros(2), np.ones(6)])
+        report = domain_counterexample(s_op, w)
+        assert [n for n, _ in report.growth] == [4, 8]
+        assert report.growth_monotone
 
     def test_requires_diagonal(self):
         with pytest.raises(OperatorError):

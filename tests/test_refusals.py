@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from specsplit import (
+    ContourSpec,
     NearSpectrumError,
     Operator,
     OperatorError,
@@ -21,6 +22,7 @@ from specsplit import (
     sectoriality_report,
     split,
 )
+from specsplit.contour import _side_integrals, line_nodes
 from specsplit.operators import FamilyTag, mcintosh_yagi_parts
 
 GAP_ONE = diag_operator([1.0, -1.0])
@@ -66,6 +68,13 @@ GAP_ONE = diag_operator([1.0, -1.0])
         (lambda: sectoriality_report(split(GAP_ONE), 1.0, [0.0, -1.0], 1.0), ValueError, "must avoid 0"),
         (lambda: parabola_probe(GAP_ONE, 0.5, 0.5, 1.0, []), ValueError, "parabola grid is empty"),
         (lambda: resolvent_diff_decay(GAP_ONE, GAP_ONE, []), ValueError, "grid is empty"),
+        # the quadrature lines
+        (lambda: line_nodes(1.0, 8.0, 7), ValueError, "carries the 15 Kronrod nodes, got q=7"),
+        (
+            lambda: _side_integrals(GAP_ONE, "+", ContourSpec(h=0.5), ("R",), -2.0),
+            ValueError,
+            "no integral 'R' on side '\\+'",
+        ),
         # the perturbation studies
         (lambda: domain_counterexample(GAP_ONE, [1.0, 0.0]), OperatorError, "real and positive"),
         (
