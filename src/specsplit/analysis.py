@@ -395,28 +395,22 @@ def _fit_window(op: Operator) -> tuple[float, float]:
     return 10.0, min(1e4, max(20.0, op.family_tag.n_blocks / 2.0))
 
 
-def resolvent_sweep(
-    op: Operator,
-    grid,
-    fit_window: tuple[float, float] = (10.0, 1e4),
-) -> SweepReport:
-    """Sample ||(S-lambda)^{-1}|| on a grid and fit the decay law.
-
-    Grid points within the near-spectrum tolerance are skipped with a
-    warning; the least-squares fit of  log||R|| ~ log M - beta log|lambda|
-    runs over samples with |lambda| inside ``fit_window``, which must have
-    0 < lo < hi.
-    """
+def _sweep(ops: tuple[Operator, ...], grid, fit_window) -> SweepReport:
+    """The one axis sweep: ||R_S(lambda)|| for one operator, or
+    ||R_S(lambda) - R_T(lambda)|| for a pair, at the grid points clear of
+    every spectrum (the rest are skipped with a warning), and the fit of
+    log(norm) ~ log M - beta log|lambda| over the nonzero samples with
+    |lambda| in ``fit_window``, which must have 0 < lo < hi and defaults to
+    ``_fit_window`` of the first operator."""
     grid = np.asarray(grid, dtype=complex).ravel()
     if grid.size == 0:
         raise ValueError("sweep grid is empty")
-    lo, hi = fit_window
+    lo, hi = _fit_window(ops[0]) if fit_window is None else fit_window
     if not 0 < lo < hi:
         raise ValueError(f"fit window needs 0 < lo < hi, got ({lo}, {hi})")
-    lams, skipped = _clear_points((op,), grid)
-    norms = _Kernel((op,)).norms(lams)
-
-    mask = (np.abs(lams) >= lo) & (np.abs(lams) <= hi)
+    lams, skipped = _clear_points(ops, grid)
+    norms = _Kernel(ops).norms(lams)
+    mask = (np.abs(lams) >= lo) & (np.abs(lams) <= hi) & (norms > 0.0)
     fitted_beta, log_m, resid = _log_log_fit(np.abs(lams[mask]), norms[mask])
     return SweepReport(
         lambdas=lams,
@@ -428,6 +422,13 @@ def resolvent_sweep(
         fit_window=(float(lo), float(hi)),
         skipped=skipped,
     )
+
+
+def resolvent_sweep(op: Operator, grid, fit_window=None) -> SweepReport:
+    """Sample ||(S-lambda)^{-1}|| on a grid and fit the decay law
+    M/|lambda|^beta in ``fit_window`` (default ``_fit_window(op)``); grid
+    points within the near-spectrum tolerance are skipped with a warning."""
+    return _sweep((op,), grid, fit_window)
 
 
 # ---------------------------------------------------------------------------

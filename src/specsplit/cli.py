@@ -11,9 +11,10 @@ inline JSON descriptor (first character ``{``), or a shorthand
 ``dichotomy-2.3?N=4`` or ``random?seed=7&dim=8``.
 
 The front end decides nothing the library owns: ``sweep``, ``fit`` and
-``perturb`` fit in ``analysis._fit_window``, ``reproduce`` defaults to
-``corpus.Budget``, and every subcommand hands its payload (with a text or
-CSV rendering where ``--format`` offers one) to ``_emit``, the one writer.
+``perturb`` sample on ``axis_grid``'s default grid and fit in
+``analysis._fit_window``, ``reproduce`` defaults to ``corpus.Budget``, and
+every subcommand hands its payload (with a text or CSV rendering where
+``--format`` offers one) to ``_emit``, the one writer.
 
 Exit codes: 0 success, 1 usage or I/O problems, 2 spectral preconditions
 violated, 3 numerical non-convergence.  Output is deterministic: repeated
@@ -77,8 +78,7 @@ def _non_convergence(message: str) -> int:
 def _emit(args, payload: dict, text: str | None = None, csv: str | None = None) -> int:
     """Write ``payload``, stamped with the version, in the ``--format`` asked
     for: its JSON, the ``text`` rendering, or the ``csv`` samples followed by
-    the JSON; a command without a text rendering writes JSON.  The bytes go
-    to ``--out`` or stdout, and the exit code is 0."""
+    the JSON.  The bytes go to ``--out`` or stdout, and the exit code is 0."""
     body = _json_text({"version": __version__, **payload})
     body = {"text": text, "csv": csv and f"{csv}\n{body}"}.get(args.format) or body
     if args.out is None or args.out == "-":
@@ -261,11 +261,10 @@ def cmd_perturb(args) -> int:
     op = resolve_operator(args.operator)
     r = _perturbation_matrix(op, args)
     beta = args.beta
-    window = _fit_window(op)
     if beta is None:
-        fit = resolvent_sweep(op, axis_grid(1e-1, 1e4, 32), fit_window=window)
+        fit = resolvent_sweep(op, axis_grid())
         beta = min(1.0, fit.fitted_beta) if np.isfinite(fit.fitted_beta) else None
-    report = perturb_pair_report(op, r, beta=beta, fit_window=window)
+    report = perturb_pair_report(op, r, beta=beta)
     payload = {
         "operator": _operator_summary(args.operator, op),
         "perturbation": {
@@ -335,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("operator")
     _add_contour_args(p)
     p.add_argument("--pass-tol", type=float, default=1e-6, help="residual pass threshold")
-    _add_output_args(p)
+    _add_output_args(p, choices=("json",))
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("sweep", help="resolvent norms on an axis grid (CSV or JSON)")

@@ -23,7 +23,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from .analysis import (
-    _fit_window,
     axis_grid,
     json_safe_float,
     pair_identity_residuals,
@@ -291,8 +290,7 @@ def corpus_unbproj(n_blocks: int = 3, lambda_set=None) -> CorpusCase:
         return worst <= budget.identity_tol, worst, f"worst residual among {sorted(res)}"
 
     def check_sup(budget: Budget):
-        grid = axis_grid(1e-2, 1e4, budget.per_decade)
-        report = resolvent_sweep(op, grid)
+        report = resolvent_sweep(op, axis_grid(per_decade=budget.per_decade))
         return report.sup_norm <= 3.0 + 1e-9, report.sup_norm, "sup_axis <= 3"
 
     def check_growth(budget: Budget):
@@ -325,8 +323,7 @@ def corpus_almbisect(n_blocks: int = 50, p: float = 0.5) -> CorpusCase:
     params = {"N": n_blocks, "p": p}
 
     def check_beta(budget: Budget):
-        grid = axis_grid(1e-2, 1e4, budget.per_decade)
-        report = resolvent_sweep(op, grid, fit_window=_fit_window(op))
+        report = resolvent_sweep(op, axis_grid(per_decade=budget.per_decade))
         err = abs(report.fitted_beta - (1.0 - p))
         return err <= _BETA_TOL, report.fitted_beta, f"beta =~ {1.0 - p}"
 

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _log_log_fit, json_safe_float, multiset_match_distance, samples_csv
+from .analysis import (
+    _fit_window, _sweep, axis_grid, json_safe_float, multiset_match_distance, samples_csv
+)
 from .contour import ContourSpec, _line_integrals, default_contour
 from .errors import NearSpectrumError, OperatorError
 from .operators import (
     Operator,
-    _clear_points,
-    _Kernel,
     eigenvalues_of,
     oracle_projection,
     spectral_norm,
@@ -58,37 +58,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def resolvent_diff_decay(
-    s_op: Operator,
-    t_op: Operator,
-    grid,
-    fit_window: tuple[float, float] = (10.0, 1e4),
-):
+def resolvent_diff_decay(s_op: Operator, t_op: Operator, grid, fit_window=None):
     """Sample ||R_S(lambda) - R_T(lambda)|| on a grid and fit the decay rate.
 
     Returns ``(samples, exponent)`` where samples is a list of
     ``(lambda, norm)`` pairs and exponent is the fitted delta in
-    ||R_S - R_T|| ~ |lambda|^{-delta}, fitted over the nonzero samples
-    with |lambda| in ``fit_window``, or over all nonzero samples when the
-    window holds fewer than two distinct |lambda|; NaN when those do too, and
-    identical resolvents give the +inf sentinel.  Grid points within
-    ``near_spectrum_tol(s_op, t_op)`` of either spectrum are skipped with a
-    warning.
+    ||R_S - R_T|| ~ |lambda|^{-delta}, fitted as ``resolvent_sweep`` fits
+    beta: over the nonzero samples with |lambda| in ``fit_window`` (default
+    ``_fit_window(s_op)``), NaN when those hold fewer than two distinct
+    |lambda|; identical resolvents give the +inf sentinel.  Grid points
+    within ``near_spectrum_tol(s_op, t_op)`` of either spectrum are skipped
+    with a warning.
     """
-    grid = np.asarray(grid, dtype=complex).ravel()
-    if grid.size == 0:
-        raise ValueError("grid is empty")
-    lams, _ = _clear_points((s_op, t_op), grid)
-    diffs = _Kernel((s_op, t_op)).norms(lams)
-    samples = [(complex(l), float(d)) for l, d in zip(lams, diffs)]
-    if not np.any(diffs > 0.0):
-        return samples, math.inf
-    lo, hi = fit_window
-    mask = (np.abs(lams) >= lo) & (np.abs(lams) <= hi) & (diffs > 0.0)
-    if np.unique(np.abs(lams[mask])).size < 2:
-        mask = diffs > 0.0
-    delta, *_ = _log_log_fit(np.abs(lams[mask]), diffs[mask])
-    return samples, delta
+    report = _sweep((s_op, t_op), grid, fit_window)
+    samples = [(complex(l), float(d)) for l, d in zip(report.lambdas, report.norms)]
+    return samples, report.fitted_beta if report.sup_norm > 0.0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +236,7 @@ def domain_counterexample(s_op: Operator, w: np.ndarray) -> DomainEchoReport:
     # S is a positive diagonal and R = w w^H / |w|^2 is Hermitian positive
     # semidefinite, so T = S + R is Hermitian positive definite: both spectra
     # lie on the positive real axis, the strip is clear, and T is dichotomous.
-    t_grid = 1j * np.logspace(1, 3, 40)
-    grid = np.concatenate([-t_grid[::-1], t_grid])
-    _, exponent = resolvent_diff_decay(s_op, t_op, grid, fit_window=(10.0, 1e3))
+    _, exponent = resolvent_diff_decay(s_op, t_op, axis_grid(10.0, 1e3), fit_window=(10.0, 1e3))
     conditions = {
         "strip_in_both_resolvent_sets": True,
         "difference_decay_exponent_above_1": bool(exponent > 1.0),
@@ -368,15 +350,13 @@ class PerturbReport:
 
 
 def perturb_pair_report(
-    s_op: Operator,
-    r: np.ndarray,
-    beta: float | None = None,
-    fit_window: tuple[float, float] = (10.0, 1e4),
+    s_op: Operator, r: np.ndarray, beta: float | None = None, fit_window=None
 ) -> PerturbReport:
     """Run the full perturbation diagnosis for T = S + R: the resolvent
-    difference at 128 log-spaced axis points per side, 1 <= |lambda| <=
-    max(fit_window[1], 10), the subordination fit over the standard basis,
-    and the projection difference on Re lambda = half the pair's gap.
+    difference on ``axis_grid(1, max(hi, 10))`` fitted in ``fit_window =
+    (lo, hi)`` (default ``_fit_window(s_op)``), the subordination fit over
+    the standard basis, and the projection difference on Re lambda = half
+    the pair's gap.
 
     ``beta`` is the axis-decay exponent of S (fitted upstream); without it
     the exponent arithmetic is reported as not-applicable.
@@ -385,9 +365,9 @@ def perturb_pair_report(
     if r.shape != (s_op.dim, s_op.dim):
         raise OperatorError("R must have the same shape as S")
     t_op = Operator(entries=s_op.entries + r)
-    t_vals = np.logspace(0, np.log10(max(fit_window[1], 10.0)), 128)
-    grid = np.concatenate([-1j * t_vals[::-1], 1j * t_vals])
-    samples, exponent = resolvent_diff_decay(s_op, t_op, grid, fit_window=fit_window)
+    window = _fit_window(s_op) if fit_window is None else fit_window
+    grid = axis_grid(1.0, max(window[1], 10.0))
+    samples, exponent = resolvent_diff_decay(s_op, t_op, grid, fit_window=window)
     c_fit, p_fit = p_subordination_fit(s_op, r, list(np.eye(s_op.dim, dtype=complex).T))
     if beta is None:
         verdict, predicted = "not-applicable", float("nan")

@@ -55,6 +55,12 @@ class TestSplitCommand:
         assert code == 3
         assert "non-convergence" in err
 
+    def test_text_format_refused(self, capsys):
+        # split has no text rendering, so it writes JSON only
+        code, out, err = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--format", "text")
+        assert (code, out) == (1, "")
+        assert "invalid choice" in err
+
     def test_rank_refusal_exits_3(self, capsys, zero_a_integrals):
         # round(Re tr P+-) must equal the half-plane eigenvalue counts
         code, out, err = run_cli(capsys, "split", "dichotomy-2.3?N=2")
@@ -421,6 +427,13 @@ class TestPerturb:
         code, out, _ = run_cli(capsys, "perturb", "almost-bisect-5.5?p=0.5&N=50")
         assert code == 0
         assert 0.45 <= strict_loads(out)["beta"] <= 0.55
+
+    def test_beta_equals_the_fitted_beta(self, capsys):
+        # perturb fits beta on the grid and in the window of ``fit``
+        source = "almost-bisect-5.5?p=0.5&N=50"
+        perturb = strict_loads(run_cli(capsys, "perturb", source)[1])
+        fit = strict_loads(run_cli(capsys, "fit", source)[1])
+        assert perturb["beta"] == fit["fitted_beta"]
 
     def test_text_format_refused(self, capsys):
         # perturb writes JSON or CSV only

@@ -68,6 +68,11 @@ GAP_ONE = diag_operator([1.0, -1.0])
         (lambda: sectoriality_report(split(GAP_ONE), 1.0, [0.0, -1.0], 1.0), ValueError, "must avoid 0"),
         (lambda: parabola_probe(GAP_ONE, 0.5, 0.5, 1.0, []), ValueError, "parabola grid is empty"),
         (lambda: resolvent_diff_decay(GAP_ONE, GAP_ONE, []), ValueError, "grid is empty"),
+        (
+            lambda: resolvent_diff_decay(GAP_ONE, diag_operator([2.0, -1.0]), [1j, 20j], (100, 10)),
+            ValueError,
+            "fit window needs 0 < lo < hi",
+        ),
         # the quadrature lines
         (lambda: line_nodes(1.0, 8.0, 7), ValueError, "carries the 15 Kronrod nodes, got q=7"),
         (
