@@ -61,23 +61,6 @@ __all__ = [
     "ParabolaProbe",
 ]
 
-def json_safe_float(value: float):
-    """Representable float for strict-JSON payloads: NaN becomes null,
-    infinities become the strings "inf"/"-inf"."""
-    value = float(value)
-    if np.isnan(value):
-        return None
-    if np.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
-def samples_csv(column: str, samples) -> str:
-    """CSV of ``(lambda, value)`` pairs under the header
-    ``re_lambda,im_lambda,<column>``, every number in its round-trip repr."""
-    rows = (f"{float(lam.real)!r},{float(lam.imag)!r},{float(value)!r}\n" for lam, value in samples)
-    return f"re_lambda,im_lambda,{column}\n" + "".join(rows)
-
 
 # ---------------------------------------------------------------------------
 # small shared linear-algebra helpers
@@ -219,6 +202,8 @@ class SplitResult:
         return max(self.residuals.values())
 
     def passes(self, tol: float) -> bool:
+        if not tol > 0:
+            raise ValueError(f"pass tolerance must be > 0, got {tol}")
         return (
             self.max_residual() <= tol
             and self.spectrum_margin_plus > 0.0
@@ -229,8 +214,8 @@ class SplitResult:
         return {
             "rank_plus": self.rank_plus,
             "rank_minus": self.rank_minus,
-            "spectrum_margin_plus": json_safe_float(self.spectrum_margin_plus),
-            "spectrum_margin_minus": json_safe_float(self.spectrum_margin_minus),
+            "spectrum_margin_plus": self.spectrum_margin_plus,
+            "spectrum_margin_minus": self.spectrum_margin_minus,
             "est_error": self.est_error,
             "p_est_error": self.p_est_error,
             "t_eff_plus": self.t_eff_plus,
@@ -339,6 +324,8 @@ def axis_grid(lo: float = 1e-2, hi: float = 1e4, per_decade: int = 64) -> np.nda
     """Logarithmic grid +-i*t, t in [lo, hi], ``per_decade`` points per decade."""
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
+    if not (hi / lo < np.inf and per_decade >= 1):
+        raise ValueError(f"axis grid needs a finite hi/lo and per_decade >= 1, got {hi}/{lo}, {per_decade}")
     npts = int(np.ceil(np.log10(hi / lo) * per_decade)) + 1
     t = np.logspace(np.log10(lo), np.log10(hi), npts)
     return np.concatenate([-1j * t[::-1], 1j * t])
@@ -374,16 +361,13 @@ class SweepReport:
     def to_json_dict(self) -> dict:
         return {
             "sup_norm": self.sup_norm,
-            "fitted_beta": json_safe_float(self.fitted_beta),
-            "fitted_M": json_safe_float(self.fitted_m),
-            "fit_residual": json_safe_float(self.fit_residual),
+            "fitted_beta": self.fitted_beta,
+            "fitted_M": self.fitted_m,
+            "fit_residual": self.fit_residual,
             "fit_window": list(self.fit_window),
             "skipped": self.skipped,
             "n_samples": int(self.lambdas.size),
         }
-
-    def to_csv(self) -> str:
-        return samples_csv("resolvent_norm", zip(self.lambdas, self.norms))
 
 
 def _fit_window(op: Operator) -> tuple[float, float]:

@@ -12,9 +12,9 @@ inline JSON descriptor (first character ``{``), or a shorthand
 
 The front end decides nothing the library owns: ``sweep``, ``fit`` and
 ``perturb`` sample on ``axis_grid``'s default grid and fit in
-``analysis._fit_window``, ``reproduce`` defaults to ``corpus.Budget``, and
-every subcommand hands its payload (with a text or CSV rendering where
-``--format`` offers one) to ``_emit``, the one writer.
+``analysis._fit_window``, and ``reproduce`` defaults to ``corpus.Budget``.
+The library returns numbers; ``_emit``, the one writer, turns a payload
+into strict JSON (``_json_text``), its text rendering or its CSV rows.
 
 Exit codes: 0 success, 1 usage or I/O problems, 2 spectral preconditions
 violated, 3 numerical non-convergence.  Output is deterministic: repeated
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -66,8 +67,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _strict(obj):
+    """``obj`` with NaN as None and +-inf as "inf"/"-inf", in nested dicts, lists and tuples."""
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    return obj
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_strict(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _samples_csv(column: str, lams, values) -> str:
+    """CSV of the samples ``values`` at ``lams`` under the header
+    ``re_lambda,im_lambda,<column>``, every number in its round-trip repr."""
+    rows = (f"{float(z.real)!r},{float(z.imag)!r},{float(v)!r}\n" for z, v in zip(lams, values))
+    return f"re_lambda,im_lambda,{column}\n" + "".join(rows)
 
 
 def _non_convergence(message: str) -> int:
@@ -226,7 +245,8 @@ def cmd_sweep(args) -> int:
         f"sup {report.sup_norm:.6g}, beta {report.fitted_beta:.4f}, "
         f"M {report.fitted_m:.4f}\n"
     )
-    return _emit(args, payload, text=text, csv=report.to_csv())
+    csv = _samples_csv("resolvent_norm", report.lambdas, report.norms)
+    return _emit(args, payload, text=text, csv=csv)
 
 
 def cmd_fit(args) -> int:
@@ -275,7 +295,20 @@ def cmd_perturb(args) -> int:
         "beta": beta,
         **report.to_json_dict(),
     }
-    return _emit(args, payload, csv=report.diff_samples_csv())
+    return _emit(args, payload, csv=_samples_csv("diff_norm", *zip(*report.diff_samples)))
+
+
+def _case_text(report) -> str:
+    lines = [f"case {report.case} params={report.params}"]
+    for f in report.facts:
+        status = "SKIP" if f.skipped else ("PASS" if f.passed else "FAIL")
+        measured = "" if f.measured is None else f" measured={f.measured:.6g}"
+        lines.append(f"  [{status}] {f.name} ({f.provenance}): {f.expected}{measured}")
+        if f.detail and status != "PASS":
+            lines.append(f"         {f.detail}")
+    verdict = "all facts pass" if report.all_passed else "FAILURES present"
+    skipped = " (incomplete: budget skipped facts)" if report.incomplete else ""
+    return "\n".join(lines) + f"\n  => {verdict}{skipped}\n"
 
 
 def cmd_reproduce(args) -> int:
@@ -285,7 +318,7 @@ def cmd_reproduce(args) -> int:
         identity_tol=args.tol, max_quad_dim=args.max_quad_dim, per_decade=args.grid_per_decade
     )
     report = run_case(case, budget)
-    _emit(args, report.to_json_dict(), text=report.to_text() + "\n")
+    _emit(args, report.to_json_dict(), text=_case_text(report))
     if report.all_passed:
         return EXIT_OK
     failed = ", ".join(f.name for f in report.facts if not f.passed)

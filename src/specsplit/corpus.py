@@ -24,7 +24,6 @@ import scipy.linalg as sla
 
 from .analysis import (
     axis_grid,
-    json_safe_float,
     pair_identity_residuals,
     projection_pair_residuals,
     resolvent_sweep,
@@ -80,6 +79,10 @@ class Budget:
     max_quad_dim: int = 200
     per_decade: int = 64
 
+    def __post_init__(self):
+        if not self.identity_tol > 0:
+            raise ValueError(f"identity tolerance must be > 0, got {self.identity_tol}")
+
 
 class BudgetExceeded(Exception):
     """Internal signal: a fact was skipped because the budget excludes it."""
@@ -95,9 +98,7 @@ class FactResult:
     expected: str
     detail: str = ""
 
-    def to_json_dict(self) -> dict:
-        measured = None if self.measured is None else json_safe_float(self.measured)
-        return {**asdict(self), "measured": measured}
+    to_json_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -140,22 +141,7 @@ class CaseReport:
     all_passed: bool
     incomplete: bool
 
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "facts": [f.to_json_dict() for f in self.facts]}
-
-    def to_text(self) -> str:
-        lines = [f"case {self.case} params={self.params}"]
-        for f in self.facts:
-            status = "SKIP" if f.skipped else ("PASS" if f.passed else "FAIL")
-            measured = "" if f.measured is None else f" measured={f.measured:.6g}"
-            lines.append(f"  [{status}] {f.name} ({f.provenance}): {f.expected}{measured}")
-            if f.detail and status != "PASS":
-                lines.append(f"         {f.detail}")
-        lines.append(
-            f"  => {'all facts pass' if self.all_passed else 'FAILURES present'}"
-            + (" (incomplete: budget skipped facts)" if self.incomplete else "")
-        )
-        return "\n".join(lines)
+    to_json_dict = asdict
 
 
 def run_case(case: CorpusCase, budget: Budget | None = None) -> CaseReport:

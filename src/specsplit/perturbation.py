@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (
-    _fit_window, _sweep, axis_grid, json_safe_float, multiset_match_distance, samples_csv
-)
+from .analysis import _fit_window, _sweep, axis_grid, multiset_match_distance
 from .contour import ContourSpec, _line_integrals, default_contour
 from .errors import NearSpectrumError, OperatorError
 from .operators import (
@@ -336,17 +334,14 @@ class PerturbReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "fitted_diff_exponent": json_safe_float(self.fitted_diff_exponent),
+            "fitted_diff_exponent": self.fitted_diff_exponent,
             "subordination_c": self.subordination[0],
             "subordination_p": self.subordination[1],
             "corollary_verdict": self.corollary_verdict,
-            "predicted_exponent": json_safe_float(self.predicted_exponent),
+            "predicted_exponent": self.predicted_exponent,
             "delta_residual": self.delta_residual,
             "n_diff_samples": len(self.diff_samples),
         }
-
-    def diff_samples_csv(self) -> str:
-        return samples_csv("diff_norm", self.diff_samples)
 
 
 def perturb_pair_report(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 import specsplit.analysis as analysis_module
+from specsplit.cli import main
 
 # CI runs select the "ci" profile: derandomized, with no example database, so
 # that a result never depends on examples saved by an earlier run.
@@ -23,3 +24,16 @@ def zero_a_integrals(monkeypatch):
         return {**out, "A": dataclasses.replace(out["A"], value=np.zeros_like(out["A"].value))}
 
     monkeypatch.setattr(analysis_module, "_side_integrals", zero_a)
+
+
+@pytest.fixture
+def cli_csv(capsys):
+    """Run the CLI with ``--format csv`` and return the rows of its CSV block,
+    header first (the JSON summary after the blank line is dropped)."""
+
+    def run(*argv):
+        assert main([*argv, "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        return out[: out.index("\n\n")].splitlines()
+
+    return run

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from specsplit import (
     block_commutant_check,
     build_block_operator,
     dense_operator,
+    descriptor_of,
     diag_operator,
     halfplane_bound_check,
     m_subspace,
@@ -166,9 +168,11 @@ class TestSweep:
         assert report.skipped == 1
         assert report.lambdas.size == 2
 
-    def test_csv_shape(self):
-        report = resolvent_sweep(diag_operator([1, -1]), axis_grid(1, 10, 4))
-        lines = report.to_csv().strip().splitlines()
+    def test_csv_shape(self, cli_csv):
+        op = diag_operator([1, -1])
+        report = resolvent_sweep(op, axis_grid(1, 10, 4))
+        source = json.dumps(descriptor_of(op))
+        lines = cli_csv("sweep", source, "--grid-lo", "1", "--grid-hi", "10", "--grid-per-decade", "4")
         assert lines[0] == "re_lambda,im_lambda,resolvent_norm"
         assert len(lines) == report.lambdas.size + 1
         # plain decimal floats, three columns per row
@@ -177,11 +181,12 @@ class TestSweep:
             assert len(parts) == 3
             float(parts[0]), float(parts[1]), float(parts[2])
 
-    def test_csv_round_trips(self):
+    def test_csv_round_trips(self, cli_csv):
         report = resolvent_sweep(random_gap_operator(6, 3), axis_grid(0.1, 100, 16))
-        rows = np.array(
-            [[float(x) for x in line.split(",")] for line in report.to_csv().splitlines()[1:]]
+        lines = cli_csv(
+            "sweep", "random?seed=3&dim=6", "--grid-lo", "0.1", "--grid-hi", "100", "--grid-per-decade", "16"
         )
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
         assert rows[:, 0].tobytes() == report.lambdas.real.tobytes()
         assert rows[:, 1].tobytes() == report.lambdas.imag.tobytes()
         assert rows[:, 2].tobytes() == report.norms.tobytes()

@@ -1,9 +1,11 @@
 import json
+import math
 import re
 
+import numpy as np
 import pytest
 
-from specsplit.cli import main
+from specsplit.cli import _json_text, main
 
 
 def _refuse_constant(name):
@@ -499,6 +501,32 @@ class TestUsageAndDeterminism:
         code, out, _ = run_cli(capsys, *argv)
         assert run_cli(capsys, *argv, "--out", str(path)) == (code, "", "")
         assert path.read_text() == out
+
+    @pytest.mark.parametrize(
+        "argv, key, written",
+        [
+            (("split", "constant-diag?N=2&values=1,2"), "spectrum_margin_minus", "inf"),
+            (("split", "dichotomy-2.3?N=2", "--pass-tol", "inf"), "pass_tol", "inf"),
+            (("fit", "bound-4.6?N=10", "--fit-hi", "inf"), "fit_window", [10.0, "inf"]),
+            (("fit", "almost-bisect-5.5?p=0.5&N=50", "--grid-per-decade", "1"), "fitted_beta", None),
+            (("perturb", "dichotomy-2.3?N=6", "--scale", "0", "--coupling", "0"), "fitted_diff_exponent", "inf"),
+        ],
+    )
+    def test_non_finite_values_parse_as_strict_json(self, capsys, argv, key, written):
+        # echoed flags too: one encoder writes every payload
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert strict_loads(out)[key] == written
+
+    @pytest.mark.parametrize(
+        "value, written",
+        [(math.nan, None), (math.inf, "inf"), (-math.inf, "-inf"), (np.float64(np.nan), None)],
+        ids=["nan", "inf", "-inf", "numpy-nan"],
+    )
+    def test_json_text_is_strict_at_every_depth(self, value, written):
+        obj = {"a": value, "b": [1.0, value], "c": {"d": (value, "x")}}
+        expected = {"a": written, "b": [1.0, written], "c": {"d": [written, "x"]}}
+        assert strict_loads(_json_text(obj)) == expected
 
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "split", "dichotomy-2.3?N=3")

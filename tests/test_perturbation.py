@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from specsplit import (
     OperatorError,
     corollary_check,
     dense_operator,
+    descriptor_of,
     diag_operator,
     domain_counterexample,
     hamiltonian_assemble,
@@ -25,6 +27,7 @@ from specsplit import (
     split,
     subordination_curve,
 )
+from specsplit.cli import main
 from specsplit.operators import near_spectrum_tol
 
 
@@ -100,10 +103,13 @@ class TestDiffDecay:
             samples, _ = resolvent_diff_decay(s_op, t_op, grid)
         assert [lam for lam, _ in samples] == [10j, 100j]
 
-    def test_csv_round_trips(self):
+    def test_csv_round_trips(self, cli_csv):
+        # p = 0, scale 0.1 and no coupling make the CLI's perturbation R = 0.1 I
         s_op = alternating_diag(8)
-        report = perturb_pair_report(s_op, 0.1 * np.eye(8), fit_window=(2.0, 50.0))
-        rows = [line.split(",") for line in report.diff_samples_csv().splitlines()[1:]]
+        report = perturb_pair_report(s_op, 0.1 * np.eye(8))
+        source = json.dumps(descriptor_of(s_op))
+        flags = ("--subordinate-p", "0", "--scale", "0.1", "--coupling", "0", "--beta", "1")
+        rows = [line.split(",") for line in cli_csv("perturb", source, *flags)[1:]]
         assert [(complex(float(re), float(im)), float(d)) for re, im, d in rows] == report.diff_samples
 
 
@@ -307,18 +313,21 @@ class TestPairReport:
         assert report.delta_residual <= 1e-6
         payload = report.to_json_dict()
         assert payload["corollary_verdict"] == "pass"
-        csv = report.diff_samples_csv().splitlines()
-        assert csv[0] == "re_lambda,im_lambda,diff_norm"
+        assert payload["n_diff_samples"] == len(report.diff_samples)
 
     def test_without_beta(self):
         s_op = alternating_diag(8)
         report = perturb_pair_report(s_op, 0.1 * np.eye(8), fit_window=(2.0, 50.0))
         assert report.corollary_verdict == "not-applicable"
         payload = report.to_json_dict()
-        assert payload["predicted_exponent"] is None  # strict-JSON null, not NaN
+        assert math.isnan(payload["predicted_exponent"])  # the CLI writes it as null
 
-    def test_zero_perturbation_sentinel_serializes(self):
+    def test_zero_perturbation_sentinel_serializes(self, capsys):
         s_op = alternating_diag(6)
         report = perturb_pair_report(s_op, np.zeros((6, 6)), fit_window=(2.0, 50.0))
         assert report.fitted_diff_exponent == math.inf
-        assert report.to_json_dict()["fitted_diff_exponent"] == "inf"
+        assert report.to_json_dict()["fitted_diff_exponent"] == math.inf
+        # the CLI writes the sentinel as the string "inf", which strict JSON carries
+        assert main(["perturb", "dichotomy-2.3?N=6", "--scale", "0", "--coupling", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+        assert payload["fitted_diff_exponent"] == "inf"

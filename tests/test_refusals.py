@@ -1,14 +1,17 @@
 """Input refusals that the other tests do not reach: each bad input is
-refused with its own message, before any work is done on it."""
+refused with its own message, before any work is done on it, and at the
+command line as exit 1 with one ``error:`` line."""
 
 import numpy as np
 import pytest
 
 from specsplit import (
+    Budget,
     ContourSpec,
     NearSpectrumError,
     Operator,
     OperatorError,
+    axis_grid,
     build_block_operator,
     diag_operator,
     domain_counterexample,
@@ -22,6 +25,7 @@ from specsplit import (
     sectoriality_report,
     split,
 )
+from specsplit.cli import main
 from specsplit.contour import _side_integrals, line_nodes
 from specsplit.operators import FamilyTag, mcintosh_yagi_parts
 
@@ -73,6 +77,16 @@ GAP_ONE = diag_operator([1.0, -1.0])
             ValueError,
             "fit window needs 0 < lo < hi",
         ),
+        # the axis grid: a finite ratio hi/lo and at least one point per decade
+        (lambda: axis_grid(1.0, np.inf), ValueError, "finite hi/lo and per_decade >= 1, got inf/1.0, 64"),
+        (lambda: axis_grid(1e-300, 1e300), ValueError, "finite hi/lo and per_decade >= 1, got 1e\\+300/1e-300"),
+        (lambda: axis_grid(np.nan, 10.0), ValueError, "need 0 < lo < hi"),
+        (lambda: axis_grid(1.0, 10.0, 0), ValueError, "finite hi/lo and per_decade >= 1, got 10.0/1.0, 0"),
+        # the pass tolerances: a tolerance that is not > 0 is a usage error, not a failed check
+        (lambda: split(GAP_ONE).passes(-1.0), ValueError, "pass tolerance must be > 0, got -1.0"),
+        (lambda: split(GAP_ONE).passes(np.nan), ValueError, "pass tolerance must be > 0, got nan"),
+        (lambda: Budget(identity_tol=np.nan), ValueError, "identity tolerance must be > 0, got nan"),
+        (lambda: Budget(identity_tol=0.0), ValueError, "identity tolerance must be > 0, got 0.0"),
         # the quadrature lines
         (lambda: line_nodes(1.0, 8.0, 7), ValueError, "carries the 15 Kronrod nodes, got q=7"),
         (
@@ -104,3 +118,24 @@ GAP_ONE = diag_operator([1.0, -1.0])
 def test_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+GRID = "axis grid needs a finite hi/lo and per_decade >= 1"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sweep", "bound-4.6?N=10", "--grid-hi", "inf"), f"{GRID}, got inf/0.01, 64"),
+        (("sweep", "bound-4.6?N=10", "--grid-per-decade", "0"), f"{GRID}, got 10000.0/0.01, 0"),
+        (("reproduce", "almbisect", "--grid-per-decade", "0"), f"{GRID}, got 10000.0/0.01, 0"),
+        (("split", "dichotomy-2.3?N=2", "--pass-tol", "-1"), "pass tolerance must be > 0, got -1.0"),
+        (("split", "dichotomy-2.3?N=2", "--pass-tol", "nan"), "pass tolerance must be > 0, got nan"),
+        (("reproduce", "unbproj?N=2", "--tol", "nan"), "identity tolerance must be > 0, got nan"),
+    ],
+)
+def test_refused_at_the_command_line(capsys, argv, message):
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
