@@ -208,6 +208,8 @@ def cmd_describe(args) -> int:
 
 
 def cmd_split(args) -> int:
+    if not args.pass_tol > 0:  # refused before the split, which can take seconds
+        raise UsageError(f"pass tolerance must be > 0, got {args.pass_tol}")
     op = resolve_operator(args.operator)
     spec = _contour_from_args(op, args)
     result = split(op, spec)
@@ -267,10 +269,15 @@ def cmd_fit(args) -> int:
 def _perturbation_matrix(op: Operator, args) -> np.ndarray:
     # Scaled powers of the diagonal magnitudes give a perturbation of
     # prescribed subordination order; the off-diagonal coupling makes the
-    # projections actually move.
+    # projections actually move.  A product beyond the float range is left
+    # to the operator's own refusal of entries that are not finite.
+    for flag in ("subordinate_p", "scale", "coupling"):
+        if not math.isfinite(getattr(args, flag)):
+            raise UsageError(f"--{flag.replace('_', '-')} must be finite, got {getattr(args, flag)}")
     mags = np.abs(np.diag(op.entries))
     mags = np.where(mags > 0, mags, 1.0)
-    r = args.scale * np.diag(mags**args.subordinate_p).astype(complex)
+    with np.errstate(over="ignore"):
+        r = args.scale * np.diag(mags**args.subordinate_p).astype(complex)
     if op.dim >= 2 and args.coupling != 0.0:
         r[0, 1] += args.coupling
         r[1, 0] += args.coupling

@@ -47,6 +47,19 @@ Schur coordinates (inner products of length at most dim; Higham, Accuracy and
 Stability, 3.1), which the estimate cannot see.  ``node_count`` counts every
 solve on the line, in every pass and for every integral that shares the line.
 
+Real operators.  When the operators are real and every integral on the line
+has a real c and real poles, w(conj lambda) R(conj lambda) is the complex
+conjugate of w(lambda) R(lambda) in operator coordinates, so the panels
+theta < 0 mirror those theta > 0 and only the latter are solved: the value
+is 2 Re of the half-line sum, back-transformed, plus the far field of the
+whole line, and the estimate ||2 Re E||, E the half-line estimate.  A panel
+and its mirror have the same Frobenius estimate (unitarily invariant, and
+||conj E|| = ||E||), so the panels open as on the whole line, against the
+same shares of tol, and with every panel closed ||2 Re E|| <= tol still.
+``node_count`` then counts half the nodes.  A complex operator or weight
+(R_-(z) for a non-real z) takes the whole line; the lines Re lambda = +h and
+-h are always solved apart.
+
 Spectral clearance.  :func:`default_contour` places the lines at h = gap / 2,
 the gap taken over one operator or a pair.  A line Re lambda = +-h needs
 h <= 0.95 * gap, which the driver checks once before its nodes are solved;
@@ -121,7 +134,9 @@ class ContourSpec:
 @dataclass(frozen=True)
 class QuadResult:
     """Value of a contour integral with its error bookkeeping and the
-    truncation height ``t_eff`` it was integrated to."""
+    truncation height ``t_eff`` it was integrated to.  ``node_count`` is the
+    number of solves on the line, half its nodes where a real operator and
+    real weights fold it (see "Real operators" in the module docstring)."""
 
     value: np.ndarray
     tail_bound: float
@@ -273,9 +288,16 @@ def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) ->
     n, q, dim = len(integrals), _NODES.size, ops[0].dim
     closed = kernel.zeros(2 * n)  # the values, then the estimates, of the closed panels
     weights = [_weight(*integral) for integral in integrals]
-    mu = _far_moments(weights, x0, t_eff)
-    for acc, far in zip(closed, kernel.neumann(mu, t_eff)):
-        acc[:n] += far
+    far = kernel.neumann(_far_moments(weights, x0, t_eff), t_eff)
+    # real operators and weights: the panels theta < 0 are the complex
+    # conjugates of those theta > 0 in operator coordinates (see "Real operators")
+    fold = kernel.real and all(np.isreal([c, *poles]).all() for c, _, poles in integrals)
+    if fold:
+        lo, hi = lo[lo >= 0], hi[lo >= 0]
+        far = kernel.operator(far)
+    else:
+        for acc, f in zip(closed, far):
+            acc[:n] += f
     node_count = 0
     for _ in range(_MAX_BISECTIONS + 1):
         t, w = line_nodes(scale, t_eff, q, (lo, hi))[:2]
@@ -294,20 +316,27 @@ def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) ->
                 for a, b in zip(acc, sums):
                     a += b[:, sel].sum(axis=1)
         totals = [c + o for c, o in zip(closed, still_open)]
+        if fold:  # 2 Re of the half line, plus the far field of the whole line
+            totals = [t + t.conj() for t in kernel.operator(totals)]
+            for total, f in zip(totals, far):
+                total[:n] += f
         est = _stack_norms([t[n:] for t in totals], spectral=True)
         # the shares of the panels sum to tol, so with every panel closed the
         # estimate is below tol up to rounding
         if np.all(est <= spec.tol) or not is_open.any():
             rounding = dim * _MACHINE_EPS * _stack_norms([t[:n] for t in totals], spectral=True)
+            values = [[t[i] for t in totals] for i in range(n)]
+            if not fold:
+                values = [kernel.operator(value) for value in values]
             return [
                 QuadResult(
-                    kernel.dense([t[i] for t in totals], np.zeros((dim, dim), complex)),
+                    kernel.dense(value, np.zeros((dim, dim), complex)),
                     tails[i],
                     node_count,
                     float(est[i] + rounding[i]) + tails[i],
                     t_eff,
                 )
-                for i in range(n)
+                for i, value in enumerate(values)
             ]
         mid = 0.5 * (lo + hi)[is_open]
         lo = np.stack([lo[is_open], mid], axis=1).ravel()

@@ -82,6 +82,9 @@ class Budget:
     def __post_init__(self):
         if not self.identity_tol > 0:
             raise ValueError(f"identity tolerance must be > 0, got {self.identity_tol}")
+        if not self.max_quad_dim >= 0:
+            raise ValueError(f"quadrature dimension budget must be >= 0, got {self.max_quad_dim}")
+        axis_grid(per_decade=self.per_decade)  # the grid of every sweep fact: per_decade >= 1
 
 
 class BudgetExceeded(Exception):

@@ -308,7 +308,7 @@ def resolvent_many(op: Operator, lams) -> np.ndarray:
     kernel = _Kernel((op,))
     out = np.zeros((lams.size, op.dim, op.dim), dtype=complex)
     for part in kernel.chunks(lams.size):
-        kernel.dense(kernel.nodes(lams[part]), out[part])
+        kernel.dense(kernel.operator(kernel.nodes(lams[part])), out[part])
     return out
 
 
@@ -322,8 +322,10 @@ def resolvent_norms(op: Operator, lams) -> np.ndarray:
     value sqrt(theta_1 + rho_1), top Ritz value plus its residual, is
     returned only where the trace of X^H X and Cauchy interlacing prove it
     an upper bound on ||X||^2, and the SVD is used at every other node (see
-    ``_lanczos_norms``); both agree with the SVD to rounding.  Points within
-    :func:`near_spectrum_tol` of the spectrum are refused.
+    ``_lanczos_norms``); both agree with the SVD to rounding.  For a real
+    operator a point and its mirror conj(lam) get the same value, from one
+    solve.  Points within :func:`near_spectrum_tol` of the spectrum are
+    refused.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     _check_points_clear(op, lams)
@@ -360,8 +362,13 @@ def resolvent_norms(op: Operator, lams) -> np.ndarray:
 # as an upper bound by the trace of X^H X and Cauchy interlacing, with the SVD
 # wherever that certificate does not close (_lanczos_norms).  For a pair,
 # every panel sum (or node value) is back-transformed before the difference,
-# and spectral norms always come from the SVD.  None of this checks the
-# distance to the spectrum: callers do.
+# and spectral norms always come from the SVD.  For real operators (the
+# kernel's ``real``) the integrand at conj(lam) is the complex conjugate of
+# that at lam in operator coordinates, though not in Schur coordinates, as
+# the complex Schur form of a real matrix is not real: ``norms`` takes each
+# point below the real axis as its mirror and solves every distinct point
+# once, and the quadrature driver solves half of a line (contour, "Real
+# operators").  None of this checks the distance to the spectrum: callers do.
 
 # Complex entries per node chunk of the kernel's work arrays (16 MiB); a
 # chunk holds at least one panel, so it is larger where one panel is.
@@ -625,6 +632,7 @@ class _Kernel:
             self.groups = tuple(_schur_groups(op, layout) for op in self.ops)
         self.layout = [g.idx for g in self.groups[0]]
         self.width = sum(g.t.size for groups in self.groups for g in groups)
+        self.real = not any(op.entries.imag.any() for op in self.ops)  # mirror folds
 
     def zeros(self, n_sets: int) -> list[np.ndarray]:
         """Zero sums for ``n_sets`` coefficient sets, one (sets, count, m, m)
@@ -655,11 +663,15 @@ class _Kernel:
     def norms(self, lams: np.ndarray) -> np.ndarray:
         """Spectral norm of the integrand at every node; for one operator,
         blocks of order _LANCZOS_MIN_ORDER and above give certified upper
-        bounds by :func:`_lanczos_norms`."""
+        bounds by :func:`_lanczos_norms`.  For a real kernel a node below the
+        real axis takes the norm of its mirror conj(lam), which is the same,
+        and each distinct node is solved once."""
+        if self.real:
+            lams, back = np.unique(np.where(lams.imag < 0, lams.conj(), lams), return_inverse=True)
         out = np.empty(lams.size)
         for part in self.chunks(lams.size):
             out[part] = _stack_norms(self.nodes(lams[part]), True, len(self.ops) == 1)
-        return out
+        return out[back] if self.real else out
 
     def sums(self, lams: np.ndarray, coef_sets, q: int) -> list[np.ndarray]:
         """Ordered sums  sum_k coef[k] * integrand(lam_k)  over every panel of
@@ -693,12 +705,19 @@ class _Kernel:
 
         return self._integrand([[polynomial(g) for g in gs] for gs in self.groups])
 
-    def dense(self, blocks, out: np.ndarray) -> np.ndarray:
-        """The matrices in operator coordinates, from one (..., count, m, m)
-        array per block order, all with the same leading shape, written into
-        the zeroed (..., dim, dim) array ``out``, which is returned."""
+    def operator(self, blocks) -> list[np.ndarray]:
+        """Blocks in kernel coordinates, one (..., count, m, m) array per
+        block order, in operator coordinates: back-transformed for one
+        operator, unchanged for a pair."""
         if len(self.ops) == 1:
-            blocks = [_from_schur(g, b) for g, b in zip(self.groups[0], blocks)]
+            return [_from_schur(g, b) for g, b in zip(self.groups[0], blocks)]
+        return blocks
+
+    def dense(self, blocks, out: np.ndarray) -> np.ndarray:
+        """The matrices, from one (..., count, m, m) array per block order in
+        operator coordinates (see :meth:`operator`), all with the same leading
+        shape, written into the zeroed (..., dim, dim) array ``out``, which is
+        returned."""
         for idx, b in zip(self.layout, blocks):
             out[..., idx[:, :, None], idx[:, None, :]] = b
         return out

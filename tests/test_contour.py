@@ -284,6 +284,52 @@ class TestRMinus:
             r_minus(op, 2.0, spec)
 
 
+def haar_rotated(op):
+    """U S U^H for a Haar-random unitary U: a complex operator with the
+    spectrum of ``op``, and U."""
+    rng = np.random.default_rng(5)
+    q, r = np.linalg.qr(rng.standard_normal((op.dim,) * 2) + 1j * rng.standard_normal((op.dim,) * 2))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    return Operator(entries=u @ op.entries @ u.conj().T), u
+
+
+REAL_OPERATORS = {
+    "almost-bisect N=50": lambda: build_block_operator("almost-bisect-5.5", 50, {"p": 0.5}),
+    "dichotomy-2.3?N=10": lambda: build_block_operator("dichotomy-2.3", 10),
+}
+REAL_WEIGHT_INTEGRALS = {
+    "integrate_A": lambda op, spec: integrate_A(op, "+", spec),
+    "r_minus": lambda op, spec: _side_integrals(op, "-", spec, ("R",), -2.0 * spec.h)["R"],
+    "pv_axis_integral": pv_axis_integral,
+}
+
+
+@pytest.mark.parametrize("integral", sorted(REAL_WEIGHT_INTEGRALS))
+@pytest.mark.parametrize("name", sorted(REAL_OPERATORS))
+def test_real_operator_solves_half_the_line(name, integral):
+    # the half line theta >= 0 of a real operator against the whole line of
+    # its complex rotation, which is not folded
+    op = REAL_OPERATORS[name]()
+    rotated, u = haar_rotated(op)
+    spec = default_contour(op)
+    half, whole = (REAL_WEIGHT_INTEGRALS[integral](o, spec) for o in (op, rotated))
+    assert 2 * half.node_count == whole.node_count
+    assert spectral_norm(u.conj().T @ whole.value @ u - half.value) <= half.est_error + whole.est_error
+
+
+@pytest.mark.parametrize("name", sorted(REAL_OPERATORS))
+def test_complex_pole_keeps_the_whole_line(name):
+    op = REAL_OPERATORS[name]()
+    spec = default_contour(op)
+    z = -2.0 * spec.h + 0.5j
+    line = _side_integrals(op, "-", spec, ("A", "R"), z)
+    rotated = _side_integrals(haar_rotated(op)[0], "-", spec, ("A", "R"), z)
+    assert line["R"].node_count == rotated["R"].node_count
+    resid = spectral_norm((op.entries - z * np.eye(op.dim)) @ line["R"].value
+                          - np.eye(op.dim) + z**2 * line["A"].value)
+    assert resid <= spec.tol
+
+
 class TestContourShift:
     def test_dichotomy_family(self):
         op = build_block_operator("dichotomy-2.3", 3)

@@ -22,6 +22,7 @@ from specsplit import (
     dense_operator,
     diag_operator,
     random_gap_operator,
+    resolvent,
     resolvent_many,
     resolvent_norms,
     spectrum,
@@ -85,7 +86,7 @@ def summed(kernel, sums, i):
     """Coefficient set ``i`` of per-panel kernel sums, summed over the panels,
     in operator coordinates."""
     dim = kernel.ops[0].dim
-    return kernel.dense([s[i].sum(axis=0) for s in sums], np.zeros((dim, dim), complex))
+    return kernel.dense(kernel.operator([s[i].sum(axis=0) for s in sums]), np.zeros((dim, dim), complex))
 
 
 def permuted_blocks():
@@ -183,7 +184,7 @@ class TestAgainstDenseLU:
         op = case[0]
         mu, scale = neumann_moments(), 2.0 * operator_norm(op)
         kernel = _Kernel((op,))
-        got = kernel.dense(kernel.neumann(mu, scale), np.zeros((2, op.dim, op.dim), complex))
+        got = kernel.dense(kernel.operator(kernel.neumann(mu, scale)), np.zeros((2, op.dim, op.dim), complex))
         assert rel(got, neumann_reference(op.entries, mu, scale)) <= REL_TOL
 
     def test_full_stack(self, case):
@@ -456,6 +457,43 @@ class TestChunks:
         # the per-chunk totals are added in another order, so not byte-identical
         assert rel(chunked["A"].value, whole["A"].value) <= 1e-13
         assert rel(chunked["R"].value, whole["R"].value) <= 1e-13
+
+
+class TestRealMirror:
+    """For a real operator R(conj lam) = conj R(lam), so the kernel takes a
+    point below the real axis as its mirror and solves each point once."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The points the kernel solves, as one list."""
+        points, nodes = [], _Kernel.nodes
+        monkeypatch.setattr(_Kernel, "nodes", lambda self, lams: points.extend(lams) or nodes(self, lams))
+        return points
+
+    def test_corpus_axis_grid_mirrors_bit_for_bit(self, solved):
+        op = build_block_operator("mcintosh-yagi", 2)  # blocks of order 16 and 76 (Lanczos)
+        t = np.logspace(-2, 4, 32)
+        lams = np.concatenate([-1j * t[::-1], 1j * t])  # the grid of the axis-bound facts
+        norms = resolvent_norms(op, lams)
+        assert sorted(solved, key=abs) == list(1j * t)
+        assert norms[: t.size][::-1].tobytes() == norms[t.size :].tobytes()
+        svd = [np.linalg.svd(resolvent(op, lam), compute_uv=False)[0] for lam in lams]
+        assert np.max(np.abs(norms / svd - 1.0)) <= 1e-13
+
+    def test_only_exact_mirrors_merge(self, solved):
+        op = build_block_operator("dichotomy-2.3", 4)
+        lams = np.array([2j, -2j, -2j * (1 + 1e-15), 1 - 1j, 1 + 1j, 3j, 3j])
+        norms = resolvent_norms(op, lams)
+        assert sorted(solved, key=abs) == [1 + 1j, 2j, 2j * (1 + 1e-15), 3j]
+        assert norms[0] == norms[1] and norms[3] == norms[4] and norms[5] == norms[6]
+        alone = [resolvent_norms(op, [lam])[0] for lam in lams]
+        assert np.max(np.abs(norms / alone - 1.0)) <= 1e-15
+
+    def test_complex_entries_take_every_point(self):
+        assert _Kernel((build_block_operator("dichotomy-2.3", 4),)).real
+        assert not _Kernel((random_gap_operator(8, 7),)).real
+        real, pair = build_block_operator("dichotomy-2.3", 2), diag_operator([1.0, -1.0, 1j, -2.0])
+        assert not _Kernel((real, pair)).real
 
 
 class TestPreconditions:

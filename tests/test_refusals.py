@@ -87,6 +87,8 @@ GAP_ONE = diag_operator([1.0, -1.0])
         (lambda: split(GAP_ONE).passes(np.nan), ValueError, "pass tolerance must be > 0, got nan"),
         (lambda: Budget(identity_tol=np.nan), ValueError, "identity tolerance must be > 0, got nan"),
         (lambda: Budget(identity_tol=0.0), ValueError, "identity tolerance must be > 0, got 0.0"),
+        (lambda: Budget(max_quad_dim=-5), ValueError, "quadrature dimension budget must be >= 0, got -5"),
+        (lambda: Budget(per_decade=0), ValueError, "finite hi/lo and per_decade >= 1, got 10000.0/0.01, 0"),
         # the quadrature lines
         (lambda: line_nodes(1.0, 8.0, 7), ValueError, "carries the 15 Kronrod nodes, got q=7"),
         (
@@ -132,6 +134,13 @@ GRID = "axis grid needs a finite hi/lo and per_decade >= 1"
         (("split", "dichotomy-2.3?N=2", "--pass-tol", "-1"), "pass tolerance must be > 0, got -1.0"),
         (("split", "dichotomy-2.3?N=2", "--pass-tol", "nan"), "pass tolerance must be > 0, got nan"),
         (("reproduce", "unbproj?N=2", "--tol", "nan"), "identity tolerance must be > 0, got nan"),
+        (("reproduce", "unbproj?N=2", "--max-quad-dim", "-5"), "quadrature dimension budget must be >= 0, got -5"),
+        # the perturbation flags are checked before they are multiplied into a matrix
+        (("perturb", "dichotomy-2.3?N=6", "--scale", "inf"), "--scale must be finite, got inf"),
+        (("perturb", "dichotomy-2.3?N=6", "--coupling", "nan"), "--coupling must be finite, got nan"),
+        (("perturb", "dichotomy-2.3?N=6", "--subordinate-p=-inf"), "--subordinate-p must be finite, got -inf"),
+        # finite flags whose product leaves the float range: the operator refuses it, without a warning
+        (("perturb", "dichotomy-2.3?N=6", "--scale", "1e300", "--subordinate-p", "100"), "operator entries must be finite"),
     ],
 )
 def test_refused_at_the_command_line(capsys, argv, message):
@@ -139,3 +148,12 @@ def test_refused_at_the_command_line(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_pass_tol_is_refused_before_the_split(capsys, monkeypatch):
+    def no_split(*args, **kwargs):
+        raise AssertionError("split ran before its pass tolerance was checked")
+
+    monkeypatch.setattr("specsplit.cli.split", no_split)
+    assert main(["split", "random?seed=7&dim=256", "--pass-tol", "-1"]) == 1
+    assert capsys.readouterr().err == "error: pass tolerance must be > 0, got -1.0\n"
