@@ -246,72 +246,57 @@ def split(op: Operator, spec: ContourSpec | None = None, with_b: bool = False) -
     spec = default_contour(op) if spec is None else spec
     z = -2.0 * spec.h
     b = ("B",) if with_b else ()
-    plus = _side_integrals(op, "+", spec, ("A", *b))
-    minus = _side_integrals(op, "-", spec, ("A", "R", *b), z)
-    quad_plus, quad_minus = plus["A"], minus["A"]
-    a_plus, a_minus = quad_plus.value, quad_minus.value
-    est_error = quad_plus.est_error + quad_minus.est_error
-
-    s2 = op.entries @ op.entries
-    p_plus = s2 @ a_plus
-    p_minus = s2 @ a_minus
-
+    lines = (
+        _side_integrals(op, "+", spec, ("A", *b)),
+        _side_integrals(op, "-", spec, ("A", "R", *b), z),
+    )
     ev = eigenvalues_of(op)
     n_right = int(np.sum(ev.real > 0))
-    n_left = op.dim - n_right
+    counts = (n_right, op.dim - n_right)
 
-    traces = np.trace(p_plus).real, np.trace(p_minus).real
-    if not np.array_equal(np.rint(traces), (n_right, n_left)):  # also for a NaN trace
+    s2 = op.entries @ op.entries
+    a = [line["A"].value for line in lines]
+    p = [s2 @ a_side for a_side in a]
+    traces = [np.trace(p_side).real for p_side in p]
+    if not np.array_equal(np.rint(traces), counts):  # also for a NaN trace
         raise SplittingMismatchError(
             f"projection traces ({traces[0]:.6g}, {traces[1]:.6g}) inconsistent "
-            f"with half-plane eigenvalue counts ({n_right}, {n_left})"
+            f"with half-plane eigenvalue counts {counts}"
         )
-    basis_plus = np.linalg.svd(p_plus, full_matrices=False)[0][:, :n_right]
-    basis_minus = np.linalg.svd(p_minus, full_matrices=False)[0][:, :n_left]
 
-    # The spans are invariant, so the compression V^H S V is the restriction
-    # of S in the chosen orthonormal coordinates.
-    restricted_plus = basis_plus.conj().T @ op.entries @ basis_plus
-    restricted_minus = basis_minus.conj().T @ op.entries @ basis_minus
-    ev_plus = np.linalg.eigvals(restricted_plus) if n_right else np.array([], complex)
-    ev_minus = np.linalg.eigvals(restricted_minus) if n_left else np.array([], complex)
-    margin_plus = float(ev_plus.real.min()) if ev_plus.size else float("inf")
-    margin_minus = float(-ev_minus.real.max()) if ev_minus.size else float("inf")
+    # The spans are invariant, so V^H S V is the restriction of S in these
+    # coordinates; a side's margin is min sgn Re lambda, inf for an empty side.
+    sides = []
+    for p_side, k, sgn in zip(p, counts, (1, -1)):
+        basis = np.linalg.svd(p_side, full_matrices=False)[0][:, :k]
+        restricted = basis.conj().T @ op.entries @ basis
+        ev_side = np.linalg.eigvals(restricted) if k else np.array([], complex)
+        margin = float((sgn * ev_side.real).min()) if k else float("inf")
+        span = spectral_norm(p_side - basis @ (basis.conj().T @ p_side))
+        sides.append((basis, restricted, ev_side, margin, span))
+    bases, restrictions, ev_sides, margins, spans = zip(*sides)
 
     residuals = {
-        **pair_identity_residuals(op, a_plus, a_minus),
-        **projection_pair_residuals(p_plus, p_minus),
-        "basis_span_plus": spectral_norm(p_plus - basis_plus @ (basis_plus.conj().T @ p_plus)),
-        "basis_span_minus": spectral_norm(
-            p_minus - basis_minus @ (basis_minus.conj().T @ p_minus)
-        ),
-        "spectrum_split": multiset_match_distance(np.concatenate([ev_plus, ev_minus]), ev),
+        **pair_identity_residuals(op, *a),
+        **projection_pair_residuals(*p),
+        "basis_span_plus": spans[0],
+        "basis_span_minus": spans[1],
+        "spectrum_split": multiset_match_distance(np.concatenate(ev_sides), ev),
         "r_minus_identity": spectral_norm(
-            (op.entries - z * np.eye(op.dim)) @ minus["R"].value - np.eye(op.dim) + z**2 * a_minus
+            (op.entries - z * np.eye(op.dim)) @ lines[1]["R"].value - np.eye(op.dim) + z**2 * a[1]
         ),
     }
-
-    b_plus = plus["B"].value if with_b else None
-    b_minus = minus["B"].value if with_b else None
+    est_error = sum(line["A"].est_error for line in lines)
+    b_plus, b_minus = (line["B"].value if with_b else None for line in lines)
 
     return SplitResult(
-        a_plus=a_plus,
-        a_minus=a_minus,
-        p_plus=p_plus,
-        p_minus=p_minus,
-        basis_g_plus=basis_plus,
-        basis_g_minus=basis_minus,
-        restricted_plus=restricted_plus,
-        restricted_minus=restricted_minus,
-        residuals=residuals,
-        spectrum_margin_plus=margin_plus,
-        spectrum_margin_minus=margin_minus,
-        est_error=est_error,
-        p_est_error=max(1.0, operator_norm(op)) ** 2 * est_error,
-        t_eff_plus=quad_plus.t_eff,
-        t_eff_minus=quad_minus.t_eff,
-        b_plus=b_plus,
-        b_minus=b_minus,
+        a_plus=a[0], a_minus=a[1], p_plus=p[0], p_minus=p[1],
+        basis_g_plus=bases[0], basis_g_minus=bases[1],
+        restricted_plus=restrictions[0], restricted_minus=restrictions[1],
+        residuals=residuals, spectrum_margin_plus=margins[0], spectrum_margin_minus=margins[1],
+        est_error=est_error, p_est_error=max(1.0, operator_norm(op)) ** 2 * est_error,
+        t_eff_plus=lines[0]["A"].t_eff, t_eff_minus=lines[1]["A"].t_eff,
+        b_plus=b_plus, b_minus=b_minus,
     )
 
 
@@ -429,12 +414,20 @@ def opposite_halfplane_grid(side: str) -> np.ndarray:
     return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 
 
-def _restricted_norms(restricted: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    k = restricted.shape[0]
-    if k == 0:
-        return np.zeros(grid.size)
-    op = Operator(entries=restricted)
-    return resolvent_norms(op, grid)
+def _restricted_sup(
+    result: SplitResult, side: str, grid: np.ndarray, weight
+) -> tuple[float, complex]:
+    """The largest weight * ||(S|G_side - lambda)^{-1}|| over ``grid`` and the
+    lambda where it is attained: (0.0, 0j) for an empty grid, 0.0 at grid[0]
+    for an empty side.  Points near the restricted spectrum are refused."""
+    restricted = result.restricted_plus if _side_sign(side) > 0 else result.restricted_minus
+    if grid.size == 0:
+        return 0.0, 0j
+    if restricted.shape[0] == 0:
+        return 0.0, complex(grid[0])
+    values = weight * resolvent_norms(Operator(entries=restricted), grid)
+    worst = int(np.argmax(values))
+    return float(values[worst]), complex(grid[worst])
 
 
 @dataclass(frozen=True)
@@ -456,16 +449,8 @@ def halfplane_bound_check(
     if np.any(sgn * grid.real > 1e-12):
         half = "left" if sgn > 0 else "right"
         raise ValueError(f"grid for side {side!r} must lie in the closed {half} half-plane")
-    restricted = result.restricted_plus if sgn > 0 else result.restricted_minus
-    norms = _restricted_norms(restricted, grid)
-    worst = int(np.argmax(norms)) if norms.size else 0
-    max_norm = float(norms.max()) if norms.size else 0.0
-    return HalfplaneCheck(
-        passed=bool(max_norm <= bound_m),
-        max_norm=max_norm,
-        bound=float(bound_m),
-        worst_lambda=complex(grid[worst]) if norms.size else 0j,
-    )
+    max_norm, worst = _restricted_sup(result, side, grid, 1.0)
+    return HalfplaneCheck(bool(max_norm <= bound_m), max_norm, float(bound_m), worst)
 
 
 @dataclass(frozen=True)
@@ -492,10 +477,9 @@ def sectoriality_report(
         raise ValueError("sectoriality grid must lie in the closed left half-plane")
     if np.any(np.abs(grid) == 0.0):
         raise ValueError("sectoriality grid must avoid 0")
-    w_plus = np.abs(grid) ** beta * _restricted_norms(result.restricted_plus, grid)
-    w_minus = np.abs(grid) ** beta * _restricted_norms(result.restricted_minus, -grid)
-    max_plus = float(w_plus.max()) if w_plus.size else 0.0
-    max_minus = float(w_minus.max()) if w_minus.size else 0.0
+    weight = np.abs(grid) ** beta
+    max_plus, _ = _restricted_sup(result, "+", grid, weight)
+    max_minus, _ = _restricted_sup(result, "-", -grid, weight)
     return SectorialityCheck(
         passed=bool(max(max_plus, max_minus) <= bound_m),
         beta=float(beta),

@@ -235,8 +235,8 @@ def cmd_split(args) -> int:
 def _sweep_report(args):
     op = resolve_operator(args.operator)
     grid = axis_grid(args.grid_lo, args.grid_hi, args.grid_per_decade)
-    fit_hi = _fit_window(op)[1] if args.fit_hi is None else args.fit_hi
-    return op, resolvent_sweep(op, grid, fit_window=(args.fit_lo, fit_hi))
+    window = tuple(d if v is None else v for d, v in zip(_fit_window(op), (args.fit_lo, args.fit_hi)))
+    return op, resolvent_sweep(op, grid, fit_window=window)
 
 
 def cmd_sweep(args) -> int:
@@ -290,7 +290,7 @@ def cmd_perturb(args) -> int:
     beta = args.beta
     if beta is None:
         fit = resolvent_sweep(op, axis_grid())
-        beta = min(1.0, fit.fitted_beta) if np.isfinite(fit.fitted_beta) else None
+        beta = min(1.0, fit.fitted_beta) if fit.fitted_beta > 0 else None  # None for NaN too
     report = perturb_pair_report(op, r, beta=beta)
     payload = {
         "operator": _operator_summary(args.operator, op),
@@ -351,7 +351,7 @@ def _add_grid_args(p):
     p.add_argument("--grid-lo", type=float, default=1e-2)
     p.add_argument("--grid-hi", type=float, default=1e4)
     p.add_argument("--grid-per-decade", type=int, default=64)
-    p.add_argument("--fit-lo", type=float, default=10.0)
+    p.add_argument("--fit-lo", type=float, default=None, help="fit window bottom (default 10)")
     p.add_argument(
         "--fit-hi",
         type=float,

@@ -360,15 +360,16 @@ def perturb_pair_report(
     if r.shape != (s_op.dim, s_op.dim):
         raise OperatorError("R must have the same shape as S")
     t_op = Operator(entries=s_op.entries + r)
-    window = _fit_window(s_op) if fit_window is None else fit_window
-    grid = axis_grid(1.0, max(window[1], 10.0))
-    samples, exponent = resolvent_diff_decay(s_op, t_op, grid, fit_window=window)
+    # the exponent arithmetic refuses a beta outside (0, 1] before the sweep
     c_fit, p_fit = p_subordination_fit(s_op, r, list(np.eye(s_op.dim, dtype=complex).T))
     if beta is None:
         verdict, predicted = "not-applicable", float("nan")
     else:
         v = corollary_check(beta, p_fit)
         verdict, predicted = ("pass" if v.passed else "fail"), v.predicted_exponent
+    window = _fit_window(s_op) if fit_window is None else fit_window
+    grid = axis_grid(1.0, max(window[1], 10.0))
+    samples, exponent = resolvent_diff_decay(s_op, t_op, grid, fit_window=window)
     delta = projection_diff_integral(s_op, t_op)
     oracle_delta = oracle_projection(s_op).p_plus - oracle_projection(t_op).p_plus
     return PerturbReport(

@@ -123,6 +123,16 @@ class TestSplit:
         # P = S B on both sides
         assert spectral_norm(op.entries @ result.b_plus - result.p_plus) <= 1e-7
 
+    def test_unequal_ranks(self):
+        op = build_block_operator("constant-diag", 1, {"values": [1, 2, -3]})
+        result = split(op, with_b=True)
+        assert (result.rank_plus, result.rank_minus) == (2, 1)
+        assert result.spectrum_margin_plus == pytest.approx(1.0, abs=1e-8)
+        assert result.spectrum_margin_minus == pytest.approx(3.0, abs=1e-8)
+        for b, p in ((result.b_plus, result.p_plus), (result.b_minus, result.p_minus)):
+            assert spectral_norm(op.entries @ b - p) <= 1e-7
+        assert np.allclose(result.p_plus, np.diag([1.0, 1.0, 0.0]), atol=1e-8)
+
     def test_json_dict(self):
         payload = split(diag_operator([1, -1])).to_json_dict()
         assert payload["rank_plus"] == 1
@@ -233,6 +243,46 @@ class TestHalfplaneChecks:
 
         norms = resolvent_norms(restricted, grid)
         assert norms.max() <= sup
+
+
+RESTRICTED_CASES = [
+    ("constant-diag", lambda: build_block_operator("constant-diag", 1, {"values": [1, 2, -3]})),
+    ("random", lambda: random_gap_operator(6, seed=11)),
+]
+
+
+def restricted_norms(result, side):
+    """||(S|G_side - lambda)^{-1}|| on ``opposite_halfplane_grid(side)``."""
+    restricted = result.restricted_plus if side == "+" else result.restricted_minus
+    grid = opposite_halfplane_grid(side)
+    return grid, resolvent_norms(dense_operator(restricted), grid)
+
+
+class TestRestrictedSupremum:
+    @pytest.mark.parametrize("name, make", RESTRICTED_CASES)
+    @pytest.mark.parametrize("side", "+-")
+    def test_halfplane_check_is_the_grid_maximum(self, name, make, side):
+        result = split(make())
+        grid, norms = restricted_norms(result, side)
+        check = halfplane_bound_check(result, side, grid, 1e3)
+        assert check.max_norm == pytest.approx(norms.max(), rel=1e-12)
+        assert check.worst_lambda == grid[np.argmax(norms)]
+        assert check.passed == (norms.max() <= 1e3)
+
+    @pytest.mark.parametrize("name, make", RESTRICTED_CASES)
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_sectoriality_weights_both_sides(self, name, make, beta):
+        # the minus side is measured on the mirror of the left-half-plane
+        # grid, which is the right-half-plane grid up to rounding
+        result = split(make())
+        expected = {}
+        for side in "+-":
+            grid, norms = restricted_norms(result, side)
+            expected[side] = float((np.abs(grid) ** beta * norms).max())
+        report = sectoriality_report(result, beta, opposite_halfplane_grid("+"), 1e3)
+        assert report.max_weighted_plus == pytest.approx(expected["+"], rel=1e-9)
+        assert report.max_weighted_minus == pytest.approx(expected["-"], rel=1e-9)
+        assert expected["-"] != pytest.approx(expected["+"], rel=1e-9)  # a swap would show
 
 
 class TestResidualVsEstimate:

@@ -437,6 +437,20 @@ class TestPerturb:
         fit = strict_loads(run_cli(capsys, "fit", source)[1])
         assert perturb["beta"] == fit["fitted_beta"]
 
+    def test_fitted_beta_out_of_range_is_reported_as_null(self, capsys):
+        # the fit in (10, 20) reads beta = -1.30 here; no --beta was given, so
+        # the exponent arithmetic is not applicable rather than a usage error
+        code, out, _ = run_cli(capsys, "perturb", "constant-diag?N=1&values=0.5+18j,-1")
+        assert code == 0
+        payload = strict_loads(out)
+        assert payload["beta"] is None
+        assert payload["corollary_verdict"] == "not-applicable"
+
+    def test_explicit_beta_out_of_range_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "perturb", "dichotomy-2.3?N=2", "--beta", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: beta must lie in (0, 1], got 2.0\n"
+
     def test_text_format_refused(self, capsys):
         # perturb writes JSON or CSV only
         code, out, err = run_cli(capsys, "perturb", "dichotomy-2.3?N=2", "--format", "text")

@@ -322,6 +322,14 @@ class TestPairReport:
         payload = report.to_json_dict()
         assert math.isnan(payload["predicted_exponent"])  # the CLI writes it as null
 
+    def test_beta_refused_before_the_difference_sweep(self, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the difference sweep ran before the beta check")
+
+        monkeypatch.setattr("specsplit.perturbation.resolvent_diff_decay", sweep)
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\], got 2.0"):
+            perturb_pair_report(alternating_diag(4), 0.1 * np.eye(4), beta=2.0)
+
     def test_zero_perturbation_sentinel_serializes(self, capsys):
         s_op = alternating_diag(6)
         report = perturb_pair_report(s_op, np.zeros((6, 6)), fit_window=(2.0, 50.0))
