@@ -42,10 +42,20 @@ where none is (c ||S||^K overflows), :class:`TruncationError` is raised.  For
 what they feed (P = S^2 A, (S - z) R_-(z)) would differ only below tol 4e-10.
 ``QuadResult`` reports T_eff, the remainder as ``tail_bound``, and as
 ``est_error`` the quadrature estimate of the integral's own set plus the
-remainder plus dim * eps * ||value||, the rounding of the back-transform from
-Schur coordinates (inner products of length at most dim; Higham, Accuracy and
-Stability, 3.1), which the estimate cannot see.  ``node_count`` counts every
-solve on the line, in every pass and for every integral that shares the line.
+remainder plus dim * eps * kappa * ||value||, which the estimate cannot see:
+the rounding of the back-transforms, inner products of length at most dim
+(Higham, Accuracy and Stability, 3.1 and 3.5).  From Schur coordinates that
+is dim * eps * ||value||.  Where the kernel decouples a block's panel sums
+as Z Y F Y^{-1} Z^H (operators, "Decoupled panel sums"), the products with
+Z Y and Y^{-1} Z^H round at most about dim * eps ||Y|| ||F|| ||Y^{-1}||; on
+the single eigenvalues F holds the f(t_jj), eigenvalues of the value and so
+at most ||value||, whence the factor kappa = ||Y|| ||Y^{-1}||, the largest
+over the decoupled blocks, 1 where every block stays whole.  On
+random_gap_operator(d, 7), d = 16 to 64, the term lies above the sums'
+deviation from dense LU.  It does not cover the rounding of the per-node
+solves themselves, which grows with the conditioning of S - lambda.
+``node_count`` counts every solve on the line, in every pass and for every
+integral that shares the line.
 
 Real operators.  When the operators are real and every integral on the line
 has a real c and real poles, w(conj lambda) R(conj lambda) is the complex
@@ -324,7 +334,7 @@ def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) ->
         # the shares of the panels sum to tol, so with every panel closed the
         # estimate is below tol up to rounding
         if np.all(est <= spec.tol) or not is_open.any():
-            rounding = dim * _MACHINE_EPS * _stack_norms([t[:n] for t in totals], spectral=True)
+            rounding = dim * _MACHINE_EPS * kernel.kappa * _stack_norms([t[:n] for t in totals], spectral=True)
             values = [[t[i] for t in totals] for i in range(n)]
             if not fold:
                 values = [kernel.operator(value) for value in values]

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .analysis import (
+    _fit_window,
     axis_grid,
     pair_identity_residuals,
     projection_pair_residuals,
@@ -312,6 +313,13 @@ def corpus_almbisect(n_blocks: int = 50, p: float = 0.5) -> CorpusCase:
     params = {"N": n_blocks, "p": p}
 
     def check_beta(budget: Budget):
+        # the blocks follow the decay law only below the block scale N/2, so
+        # a fit window that starts above it has nothing to measure
+        lo, hi = _fit_window(op)
+        if n_blocks / 2.0 <= lo:
+            raise BudgetExceeded(
+                f"fit window ({lo:g}, {hi:g}) lies above the block scale N/2 = {n_blocks / 2.0:g}"
+            )
         report = resolvent_sweep(op, axis_grid(per_decade=budget.per_decade))
         err = abs(report.fitted_beta - (1.0 - p))
         return err <= _BETA_TOL, report.fitted_beta, f"beta =~ {1.0 - p}"

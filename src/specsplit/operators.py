@@ -11,7 +11,8 @@ block-diagonal family.  This module provides
   stack (``_Kernel``, ``resolvent_many``, ``resolvent_norms``): per-block
   Schur forms of the operator's connected components, or for a pair of
   both operators on the components of the union of their patterns,
-  triangular inverses per node,
+  triangular inverses per node, and for the quadrature's panel sums of
+  larger blocks a cached block diagonalisation of the Schur form,
 * the ground-truth spectral projector ``oracle_projection``, computed from one
   ordered triangular (Schur) decomposition and one triangular Sylvester solve
   for the invariant-subspace coupling -- deliberately *not* by contour
@@ -31,8 +32,10 @@ from typing import Any, Callable, Hashable
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import ztrexc as _ztrexc
 from scipy.linalg.lapack import ztrsyl as _ztrsyl
 from scipy.linalg.lapack import ztrtri as _ztrtri
+from scipy.linalg.lapack import ztrtrs as _ztrtrs
 from scipy.sparse.csgraph import connected_components
 
 from .errors import NearSpectrumError, OperatorError
@@ -369,6 +372,28 @@ def resolvent_norms(op: Operator, lams) -> np.ndarray:
 # point below the real axis as its mirror and solves every distinct point
 # once, and the quadrature driver solves half of a line (contour, "Real
 # operators").  None of this checks the distance to the spectrum: callers do.
+#
+# Decoupled panel sums.  A panel sum sum_k c_k (T - lam_k)^{-1} is a rational
+# function f of T, so with T = Z Y blockdiag(D_c) Y^{-1} Z^H it is
+# Z Y blockdiag(f(D_c)) Y^{-1} Z^H (Bavely & Stewart, SIAM J. Numer. Anal. 16, 1979;
+# Davies & Higham, SIAM J. Matrix Anal. Appl. 25, 2003).  For every block of
+# order m >= _LAPACK_MIN_ORDER, ``sums`` takes its panel sums that way: the
+# eigenvalues on the Schur diagonal that chain within _CLUSTER_DELTA of each
+# other form a cluster, ztrexc makes each cluster contiguous (Z), and the
+# Sylvester equations of the clusters give W = Y^{-1}, unit upper block
+# triangular, column by column (_sylvester_decoupling).  Two clusters
+# whose block W_KJ exceeds _COUPLING_BOUND in the Frobenius norm are merged
+# and the reordering is redone, until no block does.  Then a single
+# eigenvalue contributes f_j = sum_k c_k / (t_jj - lam_k), a larger cluster
+# its per-node inverses, and each panel and coefficient set costs one product
+# with Y^{-1} Z^H.  The transform is computed once per block and cached on
+# the operator next to its Schur factors.  A block stays whole, and takes the
+# per-node inverses unchanged, where the cubes of its cluster orders sum to
+# more than _WHOLE_SHARE m^3, one cluster of all m among them; merging stops
+# there.  The rounding of the transform grows with kappa = ||Y|| ||Y^{-1}||,
+# which the quadrature driver adds to its rounding term (contour, "Error
+# control"); kappa is 1 for a block left whole.  ``nodes`` and ``norms``
+# never take this path, and neither does the oracle.
 
 # Complex entries per node chunk of the kernel's work arrays (16 MiB); a
 # chunk holds at least one panel, so it is larger where one panel is.
@@ -393,6 +418,19 @@ _LAPACK_MIN_ORDER = 12
 _LANCZOS_MIN_ORDER = 64
 _LANCZOS_MAX_STEPS = 80
 _LANCZOS_RTOL = 1e-14
+
+# Decoupled panel sums (see above).  The cluster distance is Davies & Higham's
+# delta.  The bound and the share were measured on random_gap_operator(d, s),
+# s = 1, 2, 3, 7, one BLAS thread.  With a bound of 30, kappa stays below
+# 8e3 for d <= 64 and every block of order d >= 128 stays whole (at 96, one
+# seed of four decouples, kappa 2.6e4); with 100, d = 128 decouples at kappa
+# 1.7e5 and its P_+ lies 3x further from the oracle's; with 10, three d = 64
+# blocks merge clusters of order 18 to 40.  The decoupled sums of one line
+# with 2 to 6 coefficient sets beat the per-node inverses while one cluster
+# holds up to about 0.7 m (m >= 32): a quarter of m^3 in cluster cubes.
+_CLUSTER_DELTA = 0.1
+_COUPLING_BOUND = 30.0
+_WHOLE_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -446,10 +484,10 @@ def _schur_groups(op: Operator, layout=None) -> tuple[_SchurGroup, ...]:
     return op._cache(("schur", *((idx.shape, idx.tobytes()) for idx in layout)), factors)
 
 
-def _triangular_inverses(group: _SchurGroup, lams: np.ndarray) -> np.ndarray:
-    """(T_b - lam_k)^{-1} for every node k and block b, shape (k, nb, m, m)."""
-    t = group.t
-    nb, m = group.idx.shape
+def _triangular_inverses(t: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """(T_b - lam_k)^{-1} for every node k and upper triangular block T_b of
+    the (nb, m, m) stack ``t``, shape (k, nb, m, m)."""
+    nb, m = t.shape[:2]
     diag = np.arange(m)
     if m >= _LAPACK_MIN_ORDER:
         out = np.empty((lams.size, nb, m, m), dtype=complex)
@@ -472,6 +510,138 @@ def _triangular_inverses(group: _SchurGroup, lams: np.ndarray) -> np.ndarray:
         for j in range(i + 1, m):
             row -= t[None, :, i, j, None] * out[:, :, j, :]
         row *= inv_diag[:, :, i, None]
+    return out
+
+
+def _node_sums(c: np.ndarray, t: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """sum_k c[p, s, k] (T_b - lam_{p,k})^{-1} over the nodes k of every panel
+    p, for coefficients ``c`` (panels, sets, nodes per panel) and the (nb, m,
+    m) triangular stack ``t``: per-node inverses, reduced by one batched
+    product, shape (sets, panels, nb, m, m)."""
+    n, n_sets, q = c.shape
+    prod = np.matmul(c, _triangular_inverses(t, lams).reshape(n, q, t.size))
+    return prod.transpose(1, 0, 2).reshape(n_sets, n, *t.shape)
+
+
+@dataclass(frozen=True)
+class _Decoupling:
+    """A block diagonalisation T = L blockdiag(D_c) R, R = L^{-1}, of one
+    triangular Schur factor T of order m: ``d`` is T reordered so that every
+    cluster of eigenvalues is contiguous, ``edges`` the cluster bounds on its
+    diagonal (0 first, m last), whose diagonal blocks are the D_c;
+    ``left`` = Z Y and ``right`` = Y^{-1} Z^H, Z the unitary of the
+    reordering and Y the unit upper block triangular Sylvester transform;
+    ``kappa`` = ||Y|| ||Y^{-1}||."""
+
+    edges: np.ndarray
+    d: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    kappa: float
+
+
+def _decoupling(t: np.ndarray) -> _Decoupling | None:
+    """The block diagonalisation of the triangular Schur factor ``t`` used
+    for its panel sums, or None where the block stays whole (see "Decoupled
+    panel sums")."""
+    m = t.shape[0]
+    ev = np.diagonal(t)
+    labels = connected_components(np.abs(ev[:, None] - ev[None, :]) <= _CLUSTER_DELTA)[1]
+    d, z = np.array(t, order="F"), np.eye(m, dtype=complex, order="F")
+    while True:
+        sizes = np.bincount(labels)
+        if np.sum(sizes.astype(float) ** 3) > _WHOLE_SHARE * float(m) ** 3:
+            return None
+        # clusters in the order of their first position, each in its own order
+        first = np.full(sizes.size, m)
+        np.minimum.at(first, labels, np.arange(m))
+        perm = np.argsort(first[labels], kind="stable")
+        slots = list(range(m))  # the original position at each position
+        for p, want in enumerate(perm):
+            f = slots.index(want)
+            if f != p:
+                d, z = _ztrexc(d, z, f + 1, p + 1, overwrite_a=1, overwrite_q=1)[:2]
+                slots.insert(p, slots.pop(f))
+        labels = labels[perm]
+        edges = np.flatnonzero(np.diff(labels, prepend=-1, append=-1))
+        y_inv = _sylvester_decoupling(d, edges)
+        # the Frobenius norm of every block (K, J) of Y^{-1}, the solution
+        # of the Sylvester equation that decouples cluster K from cluster J
+        blocks = np.add.reduceat(np.add.reduceat(np.abs(y_inv) ** 2, edges[:-1], axis=0), edges[:-1], axis=1)
+        np.fill_diagonal(blocks, 0.0)
+        if not np.any(blocks > _COUPLING_BOUND**2):
+            break
+        merged = connected_components(blocks > _COUPLING_BOUND**2)[1]
+        labels = merged[np.unique(labels, return_inverse=True)[1]]
+    y = _ztrtri(y_inv, unitdiag=1)[0]
+    left, right = z @ y, y_inv @ z.conj().T
+    for a in (edges, d, left, right):
+        a.setflags(write=False)
+    return _Decoupling(edges, d, left, right, spectral_norm(y) * spectral_norm(y_inv))
+
+
+def _sylvester_decoupling(d: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """W = Y^{-1} for the triangular ``d`` with clusters ``edges``: unit upper
+    block triangular, with W d = D W, D the diagonal blocks D_K of d.
+
+    Block (K, J) of W d = D W reads D_K W_KJ - W_KJ D_J = W[K, :s] d[:s, J],
+    s the start of cluster J, whose right side holds only the columns before
+    J.  So the columns are solved in order, each column j of J from
+    (D_K - d_jj) w_Kj = W[K, :s] d[:s, j] + W[K, s:j] d[s:j, j]: one division
+    for every single eigenvalue K and one triangular solve for the rows of
+    the larger clusters, which the Sylvester equations of the clusters
+    (ztrsyl, one per cluster against all later ones) would take element by
+    element, five times slower at m = 256."""
+    m = d.shape[0]
+    ev = np.diagonal(d)
+    w = np.eye(m, dtype=complex)
+    sizes = np.diff(edges)
+    in_cluster = np.flatnonzero(np.repeat(sizes > 1, sizes))
+    label = np.repeat(np.arange(sizes.size), sizes)
+    blocks = np.where(label[:, None] == label[None, :], d, 0.0)  # the diagonal blocks D_K
+    for s, e in zip(edges[1:-1], edges[2:]):
+        rhs = w[:s, :s] @ d[:s, s:e]
+        rows = in_cluster[in_cluster < s]
+        sub = blocks[np.ix_(rows, rows)]
+        for j in range(s, e):
+            col = rhs[:, j - s] + w[:s, s:j] @ d[s:j, j]
+            w[:s, j] = col / (ev[:s] - ev[j])
+            if rows.size:
+                w[rows, j] = _ztrtrs(sub - ev[j] * np.eye(rows.size), col[rows])[0]
+    return w
+
+
+def _decouplings(op: Operator, group: _SchurGroup) -> tuple:
+    """Per block of ``group``, its :func:`_decoupling`, or None for blocks of
+    order below _LAPACK_MIN_ORDER; cached on the operator, keyed like the
+    Schur factors."""
+    nb, m = group.idx.shape
+    if m < _LAPACK_MIN_ORDER:
+        return (None,) * nb
+    key = ("decoupling", group.idx.shape, group.idx.tobytes())
+    return op._cache(key, lambda: tuple(_decoupling(t) for t in group.t))
+
+
+def _decoupled_sums(part: _Decoupling, c: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """The panel sums of :func:`_node_sums` for one block, as L F R, F the
+    block-diagonal sums of the clusters: (sets, panels, m, m)."""
+    n, n_sets, q = c.shape
+    m, edges = part.d.shape[0], part.edges
+    single = np.diff(edges) == 1
+    at = edges[:-1][single]
+    f = np.zeros((n_sets, n, m), dtype=complex)  # F on the single eigenvalues
+    f[..., at] = np.matmul(c, (1.0 / (part.d[at, at] - lams[:, None])).reshape(n, q, at.size)).transpose(1, 0, 2)
+    clusters = [(s, e, _node_sums(c, part.d[None, s:e, s:e], lams)[:, :, 0])
+                for s, e in zip(edges[:-1][~single], edges[1:][~single])]
+    # one set at a time, so that L F and its product stay in cache
+    out, left_f = np.empty((n_sets, n, m, m), dtype=complex), np.empty((n, m, m), dtype=complex)
+    upper = np.tri(m, dtype=bool).T  # f(T) is upper triangular: no rounding below
+    for i in range(n_sets):
+        np.multiply(part.left, f[i, :, None, :], out=left_f)
+        for s, e, sums in clusters:
+            left_f[..., s:e] = part.left[:, s:e] @ sums[i]
+        np.matmul(left_f.reshape(-1, m), part.right, out=out[i].reshape(-1, m))
+        out[i] *= upper
     return out
 
 
@@ -658,7 +828,7 @@ class _Kernel:
     def nodes(self, lams: np.ndarray) -> list[np.ndarray]:
         """The integrand at every node, one (nodes, count, m, m) array per
         block order."""
-        return self._integrand([[_triangular_inverses(g, lams) for g in gs] for gs in self.groups])
+        return self._integrand([[_triangular_inverses(g.t, lams) for g in gs] for gs in self.groups])
 
     def norms(self, lams: np.ndarray) -> np.ndarray:
         """Spectral norm of the integrand at every node; for one operator,
@@ -676,19 +846,42 @@ class _Kernel:
     def sums(self, lams: np.ndarray, coef_sets, q: int) -> list[np.ndarray]:
         """Ordered sums  sum_k coef[k] * integrand(lam_k)  over every panel of
         ``q`` consecutive nodes, for several coefficient vectors: one (sets,
-        panels, count, m, m) array per block order.  All the given nodes are
-        solved at once and their panels reduced by one batched product per
-        block order, so callers pass one of :meth:`chunks` at a time."""
+        panels, count, m, m) array per block order, in Schur coordinates for
+        one operator.  Blocks of order below _LAPACK_MIN_ORDER, and larger
+        ones that stay whole, solve all the given nodes at once and reduce
+        their panels by one batched product per block order; every other
+        block sums its single eigenvalues and clusters in its decoupled form
+        and takes each panel and set back by one product (see "Decoupled
+        panel sums"), at a rounding of about dim eps kappa relative to the
+        sum.  Callers pass one of :meth:`chunks` at a time."""
         coefs = np.asarray(coef_sets, dtype=complex)
         n_sets, n = coefs.shape[0], lams.size // q
         # (panels, sets, nodes per panel) against (panels, nodes per panel, entries)
         c = coefs.reshape(n_sets, n, q).transpose(1, 0, 2)
 
-        def panel_sums(g):
-            prod = np.matmul(c, _triangular_inverses(g, lams).reshape(n, q, g.t.size))
-            return prod.transpose(1, 0, 2).reshape(n_sets, n, *g.t.shape)
+        def panel_sums(op, g):
+            parts = _decouplings(op, g)
+            whole = [b for b, part in enumerate(parts) if part is None]
+            if len(whole) == len(parts):
+                return _node_sums(c, g.t, lams)
+            if len(parts) == 1:
+                return _decoupled_sums(parts[0], c, lams)[:, :, None]
+            out = np.empty((n_sets, n, *g.t.shape), dtype=complex)
+            if whole:
+                out[:, :, whole] = _node_sums(c, g.t[whole], lams)
+            for b, part in enumerate(parts):
+                if part is not None:
+                    out[:, :, b] = _decoupled_sums(part, c, lams)
+            return out
 
-        return self._integrand([[panel_sums(g) for g in gs] for gs in self.groups])
+        return self._integrand([[panel_sums(op, g) for g in gs] for op, gs in zip(self.ops, self.groups)])
+
+    @property
+    def kappa(self) -> float:
+        """The largest decoupling condition ||Y|| ||Y^{-1}|| of the blocks
+        whose panel sums :meth:`sums` takes decoupled, 1 if there is none."""
+        parts = [p for op, gs in zip(self.ops, self.groups) for g in gs for p in _decouplings(op, g)]
+        return max([1.0] + [p.kappa for p in parts if p is not None])
 
     def neumann(self, mu, scale: float) -> list[np.ndarray]:
         """The far fields  -sum_k mu[i, k] (X/scale)^k  of the moment sets, an

@@ -313,6 +313,15 @@ class TestReproduce:
         expect = f"reproduce unbproj: failed facts {', '.join(failed)}"
         assert err == f"numerical non-convergence: {expect}\n"
 
+    @pytest.mark.parametrize("case", ["almbisect?N=10", "almbisect?N=20"])
+    def test_beta_above_the_block_scale_is_skipped(self, capsys, case):
+        code, out, _ = run_cli(capsys, "reproduce", case, "--format", "json")
+        assert code == 0
+        payload = strict_loads(out)
+        assert payload["incomplete"] is True and payload["all_passed"] is True
+        fact = next(f for f in payload["facts"] if f["name"] == "fitted_beta")
+        assert fact["skipped"] is True and fact["detail"].startswith("fit window (10, 20)")
+
     def test_fit_from_one_radius_fails_with_null_measured(self, capsys):
         code, out, err = run_cli(capsys, "reproduce", "almbisect?N=50", "--grid-per-decade", "1",
                                  "--format", "json")

@@ -89,6 +89,19 @@ class TestAlmbisect:
         report = run_case(corpus_almbisect(50, 0.5))
         assert report.all_passed, [f for f in report.facts if not f.passed]
 
+    @pytest.mark.parametrize("n_blocks, skipped", [(10, True), (20, True), (30, False)])
+    def test_beta_skipped_where_the_window_lies_above_the_block_scale(self, n_blocks, skipped):
+        # the fit window (10, 20) starts at or above N/2 for N <= 20, where the
+        # truncated family follows no decay law; from N = 30 on it is fitted
+        report = run_case(corpus_almbisect(n_blocks, 0.5))
+        beta = next(f for f in report.facts if f.name == "fitted_beta")
+        assert report.all_passed and report.incomplete == skipped and beta.skipped == skipped
+        if skipped:
+            assert beta.measured is None
+            assert beta.detail == f"fit window (10, 20) lies above the block scale N/2 = {n_blocks // 2}"
+        else:
+            assert abs(beta.measured - 0.5) <= 0.05
+
     def test_fact_names_include_growth_witness(self):
         case = corpus_almbisect(50, 0.5)
         assert "projection_norm_exceeds_10" in {f.name for f in case.facts}

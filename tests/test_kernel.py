@@ -3,10 +3,12 @@
 The dense-LU reference below is the one the kernel replaced; it lives only
 here.  Agreement is required to 1e-12 relative, on every block shape the
 kernel distinguishes: order-1 and order-2 blocks (closed-form inverses),
-larger blocks (triangular LAPACK inverses), non-contiguous components, and
-the union pattern of a perturbation pair, also where one block of the union
-holds several components of one operator (there relative to the resolvents,
-as their difference cancels below what dense LU resolves).
+larger blocks (triangular LAPACK inverses), dense blocks whose panel sums
+are decoupled (single eigenvalues, a cluster of order 2, a cluster of order
+12 inverted by LAPACK), non-contiguous components, and the union pattern of
+a perturbation pair, also where one block of the union holds several
+components of one operator (there relative to the resolvents, as their
+difference cancels below what dense LU resolves).
 """
 
 import re
@@ -30,9 +32,12 @@ from specsplit import (
 from specsplit import operators
 from specsplit.contour import _side_integrals, default_contour, line_nodes
 from specsplit.operators import (
+    _MACHINE_EPS,
     _Kernel,
+    _decouplings,
     _lanczos_norms,
     _lanczos_start,
+    _node_sums,
     _schur_groups,
     _stack_norms,
     _triangular_inverses,
@@ -140,6 +145,51 @@ def recoupled_dichotomy():
     return s_op, Operator(entries=s_op.entries + r), [np.arange(2), np.arange(2, 6)]
 
 
+def triangular_operator(eigenvalues, seed):
+    """A dense operator with the given eigenvalues: a triangular matrix with
+    mild coupling, conjugated by a seeded random unitary."""
+    rng = np.random.default_rng(seed)
+    dim = len(eigenvalues)
+    tri = np.diag(np.asarray(eigenvalues, dtype=complex))
+    tri += np.triu(0.1 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))), 1)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return dense_operator(q @ tri @ q.conj().T)
+
+
+def spread(count, side):
+    """``count`` eigenvalues 0.4 apart on a vertical line, at Re = side."""
+    return side + 0.4j * (np.arange(count) - count / 2.0)
+
+
+def near_pair():
+    """Order 16: 15 single eigenvalues and a second one 0.01 from the
+    first, a cluster of order 2."""
+    values = np.concatenate([spread(8, 1.0), spread(7, -1.5)])
+    return triangular_operator(np.append(values, values[0] + 0.01), 3)
+
+
+def large_cluster():
+    """Order 24: 12 eigenvalues 0.05 apart, which chain into one cluster of
+    order 12, inverted by LAPACK, and 12 single ones."""
+    chain = 1.0 + 0.05j * np.arange(12)
+    return triangular_operator(np.concatenate([chain, spread(12, -1.2)]), 4)
+
+
+def decoupled_and_whole():
+    """Two blocks of order 16: one decouples, the other is one cluster of
+    16 eigenvalues 0.05 apart and stays whole."""
+    chain = triangular_operator(1.0 + 0.05j * np.arange(16), 6)
+    return dense_operator(sla.block_diag(near_pair().entries, chain.entries))
+
+
+def cluster_orders(op):
+    """The cluster orders of the one dense block's decoupling, or None where
+    the block stays whole."""
+    (group,) = _schur_groups(op)
+    (part,) = _decouplings(op, group)
+    return None if part is None else sorted(np.diff(part.edges).tolist())
+
+
 SHARED_BLOCK_PAIRS = {
     "permuted blocks, order 2 and 5 coupled": coupled_permuted_blocks,
     "dichotomy-2.3?N=4 recoupled": recoupled_dichotomy,
@@ -151,8 +201,12 @@ OPERATORS = {
     "almost-bisect-5.5": lambda: build_block_operator("almost-bisect-5.5", 6, {"p": 0.5}),
     "constant-diag": lambda: build_block_operator("constant-diag", 4),
     "mcintosh-yagi?N=1": lambda: build_block_operator("mcintosh-yagi", 1),
+    "random(48, 7)": lambda: random_gap_operator(48, 7),
     "random(64, 7)": lambda: random_gap_operator(64, 7),
     "permuted blocks": permuted_blocks,
+    "near-coincident pair": near_pair,
+    "cluster of order 12": large_cluster,
+    "order-16 blocks, decoupled and whole": decoupled_and_whole,
 }
 
 
@@ -299,6 +353,85 @@ class TestPerturbationPair:
         coefs = w / (2.0 * np.pi)
         got = summed(pair, pair.sums(lams, [coefs], Q), 0)
         expect = np.tensordot(coefs, diff, axes=(0, 0))
+        assert np.linalg.norm(got - expect) <= REL_TOL * np.sum(np.abs(coefs) * scale)
+
+
+class TestDecoupledSums:
+    """Panel sums of dense blocks through a block diagonalisation of the
+    Schur form, and the blocks that stay whole."""
+
+    @pytest.mark.parametrize("build, largest", [
+        (lambda: random_gap_operator(48, 7), 3), (near_pair, 2), (large_cluster, 12),
+    ])
+    def test_clusters(self, build, largest):
+        orders = cluster_orders(build())
+        assert orders is not None and orders[-1] == largest and orders[-2] == 1
+
+    @pytest.mark.parametrize("build", [
+        # from order 96 on, the clusters of random(d, 7) merge past the share
+        lambda: random_gap_operator(96, 7),
+        lambda: random_gap_operator(128, 7),
+        # twelve eigenvalues 0.05 apart: one cluster of all of them
+        lambda: triangular_operator(1.0 + 0.05j * np.arange(12), 5),
+    ])
+    def test_whole_block_takes_the_per_node_sums(self, build):
+        op = build()
+        assert cluster_orders(op) is None
+        lams, w = nodes_for(op)
+        lams, w = lams[: 3 * Q], w[: 3 * Q]
+        coef_sets = np.array([w / lams**2, w / lams])
+        kernel = _Kernel((op,))
+        (sums,) = kernel.sums(lams, coef_sets, Q)
+        (group,) = _schur_groups(op)
+        c = coef_sets.astype(complex).reshape(2, 3, Q).transpose(1, 0, 2)
+        assert sums.tobytes() == _node_sums(c, group.t, lams).tobytes()
+        assert kernel.kappa == 1.0
+
+    def test_one_group_decoupled_and_whole(self):
+        op = decoupled_and_whole()
+        (group,) = _schur_groups(op)
+        parts = _decouplings(op, group)
+        assert group.idx.shape == (2, 16) and sum(part is None for part in parts) == 1
+
+    def test_norms_stacks_and_oracle_stay_off(self, monkeypatch):
+        def refuse(t):
+            raise AssertionError("decoupling called")
+
+        monkeypatch.setattr(operators, "_decoupling", refuse)
+        op = random_gap_operator(48, 7)
+        lams, w = nodes_for(op)
+        lams, w = lams[:Q], w[:Q]
+        oracle_projection(op)
+        resolvent_norms(op, lams)
+        resolvent_many(op, lams)
+        _Kernel((op,)).norms(lams)
+        with pytest.raises(AssertionError, match="decoupling called"):
+            _Kernel((op,)).sums(lams, [w], Q)
+
+    @pytest.mark.parametrize("dim", [16, 32, 48, 64])
+    def test_rounding_term_covers_the_dense_lu_deviation(self, dim):
+        # the driver's rounding term dim * eps * kappa * ||value||, on the
+        # A weight of a line of a decoupled block
+        op = random_gap_operator(dim, 7)
+        kernel = _Kernel((op,))
+        lams, w = nodes_for(op)
+        coefs = w / (2.0 * np.pi * lams**2)
+        value = summed(kernel, kernel.sums(lams, [coefs], Q), 0)
+        assert kernel.kappa > 1.0
+        deviation = np.linalg.norm(value - np.tensordot(coefs, dense_resolvents(op, lams), axes=(0, 0)), 2)
+        assert deviation <= dim * _MACHINE_EPS * kernel.kappa * np.linalg.norm(value, 2)
+
+    def test_pair_of_decoupled_blocks(self):
+        s_op = near_pair()
+        t_op = dense_operator(s_op.entries + 0.01 * np.eye(s_op.dim))
+        assert cluster_orders(t_op) is not None
+        lams, w = nodes_for(s_op)
+        rs, rt = dense_resolvents(s_op, lams), dense_resolvents(t_op, lams)
+        scale = np.maximum(np.linalg.norm(rs, axis=(1, 2)), np.linalg.norm(rt, axis=(1, 2)))
+        coefs = w / (2.0 * np.pi)
+        pair = _Kernel((s_op, t_op))
+        got = summed(pair, pair.sums(lams, [coefs], Q), 0)
+        expect = np.tensordot(coefs, rs - rt, axes=(0, 0))
         assert np.linalg.norm(got - expect) <= REL_TOL * np.sum(np.abs(coefs) * scale)
 
 
@@ -506,7 +639,7 @@ class TestPreconditions:
         assert group.idx.shape == (2, 13)
         lams = np.array([3j, -2j, group.t[1, 4, 4], 1j])
         with pytest.raises(np.linalg.LinAlgError, match=re.escape(f"lambda={lams[2]}")):
-            _triangular_inverses(group, lams)
+            _triangular_inverses(group.t, lams)
 
     def test_node_near_spectrum_refused(self):
         op = random_gap_operator(8, 3)
