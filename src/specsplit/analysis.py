@@ -8,7 +8,11 @@ and records the residual of every identity the construction is supposed to
 satisfy: complementarity and idempotency of the projections, the algebra of
 the A operators (sum to S^{-2}, annihilate each other, commute with the
 resolvent), the containment of the restricted spectra in the open half-planes,
-and the defining identity of the auxiliary R_-(z) operator.
+and the defining identity of the auxiliary R_-(z) operator.  All of these
+matrices are functions of S, so all are block diagonal on S's connected
+components: ||S||, P_+-, the residuals, the bases and the restrictions are
+taken block by block, and only the matching of the restricted spectra against
+the whole spectrum is global.
 
 The remaining routines probe resolvent-norm behaviour: decay-exponent fitting
 on the imaginary axis, uniform bounds on half-plane grids for the restricted
@@ -28,9 +32,15 @@ from .contour import ContourSpec, _side_integrals, _side_sign, default_contour
 from .errors import OperatorError, SplittingMismatchError
 from .operators import (
     Operator,
+    _assemble,
+    _block_layout,
+    _blocks,
     _clear_points,
     _Kernel,
+    _layout,
+    _resolvent_blocks,
     _spectrum_distance,
+    _stack_norms,
     eigenvalues_of,
     near_spectrum_tol,
     operator_norm,
@@ -123,40 +133,82 @@ def multiset_match_distance(ev_a, ev_b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# identity residual helpers (shared with the corpus reproductions)
+# identity residuals, block by block
 # ---------------------------------------------------------------------------
+#
+# Every matrix the residuals check is a function of S, so it is block diagonal
+# on S's connected components, and so is every residual: its spectral norm is
+# the largest over the blocks.  The residuals are formed on stacks of blocks,
+# one (..., count, m, m) array per block order, and their norms taken by the
+# kernel's _stack_norms: the closed forms for orders 1 and 2, one batched SVD
+# per larger order.  A dense operator of order 3 or more is one block, on
+# which each formula and norm is the dense one, bit for bit.
+
+
+def _pair_terms(s, s2, res_i, a1, a2) -> dict:
+    """The matrices behind :func:`pair_identity_residuals` on one stack of
+    blocks: of S, S^2, R(i), A_+ and A_-."""
+    eye = np.broadcast_to(np.eye(s.shape[-1], dtype=complex), s.shape)
+    s_inv = np.linalg.solve(s, eye)
+    s_inv2 = np.linalg.solve(s2, eye)
+    return {
+        "a_sum": a1 + a2 - s_inv2,
+        "a_cross_pm": a1 @ a2,
+        "a_cross_mp": a2 @ a1,
+        "a_comm_inv_plus": a1 @ s_inv - s_inv @ a1,
+        "a_comm_inv_minus": a2 @ s_inv - s_inv @ a2,
+        "a_comm_resolvent_plus": a1 @ res_i - res_i @ a1,
+        "a_comm_resolvent_minus": a2 @ res_i - res_i @ a2,
+    }
+
+
+def _projection_terms(p1, p2) -> dict:
+    """The matrices behind :func:`projection_pair_residuals` on one stack of
+    blocks; ``p_cross`` stacks both products."""
+    eye = np.eye(p1.shape[-1], dtype=complex)
+    return {
+        "p_sum_identity": p1 + p2 - eye,
+        "p_idempotent_plus": p1 @ p1 - p1,
+        "p_idempotent_minus": p2 @ p2 - p2,
+        "p_cross": np.stack([p1 @ p2, p2 @ p1]),
+    }
+
+
+def _residual_norms(per_order: list[dict]) -> dict:
+    """The spectral norm of every named residual, given per block order as
+    (..., count, m, m) stacks with the same names: the largest over its
+    blocks and leading axes, from one :func:`_stack_norms` call."""
+    names = list(per_order[0])
+    sizes = [int(np.prod(per_order[0][name].shape[:-3])) for name in names]
+    norms = _stack_norms(
+        [np.concatenate([t[name].reshape(-1, *t[name].shape[-3:]) for name in names]) for t in per_order],
+        spectral=True,
+    )
+    ends = np.cumsum(sizes)
+    return {name: float(norms[end - size:end].max()) for name, size, end in zip(names, sizes, ends)}
 
 
 def pair_identity_residuals(op: Operator, a1: np.ndarray, a2: np.ndarray) -> dict:
     """Residuals of the closed-projection algebra for a candidate pair
     (A1, A2) = (A_+, A_-): sum to S^{-2}, mutual annihilation, commutation
-    with S^{-1} and with the resolvent at i."""
-    eye = np.eye(op.dim, dtype=complex)
-    s_inv = np.linalg.solve(op.entries, eye)
-    s_inv2 = np.linalg.solve(op.entries @ op.entries, eye)
-    res_i = resolvent(op, 1j)
-    return {
-        "a_sum": spectral_norm(a1 + a2 - s_inv2),
-        "a_cross_pm": spectral_norm(a1 @ a2),
-        "a_cross_mp": spectral_norm(a2 @ a1),
-        "a_comm_inv_plus": spectral_norm(a1 @ s_inv - s_inv @ a1),
-        "a_comm_inv_minus": spectral_norm(a2 @ s_inv - s_inv @ a2),
-        "a_comm_resolvent_plus": spectral_norm(a1 @ res_i - res_i @ a1),
-        "a_comm_resolvent_minus": spectral_norm(a2 @ res_i - res_i @ a2),
-    }
+    with S^{-1} and with the resolvent at i.  Taken block by block on the
+    components of the union of the nonzero patterns of S, A1 and A2, so an
+    entry of A1 or A2 outside S's components joins them and is counted."""
+    layout = _block_layout((op.entries != 0) | (a1 != 0) | (a2 != 0))
+    s = _blocks(op.entries, layout)
+    return _residual_norms([
+        _pair_terms(sb, sb @ sb, rb, a1b, a2b)
+        for sb, rb, a1b, a2b in zip(s, _resolvent_blocks(op, 1j, layout), _blocks(a1, layout), _blocks(a2, layout))
+    ])
 
 
 def projection_pair_residuals(p1: np.ndarray, p2: np.ndarray) -> dict:
     """Complementarity/idempotency residuals for a candidate projection pair
     (P1, P2) = (P_+, P_-); ``p_cross`` is the larger of ||P1 P2|| and
-    ||P2 P1||."""
-    eye = np.eye(p1.shape[0], dtype=complex)
-    return {
-        "p_sum_identity": spectral_norm(p1 + p2 - eye),
-        "p_idempotent_plus": spectral_norm(p1 @ p1 - p1),
-        "p_idempotent_minus": spectral_norm(p2 @ p2 - p2),
-        "p_cross": max(spectral_norm(p1 @ p2), spectral_norm(p2 @ p1)),
-    }
+    ||P2 P1||.  Taken block by block on the components of the union of both
+    nonzero patterns."""
+    layout = _block_layout((p1 != 0) | (p2 != 0))
+    return _residual_norms([_projection_terms(*pair) for pair in zip(_blocks(p1, layout), _blocks(p2, layout))])
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +220,14 @@ def projection_pair_residuals(p1: np.ndarray, p2: np.ndarray) -> dict:
 class SplitResult:
     """Projections, invariant-subspace bases, restrictions, and residuals.
 
-    ``est_error`` is the sum of both lines' error estimates for A_+-;
-    ``p_est_error`` = max(1, ||S||)^2 est_error is what it implies for
-    P_+- = S^2 A_+-, the matrices the residuals check."""
+    All of them are taken per connected component of S and assembled: the
+    matrices are dense (dim, dim) arrays that vanish off the components, the
+    basis columns are ordered by the singular values of P_+- over all
+    components, each column supported on one component, and the restrictions
+    are block diagonal up to that column order.  ``est_error`` is the sum of
+    both lines' error estimates for A_+-; ``p_est_error`` =
+    max(1, ||S||)^2 est_error is what it implies for P_+- = S^2 A_+-, the
+    matrices the residuals check."""
 
     a_plus: np.ndarray
     a_minus: np.ndarray
@@ -224,15 +281,55 @@ class SplitResult:
         }
 
 
+def _side_basis(dim: int, layout, s, p, k: int, sgn: int):
+    """One side's basis, restriction, restricted spectrum, margin and span
+    residuals, from P's blocks ``p`` and S's blocks ``s`` on ``layout``.
+
+    The basis is the k leading left singular vectors over all blocks, by
+    singular value; as P's singular values are at least 1 or at rounding
+    level, they are those of the dense SVD, and each block keeps a leading
+    run of its own.  The spans are invariant, so V^H S V is the restriction
+    of S in these coordinates.  It and the span residual P - V V^H P are
+    formed per block, on the block's own kept vectors, so the restriction is
+    block diagonal up to the basis' column order.  A side's margin is
+    min sgn Re lambda over its spectrum, inf for an empty side."""
+    svds = [np.linalg.svd(pb, full_matrices=False)[:2] for pb in p]
+    sig = np.concatenate([sv.ravel() for _, sv in svds])
+    col = np.full(sig.size, -1)  # every singular vector's basis column, -1 if not kept
+    col[np.argsort(-sig, kind="stable")[:k]] = np.arange(k)
+    basis, restricted = np.zeros((dim, k), complex), np.zeros((k, k), complex)
+    ev, spans, start = [], [], 0
+    for idx, sb, pb, (u, sv) in zip(layout, s, p, svds):
+        cols = col[start:start + sv.size].reshape(sv.shape)
+        start += sv.size
+        kept = np.sum(cols >= 0, axis=1)
+        span = np.empty_like(pb)
+        for kb in np.unique(kept):
+            sub = np.flatnonzero(kept == kb)
+            v = u[sub][..., :kb]
+            vh = v.conj().transpose(0, 2, 1)
+            span[sub] = pb[sub] - v @ (vh @ pb[sub])
+            if kb:
+                c = cols[sub, :kb]
+                basis[idx[sub][:, :, None], c[:, None, :]] = v
+                r = vh @ sb[sub] @ v
+                restricted[c[:, :, None], c[:, None, :]] = r
+                ev.append(np.linalg.eigvals(r).ravel())
+        spans.append(span)
+    ev = np.concatenate(ev) if ev else np.array([], complex)
+    margin = float((sgn * ev.real).min()) if k else float("inf")
+    return basis, restricted, ev, margin, spans
+
+
 def split(op: Operator, spec: ContourSpec | None = None, with_b: bool = False) -> SplitResult:
     """Compute the half-plane splitting of ``op`` from contour quadrature.
 
     P_+- = S^2 A_+- with A_+- as :func:`specsplit.contour.integrate_A`
     returns them; the rank of P_+- is Re tr P_+- rounded, as the trace of a
     projection is its rank, and its leading left singular vectors are the
-    basis of the invariant subspace.  Each contour line is evaluated once:
-    Re lambda = +h for A_+ (and B_+), Re lambda = -h for A_-, R_-(-2h) (and
-    B_-).  Operators whose spectrum touches the imaginary axis are refused
+    basis of the invariant subspace (see :func:`_side_basis`).  Each contour
+    line is evaluated once: Re lambda = +h for A_+ (and B_+), Re lambda = -h
+    for A_-, R_-(-2h) (and B_-).  Operators whose spectrum touches the imaginary axis are refused
     rather than regularised.
 
     Raises
@@ -254,43 +351,44 @@ def split(op: Operator, spec: ContourSpec | None = None, with_b: bool = False) -
     n_right = int(np.sum(ev.real > 0))
     counts = (n_right, op.dim - n_right)
 
-    s2 = op.entries @ op.entries
-    a = [line["A"].value for line in lines]
-    p = [s2 @ a_side for a_side in a]
-    traces = [np.trace(p_side).real for p_side in p]
+    # A_+-, R_-(z), S^2 and R(i) are functions of S, block diagonal on its
+    # components as the quadrature returns them; so is everything below
+    layout = _layout(op)
+    s = _blocks(op.entries, layout)
+    a = [_blocks(line["A"].value, layout) for line in lines]
+    s2 = [sb @ sb for sb in s]
+    p = [[s2b @ ab for s2b, ab in zip(s2, a_side)] for a_side in a]
+    p_dense = [_assemble(p_side, layout, np.zeros((op.dim, op.dim), complex)) for p_side in p]
+    traces = [np.trace(p_side).real for p_side in p_dense]
     if not np.array_equal(np.rint(traces), counts):  # also for a NaN trace
         raise SplittingMismatchError(
             f"projection traces ({traces[0]:.6g}, {traces[1]:.6g}) inconsistent "
             f"with half-plane eigenvalue counts {counts}"
         )
 
-    # The spans are invariant, so V^H S V is the restriction of S in these
-    # coordinates; a side's margin is min sgn Re lambda, inf for an empty side.
-    sides = []
-    for p_side, k, sgn in zip(p, counts, (1, -1)):
-        basis = np.linalg.svd(p_side, full_matrices=False)[0][:, :k]
-        restricted = basis.conj().T @ op.entries @ basis
-        ev_side = np.linalg.eigvals(restricted) if k else np.array([], complex)
-        margin = float((sgn * ev_side.real).min()) if k else float("inf")
-        span = spectral_norm(p_side - basis @ (basis.conj().T @ p_side))
-        sides.append((basis, restricted, ev_side, margin, span))
+    sides = [_side_basis(op.dim, layout, s, p_side, k, sgn) for p_side, k, sgn in zip(p, counts, (1, -1))]
     bases, restrictions, ev_sides, margins, spans = zip(*sides)
 
+    r_minus, res_i = _blocks(lines[1]["R"].value, layout), _resolvent_blocks(op, 1j, layout)
+    terms = []
+    for g, idx in enumerate(layout):
+        eye = np.eye(idx.shape[1])
+        terms.append({
+            **_pair_terms(s[g], s2[g], res_i[g], a[0][g], a[1][g]),
+            **_projection_terms(p[0][g], p[1][g]),
+            "basis_span_plus": spans[0][g],
+            "basis_span_minus": spans[1][g],
+            "r_minus_identity": (s[g] - z * eye) @ r_minus[g] - eye + z**2 * a[1][g],
+        })
     residuals = {
-        **pair_identity_residuals(op, *a),
-        **projection_pair_residuals(*p),
-        "basis_span_plus": spans[0],
-        "basis_span_minus": spans[1],
+        **_residual_norms(terms),
         "spectrum_split": multiset_match_distance(np.concatenate(ev_sides), ev),
-        "r_minus_identity": spectral_norm(
-            (op.entries - z * np.eye(op.dim)) @ lines[1]["R"].value - np.eye(op.dim) + z**2 * a[1]
-        ),
     }
     est_error = sum(line["A"].est_error for line in lines)
     b_plus, b_minus = (line["B"].value if with_b else None for line in lines)
 
     return SplitResult(
-        a_plus=a[0], a_minus=a[1], p_plus=p[0], p_minus=p[1],
+        a_plus=lines[0]["A"].value, a_minus=lines[1]["A"].value, p_plus=p_dense[0], p_minus=p_dense[1],
         basis_g_plus=bases[0], basis_g_minus=bases[1],
         restricted_plus=restrictions[0], restricted_minus=restrictions[1],
         residuals=residuals, spectrum_margin_plus=margins[0], spectrum_margin_minus=margins[1],

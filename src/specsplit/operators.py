@@ -36,6 +36,7 @@ from scipy.linalg.lapack import ztrexc as _ztrexc
 from scipy.linalg.lapack import ztrsyl as _ztrsyl
 from scipy.linalg.lapack import ztrtri as _ztrtri
 from scipy.linalg.lapack import ztrtrs as _ztrtrs
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import NearSpectrumError, OperatorError
@@ -187,7 +188,9 @@ def eigenvalues_of(op: Operator) -> np.ndarray:
 
 
 def operator_norm(op: Operator) -> float:
-    return op._cache("norm", lambda: spectral_norm(op.entries))
+    """||S||, the largest spectral norm over the operator's connected
+    components (see "the resolvent kernel"), of which S is the direct sum."""
+    return op._cache("norm", lambda: float(_stack_norms(_blocks(op.entries, _layout(op)), True)))
 
 
 def spectrum(op: Operator) -> Spectrum:
@@ -253,18 +256,31 @@ def _clear_points(ops, grid: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def resolvent(op: Operator, lam: complex) -> np.ndarray:
-    """(S - lambda)^{-1} by a dense linear solve.
+    """(S - lambda)^{-1} by dense linear solves, one per connected component.
 
     Refuses when ``lam`` is within :func:`near_spectrum_tol` of the spectrum
     and verifies the solve residual ``||(S - lambda) R - I||`` against a
     backward-stability bound.
     """
+    layout = _layout(op)
+    return _assemble(_resolvent_blocks(op, lam, layout), layout, np.zeros((op.dim, op.dim), complex))
+
+
+def _resolvent_blocks(op: Operator, lam: complex, layout) -> list[np.ndarray]:
+    """:func:`resolvent` as one (count, m, m) stack per block order of
+    ``layout``, each block a union of components of the operator.  The
+    residual check is one statement over all blocks: its Frobenius norms are
+    the roots of the sums of the blocks' squares."""
     dist, ev = _check_points_clear(op, np.array([lam], dtype=complex))
-    n = op.dim
-    shifted = op.entries - lam * np.eye(n)
-    res = np.linalg.solve(shifted, np.eye(n, dtype=complex))
-    residual = np.linalg.norm(shifted @ res - np.eye(n), "fro")
-    bound = 100.0 * n * _MACHINE_EPS * np.linalg.norm(shifted, "fro") * np.linalg.norm(res, "fro")
+    res, fro2 = [], np.zeros(3)  # the squares of residual, ||S - lambda||, ||R||
+    for s in _blocks(op.entries, layout):
+        eye = np.eye(s.shape[-1])
+        shifted = s - lam * eye
+        res.append(np.linalg.solve(shifted, np.broadcast_to(eye.astype(complex), s.shape)))
+        for i, x in enumerate((shifted @ res[-1] - eye, shifted, res[-1])):
+            fro2[i] += np.sum(np.abs(x) ** 2)
+    residual, shifted_fro, res_fro = np.sqrt(fro2)
+    bound = 100.0 * op.dim * _MACHINE_EPS * shifted_fro * res_fro
     if residual > max(bound, 1e3 * _MACHINE_EPS):
         raise NearSpectrumError(
             f"resolvent solve at lambda={lam} lost accuracy (residual {residual:.3e})",
@@ -343,7 +359,8 @@ def resolvent_norms(op: Operator, lams) -> np.ndarray:
 # of ``resolvent`` runs in :class:`_Kernel`.  The operator splits into the
 # connected components of the nonzero pattern of |S| + |S^H|; a permutation
 # makes S block diagonal with these components as blocks, so (S - lam)^{-1}
-# is block diagonal too.  Each block B is reduced once to complex Schur form
+# is block diagonal too.  The layout is cached on the operator (_layout) and
+# shared with ``operator_norm``, ``resolvent`` and split's checks.  Each block B is reduced once to complex Schur form
 # B = Q T Q^H, cached on the operator, and (B - lam)^{-1} = Q (T - lam)^{-1}
 # Q^H (Golub & Van Loan, Matrix Computations, 7.6; Higham, Functions of
 # Matrices, ch. 9).  A pair (S, T) is reduced on the components of the union
@@ -447,14 +464,36 @@ class _SchurGroup:
 def _block_layout(pattern: np.ndarray) -> tuple[np.ndarray, ...]:
     """Connected components of the symmetrised boolean ``pattern``, as one
     (count, m) index array per component size m (increasing); each component
-    is sorted and components are ordered by their smallest index."""
-    _, labels = connected_components(pattern | pattern.T, directed=False)
+    is sorted and components are ordered by their smallest index.  The graph
+    is sparse: the weak components of the directed pattern are those of its
+    symmetrisation."""
+    _, labels = connected_components(csr_matrix(pattern), connection="weak")
     order = np.argsort(labels, kind="stable")
     comps = np.split(order, np.cumsum(np.bincount(labels))[:-1])
     by_size: dict[int, list[np.ndarray]] = {}
     for comp in sorted(comps, key=lambda c: c[0]):
         by_size.setdefault(comp.size, []).append(comp)
     return tuple(np.array(by_size[m]) for m in sorted(by_size))
+
+
+def _layout(op: Operator) -> tuple[np.ndarray, ...]:
+    """The :func:`_block_layout` of the operator's own nonzero pattern, its
+    connected components, cached on the operator."""
+    return op._cache("layout", lambda: _block_layout(op.entries != 0))
+
+
+def _blocks(x: np.ndarray, layout) -> list[np.ndarray]:
+    """The diagonal blocks of the (..., dim, dim) matrices ``x`` on
+    ``layout``, one (..., count, m, m) array per block order."""
+    return [x[..., idx[:, :, None], idx[:, None, :]] for idx in layout]
+
+
+def _assemble(blocks, layout, out: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_blocks`: the blocks written into the zeroed
+    (..., dim, dim) array ``out``, which is returned."""
+    for idx, b in zip(layout, blocks):
+        out[..., idx[:, :, None], idx[:, None, :]] = b
+    return out
 
 
 def _schur_groups(op: Operator, layout=None) -> tuple[_SchurGroup, ...]:
@@ -464,12 +503,11 @@ def _schur_groups(op: Operator, layout=None) -> tuple[_SchurGroup, ...]:
     one.  Cached on the operator per layout, keyed by each group's shape and
     indices, as one index list can be grouped in more than one way."""
     if layout is None:
-        return op._cache("schur", lambda: _schur_groups(op, _block_layout(op.entries != 0)))
+        return op._cache("schur", lambda: _schur_groups(op, _layout(op)))
 
     def factors():
         groups = []
-        for idx in layout:
-            blocks = op.entries[idx[:, :, None], idx[:, None, :]]
+        for idx, blocks in zip(layout, _blocks(op.entries, layout)):
             if idx.shape[1] == 1:
                 t, q = blocks, np.ones_like(blocks)
             else:
@@ -911,9 +949,7 @@ class _Kernel:
         operator coordinates (see :meth:`operator`), all with the same leading
         shape, written into the zeroed (..., dim, dim) array ``out``, which is
         returned."""
-        for idx, b in zip(self.layout, blocks):
-            out[..., idx[:, :, None], idx[:, None, :]] = b
-        return out
+        return _assemble(blocks, self.layout, out)
 
 
 # ---------------------------------------------------------------------------
