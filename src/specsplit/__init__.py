@@ -10,27 +10,18 @@ how the splitting behaves under perturbations.
 """
 
 from .analysis import (
-    HalfplaneCheck,
-    ParabolaProbe,
-    SectorialityCheck,
     SplitResult,
     SweepReport,
     axis_grid,
-    block_commutant_check,
-    halfplane_bound_check,
-    m_subspace,
     multiset_match_distance,
     opposite_halfplane_grid,
-    parabola_probe,
     resolvent_sweep,
-    sectoriality_report,
     split,
     subspace_angle,
 )
 from .contour import (
     ContourSpec,
     QuadResult,
-    contour_shift_check,
     default_contour,
     integrate_A,
     integrate_B,
@@ -76,12 +67,9 @@ from .operators import (
 )
 from .perturbation import (
     CorollaryVerdict,
-    DomainEchoReport,
     PerturbReport,
     corollary_check,
-    domain_counterexample,
     hamiltonian_assemble,
-    hamiltonian_pairing_defect,
     p_subordination_fit,
     perturb_pair_report,
     projection_diff_integral,

@@ -14,22 +14,21 @@ components: ||S||, P_+-, the residuals, the bases and the restrictions are
 taken block by block, and only the matching of the restricted spectra against
 the whole spectrum is global.
 
-The remaining routines probe resolvent-norm behaviour: decay-exponent fitting
-on the imaginary axis, uniform bounds on half-plane grids for the restricted
-operators, the weighted (sectorial) variant of those bounds, and the
-parabola-shaped resolvent-set region that a decay exponent guarantees.
+The remaining routines sample resolvent norms: the axis sweep with its
+decay-exponent fit, and the opposite half-plane grids on which the corpus
+checks the resolvents of the restricted operators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .contour import ContourSpec, _side_integrals, _side_sign, default_contour
-from .errors import OperatorError, SplittingMismatchError
+from .errors import SplittingMismatchError
 from .operators import (
     Operator,
     _assemble,
@@ -39,15 +38,9 @@ from .operators import (
     _Kernel,
     _layout,
     _resolvent_blocks,
-    _spectrum_distance,
     _stack_norms,
     eigenvalues_of,
-    near_spectrum_tol,
     operator_norm,
-    resolvent,
-    resolvent_norms,
-    spectral_norm,
-    spectrum,
 )
 
 __all__ = [
@@ -57,18 +50,10 @@ __all__ = [
     "resolvent_sweep",
     "axis_grid",
     "opposite_halfplane_grid",
-    "halfplane_bound_check",
-    "sectoriality_report",
-    "parabola_probe",
-    "m_subspace",
-    "block_commutant_check",
     "subspace_angle",
     "multiset_match_distance",
     "pair_identity_residuals",
     "projection_pair_residuals",
-    "HalfplaneCheck",
-    "SectorialityCheck",
-    "ParabolaProbe",
 ]
 
 
@@ -93,20 +78,6 @@ def subspace_angle(v: np.ndarray, w: np.ndarray) -> float:
     residual = w - v @ (v.conj().T @ w)
     sine = np.linalg.svd(residual, compute_uv=False).max()
     return float(np.arcsin(np.clip(sine, 0.0, 1.0)))
-
-
-def m_subspace(a_side: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the closure of range(A_side), by singular value
-    thresholding: singular values below 1e-8 * sigma_max count as zero.
-
-    At finite dimension this must coincide with the invariant-subspace basis
-    of the same side whenever the projections are bounded, so the subspace
-    angle against ``basis_g_plus``/``basis_g_minus`` is the natural check.
-    """
-    u, sig, _ = np.linalg.svd(np.asarray(a_side, dtype=complex), full_matrices=False)
-    if sig.size == 0 or sig[0] == 0.0:
-        return u[:, :0]
-    return u[:, : int(np.sum(sig > 1e-8 * sig[0]))]
 
 
 def multiset_match_distance(ev_a, ev_b) -> float:
@@ -498,162 +469,11 @@ def resolvent_sweep(op: Operator, grid, fit_window=None) -> SweepReport:
     return _sweep((op,), grid, fit_window)
 
 
-# ---------------------------------------------------------------------------
-# half-plane and parabola checks
-# ---------------------------------------------------------------------------
-
-
 def opposite_halfplane_grid(side: str) -> np.ndarray:
-    """Log-polar grid in the closed half-plane opposite to ``side``: 16
-    radii from 1e-1 to 1e3 by 16 angles."""
+    """Log-polar grid in the closed half-plane opposite to ``side``, where
+    the restriction S|G_side must have a bounded resolvent: 16 radii from
+    1e-1 to 1e3 by 16 angles."""
     start = _side_sign(side) * np.pi / 2
     radii = np.logspace(-1.0, 3.0, 16)
     angles = np.linspace(start, start + np.pi, 16)
     return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
-
-
-def _restricted_sup(
-    result: SplitResult, side: str, grid: np.ndarray, weight
-) -> tuple[float, complex]:
-    """The largest weight * ||(S|G_side - lambda)^{-1}|| over ``grid`` and the
-    lambda where it is attained: (0.0, 0j) for an empty grid, 0.0 at grid[0]
-    for an empty side.  Points near the restricted spectrum are refused."""
-    restricted = result.restricted_plus if _side_sign(side) > 0 else result.restricted_minus
-    if grid.size == 0:
-        return 0.0, 0j
-    if restricted.shape[0] == 0:
-        return 0.0, complex(grid[0])
-    values = weight * resolvent_norms(Operator(entries=restricted), grid)
-    worst = int(np.argmax(values))
-    return float(values[worst]), complex(grid[worst])
-
-
-@dataclass(frozen=True)
-class HalfplaneCheck:
-    passed: bool
-    max_norm: float
-    bound: float
-    worst_lambda: complex
-
-
-def halfplane_bound_check(
-    result: SplitResult, side: str, grid, bound_m: float
-) -> HalfplaneCheck:
-    """Verify the uniform resolvent bound of the restriction on the closed
-    opposite half-plane: max over the grid of ||(S|G_side - lambda)^{-1}||
-    must not exceed ``bound_m``."""
-    sgn = _side_sign(side)
-    grid = np.asarray(grid, dtype=complex).ravel()
-    if np.any(sgn * grid.real > 1e-12):
-        half = "left" if sgn > 0 else "right"
-        raise ValueError(f"grid for side {side!r} must lie in the closed {half} half-plane")
-    max_norm, worst = _restricted_sup(result, side, grid, 1.0)
-    return HalfplaneCheck(bool(max_norm <= bound_m), max_norm, float(bound_m), worst)
-
-
-@dataclass(frozen=True)
-class SectorialityCheck:
-    passed: bool
-    beta: float
-    bound: float
-    max_weighted_plus: float
-    max_weighted_minus: float
-
-
-def sectoriality_report(
-    result: SplitResult, beta: float, grid, bound_m: float
-) -> SectorialityCheck:
-    """Check the weighted bounds |lambda|^beta ||(S|G_+ - lambda)^{-1}|| <= M
-    on a left-half-plane grid, and the mirrored bound for the minus side.
-
-    beta = 1 is the sectorial statement; 0 < beta < 1 the almost sectorial
-    one.  The constants are expected to carry over from the axis decay law
-    unchanged.
-    """
-    grid = np.asarray(grid, dtype=complex).ravel()
-    if np.any(grid.real > 1e-12):
-        raise ValueError("sectoriality grid must lie in the closed left half-plane")
-    if np.any(np.abs(grid) == 0.0):
-        raise ValueError("sectoriality grid must avoid 0")
-    weight = np.abs(grid) ** beta
-    max_plus, _ = _restricted_sup(result, "+", grid, weight)
-    max_minus, _ = _restricted_sup(result, "-", -grid, weight)
-    return SectorialityCheck(
-        passed=bool(max(max_plus, max_minus) <= bound_m),
-        beta=float(beta),
-        bound=float(bound_m),
-        max_weighted_plus=max_plus,
-        max_weighted_minus=max_minus,
-    )
-
-
-@dataclass(frozen=True)
-class ParabolaProbe:
-    passed: bool
-    intrusions: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-
-
-def parabola_probe(op: Operator, alpha: float, beta: float, m_const: float, grid) -> ParabolaProbe:
-    """Probe the parabola-shaped region |Re lambda| <= alpha |Im lambda|^beta.
-
-    For alpha < 1/M a Neumann-series argument keeps the region inside the
-    resolvent set with the bound M / ((1 - alpha M) |Im lambda|^beta); the
-    probe verifies that pointwise.  Spectrum intruding into the region, or a
-    bound violation (automatic when alpha*M >= 1 makes the bound vacuous),
-    fails the probe with witnesses.
-    """
-    grid = np.asarray(grid, dtype=complex).ravel()
-    if grid.size == 0:
-        raise ValueError("parabola grid is empty")
-    inside = np.abs(grid.real) <= alpha * np.abs(grid.imag) ** beta + 1e-15
-    if not np.all(inside & (grid != 0)):
-        raise ValueError("parabola grid contains points outside the region (or 0)")
-    tol = near_spectrum_tol(op)
-    dist, _ = _spectrum_distance((op,), grid)
-    intrusions = [complex(z) for z in grid[dist <= tol]]
-    safe = grid[dist > tol]
-    violations = []
-    if safe.size:
-        norms = _Kernel((op,)).norms(safe)
-        denom = 1.0 - alpha * m_const
-        bound = m_const / (denom * np.abs(safe.imag) ** beta) if denom > 0 else -np.inf
-        violations = [complex(z) for z in safe[norms > bound]]
-    return ParabolaProbe(
-        passed=not intrusions and not violations,
-        intrusions=intrusions,
-        violations=violations,
-    )
-
-
-# ---------------------------------------------------------------------------
-# block-diagonal structure checks
-# ---------------------------------------------------------------------------
-
-
-def block_commutant_check(op: Operator, n: int, lams=None) -> float:
-    """Max over sample points of ||Q_n (S-lambda)^{-1} - (S-lambda)^{-1} Q_n||
-    where Q_n is the orthogonal projection onto the first n blocks.
-
-    Exactness of the block structure makes this zero up to solver roundoff;
-    it realises the commuting approximating family available for
-    block-diagonal operators.
-    """
-    if op.family_tag is None:
-        raise OperatorError("not block-diagonal: operator carries no family tag")
-    tag = op.family_tag
-    if not 1 <= n <= tag.n_blocks:
-        raise OperatorError(f"block count n={n} outside 1..{tag.n_blocks}")
-    dims = tag.block_dims
-    cut = int(np.sum(dims[:n]))
-    q_n = np.zeros((op.dim, op.dim), dtype=complex)
-    q_n[:cut, :cut] = np.eye(cut)
-    if lams is None:
-        gap = spectrum(op).min_abs_real
-        unit = max(gap, 1.0)
-        lams = [0.5j * gap, -0.5j * gap, 1j * (gap + unit), -1j * (gap + 2.5 * unit)]
-    worst = 0.0
-    for lam in lams:
-        res = resolvent(op, lam)
-        worst = max(worst, spectral_norm(q_n @ res - res @ q_n))
-    return worst

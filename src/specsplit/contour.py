@@ -101,7 +101,6 @@ from .operators import (
     _spectral_gap,
     _stack_norms,
     operator_norm,
-    spectral_norm,
 )
 
 __all__ = [
@@ -112,7 +111,6 @@ __all__ = [
     "integrate_B",
     "pv_axis_integral",
     "r_minus",
-    "contour_shift_check",
     "line_nodes",
 ]
 
@@ -449,12 +447,3 @@ def r_minus(op: Operator, z: complex, spec: ContourSpec) -> np.ndarray:
     half-plane.
     """
     return _side_integrals(op, "-", spec, ("R",), z)["R"].value
-
-
-def contour_shift_check(op: Operator, h1: float, h2: float, side: str) -> float:
-    """||A_side(h1) - A_side(h2)|| at the default tol: by Cauchy's theorem the
-    integral does not depend on the abscissa while the strip stays in the
-    resolvent set, so the value must be bounded by the combined error
-    estimates."""
-    r1, r2 = (integrate_A(op, side, ContourSpec(h=h)) for h in (h1, h2))
-    return spectral_norm(r1.value - r2.value)

@@ -2,7 +2,9 @@
 
 Each corpus case bundles a deterministically generated operator with a list
 of checkable facts: closed-form block values the quadrature must reproduce,
-supremum and decay bounds of the resolvent on the imaginary axis, Sylvester
+supremum and decay bounds of the resolvent on the imaginary axis, the bounds
+off the axis that these imply (the restricted resolvents on the opposite
+half-planes, the parabola-shaped region in the resolvent set), Sylvester
 identities of the Toeplitz-coupled dyadic family, and growth statements for
 the projection norms.  ``run_case`` executes the checkers under a budget
 (tolerances plus size caps) and collects a pass/fail report per fact.
@@ -16,6 +18,7 @@ documented headline claims of the family being reproduced.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -23,11 +26,14 @@ import numpy as np
 import scipy.linalg as sla
 
 from .analysis import (
+    SplitResult,
     _fit_window,
     axis_grid,
+    opposite_halfplane_grid,
     pair_identity_residuals,
     projection_pair_residuals,
     resolvent_sweep,
+    split,
 )
 from .contour import default_contour, integrate_A
 from .errors import OperatorError
@@ -36,6 +42,7 @@ from .operators import (
     Operator,
     build_block_operator,
     dense_operator,
+    eigenvalues_of,
     mcintosh_yagi_parts,
     mcintosh_yagi_pick_n,
     operator_norm,
@@ -174,6 +181,39 @@ def _guard_quadrature(op: Operator, budget: Budget):
 
 
 # ---------------------------------------------------------------------------
+# resolvent bounds off the axis
+# ---------------------------------------------------------------------------
+
+
+def _restricted_max(result: SplitResult, side: str, beta: float) -> float:
+    """The largest |lambda|^beta ||(S|G_side - lambda)^{-1}|| over
+    ``opposite_halfplane_grid(side)``, the closed half-plane on which the
+    restriction of a dichotomous S has a bounded resolvent."""
+    restricted = result.restricted_plus if side == "+" else result.restricted_minus
+    grid = opposite_halfplane_grid(side)
+    return float((np.abs(grid) ** beta * resolvent_norms(Operator(entries=restricted), grid)).max())
+
+
+def _parabola_ratio(op: Operator, beta: float, m: float) -> tuple[int, float]:
+    """The parabola region |Re lambda| <= alpha |Im lambda|^beta, alpha =
+    1/(2M), that the axis bound ||R(it)|| <= M/|t|^beta keeps in the
+    resolvent set: a Neumann series about i Im lambda gives ||R(lambda)|| <=
+    M/((1 - alpha M)|Im lambda|^beta) = 2M/|Im lambda|^beta there.  Returns
+    the number of eigenvalues in the region and the largest ratio of
+    ||R(lambda)|| to that bound over 200 points half way to its edge: 50
+    heights |Im lambda| from 1e-1 to 1e3 in each quadrant, so that a real
+    operator solves each conjugate pair once."""
+    alpha = 0.5 / m
+    im = np.logspace(-1.0, 3.0, 50)
+    z = 0.5 * alpha * im**beta + 1j * im
+    grid = np.concatenate([z, -z, z.conj(), -z.conj()])
+    ev = eigenvalues_of(op)
+    inside = int(np.sum(np.abs(ev.real) <= alpha * np.abs(ev.imag) ** beta))
+    bound = 2.0 * m / np.abs(grid.imag) ** beta
+    return inside, float((resolvent_norms(op, grid) / bound).max())
+
+
+# ---------------------------------------------------------------------------
 # closed forms for the 2x2 block families
 # ---------------------------------------------------------------------------
 
@@ -237,20 +277,28 @@ def corpus_unbproj(n_blocks: int = 3, lambda_set=None) -> CorpusCase:
     default; every such mixed pair satisfies the closed-projection algebra
     even though only the all-plus choice gives the half-plane splitting.
     """
-    n_blocks = int(n_blocks)
-    if n_blocks < 1:
+    if isinstance(n_blocks, numbers.Integral) and n_blocks < 1:
         raise OperatorError("need at least one block")
+    op = build_block_operator("dichotomy-2.3", n_blocks)  # refuses a non-integer N
     if lambda_set is None:
         lambda_set = range(1, n_blocks + 1, 2)
-    lambda_set = tuple(sorted(set(int(k) for k in np.atleast_1d(lambda_set))))
-    if any(k < 1 or k > n_blocks for k in lambda_set):
-        raise OperatorError(f"lambda_set must be a subset of 1..{n_blocks}")
-    op = build_block_operator("dichotomy-2.3", n_blocks)
+    entries = lambda_set if isinstance(lambda_set, (list, tuple, range)) else [lambda_set]
+    if not all(isinstance(k, numbers.Integral) and 1 <= k <= n_blocks for k in entries):
+        raise OperatorError(f"lambda1 must hold integers in 1..{n_blocks}, got {lambda_set!r}")
+    lambda_set = tuple(sorted(set(int(k) for k in entries)))
     params = {"N": n_blocks, "lambda1": list(lambda_set)}
 
     @functools.cache
     def quad_a(side):
         return integrate_A(op, side, default_contour(op)).value
+
+    @functools.cache
+    def splitting():
+        return split(op)
+
+    @functools.cache
+    def sweep(per_decade):
+        return resolvent_sweep(op, axis_grid(per_decade=per_decade))
 
     def check_quad_a(side):
         def checker(budget: Budget):
@@ -280,8 +328,20 @@ def corpus_unbproj(n_blocks: int = 3, lambda_set=None) -> CorpusCase:
         return worst <= budget.identity_tol, worst, f"worst residual among {sorted(res)}"
 
     def check_sup(budget: Budget):
-        report = resolvent_sweep(op, axis_grid(per_decade=budget.per_decade))
+        report = sweep(budget.per_decade)
         return report.sup_norm <= 3.0 + 1e-9, report.sup_norm, "sup_axis <= 3"
+
+    def check_restricted_halfplane(budget: Budget):
+        _guard_quadrature(op, budget)
+        worst = max(_restricted_max(splitting(), side, 0.0) for side in "+-")
+        return worst <= 3.0 + 1e-9, worst, "max over both sides and their opposite half-plane grids"
+
+    def check_restricted_sectorial(budget: Budget):
+        _guard_quadrature(op, budget)
+        report = sweep(budget.per_decade)
+        m1 = float((np.abs(report.lambdas) * report.norms).max())
+        worst = max(_restricted_max(splitting(), side, 1.0) for side in "+-")
+        return worst <= m1, worst, f"max over both sides, against M_1 = {m1:.6g}"
 
     def check_growth(budget: Budget):
         pair = oracle_projection(op)
@@ -295,6 +355,15 @@ def corpus_unbproj(n_blocks: int = 3, lambda_set=None) -> CorpusCase:
         Fact("quadrature_projection_blocks", "stated", "per-block P_n^+- to 1e-6", check_quad_p),
         Fact("mixed_choice_pair_identities", "stated", "closed-projection algebra", check_mixed),
         Fact("axis_sup_bound", "stated", "sup over axis grid <= 3", check_sup),
+        Fact(
+            "restricted_halfplane_bound", "stated",
+            "||(S|G_+- - lambda)^{-1}|| <= 3 on the closed opposite half-planes", check_restricted_halfplane,
+        ),
+        Fact(
+            "restricted_sectorial_bound", "derived",
+            "|lambda| ||(S|G_+- - lambda)^{-1}|| <= M_1 = max |t| ||R(it)|| on the axis grid",
+            check_restricted_sectorial,
+        ),
         Fact("projection_norm_growth", "derived", "||P_+|| grows like N", check_growth),
     )
     return CorpusCase(name="unbproj", params=params, operator=op, facts=facts)
@@ -308,9 +377,13 @@ def corpus_unbproj(n_blocks: int = 3, lambda_set=None) -> CorpusCase:
 def corpus_almbisect(n_blocks: int = 50, p: float = 0.5) -> CorpusCase:
     """Blocks [[n, 2n^(1+p)], [0, -n]]: axis decay exponent 1-p, projection
     norms sqrt(1 + n^(2p)) growing without bound."""
-    n_blocks, p = int(n_blocks), float(p)
-    op = build_block_operator("almost-bisect-5.5", n_blocks, {"p": p})
+    p = float(p)
+    op = build_block_operator("almost-bisect-5.5", n_blocks, {"p": p})  # refuses a non-integer N
     params = {"N": n_blocks, "p": p}
+
+    @functools.cache
+    def sweep(per_decade):
+        return resolvent_sweep(op, axis_grid(per_decade=per_decade))
 
     def check_beta(budget: Budget):
         # the blocks follow the decay law only below the block scale N/2, so
@@ -320,9 +393,17 @@ def corpus_almbisect(n_blocks: int = 50, p: float = 0.5) -> CorpusCase:
             raise BudgetExceeded(
                 f"fit window ({lo:g}, {hi:g}) lies above the block scale N/2 = {n_blocks / 2.0:g}"
             )
-        report = resolvent_sweep(op, axis_grid(per_decade=budget.per_decade))
+        report = sweep(budget.per_decade)
         err = abs(report.fitted_beta - (1.0 - p))
         return err <= _BETA_TOL, report.fitted_beta, f"beta =~ {1.0 - p}"
+
+    def check_parabola(budget: Budget):
+        report = sweep(budget.per_decade)
+        m = float((np.abs(report.lambdas) ** (1.0 - p) * report.norms).max())
+        inside, ratio = _parabola_ratio(op, 1.0 - p, m)
+        return inside == 0 and ratio <= 1.0, ratio, (
+            f"{inside} eigenvalues inside; largest ||R(lambda)|| over its bound, M = {m:.6g}"
+        )
 
     def oracle(n):
         return oracle_projection(
@@ -362,6 +443,11 @@ def corpus_almbisect(n_blocks: int = 50, p: float = 0.5) -> CorpusCase:
 
     facts = [
         Fact("fitted_beta", "stated", f"axis decay exponent 1-p = {1.0 - p}", check_beta),
+        Fact(
+            "parabola_region", "stated",
+            f"|Re lambda| <= |Im lambda|^{1.0 - p:g}/(2M) in the resolvent set, ||R|| <= 2M/|Im lambda|^{1.0 - p:g}",
+            check_parabola,
+        ),
         Fact("block_projection_pattern", "stated", "projection entries n^p", check_pattern),
         Fact("block_projection_norms", "stated", "norms sqrt(1+n^(2p))", check_norms),
         Fact("projection_norm_block100", "derived", "formula at block 100", check_block100),
@@ -409,8 +495,8 @@ def corpus_mcintosh_yagi(m_const: float = 10.0, m_max: int = 3) -> CorpusCase:
     ||Z_m|| >= m even though the axis resolvent bound M/|lambda| holds
     uniformly: bounded axis decay without bounded projections.
     """
-    m_const, m_max = float(m_const), int(m_max)
-    op = build_block_operator("mcintosh-yagi", m_max, {"Mconst": m_const})
+    m_const = float(m_const)
+    op = build_block_operator("mcintosh-yagi", m_max, {"Mconst": m_const})  # refuses a non-integer m_max
     params = {"Mconst": m_const, "m_max": m_max}
     slices = op.family_tag.block_slices()
 

@@ -11,11 +11,6 @@ that decay, fits relative-boundedness exponents of perturbations
 and carries the exponent arithmetic connecting the axis decay beta of S and
 the subordination order p of the perturbation to the predicted difference
 exponent 2*beta - p.
-
-The classical domain obstruction (a rank-one perturbation pointing out of a
-thinned domain) has no finite-dimensional content; ``domain_counterexample``
-builds its truncated shadow and records the growth that replaces it, saying
-so explicitly in the report.
 """
 
 from __future__ import annotations
@@ -25,28 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _fit_window, _sweep, axis_grid, multiset_match_distance
+from .analysis import _fit_window, _sweep, axis_grid
 from .contour import ContourSpec, _line_integrals, default_contour
 from .errors import NearSpectrumError, OperatorError
-from .operators import (
-    Operator,
-    eigenvalues_of,
-    oracle_projection,
-    spectral_norm,
-)
+from .operators import Operator, oracle_projection, spectral_norm
 
 __all__ = [
     "PerturbReport",
     "CorollaryVerdict",
-    "DomainEchoReport",
     "resolvent_diff_decay",
     "subordination_curve",
     "p_subordination_fit",
     "projection_diff_integral",
     "corollary_check",
-    "domain_counterexample",
     "hamiltonian_assemble",
-    "hamiltonian_pairing_defect",
     "perturb_pair_report",
 ]
 
@@ -189,86 +176,6 @@ def corollary_check(beta: float, p: float) -> CorollaryVerdict:
 
 
 # ---------------------------------------------------------------------------
-# the domain-obstruction shadow
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DomainEchoReport:
-    conditions: dict
-    t_dichotomous_by_oracle: bool
-    growth: list
-    growth_monotone: bool
-    note: str
-
-
-_DOMAIN_NOTE = (
-    "Finite truncations admit no domain obstruction: the perturbation-theorem "
-    "conditions hold at every truncation, while the recorded growth of "
-    "||S^2 x|| for x aligned with w is the finite-dimensional echo of the "
-    "domain collapse that occurs only in the infinite model."
-)
-
-
-def domain_counterexample(s_op: Operator, w: np.ndarray) -> DomainEchoReport:
-    """Truncated shadow of the rank-one domain obstruction.
-
-    Builds R as the orthogonal projection onto span(w) and T = S + R for a
-    positive diagonal S, verifies the perturbation-theorem conditions on the
-    truncation, and records how ||S^2 w / ||w|| || grows along prefix
-    truncations.
-    """
-    d = np.asarray(s_op.entries)
-    if spectral_norm(d - np.diag(np.diag(d))) > 0.0:
-        raise OperatorError("domain-obstruction study requires a diagonal operator")
-    diag = np.diag(d)
-    if np.any(diag.real <= 0.0) or np.any(diag.imag != 0.0):
-        raise OperatorError("diagonal entries must be real and positive")
-    w = np.asarray(w, dtype=complex).ravel()
-    if w.shape[0] != s_op.dim or not np.any(w != 0.0):
-        raise OperatorError("w must be a nonzero vector of matching dimension")
-
-    r = np.outer(w, w.conj()) / float(np.vdot(w, w).real)
-    t_op = Operator(entries=s_op.entries + r)
-
-    # S is a positive diagonal and R = w w^H / |w|^2 is Hermitian positive
-    # semidefinite, so T = S + R is Hermitian positive definite: both spectra
-    # lie on the positive real axis, the strip is clear, and T is dichotomous.
-    _, exponent = resolvent_diff_decay(s_op, t_op, axis_grid(10.0, 1e3), fit_window=(10.0, 1e3))
-    conditions = {
-        "strip_in_both_resolvent_sets": True,
-        "difference_decay_exponent_above_1": bool(exponent > 1.0),
-        "difference_decay_exponent": float(exponent),
-        "dense_squared_domain_intersection": True,  # vacuous at finite dimension
-    }
-    oracle_projection(t_op)  # the oracle's own check that T splits
-
-    growth = []
-    n = s_op.dim
-    for n_prefix in sorted({max(2, n // 4), max(2, n // 2), n}):
-        w_pre = w[:n_prefix]
-        if not np.any(w_pre != 0.0):
-            continue
-        d_pre = diag[:n_prefix].real
-        growth.append(
-            (
-                n_prefix,
-                float(
-                    np.linalg.norm(d_pre**2 * w_pre) / np.linalg.norm(w_pre)
-                ),
-            )
-        )
-    monotone = all(b[1] > a[1] for a, b in zip(growth, growth[1:]))
-    return DomainEchoReport(
-        conditions=conditions,
-        t_dichotomous_by_oracle=True,
-        growth=growth,
-        growth_monotone=bool(monotone),
-        note=_DOMAIN_NOTE,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Hamiltonian assembly
 # ---------------------------------------------------------------------------
 
@@ -305,14 +212,6 @@ def hamiltonian_assemble(a, b, c) -> Operator:
     top = np.hstack([a, b @ b.conj().T])
     bottom = np.hstack([c.conj().T @ c, -a.conj().T])
     return Operator(entries=np.vstack([top, bottom]))
-
-
-def hamiltonian_pairing_defect(op: Operator) -> float:
-    """Matching distance between the spectrum and its reflection
-    {-conj(lambda)}; zero (to clustering tolerance) for Hamiltonian
-    structure."""
-    ev = eigenvalues_of(op)
-    return multiset_match_distance(ev, -ev.conj())
 
 
 # ---------------------------------------------------------------------------

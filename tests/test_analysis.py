@@ -6,30 +6,28 @@ import pytest
 
 from specsplit import (
     NearSpectrumError,
-    OperatorError,
     SplittingMismatchError,
     axis_grid,
-    block_commutant_check,
     build_block_operator,
+    corpus_almbisect,
     dense_operator,
     descriptor_of,
     diag_operator,
-    halfplane_bound_check,
-    m_subspace,
     multiset_match_distance,
     opposite_halfplane_grid,
     oracle_projection,
-    parabola_probe,
     random_gap_operator,
+    resolvent,
     resolvent_norms,
     resolvent_sweep,
-    sectoriality_report,
+    run_case,
     spectral_norm,
     split,
     spectrum,
     subspace_angle,
 )
 from specsplit.analysis import pair_identity_residuals, projection_pair_residuals
+from specsplit.corpus import _parabola_ratio, _restricted_max
 
 
 def block23(n):
@@ -202,33 +200,41 @@ class TestSweep:
         assert rows[:, 2].tobytes() == report.norms.tobytes()
 
 
+def restricted_norms(result, side):
+    """||(S|G_side - lambda)^{-1}|| on ``opposite_halfplane_grid(side)``."""
+    restricted = result.restricted_plus if side == "+" else result.restricted_minus
+    grid = opposite_halfplane_grid(side)
+    return grid, resolvent_norms(dense_operator(restricted), grid)
+
+
 class TestHalfplaneChecks:
+    # a dichotomous S: the restrictions' resolvents are bounded on the closed
+    # opposite half-planes, here by the axis supremum
+
     def test_diag(self):
         result = split(diag_operator([1, -1]))
-        grid = opposite_halfplane_grid("+")
         report = resolvent_sweep(diag_operator([1, -1]), axis_grid(1e-1, 1e3, 8))
-        check = halfplane_bound_check(result, "+", grid, report.sup_norm)
-        assert check.passed
+        assert restricted_norms(result, "+")[1].max() <= report.sup_norm
 
     def test_dichotomy_truncation(self):
         op = build_block_operator("dichotomy-2.3", 4)
         result = split(op)
         sup = resolvent_sweep(op, axis_grid(1e-2, 1e3, 16)).sup_norm
         for side in "+-":
-            check = halfplane_bound_check(result, side, opposite_halfplane_grid(side), sup)
-            assert check.passed, check
+            assert restricted_norms(result, side)[1].max() <= sup
 
     def test_mcintosh_yagi_block(self):
         op = build_block_operator("mcintosh-yagi", 1, {"Mconst": 10.0})
         result = split(op)
         sup = resolvent_sweep(op, axis_grid(1e-2, 1e3, 16)).sup_norm
-        check = halfplane_bound_check(result, "+", opposite_halfplane_grid("+"), sup)
-        assert check.passed
+        assert restricted_norms(result, "+")[1].max() <= sup
 
     def test_wrong_halfplane_grid(self):
-        result = split(diag_operator([1, -1]))
-        with pytest.raises(ValueError):
-            halfplane_bound_check(result, "+", np.array([1.0 + 0j]), 10.0)
+        # each side's grid lies in the closed half-plane opposite to it
+        for side, sgn in (("+", 1.0), ("-", -1.0)):
+            grid = opposite_halfplane_grid(side)
+            assert np.all(sgn * grid.real <= 1e-12)
+            assert np.any(sgn * grid.real < -1.0)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_mcintosh_yagi_oracle_restriction(self, m):
@@ -239,8 +245,6 @@ class TestHalfplaneChecks:
         restricted = dense_operator(basis.conj().T @ op.entries @ basis)
         sup = 10.0  # the family's axis bound M/|lambda| gives sup M at |lambda| -> gap
         grid = opposite_halfplane_grid("+")
-        from specsplit import resolvent_norms
-
         norms = resolvent_norms(restricted, grid)
         assert norms.max() <= sup
 
@@ -251,38 +255,26 @@ RESTRICTED_CASES = [
 ]
 
 
-def restricted_norms(result, side):
-    """||(S|G_side - lambda)^{-1}|| on ``opposite_halfplane_grid(side)``."""
-    restricted = result.restricted_plus if side == "+" else result.restricted_minus
-    grid = opposite_halfplane_grid(side)
-    return grid, resolvent_norms(dense_operator(restricted), grid)
-
-
 class TestRestrictedSupremum:
     @pytest.mark.parametrize("name, make", RESTRICTED_CASES)
     @pytest.mark.parametrize("side", "+-")
     def test_halfplane_check_is_the_grid_maximum(self, name, make, side):
         result = split(make())
-        grid, norms = restricted_norms(result, side)
-        check = halfplane_bound_check(result, side, grid, 1e3)
-        assert check.max_norm == pytest.approx(norms.max(), rel=1e-12)
-        assert check.worst_lambda == grid[np.argmax(norms)]
-        assert check.passed == (norms.max() <= 1e3)
+        _, norms = restricted_norms(result, side)
+        assert _restricted_max(result, side, 0.0) == pytest.approx(norms.max(), rel=1e-12)
 
     @pytest.mark.parametrize("name, make", RESTRICTED_CASES)
     @pytest.mark.parametrize("beta", [0.5, 1.0])
     def test_sectoriality_weights_both_sides(self, name, make, beta):
-        # the minus side is measured on the mirror of the left-half-plane
-        # grid, which is the right-half-plane grid up to rounding
+        # each side is weighted on its own grid: the left half-plane for S|G_+,
+        # the right one for S|G_-
         result = split(make())
-        expected = {}
+        measured = {}
         for side in "+-":
             grid, norms = restricted_norms(result, side)
-            expected[side] = float((np.abs(grid) ** beta * norms).max())
-        report = sectoriality_report(result, beta, opposite_halfplane_grid("+"), 1e3)
-        assert report.max_weighted_plus == pytest.approx(expected["+"], rel=1e-9)
-        assert report.max_weighted_minus == pytest.approx(expected["-"], rel=1e-9)
-        assert expected["-"] != pytest.approx(expected["+"], rel=1e-9)  # a swap would show
+            measured[side] = _restricted_max(result, side, beta)
+            assert measured[side] == pytest.approx(float((np.abs(grid) ** beta * norms).max()), rel=1e-9)
+        assert measured["-"] != pytest.approx(measured["+"], rel=1e-9)  # a swap would show
 
 
 class TestResidualVsEstimate:
@@ -297,127 +289,94 @@ class TestResidualVsEstimate:
             assert result.residuals[key] <= budget
 
 
+def axis_constant(op, beta):
+    """M = max |t|^beta ||R(it)|| over the default axis grid."""
+    report = resolvent_sweep(op, axis_grid())
+    return float((np.abs(report.lambdas) ** beta * report.norms).max())
+
+
 class TestSectoriality:
+    # |lambda|^beta ||(S|G_+- - lambda)^{-1}|| stays below the axis constant
+    # M = max |t|^beta ||R(it)||: beta = 1 is sectorial, 0 < beta < 1 almost
+    # sectorial
+
     def test_diag_sectorial(self):
         op = diag_operator([1, -1])
         result = split(op)
-        report = resolvent_sweep(op, axis_grid(1e-1, 1e3, 16))
-        m_axis = float((np.abs(report.lambdas) ** 1.0 * report.norms).max())
-        check = sectoriality_report(result, 1.0, opposite_halfplane_grid("+"), m_axis)
-        assert check.passed
+        assert max(_restricted_max(result, side, 1.0) for side in "+-") <= axis_constant(op, 1.0)
 
     def test_almost_bisect(self):
         op = build_block_operator("almost-bisect-5.5", 12, {"p": 0.5})
         result = split(op)
-        report = resolvent_sweep(op, axis_grid(1e-2, 1e3, 16))
-        beta = 0.5
-        m_axis = float((np.abs(report.lambdas) ** beta * report.norms).max())
-        check = sectoriality_report(result, beta, opposite_halfplane_grid("+"), m_axis)
-        assert check.passed, check
+        assert max(_restricted_max(result, side, 0.5) for side in "+-") <= axis_constant(op, 0.5)
 
     def test_dichotomy_family_beta_one(self):
         op = build_block_operator("dichotomy-2.3", 4)
         result = split(op)
-        report = resolvent_sweep(op, axis_grid(1e-2, 1e3, 16))
-        m_axis = float((np.abs(report.lambdas) * report.norms).max())
-        check = sectoriality_report(result, 1.0, opposite_halfplane_grid("+"), m_axis)
-        assert check.passed
+        assert max(_restricted_max(result, side, 1.0) for side in "+-") <= axis_constant(op, 1.0)
 
 
 class TestParabolaProbe:
-    @staticmethod
-    def region_grid(alpha, beta, n=200):
-        # points strictly inside the parabola region, away from 0
-        b = np.logspace(-1, 3, n // 2)
-        a = 0.5 * alpha * b**beta
-        pts = np.concatenate([a + 1j * b, -a - 1j * b])
-        return pts
-
     def test_almost_bisect_passes(self):
-        op = build_block_operator("almost-bisect-5.5", 30, {"p": 0.5})
-        report = resolvent_sweep(op, axis_grid(1e-1, 1e3, 16), fit_window=(10.0, 15.0))
-        m = report.sup_norm
-        alpha = 0.5 / m
-        probe = parabola_probe(op, alpha, 0.5, m, self.region_grid(alpha, 0.5))
-        assert probe.passed, (probe.intrusions, probe.violations[:3])
+        report = run_case(corpus_almbisect(30, 0.5))
+        fact = next(f for f in report.facts if f.name == "parabola_region")
+        assert fact.passed and fact.measured <= 1.0
 
     def test_diag_passes(self):
         op = diag_operator([1, -1])
-        m = resolvent_sweep(op, axis_grid(1e-1, 1e3, 16)).sup_norm
-        alpha = 0.5 / m
-        probe = parabola_probe(op, alpha, 1.0, m, self.region_grid(alpha, 1.0))
-        assert probe.passed
+        inside, ratio = _parabola_ratio(op, 1.0, axis_constant(op, 1.0))
+        assert inside == 0 and ratio <= 1.0
 
     def test_negative_control_reports_violations(self):
-        op = build_block_operator("dichotomy-2.3", 4)
-        m = resolvent_sweep(op, axis_grid(1e-1, 1e3, 16)).sup_norm
-        alpha = 2.0 / m  # alpha*M = 2 > 1: the guaranteed bound is vacuous
-        probe = parabola_probe(op, alpha, 1.0, m, self.region_grid(alpha, 1.0))
-        assert not probe.passed
-        assert probe.violations
+        # M = 1/4 is below diag(1, -1)'s axis constant: with beta = 0 the
+        # region becomes the strip |Re lambda| <= 2, which holds both
+        # eigenvalues, and ||R(1 + 0.1i)|| = 10 exceeds the bound 2M
+        inside, ratio = _parabola_ratio(diag_operator([1, -1]), 0.0, 0.25)
+        assert inside == 2 and ratio == pytest.approx(20.0)
 
     def test_violations_are_the_points_over_the_pointwise_bound(self):
-        # half the true axis constant: the bound holds at some points only
+        # half the true axis constant: the bound holds at some points only,
+        # and the ratio is the largest norm over its pointwise bound
         op = build_block_operator("dichotomy-2.3", 4)
         m = 0.5 * resolvent_sweep(op, axis_grid(1e-1, 1e3, 16)).sup_norm
-        alpha = 0.5 / m
-        grid = self.region_grid(alpha, 1.0)
-        probe = parabola_probe(op, alpha, 1.0, m, grid)
-        norms = resolvent_norms(op, grid)
-        expect = [
-            complex(lam)
-            for lam, nrm in zip(grid, norms)
-            if nrm > m / ((1.0 - alpha * m) * abs(lam.imag))
-        ]
-        assert 0 < len(expect) < grid.size
-        assert probe.violations == expect
-
-    def test_grid_outside_region_rejected(self):
-        op = diag_operator([1, -1])
-        with pytest.raises(ValueError):
-            parabola_probe(op, 0.1, 1.0, 1.0, np.array([100.0 + 0.1j]))
+        im = np.logspace(-1, 3, 50)
+        z = 0.25 / m * im + 1j * im
+        grid = np.concatenate([z, -z, z.conj(), -z.conj()])
+        over = resolvent_norms(op, grid) / (m / ((1.0 - 0.5) * np.abs(grid.imag)))
+        assert 0 < np.sum(over > 1.0) < grid.size
+        assert _parabola_ratio(op, 1.0, m) == (0, pytest.approx(over.max(), rel=1e-12))
 
 
 class TestMSubspace:
-    def test_diag(self):
-        basis = m_subspace(np.diag([1.0, 0.0]))
-        assert basis.shape == (2, 1)
-        assert abs(abs(basis[0, 0]) - 1.0) <= 1e-12
-
-    def test_block_n1(self):
-        a_plus = np.array([[1.0, 1.0], [0.0, 0.0]])
-        basis = m_subspace(a_plus)
-        assert basis.shape == (2, 1)
-        assert abs(abs(basis[0, 0]) - 1.0) <= 1e-12
-        assert abs(basis[1, 0]) <= 1e-12
-
     def test_coincides_with_invariant_subspace(self):
-        # ranges of the integral operators equal the invariant subspaces
+        # the ranges of the integral operators A_+- are the invariant
+        # subspaces: A_+- has the rank of the subspace and V V^H A_+- = A_+-
         op = random_gap_operator(8, seed=2)
         result = split(op)
         pair = oracle_projection(op)
-        assert subspace_angle(m_subspace(result.a_plus), pair.basis_plus) <= 1e-6
-        assert subspace_angle(m_subspace(result.a_minus), pair.basis_minus) <= 1e-6
-        assert subspace_angle(m_subspace(result.a_plus), result.basis_g_plus) <= 1e-6
+        for a, v in ((result.a_plus, pair.basis_plus), (result.a_minus, pair.basis_minus)):
+            assert np.linalg.matrix_rank(a, tol=1e-8 * spectral_norm(a)) == v.shape[1]
+            assert spectral_norm(a - v @ (v.conj().T @ a)) <= 1e-6 * spectral_norm(a)
 
 
 class TestBlockCommutant:
+    # the projection Q_n onto the first n blocks commutes with the resolvent
+
+    @staticmethod
+    def commutator(op, n, lam):
+        cut = int(np.sum(op.family_tag.block_dims[:n]))
+        q_n = np.diag((np.arange(op.dim) < cut).astype(complex))
+        res = resolvent(op, lam)
+        return spectral_norm(q_n @ res - res @ q_n)
+
     def test_dichotomy_family(self):
         op = build_block_operator("dichotomy-2.3", 5)
-        assert block_commutant_check(op, 2, lams=[1j]) <= 1e-12
+        assert self.commutator(op, 2, 1j) <= 1e-12
 
     def test_almost_bisect_family(self):
         op = build_block_operator("almost-bisect-5.5", 5, {"p": 0.5})
-        assert block_commutant_check(op, 3) <= 1e-12
-
-    def test_dense_rejected(self):
-        with pytest.raises(OperatorError, match="not block-diagonal"):
-            block_commutant_check(random_gap_operator(6, seed=0), 1)
-
-    def test_block_count_range(self):
-        op = build_block_operator("dichotomy-2.3", 3)
-        with pytest.raises(OperatorError):
-            block_commutant_check(op, 4)
+        for lam in (0.5j, -0.5j, 2j, -3.5j):
+            assert self.commutator(op, 3, lam) <= 1e-12
 
 
 class TestSubspaceAngle:
@@ -474,22 +433,6 @@ class TestMultisetMatch:
         assert multiset_match_distance([2.0, 2.0, -1.0, 2.0], [-1.0, 2.0, 2.0, 2.0]) == 0.0
 
 
-def test_restricted_bounds_on_empty_grids_pass_vacuously():
-    result = split(build_block_operator("dichotomy-2.3", 2))
-    check = halfplane_bound_check(result, "+", [], 3.0)
-    assert check.passed and check.max_norm == 0.0
-    report = sectoriality_report(result, 1.0, [], 3.0)
-    assert report.passed
-    assert report.max_weighted_plus == 0.0 and report.max_weighted_minus == 0.0
-
-
-def test_restricted_bound_on_an_empty_side_passes():
-    # no eigenvalue of diag(1, 2) lies left of the axis, so S|G_- is 0 x 0
-    result = split(build_block_operator("constant-diag", 2, {"values": [1, 2]}))
-    check = halfplane_bound_check(result, "-", opposite_halfplane_grid("-"), 1.0)
-    assert check.passed and check.max_norm == 0.0
-
-
 @pytest.mark.parametrize(
     "measure",
     [
@@ -501,6 +444,3 @@ def test_restricted_bound_on_an_empty_side_passes():
 def test_empty_inputs_measure_zero(measure):
     assert measure() == 0.0
 
-
-def test_range_of_zero_is_empty():
-    assert m_subspace(np.zeros((3, 3))).shape == (3, 0)

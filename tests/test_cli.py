@@ -335,8 +335,8 @@ class TestReproduce:
         code, out, _ = run_cli(capsys, "reproduce", "unbproj?N=80")
         assert code == 0
         lines = out.splitlines()
-        assert sum(line.startswith("  [SKIP] ") for line in lines) == 3
-        assert sum("operator norm 1.28e+04 above quadrature budget" in line for line in lines) == 3
+        assert sum(line.startswith("  [SKIP] ") for line in lines) == 5
+        assert sum("operator norm 1.28e+04 above quadrature budget" in line for line in lines) == 5
         assert lines[-1] == "  => all facts pass (incomplete: budget skipped facts)"
 
     def test_no_blocks_exits_1(self, capsys):
@@ -353,6 +353,20 @@ class TestReproduce:
         assert code == 1
         assert out == ""
         assert "does not accept parameters" in err
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("unbproj?N=2.5", "N must be a positive integer, got 2.5"),
+            ("almbisect?N=20.9", "N must be a positive integer, got 20.9"),
+            ("mcintosh-yagi?m_max=1.7", "N must be a positive integer, got 1.7"),
+            ("unbproj?N=3&lambda1=1.9", "lambda1 must hold integers in 1..3, got 1.9"),
+            ("unbproj?lambda1=", "lambda1 must hold integers in 1..3, got ''"),
+        ],
+    )
+    def test_non_integer_size_exits_1(self, capsys, case, message):
+        # no truncation: a size that is not an integer is refused, not run
+        assert run_cli(capsys, "reproduce", case) == (1, "", f"error: {message}\n")
 
     def test_mcintosh_yagi_order_above_cap_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "mcintosh-yagi?Mconst=1.0001&m_max=1")
@@ -371,7 +385,7 @@ class TestReproduce:
         assert code == 0 and err == ""
         lines = out.splitlines()
         assert lines[0] == "case unbproj params={'N': 2, 'lambda1': [1]}"
-        assert len(lines) == 8 and all(line.startswith("  [PASS] ") for line in lines[1:-1])
+        assert len(lines) == 10 and all(line.startswith("  [PASS] ") for line in lines[1:-1])
         assert lines[-1] == "  => all facts pass"
 
     def test_text_report_of_budget_skipped_facts(self, capsys):

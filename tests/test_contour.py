@@ -12,7 +12,6 @@ from specsplit import (
     QuadratureError,
     TruncationError,
     build_block_operator,
-    contour_shift_check,
     default_contour,
     dense_operator,
     diag_operator,
@@ -331,17 +330,25 @@ def test_complex_pole_keeps_the_whole_line(name):
 
 
 class TestContourShift:
+    # by Cauchy's theorem A_+ does not depend on the abscissa h while the
+    # strip stays in the resolvent set
+
+    @staticmethod
+    def shift(op, h1, h2):
+        a1, a2 = (integrate_A(op, "+", ContourSpec(h=h)).value for h in (h1, h2))
+        return spectral_norm(a1 - a2)
+
     def test_dichotomy_family(self):
         op = build_block_operator("dichotomy-2.3", 3)
-        assert contour_shift_check(op, 0.3, 0.7, "+") <= 1e-6
+        assert self.shift(op, 0.3, 0.7) <= 1e-6
 
     def test_diag(self):
         op = diag_operator([1, -1])
-        assert contour_shift_check(op, 0.1, 0.9, "+") <= 1e-8
+        assert self.shift(op, 0.1, 0.9) <= 1e-8
 
     def test_mcintosh_yagi_block(self):
         op = build_block_operator("mcintosh-yagi", 1, {"Mconst": 10.0})
-        assert contour_shift_check(op, 0.25, 0.5, "+") <= 1e-5
+        assert self.shift(op, 0.25, 0.5) <= 1e-5
 
 
 # ---------------------------------------------------------------------------

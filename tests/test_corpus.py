@@ -6,12 +6,14 @@ import scipy.linalg as sla
 
 from specsplit import (
     Budget,
+    axis_grid,
     OperatorError,
     case_names,
     corpus_almbisect,
     corpus_mcintosh_yagi,
     corpus_unbproj,
     make_case,
+    resolvent_sweep,
     run_case,
     spectral_norm,
     sylvester_diag_solve,
@@ -82,6 +84,22 @@ class TestUnbproj:
         assert report.all_passed  # skipped facts do not fail
         skipped = {f.name for f in report.facts if f.skipped}
         assert "quadrature_a_plus_blocks" in skipped
+        assert {"restricted_halfplane_bound", "restricted_sectorial_bound"} <= skipped
+
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
+    def test_restricted_bounds(self, n_blocks):
+        # the restrictions S|G_+- of split(op): the resolvent stays below the
+        # axis bound 3 on the opposite half-planes, and |lambda| times it
+        # below M_1 = max |t| ||R(it)|| on the axis, about sqrt(1 + N^2)
+        case = corpus_unbproj(n_blocks)
+        facts = {f.name: f for f in run_case(case).facts}
+        bound, sectorial = facts["restricted_halfplane_bound"], facts["restricted_sectorial_bound"]
+        assert bound.passed and bound.measured == pytest.approx(0.9950, abs=1e-4)
+        report = resolvent_sweep(case.operator, axis_grid())
+        m1 = float((np.abs(report.lambdas) * report.norms).max())
+        assert m1 == pytest.approx(np.sqrt(1.0 + n_blocks**2), rel=1e-3)
+        assert sectorial.passed and sectorial.measured == pytest.approx(1.0, abs=1e-4)
+        assert sectorial.detail == f"max over both sides, against M_1 = {m1:.6g}"
 
 
 class TestAlmbisect:
@@ -101,6 +119,26 @@ class TestAlmbisect:
             assert beta.detail == f"fit window (10, 20) lies above the block scale N/2 = {n_blocks // 2}"
         else:
             assert abs(beta.measured - 0.5) <= 0.05
+
+    @pytest.mark.parametrize("n_blocks", [10, 50])
+    def test_parabola_region(self, n_blocks):
+        # no eigenvalue in |Re lambda| <= alpha |Im lambda|^(1-p), alpha = 1/(2M),
+        # and ||R(lambda)|| there at about half its Neumann-series bound
+        fact = next(f for f in run_case(corpus_almbisect(n_blocks, 0.5)).facts if f.name == "parabola_region")
+        assert fact.passed and not fact.skipped
+        assert fact.measured == pytest.approx(0.5044, abs=1e-4)
+        assert fact.detail.startswith("0 eigenvalues inside")
+
+    def test_one_sweep_per_case(self, monkeypatch):
+        calls = []
+
+        def counting_sweep(op, grid, fit_window=None):
+            calls.append(grid.size)
+            return resolvent_sweep(op, grid, fit_window)
+
+        monkeypatch.setattr(corpus_module, "resolvent_sweep", counting_sweep)
+        assert run_case(corpus_almbisect(50, 0.5)).all_passed
+        assert len(calls) == 1
 
     def test_fact_names_include_growth_witness(self):
         case = corpus_almbisect(50, 0.5)

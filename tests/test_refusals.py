@@ -14,15 +14,12 @@ from specsplit import (
     axis_grid,
     build_block_operator,
     diag_operator,
-    domain_counterexample,
     hamiltonian_assemble,
     operator_from_descriptor,
-    parabola_probe,
     perturb_pair_report,
     random_gap_operator,
     resolvent_diff_decay,
     resolvent_sweep,
-    sectoriality_report,
     split,
 )
 from specsplit.cli import main
@@ -67,10 +64,7 @@ GAP_ONE = diag_operator([1.0, -1.0])
             OperatorError,
             "'params' must be an object",
         ),
-        # the grids of the resolvent checks
-        (lambda: sectoriality_report(split(GAP_ONE), 1.0, [1.0], 1.0), ValueError, "closed left half-plane"),
-        (lambda: sectoriality_report(split(GAP_ONE), 1.0, [0.0, -1.0], 1.0), ValueError, "must avoid 0"),
-        (lambda: parabola_probe(GAP_ONE, 0.5, 0.5, 1.0, []), ValueError, "parabola grid is empty"),
+        # the grids of the resolvent sweeps
         (lambda: resolvent_diff_decay(GAP_ONE, GAP_ONE, []), ValueError, "grid is empty"),
         (
             lambda: resolvent_diff_decay(GAP_ONE, diag_operator([2.0, -1.0]), [1j, 20j], (100, 10)),
@@ -97,17 +91,6 @@ GAP_ONE = diag_operator([1.0, -1.0])
             "no integral 'R' on side '\\+'",
         ),
         # the perturbation studies
-        (lambda: domain_counterexample(GAP_ONE, [1.0, 0.0]), OperatorError, "real and positive"),
-        (
-            lambda: domain_counterexample(diag_operator([1.0, 2.0]), [0.0, 0.0]),
-            OperatorError,
-            "w must be a nonzero vector",
-        ),
-        (
-            lambda: domain_counterexample(diag_operator([1.0, 2.0]), [1.0]),
-            OperatorError,
-            "w must be a nonzero vector of matching dimension",
-        ),
         (lambda: hamiltonian_assemble(np.ones((2, 3)), np.ones(2), np.ones(2)), OperatorError, "A must be square"),
         (
             lambda: hamiltonian_assemble(np.eye(2), np.ones((2, 1)), np.ones((1, 3))),
