@@ -14,7 +14,6 @@ from .analysis import (
     SweepReport,
     axis_grid,
     multiset_match_distance,
-    opposite_halfplane_grid,
     resolvent_sweep,
     split,
     subspace_angle,

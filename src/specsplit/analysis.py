@@ -14,9 +14,8 @@ components: ||S||, P_+-, the residuals, the bases and the restrictions are
 taken block by block, and only the matching of the restricted spectra against
 the whole spectrum is global.
 
-The remaining routines sample resolvent norms: the axis sweep with its
-decay-exponent fit, and the opposite half-plane grids on which the corpus
-checks the resolvents of the restricted operators.
+The remaining routines are the axis sweep of resolvent norms and its
+decay-exponent fit.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .contour import ContourSpec, _side_integrals, _side_sign, default_contour
+from .contour import ContourSpec, _side_integrals, default_contour
 from .errors import SplittingMismatchError
 from .operators import (
     Operator,
@@ -49,7 +48,6 @@ __all__ = [
     "split",
     "resolvent_sweep",
     "axis_grid",
-    "opposite_halfplane_grid",
     "subspace_angle",
     "multiset_match_distance",
     "pair_identity_residuals",
@@ -467,13 +465,3 @@ def resolvent_sweep(op: Operator, grid, fit_window=None) -> SweepReport:
     M/|lambda|^beta in ``fit_window`` (default ``_fit_window(op)``); grid
     points within the near-spectrum tolerance are skipped with a warning."""
     return _sweep((op,), grid, fit_window)
-
-
-def opposite_halfplane_grid(side: str) -> np.ndarray:
-    """Log-polar grid in the closed half-plane opposite to ``side``, where
-    the restriction S|G_side must have a bounded resolvent: 16 radii from
-    1e-1 to 1e3 by 16 angles."""
-    start = _side_sign(side) * np.pi / 2
-    radii = np.logspace(-1.0, 3.0, 16)
-    angles = np.linspace(start, start + np.pi, 16)
-    return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()

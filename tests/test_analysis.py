@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -14,7 +15,6 @@ from specsplit import (
     descriptor_of,
     diag_operator,
     multiset_match_distance,
-    opposite_halfplane_grid,
     oracle_projection,
     random_gap_operator,
     resolvent,
@@ -201,40 +201,34 @@ class TestSweep:
 
 
 def restricted_norms(result, side):
-    """||(S|G_side - lambda)^{-1}|| on ``opposite_halfplane_grid(side)``."""
+    """||(S|G_side - lambda)^{-1}|| on the default axis grid, where the
+    maximum principle puts its supremum over the opposite half-plane."""
     restricted = result.restricted_plus if side == "+" else result.restricted_minus
-    grid = opposite_halfplane_grid(side)
+    grid = axis_grid()
     return grid, resolvent_norms(dense_operator(restricted), grid)
 
 
 class TestHalfplaneChecks:
     # a dichotomous S: the restrictions' resolvents are bounded on the closed
-    # opposite half-planes, here by the axis supremum
+    # opposite half-planes, here by the axis supremum on the same grid
 
     def test_diag(self):
         result = split(diag_operator([1, -1]))
-        report = resolvent_sweep(diag_operator([1, -1]), axis_grid(1e-1, 1e3, 8))
+        report = resolvent_sweep(diag_operator([1, -1]), axis_grid())
         assert restricted_norms(result, "+")[1].max() <= report.sup_norm
 
     def test_dichotomy_truncation(self):
         op = build_block_operator("dichotomy-2.3", 4)
         result = split(op)
-        sup = resolvent_sweep(op, axis_grid(1e-2, 1e3, 16)).sup_norm
+        sup = resolvent_sweep(op, axis_grid()).sup_norm
         for side in "+-":
             assert restricted_norms(result, side)[1].max() <= sup
 
     def test_mcintosh_yagi_block(self):
         op = build_block_operator("mcintosh-yagi", 1, {"Mconst": 10.0})
         result = split(op)
-        sup = resolvent_sweep(op, axis_grid(1e-2, 1e3, 16)).sup_norm
+        sup = resolvent_sweep(op, axis_grid()).sup_norm
         assert restricted_norms(result, "+")[1].max() <= sup
-
-    def test_wrong_halfplane_grid(self):
-        # each side's grid lies in the closed half-plane opposite to it
-        for side, sgn in (("+", 1.0), ("-", -1.0)):
-            grid = opposite_halfplane_grid(side)
-            assert np.all(sgn * grid.real <= 1e-12)
-            assert np.any(sgn * grid.real < -1.0)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_mcintosh_yagi_oracle_restriction(self, m):
@@ -244,9 +238,46 @@ class TestHalfplaneChecks:
         basis = oracle_projection(op).basis_plus
         restricted = dense_operator(basis.conj().T @ op.entries @ basis)
         sup = 10.0  # the family's axis bound M/|lambda| gives sup M at |lambda| -> gap
-        grid = opposite_halfplane_grid("+")
-        norms = resolvent_norms(restricted, grid)
+        norms = resolvent_norms(restricted, axis_grid())
         assert norms.max() <= sup
+
+
+def log_polar_grid(side):
+    """The 16 x 16 log-polar grid in the closed half-plane opposite to
+    ``side``: 16 radii from 1e-1 to 1e3 by 16 angles from one half of the
+    imaginary axis to the other."""
+    start = (1.0 if side == "+" else -1.0) * np.pi / 2
+    radii = np.logspace(-1.0, 3.0, 16)
+    angles = np.linspace(start, start + np.pi, 16)
+    return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+
+
+MAXIMUM_PRINCIPLE_CASES = {
+    **{f"dichotomy-2.3?N={n}": (lambda n=n: build_block_operator("dichotomy-2.3", n)) for n in range(1, 6)},
+    "almost-bisect-5.5?N=12": lambda: build_block_operator("almost-bisect-5.5", 12, {"p": 0.5}),
+    "random?seed=11&dim=6": lambda: random_gap_operator(6, seed=11),
+    "constant-diag 1,2,-3": lambda: build_block_operator("constant-diag", 1, {"values": [1, 2, -3]}),
+}
+
+
+class TestMaximumPrinciple:
+    # log(|lambda|^beta ||(S|G_+- - lambda)^{-1}||), beta <= 1, is subharmonic
+    # and bounded on the closed opposite half-plane, so by Phragmen-Lindelof
+    # no point inside exceeds the imaginary axis: reading the restrictions on
+    # the axis grid loses nothing that a grid inside the half-plane sees
+
+    @pytest.mark.parametrize("name", sorted(MAXIMUM_PRINCIPLE_CASES))
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_halfplane_grid_stays_below_the_axis(self, name, beta):
+        result = split(MAXIMUM_PRINCIPLE_CASES[name]())
+        for side, sgn in (("+", 1.0), ("-", -1.0)):
+            grid = log_polar_grid(side)
+            assert np.all(sgn * grid.real <= 1e-12) and np.any(sgn * grid.real < -1.0)
+            restricted = dense_operator(result.restricted_plus if side == "+" else result.restricted_minus)
+            inside = float((np.abs(grid) ** beta * resolvent_norms(restricted, grid)).max())
+            axis, norms = restricted_norms(result, side)
+            on_axis = float((np.abs(axis) ** beta * norms).max())
+            assert inside <= on_axis * (1.0 + 1e-12)
 
 
 RESTRICTED_CASES = [
@@ -259,22 +290,25 @@ class TestRestrictedSupremum:
     @pytest.mark.parametrize("name, make", RESTRICTED_CASES)
     @pytest.mark.parametrize("side", "+-")
     def test_halfplane_check_is_the_grid_maximum(self, name, make, side):
+        # each side enters the one maximum: with the other restriction
+        # emptied, the check reads this side's axis-grid maximum
         result = split(make())
         _, norms = restricted_norms(result, side)
-        assert _restricted_max(result, side, 0.0) == pytest.approx(norms.max(), rel=1e-12)
+        other = "restricted_minus" if side == "+" else "restricted_plus"
+        alone = dataclasses.replace(result, **{other: np.zeros((0, 0), complex)})
+        assert _restricted_max(alone, axis_grid(), 0.0) == pytest.approx(norms.max(), rel=1e-12)
 
     @pytest.mark.parametrize("name, make", RESTRICTED_CASES)
     @pytest.mark.parametrize("beta", [0.5, 1.0])
     def test_sectoriality_weights_both_sides(self, name, make, beta):
-        # each side is weighted on its own grid: the left half-plane for S|G_+,
-        # the right one for S|G_-
+        # one weighted maximum over both restrictions on one axis grid
         result = split(make())
-        measured = {}
+        weighted = []
         for side in "+-":
             grid, norms = restricted_norms(result, side)
-            measured[side] = _restricted_max(result, side, beta)
-            assert measured[side] == pytest.approx(float((np.abs(grid) ** beta * norms).max()), rel=1e-9)
-        assert measured["-"] != pytest.approx(measured["+"], rel=1e-9)  # a swap would show
+            weighted.append(float((np.abs(grid) ** beta * norms).max()))
+        assert _restricted_max(result, axis_grid(), beta) == pytest.approx(max(weighted), rel=1e-9)
+        assert weighted[0] != pytest.approx(weighted[1], rel=1e-9)  # both sides differ, so both are read
 
 
 class TestResidualVsEstimate:
@@ -303,17 +337,17 @@ class TestSectoriality:
     def test_diag_sectorial(self):
         op = diag_operator([1, -1])
         result = split(op)
-        assert max(_restricted_max(result, side, 1.0) for side in "+-") <= axis_constant(op, 1.0)
+        assert _restricted_max(result, axis_grid(), 1.0) <= axis_constant(op, 1.0)
 
     def test_almost_bisect(self):
         op = build_block_operator("almost-bisect-5.5", 12, {"p": 0.5})
         result = split(op)
-        assert max(_restricted_max(result, side, 0.5) for side in "+-") <= axis_constant(op, 0.5)
+        assert _restricted_max(result, axis_grid(), 0.5) <= axis_constant(op, 0.5)
 
     def test_dichotomy_family_beta_one(self):
         op = build_block_operator("dichotomy-2.3", 4)
         result = split(op)
-        assert max(_restricted_max(result, side, 1.0) for side in "+-") <= axis_constant(op, 1.0)
+        assert _restricted_max(result, axis_grid(), 1.0) <= axis_constant(op, 1.0)
 
 
 class TestParabolaProbe:

@@ -14,12 +14,12 @@ import pytest
 
 import specsplit.analysis as analysis_module
 from specsplit import (
+    axis_grid,
     build_block_operator,
     dense_operator,
     diag_operator,
     hamiltonian_assemble,
     multiset_match_distance,
-    opposite_halfplane_grid,
     oracle_projection,
     random_gap_operator,
     resolvent,
@@ -249,8 +249,8 @@ class TestBasesAndRestrictions:
     def test_restricted_resolvent_checks_match_dense(self, family_split):
         op, result = family_split
         dense = with_dense_restrictions(op, result)
-        for side, attr in (("+", "restricted_plus"), ("-", "restricted_minus")):
-            grid = opposite_halfplane_grid(side)
+        grid = axis_grid()
+        for attr in ("restricted_plus", "restricted_minus"):
             ours, theirs = (resolvent_norms(Operator(entries=getattr(r, attr)), grid) for r in (result, dense))
             for beta in (0.0, 0.5):
                 weighted = [float((np.abs(grid) ** beta * norms).max()) for norms in (ours, theirs)]

@@ -359,7 +359,7 @@ class TestReproduce:
         [
             ("unbproj?N=2.5", "N must be a positive integer, got 2.5"),
             ("almbisect?N=20.9", "N must be a positive integer, got 20.9"),
-            ("mcintosh-yagi?m_max=1.7", "N must be a positive integer, got 1.7"),
+            ("mcintosh-yagi?m_max=1.7", "m_max must be a positive integer, got 1.7"),
             ("unbproj?N=3&lambda1=1.9", "lambda1 must hold integers in 1..3, got 1.9"),
             ("unbproj?lambda1=", "lambda1 must hold integers in 1..3, got ''"),
         ],
@@ -403,6 +403,18 @@ class TestReproduce:
         assert any(line.startswith("  [FAIL] quadrature_a_plus_blocks ") for line in lines)
         assert lines[-1] == "  => FAILURES present"
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "case, status, one_minus_p", [("almbisect", "PASS", "0.5"), ("almbisect?p=0.95", "FAIL", "0.05")]
+    )
+    def test_fitted_beta_text(self, capsys, case, status, one_minus_p):
+        # 1 - p is written with :g, not as the float 0.050000000000000044; a
+        # failed fact prints its detail too
+        _, out, _ = run_cli(capsys, "reproduce", case, "--format", "text")
+        lines = out.splitlines()
+        prefix = f"  [{status}] fitted_beta (stated): axis decay exponent 1-p = {one_minus_p} measured="
+        assert lines[1].startswith(prefix)
+        assert (lines[2] == f"         beta =~ {one_minus_p}") == (status == "FAIL")
 
     def test_param_override(self, capsys):
         code, out, _ = run_cli(

@@ -19,7 +19,8 @@ from specsplit import (
     sylvester_diag_solve,
 )
 import specsplit.corpus as corpus_module
-from specsplit.contour import integrate_A
+import specsplit.contour as contour_module
+from specsplit.contour import default_contour, integrate_A
 from specsplit.corpus import dichotomy_block_forms, mixed_choice_pair
 from specsplit.operators import mcintosh_yagi_parts
 
@@ -63,16 +64,38 @@ class TestUnbproj:
             corpus_unbproj(2, (5,))
 
     def test_each_side_is_integrated_once(self, monkeypatch):
-        sides = []
+        # every fact reads the case's one split: two contour lines in all
+        lines = []
 
-        def counting_integrate_A(op, side, spec):
-            sides.append(side)
-            return integrate_A(op, side, spec)
+        def counting_line_integrals(ops, x0, *args, **kwargs):
+            lines.append(x0)
+            return line_integrals(ops, x0, *args, **kwargs)
 
-        monkeypatch.setattr(corpus_module, "integrate_A", counting_integrate_A)
+        line_integrals = contour_module._line_integrals
+        monkeypatch.setattr(contour_module, "_line_integrals", counting_line_integrals)
         report = run_case(make_case("unbproj"))
         assert report.all_passed
-        assert sorted(sides) == ["+", "-"]
+        assert len(lines) == 2 and lines[0] == -lines[1] > 0
+
+    @pytest.mark.parametrize("n_blocks", [3, 10])
+    def test_quadrature_facts_read_what_integrate_A_gives(self, n_blocks):
+        # split's A_+- are integrate_A's values bit for bit, and its P_+- are
+        # the dense products S^2 A_+-
+        case = corpus_unbproj(n_blocks)
+        op = case.operator
+        a = {side: integrate_A(op, side, default_contour(op)).value for side in "+-"}
+        s2 = op.entries @ op.entries
+
+        def error(matrix, key):
+            return corpus_module._per_block_error(op, matrix, lambda n: dichotomy_block_forms(n)[key])
+
+        expect = {
+            "quadrature_a_plus_blocks": error(a["+"], "A_plus"),
+            "quadrature_a_minus_blocks": error(a["-"], "A_minus"),
+            "quadrature_projection_blocks": max(error(s2 @ a["+"], "P_plus"), error(s2 @ a["-"], "P_minus")),
+        }
+        facts = {f.name: f.measured for f in run_case(case).facts}
+        assert {name: facts[name] for name in expect} == expect
 
     def test_default_lambda_set_is_the_odd_blocks(self):
         assert corpus_unbproj().params["lambda1"] == [1, 3]
@@ -88,13 +111,14 @@ class TestUnbproj:
 
     @pytest.mark.parametrize("n_blocks", [1, 2, 3])
     def test_restricted_bounds(self, n_blocks):
-        # the restrictions S|G_+- of split(op): the resolvent stays below the
-        # axis bound 3 on the opposite half-planes, and |lambda| times it
-        # below M_1 = max |t| ||R(it)|| on the axis, about sqrt(1 + N^2)
+        # the restrictions S|G_+- of split(op), read on the axis grid: the
+        # resolvent stays below the axis bound 3, 1/|1 - 0.01i| at the grid's
+        # lowest point, and |lambda| times it below M_1 = max |t| ||R(it)||
+        # on the axis, about sqrt(1 + N^2)
         case = corpus_unbproj(n_blocks)
         facts = {f.name: f for f in run_case(case).facts}
         bound, sectorial = facts["restricted_halfplane_bound"], facts["restricted_sectorial_bound"]
-        assert bound.passed and bound.measured == pytest.approx(0.9950, abs=1e-4)
+        assert bound.passed and bound.measured == pytest.approx(1.0 / np.sqrt(1.0 + 1e-4), rel=1e-12)
         report = resolvent_sweep(case.operator, axis_grid())
         m1 = float((np.abs(report.lambdas) * report.norms).max())
         assert m1 == pytest.approx(np.sqrt(1.0 + n_blocks**2), rel=1e-3)
