@@ -114,14 +114,11 @@ def multiset_match_distance(ev_a, ev_b) -> float:
 # which each formula and norm is the dense one, bit for bit.
 
 
-def _pair_terms(s, s2, res_i, a1, a2) -> dict:
+def _pair_terms(s_inv, res_i, a1, a2) -> dict:
     """The matrices behind :func:`pair_identity_residuals` on one stack of
-    blocks: of S, S^2, R(i), A_+ and A_-."""
-    eye = np.broadcast_to(np.eye(s.shape[-1], dtype=complex), s.shape)
-    s_inv = np.linalg.solve(s, eye)
-    s_inv2 = np.linalg.solve(s2, eye)
+    blocks: of S^{-1} = R(0), R(i), A_+ and A_-, with S^{-2} = S^{-1} S^{-1}."""
     return {
-        "a_sum": a1 + a2 - s_inv2,
+        "a_sum": a1 + a2 - s_inv @ s_inv,
         "a_cross_pm": a1 @ a2,
         "a_cross_mp": a2 @ a1,
         "a_comm_inv_plus": a1 @ s_inv - s_inv @ a1,
@@ -160,15 +157,13 @@ def _residual_norms(per_order: list[dict]) -> dict:
 def pair_identity_residuals(op: Operator, a1: np.ndarray, a2: np.ndarray) -> dict:
     """Residuals of the closed-projection algebra for a candidate pair
     (A1, A2) = (A_+, A_-): sum to S^{-2}, mutual annihilation, commutation
-    with S^{-1} and with the resolvent at i.  Taken block by block on the
-    components of the union of the nonzero patterns of S, A1 and A2, so an
-    entry of A1 or A2 outside S's components joins them and is counted."""
+    with S^{-1} = R(0) and with the resolvent R(i), both certified solves.
+    Taken block by block on the components of the union of the nonzero
+    patterns of S, A1 and A2, so an entry of A1 or A2 outside S's components
+    joins them and is counted."""
     layout = _block_layout((op.entries != 0) | (a1 != 0) | (a2 != 0))
-    s = _blocks(op.entries, layout)
-    return _residual_norms([
-        _pair_terms(sb, sb @ sb, rb, a1b, a2b)
-        for sb, rb, a1b, a2b in zip(s, _resolvent_blocks(op, 1j, layout), _blocks(a1, layout), _blocks(a2, layout))
-    ])
+    s_inv, res_i = (_resolvent_blocks(op, lam, layout) for lam in (0.0, 1j))
+    return _residual_norms([_pair_terms(*b) for b in zip(s_inv, res_i, _blocks(a1, layout), _blocks(a2, layout))])
 
 
 def projection_pair_residuals(p1: np.ndarray, p2: np.ndarray) -> dict:
@@ -252,42 +247,39 @@ class SplitResult:
 
 def _side_basis(dim: int, layout, s, p, k: int, sgn: int):
     """One side's basis, restriction, restricted spectrum, margin and span
-    residuals, from P's blocks ``p`` and S's blocks ``s`` on ``layout``.
+    residual, from P's blocks ``p`` and S's blocks ``s`` on ``layout``.
 
     The basis is the k leading left singular vectors over all blocks, by
     singular value; as P's singular values are at least 1 or at rounding
     level, they are those of the dense SVD, and each block keeps a leading
     run of its own.  The spans are invariant, so V^H S V is the restriction
-    of S in these coordinates.  It and the span residual P - V V^H P are
-    formed per block, on the block's own kept vectors, so the restriction is
-    block diagonal up to the basis' column order.  A side's margin is
+    of S in these coordinates.  It is formed per block, on the block's own
+    kept vectors, so the restriction is block diagonal up to the basis'
+    column order.  The span residual ||P - V V^H P||_2 is, by Eckart-Young,
+    sigma_{k_b+1} on a block that keeps k_b vectors, so over the block
+    diagonal it is the largest singular value not kept.  A side's margin is
     min sgn Re lambda over its spectrum, inf for an empty side."""
     svds = [np.linalg.svd(pb, full_matrices=False)[:2] for pb in p]
     sig = np.concatenate([sv.ravel() for _, sv in svds])
     col = np.full(sig.size, -1)  # every singular vector's basis column, -1 if not kept
     col[np.argsort(-sig, kind="stable")[:k]] = np.arange(k)
     basis, restricted = np.zeros((dim, k), complex), np.zeros((k, k), complex)
-    ev, spans, start = [], [], 0
-    for idx, sb, pb, (u, sv) in zip(layout, s, p, svds):
+    ev, start = [], 0
+    for idx, sb, (u, sv) in zip(layout, s, svds):
         cols = col[start:start + sv.size].reshape(sv.shape)
         start += sv.size
         kept = np.sum(cols >= 0, axis=1)
-        span = np.empty_like(pb)
-        for kb in np.unique(kept):
+        for kb in np.unique(kept[kept > 0]):
             sub = np.flatnonzero(kept == kb)
             v = u[sub][..., :kb]
-            vh = v.conj().transpose(0, 2, 1)
-            span[sub] = pb[sub] - v @ (vh @ pb[sub])
-            if kb:
-                c = cols[sub, :kb]
-                basis[idx[sub][:, :, None], c[:, None, :]] = v
-                r = vh @ sb[sub] @ v
-                restricted[c[:, :, None], c[:, None, :]] = r
-                ev.append(np.linalg.eigvals(r).ravel())
-        spans.append(span)
+            c = cols[sub, :kb]
+            basis[idx[sub][:, :, None], c[:, None, :]] = v
+            r = v.conj().transpose(0, 2, 1) @ sb[sub] @ v
+            restricted[c[:, :, None], c[:, None, :]] = r
+            ev.append(np.linalg.eigvals(r).ravel())
     ev = np.concatenate(ev) if ev else np.array([], complex)
     margin = float((sgn * ev.real).min()) if k else float("inf")
-    return basis, restricted, ev, margin, spans
+    return basis, restricted, ev, margin, float(sig[col < 0].max(initial=0.0))
 
 
 def split(op: Operator, spec: ContourSpec | None = None, with_b: bool = False) -> SplitResult:
@@ -320,8 +312,9 @@ def split(op: Operator, spec: ContourSpec | None = None, with_b: bool = False) -
     n_right = int(np.sum(ev.real > 0))
     counts = (n_right, op.dim - n_right)
 
-    # A_+-, R_-(z), S^2 and R(i) are functions of S, block diagonal on its
-    # components as the quadrature returns them; so is everything below
+    # A_+-, R_-(z), S^2, S^{-1} = R(0) and R(i) are functions of S, block
+    # diagonal on its components as the quadrature returns them; so is
+    # everything below
     layout = _layout(op)
     s = _blocks(op.entries, layout)
     a = [_blocks(line["A"].value, layout) for line in lines]
@@ -338,19 +331,20 @@ def split(op: Operator, spec: ContourSpec | None = None, with_b: bool = False) -
     sides = [_side_basis(op.dim, layout, s, p_side, k, sgn) for p_side, k, sgn in zip(p, counts, (1, -1))]
     bases, restrictions, ev_sides, margins, spans = zip(*sides)
 
-    r_minus, res_i = _blocks(lines[1]["R"].value, layout), _resolvent_blocks(op, 1j, layout)
+    r_minus = _blocks(lines[1]["R"].value, layout)
+    s_inv, res_i = (_resolvent_blocks(op, lam, layout) for lam in (0.0, 1j))
     terms = []
     for g, idx in enumerate(layout):
         eye = np.eye(idx.shape[1])
         terms.append({
-            **_pair_terms(s[g], s2[g], res_i[g], a[0][g], a[1][g]),
+            **_pair_terms(s_inv[g], res_i[g], a[0][g], a[1][g]),
             **_projection_terms(p[0][g], p[1][g]),
-            "basis_span_plus": spans[0][g],
-            "basis_span_minus": spans[1][g],
             "r_minus_identity": (s[g] - z * eye) @ r_minus[g] - eye + z**2 * a[1][g],
         })
     residuals = {
         **_residual_norms(terms),
+        "basis_span_plus": spans[0],
+        "basis_span_minus": spans[1],
         "spectrum_split": multiset_match_distance(np.concatenate(ev_sides), ev),
     }
     est_error = sum(line["A"].est_error for line in lines)

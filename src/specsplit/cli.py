@@ -224,7 +224,7 @@ def cmd_split(args) -> int:
     _emit(args, payload)
     if passed:
         return EXIT_OK
-    worst = max(result.residuals, key=result.residuals.get)
+    worst = max(sorted(result.residuals), key=result.residuals.get)  # a tie names the first in the JSON
     return _non_convergence(
         f"split residual {worst} = {result.residuals[worst]:.3e} against pass_tol "
         f"{args.pass_tol:.3g} (spectrum margins {result.spectrum_margin_plus:.3g}, "

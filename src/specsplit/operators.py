@@ -1004,6 +1004,15 @@ def _require_params(family: str, params: dict, allowed: set[str]):
         raise OperatorError(f"family '{family}' does not accept parameters {sorted(unknown)}")
 
 
+def _param(name: str, value, convert=float):
+    """``convert(value)``; a value that does not convert, such as a string
+    or null, is refused naming the parameter."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise OperatorError(f"parameter {name} must be numeric, got {value!r}") from exc
+
+
 def _blocks_dichotomy(params: dict, n_blocks: int) -> list[np.ndarray]:
     # S_n = [[n, 2n^2], [0, -n]]: one eigenvalue at +n, one at -n, with a
     # coupling that makes the spectral projections grow like n.
@@ -1020,7 +1029,7 @@ def _blocks_almost_bisect(params: dict, n_blocks: int) -> list[np.ndarray]:
     _require_params("almost-bisect-5.5", params, {"p"})
     if "p" not in params:
         raise OperatorError("family 'almost-bisect-5.5' requires parameter p")
-    p = float(params["p"])
+    p = _param("p", params["p"])
     if not 0.0 < p < 1.0:
         # p = 0 degenerates to the bounded-coupling family whose axis decay is
         # a full power of 1/|lambda|; it is a different regime, so refuse.
@@ -1034,7 +1043,7 @@ def _blocks_almost_bisect(params: dict, n_blocks: int) -> list[np.ndarray]:
 def _blocks_constant_diag(params: dict, n_blocks: int) -> list[np.ndarray]:
     _require_params("constant-diag", params, {"values"})
     values = params.get("values", (1.0, -1.0))
-    vals = np.atleast_1d(np.asarray(values, dtype=complex))
+    vals = np.atleast_1d(_param("values", values, lambda v: np.asarray(v, dtype=complex)))
     if vals.size == 0:
         raise OperatorError("family 'constant-diag' needs at least one diagonal value")
     return [np.diag(vals) for _ in range(n_blocks)]
@@ -1087,7 +1096,7 @@ def mcintosh_yagi_parts(m_const: float, m: int):
 
 def _blocks_mcintosh_yagi(params: dict, n_blocks: int) -> list[np.ndarray]:
     _require_params("mcintosh-yagi", params, {"Mconst"})
-    m_const = float(params.get("Mconst", 10.0))
+    m_const = _param("Mconst", params.get("Mconst", 10.0))
     blocks = []
     for m in range(1, n_blocks + 1):
         _, d, b = mcintosh_yagi_parts(m_const, m)
@@ -1121,10 +1130,7 @@ def build_block_operator(family: str, n_blocks: int, params: dict | None = None)
     if not isinstance(n_blocks, numbers.Integral) or n_blocks < 1:
         raise OperatorError(f"N must be a positive integer, got {n_blocks!r}")
     params = dict(params or {})
-    try:
-        blocks = _FAMILIES[family](params, int(n_blocks))
-    except TypeError as exc:  # a parameter of the wrong type, e.g. null
-        raise OperatorError(f"family '{family}' got a parameter of the wrong type: {exc}") from exc
+    blocks = _FAMILIES[family](params, int(n_blocks))
     entries = sla.block_diag(*blocks).astype(complex)
     tag = FamilyTag(
         family=family,

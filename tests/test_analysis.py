@@ -137,6 +137,23 @@ class TestSplit:
         assert payload["p_est_error"] == payload["est_error"]  # ||S|| = 1
         assert set(payload["residuals"]) >= {"a_sum", "p_sum_identity", "r_minus_identity"}
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_a_sum_measures_the_pair_not_its_reference(self, seed):
+        # a_sum = ||A_+ + A_- - S^{-2}|| against the same norm with S^{-2}
+        # refined in extended precision: S^{-2} as the square of the certified
+        # S^{-1} keeps the residual within 3x of the deviation it stands for
+        # (about 2.3x and 1.4x); a solve with S^2 read 5.4x and 4.1x
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("long double is no wider than double here")
+        op = random_gap_operator(128, seed)
+        result = split(op)
+        eye, s = np.eye(op.dim, dtype=np.clongdouble), op.entries.astype(np.clongdouble)
+        s_inv = np.linalg.solve(op.entries, np.eye(op.dim, dtype=complex)).astype(np.clongdouble)
+        for _ in range(3):  # iterative refinement, residuals in extended precision
+            s_inv += np.linalg.solve(op.entries, (eye - s @ s_inv).astype(complex))
+        deviation = spectral_norm((result.a_plus + result.a_minus - s_inv @ s_inv).astype(complex))
+        assert result.residuals["a_sum"] <= 3.0 * deviation
+
     def test_residual_helpers_keep_their_keys_apart(self):
         # split and the unbproj mixed-choice fact merge both helpers' residuals
         # into one dict, so a shared key would drop one of the two values

@@ -65,7 +65,7 @@ DENSE = {
 def dense_pair(op, a1, a2):
     eye = np.eye(op.dim, dtype=complex)
     s_inv = np.linalg.solve(op.entries, eye)
-    s_inv2 = np.linalg.solve(op.entries @ op.entries, eye)
+    s_inv2 = s_inv @ s_inv
     res_i = np.linalg.solve(op.entries - 1j * np.eye(op.dim), eye)
     return {
         "a_sum": spectral_norm(a1 + a2 - s_inv2),
@@ -89,7 +89,8 @@ def dense_projection(p1, p2):
 
 
 def dense_basis(op, p, k):
-    """The dense construction: basis, restriction and span residual."""
+    """The dense construction: basis, restriction and the definitional span
+    residual ||P - V V^H P||."""
     basis = np.linalg.svd(p, full_matrices=False)[0][:, :k]
     restricted = basis.conj().T @ op.entries @ basis
     return basis, restricted, spectral_norm(p - basis @ (basis.conj().T @ p))
@@ -156,7 +157,13 @@ class TestResiduals:
         assert len(_layout(op)) == 1 and _layout(op)[0].shape == (1, op.dim)
         result, plus, minus, z = split_with_lines(op)
         reference = dense_residuals(op, result, plus, minus, z)
+        spans = {key: reference.pop(key) for key in ("basis_span_plus", "basis_span_minus")}
         assert {k: result.residuals[k] for k in reference} == reference
+        # split reads the span residual as the largest singular value of P it
+        # does not keep (Eckart-Young): the definitional one to eps ||P||
+        p_norm = max(spectral_norm(result.p_plus), spectral_norm(result.p_minus))
+        for key, ref in spans.items():
+            assert abs(result.residuals[key] - ref) <= 16 * EPS * p_norm, key
         basis, restricted, _ = dense_basis(op, result.p_plus, result.rank_plus)
         assert np.array_equal(result.basis_g_plus, basis)
         assert np.array_equal(result.restricted_plus, restricted)

@@ -278,6 +278,25 @@ class TestDescribe:
         assert code == 1 and out == ""
         assert err == f"error: parameter '{key}' given more than once\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("describe", "constant-diag?N=1&values=abc"), "parameter values must be numeric, got 'abc'"),
+            (("describe", "constant-diag?N=1&values=1,abc"), "parameter values must be numeric, got [1, 'abc']"),
+            (("describe", "almost-bisect-5.5?N=2&p=abc"), "parameter p must be numeric, got 'abc'"),
+            (("describe", "mcintosh-yagi?N=1&Mconst=abc"), "parameter Mconst must be numeric, got 'abc'"),
+            (
+                ("describe", '{"kind": "family", "family": "almost-bisect-5.5", "N": 2, "params": {"p": null}}'),
+                "parameter p must be numeric, got None",
+            ),
+            (("reproduce", "almbisect?p=abc"), "parameter p must be numeric, got 'abc'"),
+            (("reproduce", "mcintosh-yagi?Mconst=abc"), "parameter Mconst must be numeric, got 'abc'"),
+        ],
+    )
+    def test_non_numeric_parameter_exits_1(self, capsys, argv, message):
+        # the conversion's own message did not name the parameter
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
     def test_negative_random_seed_exits_1(self, capsys):
         # numpy's own refusal did not name the parameter
         code, _, err = run_cli(capsys, "describe", "random?seed=-1&dim=2")
