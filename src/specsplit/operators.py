@@ -11,8 +11,10 @@ block-diagonal family.  This module provides
   stack (``_Kernel``, ``resolvent_many``, ``resolvent_norms``): per-block
   Schur forms of the operator's connected components, or for a pair of
   both operators on the components of the union of their patterns,
-  triangular inverses per node, and for the quadrature's panel sums of
-  larger blocks a cached block diagonalisation of the Schur form,
+  triangular inverses per node (or, for the norms of coupled-diagonal
+  Schur factors, their products in closed form), and for the quadrature's
+  panel sums of larger blocks a cached block diagonalisation of the Schur
+  form,
 * the ground-truth spectral projector ``oracle_projection``, computed from one
   ordered triangular (Schur) decomposition and one triangular Sylvester solve
   for the invariant-subspace coupling -- deliberately *not* by contour
@@ -210,11 +212,20 @@ def near_spectrum_tol(*ops: Operator) -> float:
     gap.  The cap keeps operators with a huge norm but a modest gap usable
     (the Toeplitz-coupled dyadic family reaches ||S|| ~ 1e51 at desk scale
     while its gap stays 1); without it every point of interest would be
-    rejected as "near spectrum".
+    rejected as "near spectrum".  Where the spectral radius, a lower bound
+    on ||S||, already puts the default at twice the cap, ||S|| is not
+    computed.
     """
 
     def tol(op):
-        base, gap = 1e-8 * (1.0 + operator_norm(op)), spectrum(op).min_abs_real
+        spec = spectrum(op)
+        gap = spec.min_abs_real
+        # ||S|| >= rho(S), the largest |eigenvalue|: where half of what rho
+        # gives already reaches the cap, rounding of either cannot move the
+        # minimum off the cap, and the SVD of ||S|| is skipped
+        if gap > 0 and 1e-8 * (1.0 + np.abs(spec.eigenvalues).max()) >= 0.5 * gap:
+            return 0.25 * gap
+        base = 1e-8 * (1.0 + operator_norm(op))
         return min(base, 0.25 * gap) if gap > 0 else base
 
     return max(map(tol, ops))
@@ -341,7 +352,11 @@ def resolvent_norms(op: Operator, lams) -> np.ndarray:
     value sqrt(theta_1 + rho_1), top Ritz value plus its residual, is
     returned only where the trace of X^H X and Cauchy interlacing prove it
     an upper bound on ||X||^2, and the SVD is used at every other node (see
-    ``_lanczos_norms``); both agree with the SVD to rounding.  For a real
+    ``_lanczos_norms``); both agree with the SVD to rounding.  Where T is
+    coupled-diagonal, its diagonal plus a strict upper part on rows and
+    columns that do not meet (as for [[D+, C], [0, D-]] with diagonal D+-),
+    Lanczos takes X v and X^H u from the closed form of X and forms no
+    inverse.  For a real
     operator a point and its mirror conj(lam) get the same value, from one
     solve.  Points within :func:`near_spectrum_tol` of the spectrum are
     refused.
@@ -380,7 +395,14 @@ def resolvent_norms(op: Operator, lams) -> np.ndarray:
 # Trefethen, "Computation of pseudospectra", Acta Numerica 8, 1999; Wright &
 # Trefethen, EigTool, 2002), whose value sqrt(theta_1 + rho_1) is certified
 # as an upper bound by the trace of X^H X and Cauchy interlacing, with the SVD
-# wherever that certificate does not close (_lanczos_norms).  For a pair,
+# wherever that certificate does not close (_lanczos_norms).  A Schur factor
+# T = Delta + N whose strict upper part N lies on rows R and columns C, R and
+# C disjoint (``_schur_groups`` tests its exact zero pattern once), has
+# X = D - D N D with D = (Delta - lam)^{-1}, as N D' N = 0 for every diagonal
+# D'; Lanczos then takes its products and trace from D and N[R, C], batched
+# over the nodes, and forms no X (_Coupled).  The triangular block operators
+# [[D+, C], [0, D-]] with diagonal D+-, the McIntosh-Yagi blocks among them,
+# are their own Schur factors of this form.  For a pair,
 # every panel sum (or node value) is back-transformed before the difference,
 # and spectral norms always come from the SVD.  For real operators (the
 # kernel's ``real``) the integrand at conj(lam) is the complex conjugate of
@@ -427,11 +449,13 @@ _LAPACK_MIN_ORDER = 12
 # from Lanczos on X^H X, X the triangular inverse (_lanczos_norms): each step
 # is two O(m^2) products, against an O(m^3) SVD per node below.  Measured on
 # random_gap_operator(d, 7) sweeps (one BLAS thread, 64 axis points or 128
-# line nodes), the two break even near order 64; on the order-340
-# McIntosh-Yagi block the 64-point axis sweep falls from about 1.6 to 0.4 s.
-# A node takes at most m/4 steps, and at most _LANCZOS_MAX_STEPS, about the
-# cost of one SVD; the top Ritz pair is accepted at a relative residual of
-# _LANCZOS_RTOL.
+# line nodes), the two break even near order 64.  On the order-340
+# McIntosh-Yagi block the 32 distinct points of the 64-point axis sweep take
+# 0.56 s by SVD, 0.14 s by Lanczos on explicit inverses, and 0.025 s by
+# Lanczos on the products of its coupled-diagonal Schur factor (_Coupled),
+# which forms no inverse (one BLAS thread of a 2-core Xeon).  A node takes at
+# most m/4 steps, and at most _LANCZOS_MAX_STEPS, about the cost of one SVD;
+# the top Ritz pair is accepted at a relative residual of _LANCZOS_RTOL.
 _LANCZOS_MIN_ORDER = 64
 _LANCZOS_MAX_STEPS = 80
 _LANCZOS_RTOL = 1e-14
@@ -454,11 +478,16 @@ _WHOLE_SHARE = 0.25
 class _SchurGroup:
     """All diagonal blocks of one order m, in complex Schur form
     B = Q T Q^H: their positions ``idx`` (nb, m) in the operator and the
-    factors ``t`` (upper triangular) and ``q`` (unitary), both (nb, m, m)."""
+    factors ``t`` (upper triangular) and ``q`` (unitary), both (nb, m, m).
+    ``coupling`` is, for groups of order _LANCZOS_MIN_ORDER and above, the
+    rows R and columns C that hold the nonzero entries of the strict upper
+    parts of all t, where R and C are disjoint (each t is then
+    coupled-diagonal, see :class:`_Coupled`), else None."""
 
     idx: np.ndarray
     t: np.ndarray
     q: np.ndarray
+    coupling: tuple[np.ndarray, np.ndarray] | None
 
 
 def _block_layout(pattern: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -514,9 +543,15 @@ def _schur_groups(op: Operator, layout=None) -> tuple[_SchurGroup, ...]:
                 t, q = np.empty_like(blocks), np.empty_like(blocks)
                 for b, block in enumerate(blocks):
                     t[b], q[b] = sla.schur(block, output="complex")
-            for a in (idx, t, q):
+            coupling = None
+            if idx.shape[1] >= _LANCZOS_MIN_ORDER:  # the only orders that use it
+                upper = (np.triu(t, 1) != 0).any(axis=0)
+                rows, cols = np.flatnonzero(upper.any(axis=1)), np.flatnonzero(upper.any(axis=0))
+                if not np.isin(rows, cols).any():
+                    coupling = (rows, cols)
+            for a in (idx, t, q, *(coupling or ())):
                 a.setflags(write=False)
-            groups.append(_SchurGroup(idx=idx, t=t, q=q))
+            groups.append(_SchurGroup(idx=idx, t=t, q=q, coupling=coupling))
         return tuple(groups)
 
     return op._cache(("schur", *((idx.shape, idx.tobytes()) for idx in layout)), factors)
@@ -692,9 +727,80 @@ def _lanczos_start(m: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _lanczos_norms(x: np.ndarray) -> np.ndarray:
-    """Upper bounds on the spectral norms of an (n, m, m) stack, certified by
-    Lanczos on A = X^H X, or the SVD norms where the certificate fails.
+def _squares(x: np.ndarray) -> np.ndarray:
+    """The sum of |x|^2 over every axis but the first, from one pass over a
+    real view."""
+    real = np.ascontiguousarray(x).view(np.float64).reshape(x.shape[0], -1)
+    return np.einsum("nk,nk->n", real, real)
+
+
+class _Explicit:
+    """An explicit (n, m, m) stack X as the product source of
+    :func:`_lanczos_norms`: per matrix, so X itself is never copied."""
+
+    def __init__(self, x: np.ndarray):
+        self.x, self.shape = x, x.shape
+
+    def trace(self) -> np.ndarray:
+        """tr X^H X = ||X||_F^2 per matrix."""
+        return _squares(self.x)
+
+    def gram(self, todo: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """X v and X^H X v for the matrices ``todo``, one row of ``v`` each."""
+        xv = np.array([self.x[i] @ u for i, u in zip(todo, v)])
+        return xv, np.array([self.x[i].T @ u for i, u in zip(todo, xv.conj())]).conj()
+
+    def svd_norms(self, idx) -> np.ndarray:
+        return np.linalg.svd(self.x[idx], compute_uv=False)[:, 0]
+
+
+class _Coupled:
+    """The triangular inverses X_k = (T - lam_k)^{-1} at the nodes ``lams``
+    of one coupled-diagonal Schur factor T = Delta + N, whose strict upper
+    part N is nonzero only on rows R and columns C, R and C disjoint
+    (``_SchurGroup.coupling``), as the product source of
+    :func:`_lanczos_norms`, without forming X.
+
+    Then N Delta' N = 0 for every diagonal Delta', so X_k = D_k - D_k N D_k,
+    D_k = (Delta - lam_k)^{-1}: each product is one batched product with
+    N[R, C] over all nodes, and the trace is sum_i |d_i|^2 plus
+    sum_ij |d_i n_ij d_j|^2.  N only meets vectors already scaled by D, and
+    no entry of N is squared alone, as N may not square in range where X
+    does (the entries of the McIntosh-Yagi blocks reach 1e225 at m = 4).
+    The fallback SVDs take the explicit inverses of the nodes that need
+    them."""
+
+    def __init__(self, t: np.ndarray, coupling, lams: np.ndarray):
+        self.t, self.lams, (self.rows, self.cols) = t, lams, coupling
+        self.shape = (lams.size, *t.shape)
+        self.d = 1.0 / (np.diagonal(t)[None] - lams[:, None])
+        self.n = t[self.rows[:, None], self.cols]
+
+    def trace(self) -> np.ndarray:
+        size = np.abs(self.d)
+        off = np.empty((self.shape[0], *self.n.shape))  # |d_i n_ij d_j|
+        np.multiply(np.abs(self.n), size[:, None, self.cols], out=off)
+        off *= size[:, self.rows, None]
+        return _squares(self.d) + _squares(off)
+
+    def gram(self, todo: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """As :meth:`_Explicit.gram`: X v = D v - D N D v, then X^H on it."""
+        d, r, c = self.d[todo], self.rows, self.cols
+        xv = d * v
+        xv[:, r] -= d[:, r] * (xv[:, c] @ self.n.T)
+        w = d.conj() * xv  # X^H u = D^H u - D^H N^H D^H u
+        w[:, c] -= d[:, c].conj() * (w[:, r] @ self.n.conj())
+        return xv, w
+
+    def svd_norms(self, idx) -> np.ndarray:
+        x = _triangular_inverses(self.t[None], self.lams[idx])[:, 0]
+        return np.linalg.svd(x, compute_uv=False)[:, 0]
+
+
+def _lanczos_norms(x) -> np.ndarray:
+    """Upper bounds on the spectral norms of an (n, m, m) stack X, given
+    explicitly or as a :class:`_Coupled` source, certified by Lanczos on
+    A = X^H X, or the SVD norms where the certificate fails.
 
     Lanczos with full reorthogonalisation runs from the fixed start vector,
     two matrix-vector products per step.  After k steps the Ritz values
@@ -717,24 +823,25 @@ def _lanczos_norms(x: np.ndarray) -> np.ndarray:
     takes off at most lambda_1, which G estimates, so the bound could not
     close in time.
     """
+    if isinstance(x, np.ndarray):
+        x = _Explicit(x)
     n, m, _ = x.shape
     steps = min(_LANCZOS_MAX_STEPS, m // 4)
     out = np.empty(n)
-    real = np.ascontiguousarray(x).view(np.float64).reshape(n, -1)
-    trace = np.einsum("nk,nk->n", real, real)
+    trace = x.trace()
     # the matrices still iterating, and per step their Lanczos vectors and
-    # coefficients; x itself is never copied
+    # coefficients
     todo = np.arange(n)
     basis = [np.tile(_lanczos_start(m), (n, 1))]
     alpha, beta = [], []
     fallback = []
     for k in range(steps):
-        xv = np.array([x[i] @ v for i, v in zip(todo, basis[-1])])
-        w = np.array([x[i].T @ u for i, u in zip(todo, xv.conj())]).conj()  # A v_k
+        xv, w = x.gram(todo, basis[-1])  # X v_k and A v_k
         alpha.append(np.einsum("nm,nm->n", xv.conj(), xv).real)
         vs = np.stack(basis, axis=1)
+        vh = vs.conj().transpose(0, 2, 1)
         for _ in range(2):  # classical Gram-Schmidt against the whole basis, twice
-            w -= np.einsum("njm,nj->nm", vs, np.einsum("njm,nm->nj", vs.conj(), w))
+            w -= (w[:, None, :] @ vh @ vs)[:, 0]
         beta.append(np.linalg.norm(w, axis=1))
         a, b = np.stack(alpha, axis=1), np.stack(beta, axis=1)
         rest = trace - a.sum(axis=1) + 4 * m * _MACHINE_EPS * trace
@@ -765,14 +872,12 @@ def _lanczos_norms(x: np.ndarray) -> np.ndarray:
         basis, alpha, beta = ([c[keep] for c in cs] for cs in (basis, alpha, beta))
         basis.append(w / beta[-1][:, None])
     if fallback:
-        out[fallback] = np.linalg.svd(x[fallback], compute_uv=False)[:, 0]
+        out[fallback] = x.svd_norms(fallback)
     return out
 
 
-def _block_norms(x: np.ndarray, spectral: bool, lanczos: bool = False) -> np.ndarray:
-    """Norm of every block of a (k, nb, m, m) stack, shape (k, nb); with
-    ``lanczos``, spectral norms of order _LANCZOS_MIN_ORDER and above come
-    from :func:`_lanczos_norms`."""
+def _block_norms(x: np.ndarray, spectral: bool) -> np.ndarray:
+    """Norm of every block of a (k, nb, m, m) stack, shape (k, nb)."""
     m = x.shape[-1]
     if not spectral or m == 1:
         # one pass over a real view: no temporaries the size of the stack
@@ -786,20 +891,16 @@ def _block_norms(x: np.ndarray, spectral: bool, lanczos: bool = False) -> np.nda
         z = x[:, :, 0, 0].conj() * x[:, :, 0, 1] + x[:, :, 1, 0].conj() * x[:, :, 1, 1]
         half_gap = 0.5 * (col[:, :, 0] - col[:, :, 1])
         return np.sqrt(0.5 * fro2 + np.hypot(half_gap, np.abs(z)))
-    if lanczos and m >= _LANCZOS_MIN_ORDER:
-        return _lanczos_norms(x.reshape(-1, m, m)).reshape(x.shape[:2])
     return np.linalg.svd(x, compute_uv=False)[:, :, 0]
 
 
-def _stack_norms(blocks: list[np.ndarray], spectral: bool, lanczos: bool = False) -> np.ndarray:
+def _stack_norms(blocks: list[np.ndarray], spectral: bool) -> np.ndarray:
     """Norms of block-diagonal matrices given as one (..., count, m, m) array
     per block order, all with the same leading shape, which the result has:
     the largest block norm (spectral) or the root of their sum of squares
-    (Frobenius).  ``lanczos`` is passed on to :func:`_block_norms`."""
+    (Frobenius)."""
     lead = blocks[0].shape[:-3]
-    per_block = np.concatenate(
-        [_block_norms(b.reshape(-1, *b.shape[-3:]), spectral, lanczos) for b in blocks], axis=1
-    )
+    per_block = np.concatenate([_block_norms(b.reshape(-1, *b.shape[-3:]), spectral) for b in blocks], axis=1)
     norms = per_block.max(axis=1) if spectral else np.sqrt((per_block**2).sum(axis=1))
     return norms.reshape(lead)
 
@@ -871,14 +972,27 @@ class _Kernel:
     def norms(self, lams: np.ndarray) -> np.ndarray:
         """Spectral norm of the integrand at every node; for one operator,
         blocks of order _LANCZOS_MIN_ORDER and above give certified upper
-        bounds by :func:`_lanczos_norms`.  For a real kernel a node below the
-        real axis takes the norm of its mirror conj(lam), which is the same,
-        and each distinct node is solved once."""
+        bounds by :func:`_lanczos_norms`, coupled-diagonal ones (see
+        :class:`_Coupled`) without per-node inverses.  For a real kernel a
+        node below the real axis takes the norm of its mirror conj(lam),
+        which is the same, and each distinct node is solved once."""
+
+        def group_norms(g, lams):  # (nodes, nb) for one operator's group
+            m = g.idx.shape[1]
+            if g.coupling is not None:
+                return np.stack([_lanczos_norms(_Coupled(t, g.coupling, lams)) for t in g.t], axis=1)
+            if m < _LANCZOS_MIN_ORDER:
+                return _block_norms(_triangular_inverses(g.t, lams), True)
+            return _lanczos_norms(_triangular_inverses(g.t, lams).reshape(-1, m, m)).reshape(lams.size, -1)
+
         if self.real:
             lams, back = np.unique(np.where(lams.imag < 0, lams.conj(), lams), return_inverse=True)
         out = np.empty(lams.size)
         for part in self.chunks(lams.size):
-            out[part] = _stack_norms(self.nodes(lams[part]), True, len(self.ops) == 1)
+            if len(self.ops) == 1:
+                out[part] = np.concatenate([group_norms(g, lams[part]) for g in self.groups[0]], axis=1).max(axis=1)
+            else:
+                out[part] = _stack_norms(self.nodes(lams[part]), True)
         return out[back] if self.real else out
 
     def sums(self, lams: np.ndarray, coef_sets, q: int) -> list[np.ndarray]:
@@ -1044,6 +1158,8 @@ def _blocks_constant_diag(params: dict, n_blocks: int) -> list[np.ndarray]:
     _require_params("constant-diag", params, {"values"})
     values = params.get("values", (1.0, -1.0))
     vals = np.atleast_1d(_param("values", values, lambda v: np.asarray(v, dtype=complex)))
+    if not np.isfinite(vals).all():  # null converts to nan rather than failing
+        raise OperatorError(f"parameter values must be finite numbers, got {values!r}")
     if vals.size == 0:
         raise OperatorError("family 'constant-diag' needs at least one diagonal value")
     return [np.diag(vals) for _ in range(n_blocks)]

@@ -291,6 +291,12 @@ class TestDescribe:
             ),
             (("reproduce", "almbisect?p=abc"), "parameter p must be numeric, got 'abc'"),
             (("reproduce", "mcintosh-yagi?Mconst=abc"), "parameter Mconst must be numeric, got 'abc'"),
+            (
+                # null converts to nan, which the operator refused without the name
+                ("describe", '{"kind": "family", "family": "constant-diag", "N": 2, "params": {"values": null}}'),
+                "parameter values must be finite numbers, got None",
+            ),
+            (("describe", "constant-diag?N=1&values=1,nan"), "parameter values must be finite numbers, got [1, nan]"),
         ],
     )
     def test_non_numeric_parameter_exits_1(self, capsys, argv, message):

@@ -192,6 +192,13 @@ class TestMcintoshYagi:
         case = corpus_mcintosh_yagi(10.0, 2)
         assert case.operator.family_tag.n_blocks == 2
 
+    def test_sylvester_residual_where_squares_overflow(self):
+        # at m = 4 the entries of B D reach 1e225, whose squares leave the
+        # float range; the fact takes only the diagonal D, no Schur form
+        (fact,) = [f for f in corpus_mcintosh_yagi(10.0, 4).facts if f.name == "sylvester_residual_m4"]
+        result = fact.run(Budget())
+        assert result.passed and np.isfinite(result.measured) and result.measured < 1e-15
+
 
 class TestSylvesterDiag:
     def test_scalar(self):

@@ -33,6 +33,7 @@ from specsplit import operators
 from specsplit.contour import _side_integrals, default_contour, line_nodes
 from specsplit.operators import (
     _MACHINE_EPS,
+    _Coupled,
     _Kernel,
     _decouplings,
     _lanczos_norms,
@@ -41,6 +42,7 @@ from specsplit.operators import (
     _schur_groups,
     _stack_norms,
     _triangular_inverses,
+    near_spectrum_tol,
     operator_norm,
     oracle_projection,
 )
@@ -553,6 +555,113 @@ class TestLanczosNorms:
             resolvent_norms(s_op, lams)
 
 
+def coupled_blocks(order=96, count=2, seed=1, step=1):
+    """``count`` blocks [[D+, C], [0, D-]] of one order, dyadic as in the
+    McIntosh-Yagi family: D+ and D- diagonal with moduli 2^(step k) right
+    and left of the axis (D- in a random order), and C random with its
+    columns scaled like D-, as B D is.  Each is its own Schur factor,
+    coupled-diagonal with R the rows of D+ and C the columns of D-."""
+    rng = np.random.default_rng(seed)
+    half = order // 2
+    exponents = step * np.arange(half)
+    blocks = []
+    for _ in range(count):
+        plus = 2.0**exponents * (1.0 + 0.5j * rng.uniform(-1.0, 1.0, half))
+        minus = -(2.0 ** rng.permutation(exponents)) * (1.0 + 0.5j * rng.uniform(-1.0, 1.0, half))
+        c = (rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))) * np.abs(minus)
+        blocks.append(np.block([[np.diag(plus), c], [np.zeros((half, half)), np.diag(minus)]]))
+    return dense_operator(sla.block_diag(*blocks))
+
+
+def coupled_nodes():
+    """The corpus axis grid and a line right of the axis."""
+    return np.concatenate([axis_grid(), 0.2 + 1j * np.linspace(-3.0, 3.0, 17)])
+
+
+def explicit_inverses(t, lams):
+    return _triangular_inverses(t[None], lams)[:, 0]
+
+
+class TestCoupledNorms:
+    """Blocks whose Schur factor is coupled-diagonal, T = Delta + N with N
+    only on rows R and columns C, R and C disjoint, take their Lanczos
+    products from X = D - D N D, D = (Delta - lam)^{-1}, without per-node
+    inverses; the certificate and the SVD fallback are those of the
+    explicit stacks."""
+
+    def test_two_blocks_match_the_explicit_inverses(self, monkeypatch, svd_shapes):
+        op, lams = coupled_blocks(), coupled_nodes()
+        (group,) = _schur_groups(op)
+        m = group.idx.shape[1]
+        assert group.idx.shape == (2, 96) and group.coupling is not None
+        assert [r.tolist() for r in group.coupling] == [list(range(48)), list(range(48, 96))]
+        dense = np.stack([_lanczos_norms(explicit_inverses(t, lams)) for t in group.t], axis=1)
+        svd = np.stack([top_singular_values(lambda part: explicit_inverses(t, part), lams) for t in group.t], axis=1)
+
+        inverted, inverses = [], operators._triangular_inverses
+        monkeypatch.setattr(operators, "_triangular_inverses", lambda t, p: inverted.append(p.size) or inverses(t, p))
+        svd_shapes.clear()
+        got = np.stack([_lanczos_norms(_Coupled(t, group.coupling, lams)) for t in group.t], axis=1)
+        norms = resolvent_norms(op, lams)
+        # inverses are formed only for the SVD fallback, and most nodes certify
+        fallbacks = [shape[0] for shape in svd_shapes if len(shape) == 3]
+        assert inverted == fallbacks and sum(fallbacks) < lams.size
+        assert np.max(np.abs(got / dense - 1.0)) <= REL_TOL
+        assert np.all(got >= svd * (1.0 - 4 * m * _MACHINE_EPS))
+        assert np.max(np.abs(norms / got.max(axis=1) - 1.0)) <= REL_TOL
+
+    def test_trace_where_the_coupling_does_not_square(self):
+        # entries of C and D- near 2^900: |n_ij|^2 overflows, while X and
+        # its Frobenius norm stay in range
+        op = coupled_blocks(order=64, count=1, step=29)
+        (group,) = _schur_groups(op)
+        lams = coupled_nodes()
+        assert np.abs(group.t[0]).max() > 1e200
+        coupled = _Coupled(group.t[0], group.coupling, lams)
+        fro2 = np.linalg.norm(explicit_inverses(group.t[0], lams), axis=(1, 2)) ** 2
+        assert np.max(np.abs(coupled.trace() / fro2 - 1.0)) <= REL_TOL
+        got = _lanczos_norms(coupled)
+        expect = top_singular_values(lambda part: explicit_inverses(group.t[0], part), lams)
+        assert np.max(np.abs(got / expect - 1.0)) <= REL_TOL
+
+    def test_one_entry_inside_a_diagonal_part_keeps_the_dense_path(self, monkeypatch):
+        # an entry of the D+ part of the first block: its column joins C,
+        # which then meets R, so the group takes the explicit inverses
+        entries = coupled_blocks().entries.copy()
+        entries[0, 1] = 0.5
+        op, lams = dense_operator(entries), coupled_nodes()
+        (group,) = _schur_groups(op)
+        assert group.coupling is None
+
+        def refuse(*args):
+            raise AssertionError("coupled products used")
+
+        monkeypatch.setattr(operators, "_Coupled", refuse)
+        expect = top_singular_values(lambda part: dense_resolvents(op, part), lams)
+        assert np.max(np.abs(resolvent_norms(op, lams) / expect - 1.0)) <= REL_TOL
+
+    def test_failed_certificate_takes_the_svd_of_the_inverses(self, monkeypatch, svd_shapes):
+        op, lams = coupled_blocks(), coupled_nodes()
+        (group,) = _schur_groups(op)
+        monkeypatch.setattr(operators, "_LANCZOS_MAX_STEPS", 1)
+        for t in group.t:
+            svd_shapes.clear()
+            got = _lanczos_norms(_Coupled(t, group.coupling, lams))
+            assert svd_shapes == [(lams.size, 96, 96)]  # one fallback stack of every node
+            expect = np.linalg.svd(explicit_inverses(t, lams), compute_uv=False)[:, 0]
+            assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_near_spectrum_tol_without_the_norm(self, m):
+        # rho(S) <= ||S|| already puts 1e-8 (1 + ||S||) far above the cap, a
+        # quarter of the gap, so the axis sweep takes no SVD of S
+        op = mcintosh_yagi_block(m)
+        tol = near_spectrum_tol(op)
+        resolvent_norms(op, axis_grid())
+        assert "norm" not in op._lazy
+        assert tol == min(1e-8 * (1.0 + operator_norm(op)), 0.25 * spectrum(op).min_abs_real)
+
+
 class TestChunks:
     """The kernel solves a line chunk by chunk, each of whole panels holding
     about _CHUNK_ENTRIES entries; nothing may depend on where the chunks end."""
@@ -598,17 +707,20 @@ class TestRealMirror:
 
     @pytest.fixture
     def solved(self, monkeypatch):
-        """The points the kernel solves, as one list."""
-        points, nodes = [], _Kernel.nodes
-        monkeypatch.setattr(_Kernel, "nodes", lambda self, lams: points.extend(lams) or nodes(self, lams))
+        """The points the kernel solves, one list per block group: its
+        per-node inverses, or its coupled-diagonal products."""
+        points = []
+        for name in ("_triangular_inverses", "_Coupled"):
+            solve = getattr(operators, name)
+            monkeypatch.setattr(operators, name, lambda t, *a, solve=solve: points.append(list(a[-1])) or solve(t, *a))
         return points
 
     def test_corpus_axis_grid_mirrors_bit_for_bit(self, solved):
-        op = build_block_operator("mcintosh-yagi", 2)  # blocks of order 16 and 76 (Lanczos)
+        op = build_block_operator("mcintosh-yagi", 2)  # blocks of order 16 and 76 (Lanczos, coupled)
         t = np.logspace(-2, 4, 32)
         lams = np.concatenate([-1j * t[::-1], 1j * t])  # the grid of the axis-bound facts
         norms = resolvent_norms(op, lams)
-        assert sorted(solved, key=abs) == list(1j * t)
+        assert [sorted(p, key=abs) for p in solved] == [list(1j * t)] * 2
         assert norms[: t.size][::-1].tobytes() == norms[t.size :].tobytes()
         svd = [np.linalg.svd(resolvent(op, lam), compute_uv=False)[0] for lam in lams]
         assert np.max(np.abs(norms / svd - 1.0)) <= 1e-13
@@ -617,7 +729,7 @@ class TestRealMirror:
         op = build_block_operator("dichotomy-2.3", 4)
         lams = np.array([2j, -2j, -2j * (1 + 1e-15), 1 - 1j, 1 + 1j, 3j, 3j])
         norms = resolvent_norms(op, lams)
-        assert sorted(solved, key=abs) == [1 + 1j, 2j, 2j * (1 + 1e-15), 3j]
+        assert [sorted(p, key=abs) for p in solved] == [[1 + 1j, 2j, 2j * (1 + 1e-15), 3j]]
         assert norms[0] == norms[1] and norms[3] == norms[4] and norms[5] == norms[6]
         alone = [resolvent_norms(op, [lam])[0] for lam in lams]
         assert np.max(np.abs(norms / alone - 1.0)) <= 1e-15
