@@ -36,7 +36,8 @@ closed form through ||R(lambda)|| <= 1/(|lambda| - ||S||) (Kato, Perturbation
 Theory, I-5), for T >= 2 max(||S||, |p|) (:func:`_neumann_tail`); a pair's
 remainder is the sum of both operators'.  T_eff is the smallest dyadic
 height, at least 10 h, at which every remainder on the line is at most tol;
-where none is (c ||S||^K overflows), :class:`TruncationError` is raised.  For
+where none is (c ||S||^K overflows, or the 256 heights tried stay below 2
+max(||S||, |p|)), :class:`TruncationError` names the cause.  For
 ||S|| >= 1 the first height with a finite bound holds A's remainder to
 3.65e-10 / ||S||^2 and that of R_-(-2h) to 7e-11 / T, so targets scaled by
 what they feed (P = S^2 A, (S - z) R_-(z)) would differ only below tol 4e-10.
@@ -50,10 +51,11 @@ as Z Y F Y^{-1} Z^H (operators, "Decoupled panel sums"), the products with
 Z Y and Y^{-1} Z^H round at most about dim * eps ||Y|| ||F|| ||Y^{-1}||; on
 the single eigenvalues F holds the f(t_jj), eigenvalues of the value and so
 at most ||value||, whence the factor kappa = ||Y|| ||Y^{-1}||, the largest
-over the decoupled blocks, 1 where every block stays whole.  On
-random_gap_operator(d, 7), d = 16 to 64, the term lies above the sums'
-deviation from dense LU.  It does not cover the rounding of the per-node
-solves themselves, which grows with the conditioning of S - lambda.
+over the decoupled blocks, 1 where every block stays whole.  The F that
+a chunk sums over its panels before its one transform is that of its part of
+the value, so the bound holds for it.  On random_gap_operator(d, 7), d = 16
+to 64, the term lies above the sums' deviation from dense LU.  It does not
+cover the rounding of the per-node solves, which grows with cond(S - lambda).
 ``node_count`` counts every solve on the line, in every pass and for every
 integral that shares the line.
 
@@ -78,12 +80,12 @@ value's axis, at least the gap).  Grid sweeps skip the points near the
 spectrum with a warning; explicit points near it are refused.
 
 Node evaluations go through the resolvent kernel of
-:mod:`specsplit.operators` (``_Kernel``): a panel's weighted sums and the far
-field are formed per diagonal block in Schur coordinates, where the per-panel
-norms are taken too, and back-transformed once per integral, for a pair
-before the difference R_S - R_T is taken.  A closed panel's sums go into
-running totals, and an open panel's are dropped once its halves are solved.
-The reductions are ordered sums, so results are deterministic.
+:mod:`specsplit.operators` (``_Kernel``): per chunk, the closed and the open
+panels' sums and norms are taken per diagonal block in Schur coordinates, a
+decoupled block's in decoupled ones (norms from cached Gram matrices, sums
+back-transformed once per chunk and panel group).  Open sums are dropped once
+their halves are solved; totals and far field go back once per integral, for
+a pair before R_S - R_T.  The reductions are ordered sums: deterministic.
 """
 
 from __future__ import annotations
@@ -281,11 +283,15 @@ def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) ->
         tails = np.array([sum(
             _neumann_tail(norm, heights, abs(c) * norm**big_k, k + big_k, [abs(p) for p in poles])
             for norm in norms) for c, k, poles in integrals])
+        overflow = np.isinf(max(abs(c) for c, _, _ in integrals) * max(norms) ** big_k)
     meets = np.all(tails <= spec.tol, axis=0)
     if not meets.any():
-        cause = ""
-        if np.isinf(tails).all(axis=1).any():  # c ||S||^K overflowed: inf at every height
+        cause, low = "", 2.0 * max([*norms, *(abs(p) for _, _, poles in integrals for p in poles)])
+        if overflow:  # then that remainder is inf at every height
             cause = f": ||S|| = {max(norms):.3e}, whose {big_k}th power leaves the float range"
+        elif heights[-1] < low:  # so is every remainder below 2 max(||S||, |p|)
+            cause = (f": the {heights.size} dyadic heights from 10h end at {heights[-1]:.3e}, below 2 max("
+                     f"||S||, |p|) = {low:.3e} (h = {spec.h:.3e}, ||S|| = {max(norms):.3e})")
         raise TruncationError(f"no truncation height meets tol={spec.tol:.2e}{cause}")
     j = int(np.argmax(meets))
     t_eff, tails = float(heights[j]), [float(tail) for tail in tails[:, j]]
@@ -317,12 +323,10 @@ def _line_integrals(ops, x0: float, integrals, spec: ContourSpec, scale=None) ->
         still_open, is_open = kernel.zeros(2 * n), np.zeros(lo.size, dtype=bool)
         for nodes in kernel.chunks(lams.size, q):
             p = slice(nodes.start // q, nodes.stop // q)
-            sums = kernel.sums(lams[nodes], coefs[:, nodes], q)
-            fro = _stack_norms([s[n:] for s in sums], spectral=False)
-            is_open[p] = np.any(fro > share[p], axis=0)
-            for acc, sel in ((closed, ~is_open[p]), (still_open, is_open[p])):
-                for a, b in zip(acc, sums):
-                    a += b[:, sel].sum(axis=1)
+            sums, is_open[p] = kernel.totals(lams[nodes], coefs[:, nodes], q, share[p])
+            for acc, chunk in zip((closed, still_open), sums):
+                for a, b in zip(acc, chunk):
+                    a += b
         totals = [c + o for c, o in zip(closed, still_open)]
         if fold:  # 2 Re of the half line, plus the far field of the whole line
             totals = [t + t.conj() for t in kernel.operator(totals)]

@@ -192,7 +192,10 @@ def eigenvalues_of(op: Operator) -> np.ndarray:
 def operator_norm(op: Operator) -> float:
     """||S||, the largest spectral norm over the operator's connected
     components (see "the resolvent kernel"), of which S is the direct sum."""
-    return op._cache("norm", lambda: float(_stack_norms(_blocks(op.entries, _layout(op)), True)))
+    def compute():  # over a power of two, exactly: the closed forms of order 1 and 2 square the entries
+        scale = np.ldexp(1.0, np.clip(np.frexp(np.abs(op.entries).max(initial=0.0))[1], -1021, 1021))
+        return float(scale * _stack_norms(_blocks(op.entries / scale, _layout(op)), True))
+    return op._cache("norm", compute)
 
 
 def spectrum(op: Operator) -> Spectrum:
@@ -386,10 +389,10 @@ def resolvent_norms(op: Operator, lams) -> np.ndarray:
 # small blocks come from back substitution vectorised over nodes and blocks
 # (closed-form for order 1 and 2), those of larger blocks from LAPACK ztrtri,
 # one call per node and block, in place in the output array.  For one
-# operator, weighted sums are accumulated in Schur coordinates, per
-# quadrature panel when the quadrature driver asks for it, and
-# back-transformed once; Frobenius and spectral norms are unitarily invariant
-# and are taken there too.  The spectral norm of a triangular inverse X of
+# operator, weighted sums are accumulated in Schur coordinates, over the
+# closed and the open quadrature panels, and back-transformed once;
+# Frobenius and spectral norms are unitarily invariant and are taken there
+# too.  The spectral norm of a triangular inverse X of
 # order m is the closed form for m <= 2, an SVD below _LANCZOS_MIN_ORDER, and
 # from there on Lanczos on X^H X (the standard pseudospectra method:
 # Trefethen, "Computation of pseudospectra", Acta Numerica 8, 1999; Wright &
@@ -416,7 +419,7 @@ def resolvent_norms(op: Operator, lams) -> np.ndarray:
 # function f of T, so with T = Z Y blockdiag(D_c) Y^{-1} Z^H it is
 # Z Y blockdiag(f(D_c)) Y^{-1} Z^H (Bavely & Stewart, SIAM J. Numer. Anal. 16, 1979;
 # Davies & Higham, SIAM J. Matrix Anal. Appl. 25, 2003).  For every block of
-# order m >= _LAPACK_MIN_ORDER, ``sums`` takes its panel sums that way: the
+# order m >= _LAPACK_MIN_ORDER, ``totals`` takes its panel sums that way: the
 # eigenvalues on the Schur diagonal that chain within _CLUSTER_DELTA of each
 # other form a cluster, ztrexc makes each cluster contiguous (Z), and the
 # Sylvester equations of the clusters give W = Y^{-1}, unit upper block
@@ -424,9 +427,12 @@ def resolvent_norms(op: Operator, lams) -> np.ndarray:
 # whose block W_KJ exceeds _COUPLING_BOUND in the Frobenius norm are merged
 # and the reordering is redone, until no block does.  Then a single
 # eigenvalue contributes f_j = sum_k c_k / (t_jj - lam_k), a larger cluster
-# its per-node inverses, and each panel and coefficient set costs one product
-# with Y^{-1} Z^H.  The transform is computed once per block and cached on
-# the operator next to its Schur factors.  A block stays whole, and takes the
+# its per-node inverses.  Panels are summed there, F = blockdiag(f(D_c)); a
+# panel's ||L F R||_F (L = Z Y, R = Y^{-1} Z^H) comes from L^H L and R R^H,
+# cached with the transform next to the Schur factors (_piece_squares), and
+# L (sum_p F_p) R, a chunk's closed or open total (a pair's every panel, and
+# those of a chunk of up to two, as cheap), is an f(T) transformed once, as
+# one panel was.  A block stays whole, and takes the
 # per-node inverses unchanged, where the cubes of its cluster orders sum to
 # more than _WHOLE_SHARE m^3, one cluster of all m among them; merging stops
 # there.  The rounding of the transform grows with kappa = ||Y|| ||Y^{-1}||,
@@ -604,13 +610,17 @@ class _Decoupling:
     diagonal (0 first, m last), whose diagonal blocks are the D_c;
     ``left`` = Z Y and ``right`` = Y^{-1} Z^H, Z the unitary of the
     reordering and Y the unit upper block triangular Sylvester transform;
-    ``kappa`` = ||Y|| ||Y^{-1}||."""
+    ``kappa`` = ||Y|| ||Y^{-1}||; ``single`` the clusters of order 1 (their
+    positions), ``clusters`` the others (s, e), ``grams`` = (L^H L, R R^H)."""
 
     edges: np.ndarray
     d: np.ndarray
     left: np.ndarray
     right: np.ndarray
     kappa: float
+    single: np.ndarray
+    clusters: tuple
+    grams: tuple[np.ndarray, np.ndarray]
 
 
 def _decoupling(t: np.ndarray) -> _Decoupling | None:
@@ -648,9 +658,11 @@ def _decoupling(t: np.ndarray) -> _Decoupling | None:
         labels = merged[np.unique(labels, return_inverse=True)[1]]
     y = _ztrtri(y_inv, unitdiag=1)[0]
     left, right = z @ y, y_inv @ z.conj().T
-    for a in (edges, d, left, right):
+    single, grams = edges[:-1][np.diff(edges) == 1], (left.conj().T @ left, right @ right.conj().T)
+    for a in (edges, d, left, right, single, *grams):
         a.setflags(write=False)
-    return _Decoupling(edges, d, left, right, spectral_norm(y) * spectral_norm(y_inv))
+    clusters = tuple((s, e) for s, e in zip(edges[:-1], edges[1:]) if e > s + 1)
+    return _Decoupling(edges, d, left, right, spectral_norm(y) * spectral_norm(y_inv), single, clusters, grams)
 
 
 def _sylvester_decoupling(d: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -695,27 +707,38 @@ def _decouplings(op: Operator, group: _SchurGroup) -> tuple:
     return op._cache(key, lambda: tuple(_decoupling(t) for t in group.t))
 
 
-def _decoupled_sums(part: _Decoupling, c: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """The panel sums of :func:`_node_sums` for one block, as L F R, F the
-    block-diagonal sums of the clusters: (sets, panels, m, m)."""
-    n, n_sets, q = c.shape
-    m, edges = part.d.shape[0], part.edges
-    single = np.diff(edges) == 1
-    at = edges[:-1][single]
-    f = np.zeros((n_sets, n, m), dtype=complex)  # F on the single eigenvalues
-    f[..., at] = np.matmul(c, (1.0 / (part.d[at, at] - lams[:, None])).reshape(n, q, at.size)).transpose(1, 0, 2)
-    clusters = [(s, e, _node_sums(c, part.d[None, s:e, s:e], lams)[:, :, 0])
-                for s, e in zip(edges[:-1][~single], edges[1:][~single])]
-    # one set at a time, so that L F and its product stay in cache
-    out, left_f = np.empty((n_sets, n, m, m), dtype=complex), np.empty((n, m, m), dtype=complex)
-    upper = np.tri(m, dtype=bool).T  # f(T) is upper triangular: no rounding below
-    for i in range(n_sets):
-        np.multiply(part.left, f[i, :, None, :], out=left_f)
-        for s, e, sums in clusters:
-            left_f[..., s:e] = part.left[:, s:e] @ sums[i]
-        np.matmul(left_f.reshape(-1, m), part.right, out=out[i].reshape(-1, m))
-        out[i] *= upper
-    return out
+def _pieces(part: _Decoupling, c: np.ndarray, lams: np.ndarray) -> list[np.ndarray]:
+    """:func:`_node_sums` of a decoupled block as F's pieces: f_j (sets, panels, count), then each cluster's block."""
+    (n, n_sets, q), ev = c.shape, np.diagonal(part.d)[part.single]
+    f = np.matmul(c, (1.0 / (ev - lams[:, None])).reshape(n, q, ev.size)).transpose(1, 0, 2)
+    return [f, *(_node_sums(c, part.d[None, s:e, s:e], lams)[:, :, 0] for s, e in part.clusters)]
+
+
+def _from_pieces(part: _Decoupling, pieces: list[np.ndarray]) -> np.ndarray:
+    """L F R for F given by its ``pieces`` (..., count) and (..., k, k): (..., m, m)."""
+    (f, *blocks), m = pieces, part.d.shape[0]
+    left_f = np.empty((*f.shape[:-1], m, m), dtype=complex)
+    left_f[..., part.single] = part.left[:, part.single] * f[..., None, :]  # the columns of L scaled
+    for (s, e), block in zip(part.clusters, blocks):  # or, on a cluster, times its block
+        left_f[..., s:e] = part.left[:, s:e] @ block
+    out = (left_f.reshape(-1, m) @ part.right).reshape(left_f.shape)
+    return np.multiply(out, np.tri(m, dtype=bool).T, out=out)  # f(T) is upper triangular: no rounding below
+
+
+def _piece_squares(part: _Decoupling, pieces: list[np.ndarray]) -> np.ndarray:
+    """||L F R||_F^2 (...) for F = D + C given by its ``pieces``, D the f_j
+    and C the cluster blocks C_c: with (G, H) = ``part.grams`` and V = C H,
+    Re tr(F^H G F H) = f^H (G o H^T) f + 2 Re tr(D^H G V) + Re sum_c <C_c,
+    (G V)[c, c]>, O(m N) for N entries, no more work than one L F R."""
+    (g, h), single, (d, *blocks) = part.grams, part.single, pieces
+    out = np.einsum("...j,...j->...", d.conj(), d @ (g * h.T)[np.ix_(single, single)].T)
+    if blocks:
+        gr = g[:, np.concatenate([np.arange(s, e) for s, e in part.clusters])]  # G on the rows of V
+        v = np.concatenate([block @ h[s:e] for (s, e), block in zip(part.clusters, blocks)], axis=-2)
+        out += 2.0 * np.einsum("...j,...j->...", d.conj(), np.einsum("ji,...ij->...j", gr[single], v[..., single]))
+        for (s, e), block in zip(part.clusters, blocks):
+            out += np.einsum("...ij,...ij->...", block.conj(), gr[s:e] @ v[..., s:e])
+    return out.real
 
 
 def _lanczos_start(m: int) -> np.ndarray:
@@ -920,9 +943,9 @@ def _from_schur(group: _SchurGroup, x: np.ndarray) -> np.ndarray:
 
 
 class _Kernel:
-    """The resolvent kernel: node values, per-node norms and per-panel
-    weighted sums of the integrand, in block coordinates where Frobenius and
-    spectral norms are taken block by block.
+    """The resolvent kernel: node values, per-node norms and weighted sums of
+    the integrand over closed and open panels, in block coordinates where
+    Frobenius and spectral norms are taken block by block.
 
     For one operator the integrand is its resolvent, in Schur coordinates; for
     a pair (S, T) it is R_S - R_T, on the diagonal blocks of the union of both
@@ -995,49 +1018,55 @@ class _Kernel:
                 out[part] = _stack_norms(self.nodes(lams[part]), True)
         return out[back] if self.real else out
 
-    def sums(self, lams: np.ndarray, coef_sets, q: int) -> list[np.ndarray]:
-        """Ordered sums  sum_k coef[k] * integrand(lam_k)  over every panel of
-        ``q`` consecutive nodes, for several coefficient vectors: one (sets,
-        panels, count, m, m) array per block order, in Schur coordinates for
-        one operator.  Blocks of order below _LAPACK_MIN_ORDER, and larger
-        ones that stay whole, solve all the given nodes at once and reduce
-        their panels by one batched product per block order; every other
-        block sums its single eigenvalues and clusters in its decoupled form
-        and takes each panel and set back by one product (see "Decoupled
-        panel sums"), at a rounding of about dim eps kappa relative to the
-        sum.  Callers pass one of :meth:`chunks` at a time."""
+    def totals(self, lams: np.ndarray, coef_sets, q: int, share: np.ndarray):
+        """The ordered sums  sum_k coef[k] * integrand(lam_k)  over the closed and
+        the open panels of ``q`` nodes, one (sets, count, m, m) array per block
+        order each (Schur coordinates for one operator), and the open mask: the
+        panels where the Frobenius norm of one set of the second half (the
+        estimates) exceeds ``share``.  Decoupled blocks sum and take norms in
+        decoupled form ("Decoupled panel sums").  Pass one of :meth:`chunks`."""
         coefs = np.asarray(coef_sets, dtype=complex)
         n_sets, n = coefs.shape[0], lams.size // q
         # (panels, sets, nodes per panel) against (panels, nodes per panel, entries)
         c = coefs.reshape(n_sets, n, q).transpose(1, 0, 2)
+        est, n_est = slice(n_sets // 2, None), n_sets - n_sets // 2
 
-        def panel_sums(op, g):
+        def panel_sums(op, g):  # the whole blocks' as one stack, the others' as their pieces
             parts = _decouplings(op, g)
             whole = [b for b, part in enumerate(parts) if part is None]
-            if len(whole) == len(parts):
-                return _node_sums(c, g.t, lams)
-            if len(parts) == 1:
-                return _decoupled_sums(parts[0], c, lams)[:, :, None]
-            out = np.empty((n_sets, n, *g.t.shape), dtype=complex)
-            if whole:
-                out[:, :, whole] = _node_sums(c, g.t[whole], lams)
-            for b, part in enumerate(parts):
-                if part is not None:
-                    out[:, :, b] = _decoupled_sums(part, c, lams)
+            return g, whole, _node_sums(c, g.t[whole], lams), [
+                (b, part, _pieces(part, c, lams)) for b, part in enumerate(parts) if part is not None]
+
+        def reduced(g, whole, stack, decoupled, sel=None):  # the sums over the panels sel, or every panel
+            total = (lambda x: x) if sel is None else (lambda x: x[:, sel].sum(axis=1))
+            out = head = total(stack)
+            if decoupled:
+                out = np.zeros((*head.shape[:-3], *g.t.shape), dtype=complex)
+                out[..., whole, :, :] = head
+            for b, part, a in decoupled if sel is None or sel.any() else ():  # else the total is zero
+                out[..., b, :, :] = _from_pieces(part, [total(x) for x in a])
             return out
 
-        return self._integrand([[panel_sums(op, g) for g in gs] for op, gs in zip(self.ops, self.groups)])
+        panels = [[panel_sums(op, g) for g in gs] for op, gs in zip(self.ops, self.groups)]
+        panels = panels[0] if len(self.ops) == 1 and n > 2 else [  # a pair's, or up to two panels, one by one
+            (None, None, v, []) for v in self._integrand([[reduced(*p) for p in ps] for ps in panels])]
+        # the estimates' squared Frobenius norms per block, a decoupled one's from its grams
+        squares = [_block_norms(x[est].reshape(n_est * n, *x.shape[-3:]), False) ** 2 for _, _, x, _ in panels]
+        squares += [_piece_squares(p, [x[est] for x in a]).reshape(-1, 1) for *_, ds in panels for _, p, a in ds]
+        fro = np.sqrt(np.maximum(np.concatenate(squares, axis=1).sum(axis=1), 0.0)).reshape(n_est, n)
+        is_open = np.any(fro > share, axis=0)
+        return [[reduced(*p, sel) for p in panels] for sel in (~is_open, is_open)], is_open
 
     @property
     def kappa(self) -> float:
         """The largest decoupling condition ||Y|| ||Y^{-1}|| of the blocks
-        whose panel sums :meth:`sums` takes decoupled, 1 if there is none."""
+        whose panel sums :meth:`totals` takes decoupled, 1 if there is none."""
         parts = [p for op, gs in zip(self.ops, self.groups) for g in gs for p in _decouplings(op, g)]
         return max([1.0] + [p.kappa for p in parts if p is not None])
 
     def neumann(self, mu, scale: float) -> list[np.ndarray]:
         """The far fields  -sum_k mu[i, k] (X/scale)^k  of the moment sets, an
-        array ``mu`` (sets, K), X the operator, like :meth:`sums`.  Powers of
+        array ``mu`` (sets, K), X the operator, like :meth:`totals`.  Powers of
         X/scale, of norm at most 1/2 for scale >= 2 ||X||, cannot overflow
         where those of X can."""
         def polynomial(g):

@@ -294,3 +294,11 @@ class TestOperatorNorm:
         # components of order 1 and 2 take the kernel's closed forms
         op = make()
         assert operator_norm(op) == pytest.approx(spectral_norm(op.entries), rel=4 * EPS)
+
+    def test_closed_forms_beyond_the_square_root_of_the_float_range(self):
+        # the closed forms square the entries: 1e200 would overflow and
+        # 1e-170 underflow without the power-of-two scaling
+        assert operator_norm(dense_operator(np.diag([1e200, -1.0, 2.0]))) == 1e200
+        tiny = np.array([[1e-170, 1e-170], [0.0, -1e-170]])
+        assert operator_norm(dense_operator(tiny)) == pytest.approx(spectral_norm(tiny), rel=4 * EPS)
+        assert spectral_norm(tiny) == pytest.approx(0.5 * (1.0 + np.sqrt(5.0)) * 1e-170, rel=4 * EPS)

@@ -57,6 +57,23 @@ class TestSplitCommand:
         assert code == 3
         assert "non-convergence" in err
 
+    @pytest.mark.parametrize("argv, cause", [
+        # no dyadic height from 10h reaches 2 ||S|| within 256 doublings
+        (("constant-diag?N=2&values=1e-300,1",),
+         "the 256 dyadic heights from 10h end at 4.632e-223, below 2 max(||S||, |p|) = 2.000e+00 "
+         "(h = 5.000e-301, ||S|| = 1.000e+00)"),
+        (("dichotomy-2.3?N=2", "--h", "1e-300"),
+         "the 256 dyadic heights from 10h end at 9.263e-223, below 2 max(||S||, |p|) = 1.694e+01 "
+         "(h = 1.000e-300, ||S|| = 8.472e+00)"),
+        # ||S|| itself is in range, its 24th power is not
+        (("constant-diag?N=2&values=1e300,-1",),
+         "||S|| = 1.000e+300, whose 24th power leaves the float range"),
+    ])
+    def test_truncation_refusal_names_its_cause(self, capsys, argv, cause):
+        code, out, err = run_cli(capsys, "split", *argv)
+        assert code == 3 and out == ""
+        assert err == f"numerical non-convergence: no truncation height meets tol=1.00e-08: {cause}\n"
+
     def test_text_format_refused(self, capsys):
         # split has no text rendering, so it writes JSON only
         code, out, err = run_cli(capsys, "split", "dichotomy-2.3?N=2", "--format", "text")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import specsplit.contour as contour_module
+from specsplit import operators
 from specsplit import (
     ContourSpec,
     NearSpectrumError,
@@ -39,7 +40,7 @@ from specsplit.contour import (
     _weight,
     line_nodes,
 )
-from specsplit.operators import _Kernel, _spectrum_distance, _stack_norms, operator_norm
+from specsplit.operators import _Kernel, _spectrum_distance, operator_norm
 from specsplit.perturbation import projection_diff_integral
 
 
@@ -441,14 +442,30 @@ def test_each_pass_solves_the_halves_of_open_panels(monkeypatch):
         # the open panels: Kronrod-minus-Gauss estimate above the panel's share
         t, w, _ = line_nodes(spec.h, quad.t_eff, 15, (lo, hi))
         lams = spec.h + 1j * t
-        coefs = w / lams**2 / (2.0 * np.pi) * np.tile(_ESTIMATE_RATIO, lo.size)
-        fro = _stack_norms(kernel.sums(lams, [coefs], 15), spectral=False)[0]
-        is_open = fro > spec.tol * (hi - lo) / (edges[-1] - edges[0])
+        coefs = w / lams**2 / (2.0 * np.pi)
+        estimates = coefs * np.tile(_ESTIMATE_RATIO, lo.size)
+        share = spec.tol * (hi - lo) / (edges[-1] - edges[0])
+        _, is_open = kernel.totals(lams, [coefs, estimates], 15, share)
         # consecutive pairs are the two halves of one open panel of the last pass
         assert np.array_equal(next_lo[::2], lo[is_open]) and np.array_equal(next_hi[1::2], hi[is_open])
         assert np.array_equal(next_hi[::2], next_lo[1::2])
         assert np.array_equal(next_hi[::2], 0.5 * (lo + hi)[is_open])
     assert quad.node_count == 15 * sum(lo.size for lo, _ in passes)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+@pytest.mark.parametrize("dim", [16, 32, 48, 64])
+def test_decoupled_panel_norms_open_what_whole_blocks_open(dim, seed, monkeypatch):
+    # the Gram-form norms of decoupled panel sums bisect the panels that the
+    # per-node sums of the same block, left whole, bisect
+    op = random_gap_operator(dim, seed)
+    spec = default_contour(op)
+    decoupled = [integrate_A(op, side, spec).node_count for side in "+-"]
+    assert _Kernel((op,)).kappa > 1.0
+    monkeypatch.setattr(operators, "_decoupling", lambda t: None)
+    whole = random_gap_operator(dim, seed)
+    assert [integrate_A(whole, side, spec).node_count for side in "+-"] == decoupled
+    assert _Kernel((whole,)).kappa == 1.0
 
 
 SHARED_LINE_OPERATORS = {

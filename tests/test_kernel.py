@@ -5,10 +5,11 @@ here.  Agreement is required to 1e-12 relative, on every block shape the
 kernel distinguishes: order-1 and order-2 blocks (closed-form inverses),
 larger blocks (triangular LAPACK inverses), dense blocks whose panel sums
 are decoupled (single eigenvalues, a cluster of order 2, a cluster of order
-12 inverted by LAPACK), non-contiguous components, and the union pattern of
-a perturbation pair, also where one block of the union holds several
-components of one operator (there relative to the resolvents, as their
-difference cancels below what dense LU resolves).
+12 inverted by LAPACK, two or three equal clusters of order 64 or 43 whose
+pieces hold about m^2 / 4 or m^2 / 6 entries), non-contiguous components,
+and the union pattern of a perturbation pair, also where one block of the
+union holds several components of one operator (there relative to the
+resolvents, as their difference cancels below what dense LU resolves).
 """
 
 import re
@@ -89,11 +90,18 @@ def neumann_moments():
     return mu / np.arange(1, 25)
 
 
-def summed(kernel, sums, i):
-    """Coefficient set ``i`` of per-panel kernel sums, summed over the panels,
-    in operator coordinates."""
+def dense_set(kernel, sums, i):
+    """Coefficient set ``i`` of kernel sums (one (sets, count, m, m) array per
+    block order) as a dense matrix in operator coordinates."""
     dim = kernel.ops[0].dim
-    return kernel.dense(kernel.operator([s[i].sum(axis=0) for s in sums]), np.zeros((dim, dim), complex))
+    return kernel.dense(kernel.operator([s[i] for s in sums]), np.zeros((dim, dim), complex))
+
+
+def summed(kernel, lams, coef_sets, i):
+    """Coefficient set ``i`` summed over every panel by ``_Kernel.totals``,
+    its closed and open totals together, in operator coordinates."""
+    (closed, still_open), _ = kernel.totals(lams, coef_sets, Q, np.inf)
+    return dense_set(kernel, [c + o for c, o in zip(closed, still_open)], i)
 
 
 def permuted_blocks():
@@ -222,17 +230,30 @@ def case(request):
 class TestAgainstDenseLU:
     def test_weighted_sums_and_frobenius(self, case):
         op, lams, w, dense = case
-        coef_sets = [w / (2.0 * np.pi), w / lams**2]
+        coef_sets = [w / (2.0 * np.pi), w / lams**2]  # a value and its estimate
         kernel = _Kernel((op,))
-        sums = kernel.sums(lams, coef_sets, Q)
         per_panel = dense.reshape(-1, Q, op.dim, op.dim)
-        for i, coefs in enumerate(coef_sets):
-            assert rel(summed(kernel, sums, i),
-                       np.tensordot(coefs, dense, axes=(0, 0))) <= REL_TOL
-            # the Frobenius norm of every panel sum, taken in Schur coordinates
-            expect = np.einsum("pk,pkij->pij", coefs.reshape(-1, Q), per_panel)
-            fro = _stack_norms(sums, spectral=False)[i]
-            assert np.max(np.abs(fro / np.linalg.norm(expect, axis=(1, 2)) - 1.0)) <= REL_TOL
+        panels = [np.einsum("pk,pkij->pij", c.reshape(-1, Q), per_panel) for c in coef_sets]
+        # the Frobenius norm of every panel of the estimate, taken in Schur
+        # coordinates or from a decoupled block's Gram matrices, lies within
+        # REL_TOL of dense LU: every panel opens at a share just below it and
+        # none just above it; then every other panel, to check both totals
+        fro = np.linalg.norm(panels[1], axis=(1, 2))
+        odd = np.arange(fro.size) % 2 == 1
+        assert odd.any()
+        for share, expect in ((fro * (1.0 - REL_TOL), np.ones(fro.size, bool)),
+                              (fro * (1.0 + REL_TOL), np.zeros(fro.size, bool)),
+                              (fro * np.where(odd, 1.0 - REL_TOL, 1.0 + REL_TOL), odd)):
+            (closed, still_open), is_open = kernel.totals(lams, coef_sets, Q, share)
+            assert np.array_equal(is_open, expect)
+            for i, coefs in enumerate(coef_sets):
+                total = dense_set(kernel, [c + o for c, o in zip(closed, still_open)], i)
+                assert rel(total, np.tensordot(coefs, dense, axes=(0, 0))) <= REL_TOL
+                for sums, sel in ((closed, ~expect), (still_open, expect)):
+                    if sel.any():
+                        assert rel(dense_set(kernel, sums, i), panels[i][sel].sum(axis=0)) <= REL_TOL
+                    else:
+                        assert not np.any(dense_set(kernel, sums, i))
 
     def test_neumann_polynomial(self, case):
         # the far field in Schur coordinates, at the least height a line
@@ -254,12 +275,13 @@ class TestAgainstDenseLU:
 
     def test_cold_copy_is_byte_identical(self, case):
         op, lams, w, _ = case
-        coef_sets = [w / lams**2]
-        warm = _Kernel((op,)).sums(lams, coef_sets, Q)
-        cold = _Kernel((Operator(entries=op.entries, family_tag=op.family_tag),)).sums(
-            lams, coef_sets, Q
+        coef_sets, share = [w, w / lams**2], np.linspace(0.0, 1.0, lams.size // Q)
+        warm = _Kernel((op,)).totals(lams, coef_sets, Q, share)
+        cold = _Kernel((Operator(entries=op.entries, family_tag=op.family_tag),)).totals(
+            lams, coef_sets, Q, share
         )
-        assert [s.tobytes() for s in warm] == [s.tobytes() for s in cold]
+        assert warm[1].tobytes() == cold[1].tobytes()
+        assert [s.tobytes() for part in warm[0] for s in part] == [s.tobytes() for part in cold[0] for s in part]
 
 
 class TestBlocks:
@@ -302,7 +324,7 @@ class TestPerturbationPair:
         diff = dense_resolvents(s_op, lams) - dense_resolvents(t_op, lams)
         expect = np.tensordot(coefs[0], diff, axes=(0, 0))
         pair = _Kernel((s_op, t_op))
-        assert rel(summed(pair, pair.sums(lams, coefs, Q), 0), expect) <= REL_TOL
+        assert rel(summed(pair, lams, coefs, 0), expect) <= REL_TOL
 
     @pytest.mark.parametrize("pair", ["criterion 8", *sorted(SHARED_BLOCK_PAIRS)])
     def test_neumann_polynomial_of_a_pair(self, pair):
@@ -325,10 +347,10 @@ class TestPerturbationPair:
         calls = []
         schur = sla.schur
         monkeypatch.setattr(sla, "schur", lambda *a, **k: calls.append(1) or schur(*a, **k))
-        first = _Kernel((s_op, t_op)).sums(lams, coefs, Q)
+        first = _Kernel((s_op, t_op)).totals(lams, coefs, Q, np.inf)[0][0]
         assert calls
         calls.clear()
-        second = _Kernel((s_op, t_op)).sums(lams, coefs, Q)
+        second = _Kernel((s_op, t_op)).totals(lams, coefs, Q, np.inf)[0][0]
         assert calls == []
         assert [a.tobytes() for a in first] == [b.tobytes() for b in second]
 
@@ -353,7 +375,7 @@ class TestPerturbationPair:
         spectral = np.linalg.svd(diff, compute_uv=False)[:, 0]
         assert np.all(np.abs(pair.norms(lams) - spectral) <= REL_TOL * scale)
         coefs = w / (2.0 * np.pi)
-        got = summed(pair, pair.sums(lams, [coefs], Q), 0)
+        got = summed(pair, lams, [coefs], 0)
         expect = np.tensordot(coefs, diff, axes=(0, 0))
         assert np.linalg.norm(got - expect) <= REL_TOL * np.sum(np.abs(coefs) * scale)
 
@@ -383,10 +405,17 @@ class TestDecoupledSums:
         lams, w = lams[: 3 * Q], w[: 3 * Q]
         coef_sets = np.array([w / lams**2, w / lams])
         kernel = _Kernel((op,))
-        (sums,) = kernel.sums(lams, coef_sets, Q)
         (group,) = _schur_groups(op)
         c = coef_sets.astype(complex).reshape(2, 3, Q).transpose(1, 0, 2)
-        assert sums.tobytes() == _node_sums(c, group.t, lams).tobytes()
+        panels = _node_sums(c, group.t, lams)
+        # the estimate's panel norms bit for bit: a share equal to them opens
+        # no panel, the next float below opens every one
+        fro = _stack_norms([panels[1:]], spectral=False)[0]
+        for share, is_open in ((fro, np.zeros(3, bool)), (np.nextafter(fro, 0.0), np.ones(3, bool))):
+            ((closed,), (still_open,)), got = kernel.totals(lams, coef_sets, Q, share)
+            assert np.array_equal(got, is_open)
+            assert closed.tobytes() == panels[:, ~is_open].sum(axis=1).tobytes()
+            assert still_open.tobytes() == panels[:, is_open].sum(axis=1).tobytes()
         assert kernel.kappa == 1.0
 
     def test_one_group_decoupled_and_whole(self):
@@ -408,7 +437,48 @@ class TestDecoupledSums:
         resolvent_many(op, lams)
         _Kernel((op,)).norms(lams)
         with pytest.raises(AssertionError, match="decoupling called"):
-            _Kernel((op,)).sums(lams, [w], Q)
+            _Kernel((op,)).totals(lams, [w, w], Q, np.inf)
+
+    def test_one_operator_takes_its_totals_back_once(self, monkeypatch):
+        # one L F R for the closed and one for the open total of a decoupled
+        # block, none for an empty one; a pair takes back every panel
+        calls, from_pieces = [], operators._from_pieces
+        monkeypatch.setattr(operators, "_from_pieces", lambda p, a: calls.append(a[0].shape) or from_pieces(p, a))
+        op = random_gap_operator(48, 7)
+        (part,) = _decouplings(op, _schur_groups(op)[0])
+        lams, w = nodes_for(op)
+        panels, single = lams.size // Q, part.single.size
+        for share, count in ((np.inf, 1), (0.0, 1), (np.where(np.arange(panels) % 2, np.inf, 0.0), 2)):
+            calls.clear()
+            _Kernel((op,)).totals(lams, [w, w / lams], Q, share)
+            assert calls == [(2, single)] * count
+        calls.clear()
+        _Kernel((op, dense_operator(op.entries + 0.01 * np.eye(op.dim)))).totals(lams, [w, w / lams], Q, np.inf)
+        assert calls == [(2, panels, single)] * 2
+
+    @pytest.mark.parametrize("centres, order", [((-1.0, 1.0, 3.0), 43), ((-1.0, 1.0), 64)])
+    def test_large_clusters_against_dense_lu(self, centres, order):
+        # two or three equal clusters, whose pieces hold about m^2 / 4 or
+        # m^2 / 6 entries, two of order 64 right at the share m^3 / 4 above
+        # which the block stays whole: the panel norms from the Gram matrices
+        # L^H L and R R^H lie within REL_TOL of dense LU, and so do the totals
+        chain = 0.05j * (np.arange(order) - order / 2)
+        op = triangular_operator(np.concatenate([c + chain for c in centres]), 5)
+        assert cluster_orders(op) == [order] * len(centres)
+        (part,) = _decouplings(op, _schur_groups(op)[0])
+        assert part.single.size == 0 and 8 * len(centres) * order * (order + 1) // 2 > op.dim**2
+        lams, w = nodes_for(op)
+        lams, w = lams[: 3 * Q], w[: 3 * Q]
+        dense = dense_resolvents(op, lams)
+        coef_sets = [w / (2.0 * np.pi), w / lams**2]
+        panels = [np.einsum("pk,pkij->pij", c.reshape(-1, Q), dense.reshape(-1, Q, op.dim, op.dim)) for c in coef_sets]
+        fro = np.linalg.norm(panels[1], axis=(1, 2))
+        kernel = _Kernel((op,))
+        for share, is_open in ((fro * (1.0 - REL_TOL), True), (fro * (1.0 + REL_TOL), False)):
+            sums, got = kernel.totals(lams, coef_sets, Q, share)
+            assert np.all(got == is_open)
+            total = dense_set(kernel, sums[int(is_open)], 0)
+            assert rel(total, panels[0].sum(axis=0)) <= REL_TOL
 
     @pytest.mark.parametrize("dim", [16, 32, 48, 64])
     def test_rounding_term_covers_the_dense_lu_deviation(self, dim):
@@ -418,7 +488,7 @@ class TestDecoupledSums:
         kernel = _Kernel((op,))
         lams, w = nodes_for(op)
         coefs = w / (2.0 * np.pi * lams**2)
-        value = summed(kernel, kernel.sums(lams, [coefs], Q), 0)
+        value = summed(kernel, lams, [coefs], 0)
         assert kernel.kappa > 1.0
         deviation = np.linalg.norm(value - np.tensordot(coefs, dense_resolvents(op, lams), axes=(0, 0)), 2)
         assert deviation <= dim * _MACHINE_EPS * kernel.kappa * np.linalg.norm(value, 2)
@@ -432,7 +502,7 @@ class TestDecoupledSums:
         scale = np.maximum(np.linalg.norm(rs, axis=(1, 2)), np.linalg.norm(rt, axis=(1, 2)))
         coefs = w / (2.0 * np.pi)
         pair = _Kernel((s_op, t_op))
-        got = summed(pair, pair.sums(lams, [coefs], Q), 0)
+        got = summed(pair, lams, [coefs], 0)
         expect = np.tensordot(coefs, rs - rt, axes=(0, 0))
         assert np.linalg.norm(got - expect) <= REL_TOL * np.sum(np.abs(coefs) * scale)
 
@@ -767,6 +837,7 @@ class TestPreconditions:
         assert resolvent_many(op, []).shape == (0, 6, 6)
         assert resolvent_norms(op, []).shape == (0,)
         kernel = _Kernel((op,))
-        sums = kernel.sums(np.array([], dtype=complex), [np.array([])], Q)
-        assert np.array_equal(summed(kernel, sums, 0), np.zeros((6, 6)))
+        empty = np.array([], dtype=complex)
+        assert np.array_equal(summed(kernel, empty, [empty, empty], 0), np.zeros((6, 6)))
+        assert kernel.totals(empty, [empty, empty], Q, empty)[1].shape == (0,)
         assert kernel.norms(np.array([], dtype=complex)).shape == (0,)
