@@ -15,11 +15,11 @@ block-diagonal family.  This module provides
   Schur factors, their products in closed form), and for the quadrature's
   panel sums of larger blocks a cached block diagonalisation of the Schur
   form,
-* the ground-truth spectral projector ``oracle_projection``, computed from one
-  ordered triangular (Schur) decomposition and one triangular Sylvester solve
-  for the invariant-subspace coupling -- deliberately *not* by contour
-  quadrature, so it can serve as an independent oracle for the quadrature
-  route.
+* the ground-truth spectral projector ``oracle_projection``, computed per
+  connected component from one ordered triangular (Schur) decomposition and
+  one triangular Sylvester solve for the invariant-subspace coupling --
+  deliberately *not* by contour quadrature, so it can serve as an
+  independent oracle for the quadrature route.
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.
@@ -379,7 +379,8 @@ def resolvent_norms(op: Operator, lams) -> np.ndarray:
 # makes S block diagonal with these components as blocks, so (S - lam)^{-1}
 # is block diagonal too.  The layout is cached on the operator (_layout) and
 # shared with ``operator_norm``, ``resolvent`` and split's checks.  Each block B is reduced once to complex Schur form
-# B = Q T Q^H, cached on the operator, and (B - lam)^{-1} = Q (T - lam)^{-1}
+# B = Q T Q^H (a triangular B is its own, T = B and Q = I: _schur_stack),
+# cached on the operator, and (B - lam)^{-1} = Q (T - lam)^{-1}
 # Q^H (Golub & Van Loan, Matrix Computations, 7.6; Higham, Functions of
 # Matrices, ch. 9).  A pair (S, T) is reduced on the components of the union
 # of both patterns instead: every component of either operator lies inside
@@ -543,12 +544,7 @@ def _schur_groups(op: Operator, layout=None) -> tuple[_SchurGroup, ...]:
     def factors():
         groups = []
         for idx, blocks in zip(layout, _blocks(op.entries, layout)):
-            if idx.shape[1] == 1:
-                t, q = blocks, np.ones_like(blocks)
-            else:
-                t, q = np.empty_like(blocks), np.empty_like(blocks)
-                for b, block in enumerate(blocks):
-                    t[b], q[b] = sla.schur(block, output="complex")
+            t, q, _ = _schur_stack(blocks)
             coupling = None
             if idx.shape[1] >= _LANCZOS_MIN_ORDER:  # the only orders that use it
                 upper = (np.triu(t, 1) != 0).any(axis=0)
@@ -561,6 +557,24 @@ def _schur_groups(op: Operator, layout=None) -> tuple[_SchurGroup, ...]:
         return tuple(groups)
 
     return op._cache(("schur", *((idx.shape, idx.tobytes()) for idx in layout)), factors)
+
+
+def _schur_stack(blocks: np.ndarray, ordered: bool = False):
+    """Complex Schur factors B = Q T Q^H of the (nb, m, m) stack ``blocks``
+    and the count k of each T's diagonal entries with Re > 0, which come
+    first where ``ordered``.  A block whose strict lower part is exactly zero
+    (and, ordered, whose Re > 0 diagonal entries come first) is its own
+    factor, T = B and Q = I, with no rounding; every other block takes one
+    sorted or unsorted sla.schur call."""
+    right = np.diagonal(blocks, axis1=1, axis2=2).real > 0
+    own = ~np.tril(blocks, -1).any(axis=(1, 2))
+    if ordered:
+        own &= ~(right[:, 1:] & ~right[:, :-1]).any(axis=1)
+    t, q = blocks.copy(), np.broadcast_to(np.eye(blocks.shape[1], dtype=complex), blocks.shape).copy()
+    sort = (lambda z: z.real > 0) if ordered else None
+    for b in np.flatnonzero(~own):
+        t[b], q[b] = sla.schur(blocks[b], output="complex", sort=sort)[:2]
+    return t, q, (np.diagonal(t, axis1=1, axis2=2).real > 0).sum(axis=1)
 
 
 def _triangular_inverses(t: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -611,7 +625,10 @@ class _Decoupling:
     ``left`` = Z Y and ``right`` = Y^{-1} Z^H, Z the unitary of the
     reordering and Y the unit upper block triangular Sylvester transform;
     ``kappa`` = ||Y|| ||Y^{-1}||; ``single`` the clusters of order 1 (their
-    positions), ``clusters`` the others (s, e), ``grams`` = (L^H L, R R^H)."""
+    positions), ``clusters`` the others (s, e), and ``squares`` the operands
+    of :func:`_piece_squares`: with G = L^H L and H = R R^H,
+    ((G o H^T)[single, single]^T, H, G[:, C], G[single, C]), C the positions
+    in ``clusters``."""
 
     edges: np.ndarray
     d: np.ndarray
@@ -620,7 +637,7 @@ class _Decoupling:
     kappa: float
     single: np.ndarray
     clusters: tuple
-    grams: tuple[np.ndarray, np.ndarray]
+    squares: tuple[np.ndarray, ...]
 
 
 def _decoupling(t: np.ndarray) -> _Decoupling | None:
@@ -658,11 +675,13 @@ def _decoupling(t: np.ndarray) -> _Decoupling | None:
         labels = merged[np.unique(labels, return_inverse=True)[1]]
     y = _ztrtri(y_inv, unitdiag=1)[0]
     left, right = z @ y, y_inv @ z.conj().T
-    single, grams = edges[:-1][np.diff(edges) == 1], (left.conj().T @ left, right @ right.conj().T)
-    for a in (edges, d, left, right, single, *grams):
+    single, (g, h) = edges[:-1][np.diff(edges) == 1], (left.conj().T @ left, right @ right.conj().T)
+    g_rows = g[:, np.flatnonzero(np.repeat(np.diff(edges) > 1, np.diff(edges)))]
+    squares = ((g * h.T)[np.ix_(single, single)].T, h, g_rows, g_rows[single])
+    for a in (edges, d, left, right, single, *squares):
         a.setflags(write=False)
     clusters = tuple((s, e) for s, e in zip(edges[:-1], edges[1:]) if e > s + 1)
-    return _Decoupling(edges, d, left, right, spectral_norm(y) * spectral_norm(y_inv), single, clusters, grams)
+    return _Decoupling(edges, d, left, right, spectral_norm(y) * spectral_norm(y_inv), single, clusters, squares)
 
 
 def _sylvester_decoupling(d: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -727,17 +746,17 @@ def _from_pieces(part: _Decoupling, pieces: list[np.ndarray]) -> np.ndarray:
 
 def _piece_squares(part: _Decoupling, pieces: list[np.ndarray]) -> np.ndarray:
     """||L F R||_F^2 (...) for F = D + C given by its ``pieces``, D the f_j
-    and C the cluster blocks C_c: with (G, H) = ``part.grams`` and V = C H,
+    and C the cluster blocks C_c: with G = L^H L, H = R R^H and V = C H,
     Re tr(F^H G F H) = f^H (G o H^T) f + 2 Re tr(D^H G V) + Re sum_c <C_c,
-    (G V)[c, c]>, O(m N) for N entries, no more work than one L F R."""
-    (g, h), single, (d, *blocks) = part.grams, part.single, pieces
-    out = np.einsum("...j,...j->...", d.conj(), d @ (g * h.T)[np.ix_(single, single)].T)
-    if blocks:
-        gr = g[:, np.concatenate([np.arange(s, e) for s, e in part.clusters])]  # G on the rows of V
+    (G V)[c, c]>, O(m N) for N entries, no more work than one L F R; the
+    parts of G and H are cached (``part.squares``)."""
+    (gh, h, g_rows, g_single), single, (d, *blocks) = part.squares, part.single, pieces
+    out = np.einsum("...j,...j->...", d.conj(), d @ gh)
+    if blocks:  # G on the rows of V, g_rows, and of these the rows of the single eigenvalues
         v = np.concatenate([block @ h[s:e] for (s, e), block in zip(part.clusters, blocks)], axis=-2)
-        out += 2.0 * np.einsum("...j,...j->...", d.conj(), np.einsum("ji,...ij->...j", gr[single], v[..., single]))
+        out += 2.0 * np.einsum("...j,...j->...", d.conj(), np.einsum("ji,...ij->...j", g_single, v[..., single]))
         for (s, e), block in zip(part.clusters, blocks):
-            out += np.einsum("...ij,...ij->...", block.conj(), gr[s:e] @ v[..., s:e])
+            out += np.einsum("...ij,...ij->...", block.conj(), g_rows[s:e] @ v[..., s:e])
     return out.real
 
 
@@ -1102,38 +1121,41 @@ class _Kernel:
 
 def oracle_projection(op: Operator) -> ProjectionPair:
     """Riesz spectral projections onto the right/left half-plane invariant
-    subspaces, by one ordered Schur decomposition.
+    subspaces, by one ordered Schur decomposition per connected component.
 
-    With ``S = Q T Q^H`` and the right-half-plane eigenvalues ordered first,
-    the coupling ``X`` solving ``T11 X - X T22 = T12`` (one triangular
-    Sylvester solve, as in Bartels & Stewart) yields the projections
-    ``[[I, X], [0, 0]]`` and ``[[0, -X], [0, I]]`` in Schur coordinates, so
-    ``Q [-X; I]`` spans the range of ``P_-``.  This is the ground-truth
-    oracle the contour quadrature is checked against; eigenvalues are never
-    assumed simple.  An eigenvalue on the imaginary axis is refused by the
-    same zero-gap check as the quadrature's (:func:`_spectral_gap`).
+    With a component ``B = Q T Q^H`` and its right-half-plane eigenvalues
+    ordered first, the coupling ``X`` solving ``T11 X - X T22 = T12`` (one
+    triangular Sylvester solve, as in Bartels & Stewart) yields the
+    projections ``[[I, X], [0, 0]]`` and ``[[0, -X], [0, I]]`` in Schur
+    coordinates, so ``Q [-X; I]`` spans the range of ``P_-``.  S is the
+    direct sum of its components, so this is an ordered Schur form of S up to
+    a permutation, in which each solve scales only its own component; a
+    triangular component already so ordered is its own Schur form
+    (:func:`_schur_stack`), and every basis column lies on one component.
+    This is the ground-truth oracle the contour quadrature is checked
+    against; it never reads the kernel's cached factors, and eigenvalues are
+    never assumed simple.  An eigenvalue on the imaginary axis is refused by
+    the same zero-gap check as the quadrature's (:func:`_spectral_gap`).
     """
     _spectral_gap(op)
     n = op.dim
-    t, q, k = sla.schur(op.entries, output="complex", sort=lambda z: z.real > 0)
-    x = np.zeros((k, n - k), dtype=complex)
-    if 0 < k < n:  # ztrsyl rejects empty blocks
-        x, scale, _ = _ztrsyl(t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
-        x = x / scale
-    if k == n:
-        p_plus = np.eye(n, dtype=complex)
-    else:
-        core = np.zeros((n, n), dtype=complex)
-        core[:k, :k] = np.eye(k)
-        core[:k, k:] = x
-        p_plus = q @ core @ q.conj().T
-    basis_minus = np.linalg.qr(q @ np.vstack([-x, np.eye(n - k)]))[0]
-    return ProjectionPair(
-        p_plus=p_plus,
-        p_minus=np.eye(n, dtype=complex) - p_plus,
-        basis_plus=q[:, :k].copy(),
-        basis_minus=basis_minus,
-    )
+    p_plus, basis, is_plus = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex), np.zeros(n, dtype=bool)
+    for idx, blocks in zip(_layout(op), _blocks(op.entries, _layout(op))):
+        t, q, ranks = _schur_stack(blocks, ordered=True)
+        m = idx.shape[1]
+        for k in np.unique(ranks):  # per rank, batched: core = [[I, X], [0, 0]]
+            rows, t_k, q_k = idx[ranks == k], t[ranks == k], q[ranks == k]
+            core = np.zeros_like(q_k)
+            core[:, :k, :k] = np.eye(k)
+            x = core[:, :k, k:]  # solved in place
+            for x_b, t_b in zip(x if 0 < k < m else (), t_k):  # ztrsyl rejects empty blocks
+                x_b[...], scale, _ = _ztrsyl(t_b[:k, :k], t_b[k:, k:], t_b[:k, k:], isgn=-1)
+                x_b /= scale
+            _assemble([core if k == m else q_k @ core @ q_k.conj().transpose(0, 2, 1)], [rows], p_plus)
+            span = q_k @ np.concatenate([-x, np.broadcast_to(np.eye(m - k), (len(rows), m - k, m - k))], axis=1)
+            _assemble([np.concatenate([q_k[:, :, :k], np.linalg.qr(span)[0]], axis=2)], [rows], basis)
+            is_plus[rows[:, :k]] = True
+    return ProjectionPair(p_plus, np.eye(n, dtype=complex) - p_plus, basis[:, is_plus], basis[:, ~is_plus])
 
 
 # ---------------------------------------------------------------------------

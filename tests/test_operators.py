@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import ztrsyl
 
 from specsplit import (
     NearSpectrumError,
@@ -20,9 +21,10 @@ from specsplit import (
     resolvent_many,
     spectral_norm,
     spectrum,
+    subspace_angle,
 )
 import specsplit.operators as operators_module
-from specsplit.operators import mcintosh_yagi_parts, mcintosh_yagi_pick_n
+from specsplit.operators import _schur_groups, _schur_stack, mcintosh_yagi_parts, mcintosh_yagi_pick_n
 
 
 def block23(n):
@@ -343,6 +345,189 @@ class TestOracle:
         pair = oracle_projection(op)
         for n, sl in zip(range(1, 4), op.family_tag.block_slices()):
             assert np.allclose(pair.p_plus[sl, sl], [[1, n], [0, 0]], atol=1e-10)
+
+
+def dense_oracle(entries):
+    """The oracle as one ordered Schur form of the whole matrix, one ztrsyl
+    and Q core Q^H: (P_+, basis of its range, basis of the range of P_-)."""
+    n = entries.shape[0]
+    t, q, k = sla.schur(entries, output="complex", sort=lambda z: z.real > 0)
+    x = np.zeros((k, n - k), dtype=complex)
+    if 0 < k < n:
+        x, scale, _ = ztrsyl(t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
+        x = x / scale
+    core = np.zeros((n, n), dtype=complex)
+    core[:k, :k] = np.eye(k)
+    core[:k, k:] = x
+    p_plus = np.eye(n, dtype=complex) if k == n else q @ core @ q.conj().T
+    return p_plus, q[:, :k], np.linalg.qr(q @ np.vstack([-x, np.eye(n - k)]))[0]
+
+
+def diag128():
+    """The diagonal operator of acceptance criterion 8: +-k, odd k positive."""
+    k = np.arange(1, 129, dtype=float)
+    return diag_operator(np.where(k % 2 == 1, k, -k))
+
+
+def perturbed_diag128():
+    """:func:`diag128` plus a diagonal perturbation and one symmetric coupling
+    of its first two entries: one non-triangular 2 x 2 component."""
+    k = np.arange(1, 129, dtype=float)
+    r = 0.5 * np.diag(k**0.4).astype(complex)
+    r[0, 1] = r[1, 0] = 0.1
+    return dense_operator(diag128().entries + r)
+
+
+def permuted_components(*blocks, seed=5):
+    """The direct sum of ``blocks`` under a fixed random permutation, which
+    spreads the indices of each component out."""
+    perm = np.random.default_rng(seed).permutation(sum(len(b) for b in blocks))
+    return dense_operator(sla.block_diag(*blocks)[np.ix_(perm, perm)])
+
+
+def rotated(values, seed):
+    """A dense, non-triangular matrix with the eigenvalues ``values``."""
+    rng = np.random.default_rng(seed)
+    n = len(values)
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    t = np.triu(rng.standard_normal((n, n)), 1) + np.diag(values)
+    return u @ t @ u.conj().T
+
+
+MIXED = permuted_components(rotated([1.5, -0.7, 2 + 1j], 1), [[1.0, 2.0], [0.5, -1.0]], [[2.0]], [[-3.0]], [[0.5 + 1j]])
+ONE_SIDED = permuted_components(rotated([1.0, 2.0, 0.5 - 1j], 2), rotated([-1.0, -2.0 + 3j], 3), [[4.0]], [[-0.25]])
+
+# every component triangular with its Re > 0 diagonal entries first
+ORDERED_TRIANGULAR = {
+    "dichotomy-2.3?N=6": lambda: build_block_operator("dichotomy-2.3", 6),
+    "bound-4.6?N=6": lambda: build_block_operator("bound-4.6", 6),
+    "almost-bisect-5.5?p=0.5&N=10": lambda: build_block_operator("almost-bisect-5.5", 10, {"p": 0.5}),
+    "constant-diag?N=3": lambda: build_block_operator("constant-diag", 3),
+    "mcintosh-yagi?N=1": lambda: build_block_operator("mcintosh-yagi", 1),
+    "mcintosh-yagi?N=2": lambda: build_block_operator("mcintosh-yagi", 2),
+    "diag128": diag128,
+}
+OTHERS = {
+    "random(8, 3)": lambda: random_gap_operator(8, 3),
+    "random(24, 7)": lambda: random_gap_operator(24, 7),
+    "constant-diag?values=-1,2,1+3j": lambda: build_block_operator("constant-diag", 2, {"values": [-1, 2, 1 + 3j]}),
+    "perturbed diag128": perturbed_diag128,
+    "permuted components": lambda: MIXED,
+    "components with k = 0 and k = m": lambda: ONE_SIDED,
+}
+
+
+class TestOracleAgainstDenseForm:
+    """The per-component oracle against one ordered Schur form of the whole
+    matrix: the same projections, up to the rounding of the dense form."""
+
+    def check_bases(self, pair, reference):
+        _, plus, minus = reference
+        assert (pair.rank_plus, pair.rank_minus) == (plus.shape[1], minus.shape[1])
+        for got, want in ((pair.basis_plus, plus), (pair.basis_minus, minus)):
+            assert spectral_norm(got.conj().T @ got - np.eye(got.shape[1])) <= 1e-13
+            assert subspace_angle(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(ORDERED_TRIANGULAR))
+    def test_bit_for_bit_on_ordered_triangular_components(self, name):
+        # the dense form differs only by exact swaps of uncoupled eigenvalues
+        op = ORDERED_TRIANGULAR[name]()
+        pair, reference = oracle_projection(op), dense_oracle(op.entries)
+        assert np.array_equal(pair.p_plus, reference[0])
+        self.check_bases(pair, reference)
+
+    @pytest.mark.parametrize("name", sorted(OTHERS))
+    def test_within_rounding_elsewhere(self, name):
+        op = OTHERS[name]()
+        pair, reference = oracle_projection(op), dense_oracle(op.entries)
+        assert spectral_norm(pair.p_plus - reference[0]) <= 1e-13 * spectral_norm(reference[0])
+        assert np.array_equal(pair.p_minus, np.eye(op.dim) - pair.p_plus)
+        self.check_bases(pair, reference)
+
+    def test_components_of_either_rank_end(self):
+        # the 3 x 3 component lies right of the axis (k = m), the 2 x 2 one left of it (k = 0)
+        pair = oracle_projection(ONE_SIDED)
+        assert (pair.rank_plus, pair.rank_minus) == (4, 3)
+        _, two, three = operators_module._layout(ONE_SIDED)
+        assert np.array_equal(pair.p_plus[np.ix_(three[0], three[0])], np.eye(3))
+        assert not pair.p_plus[np.ix_(two[0], two[0])].any()
+
+    def test_each_basis_column_on_one_component(self):
+        pair = oracle_projection(MIXED)
+        labels = np.zeros(MIXED.dim, dtype=int)
+        for c, idx in enumerate(i for group in operators_module._layout(MIXED) for i in group):
+            labels[idx] = c
+        for basis in (pair.basis_plus, pair.basis_minus):
+            for col in basis.T:
+                assert np.unique(labels[col != 0]).size == 1
+
+    def test_mixed_scale_components_each_as_if_alone(self):
+        # the order-340 block of N = 3 has entries up to 1e51; its Sylvester
+        # scale must not touch the coupling of the blocks of order 16 and 76
+        op = build_block_operator("mcintosh-yagi", 3)
+        p_plus = oracle_projection(op).p_plus
+        slices = op.family_tag.block_slices()
+        for i, sl in enumerate(slices):
+            alone = oracle_projection(dense_operator(op.entries[sl, sl])).p_plus
+            assert spectral_norm(p_plus[sl, sl] - alone) <= 1e-13 * spectral_norm(alone)
+            for other in slices[:i] + slices[i + 1 :]:
+                assert not p_plus[sl, other].any()
+        assert spectral_norm(p_plus[slices[0], slices[0]]) == pytest.approx(4.362976636306096, rel=1e-13)
+        assert spectral_norm(p_plus[slices[1], slices[1]]) == pytest.approx(7.531539892396505, rel=1e-13)
+
+
+class TestSchurStack:
+    @pytest.fixture
+    def schur_calls(self, monkeypatch):
+        calls = []
+        schur = sla.schur
+        monkeypatch.setattr(operators_module.sla, "schur", lambda *a, **k: calls.append(a[0].shape) or schur(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_block_operator("almost-bisect-5.5", 50, {"p": 0.5}),
+            lambda: build_block_operator("mcintosh-yagi", 3),
+        ],
+        ids=["almost-bisect-5.5?p=0.5&N=50", "mcintosh-yagi?N=3"],
+    )
+    def test_triangular_components_take_no_schur_call(self, build, schur_calls):
+        _schur_groups(build())
+        oracle_projection(build())
+        assert schur_calls == []
+
+    def test_one_call_per_coupled_component(self, schur_calls):
+        _schur_groups(perturbed_diag128())
+        assert schur_calls == [(2, 2)]
+        oracle_projection(perturbed_diag128())
+        assert schur_calls == [(2, 2), (2, 2)]
+
+    @pytest.mark.parametrize("family", operators_module.family_names())
+    def test_family_blocks_as_lapack_gives_them(self, family):
+        params = {"p": 0.5} if family == "almost-bisect-5.5" else {}
+        op = build_block_operator(family, 3, params)
+        for sl in op.family_tag.block_slices():
+            block = op.entries[sl, sl]
+            for ordered, sort in ((False, None), (True, lambda z: z.real > 0)):
+                t, q, (k,) = _schur_stack(block[None], ordered)
+                want_t, want_q = sla.schur(block, output="complex", sort=sort)[:2]
+                assert t[0].tobytes() == want_t.tobytes() and q[0].tobytes() == want_q.tobytes()
+                assert k == np.sum(block.diagonal().real > 0)
+
+    def test_huge_triangular_block_kept_exactly(self):
+        # zgees scales a matrix of such norm, and its T then differs from B at rounding
+        block = 1e200 * np.array([[2.0, 3.0, -1j], [0.0, 1.0 + 1j, 5.0], [0.0, 0.0, -1.0]])
+        for ordered in (False, True):
+            t, q, (k,) = _schur_stack(block[None], ordered)
+            assert t[0].tobytes() == block.tobytes() and q[0].tobytes() == np.eye(3, dtype=complex).tobytes()
+            assert k == 2
+
+    def test_unordered_triangular_block_is_sorted(self):
+        block = np.array([[-1.0, 2.0, 0.5], [0.0, 3.0, 1.0], [0.0, 0.0, 2.0 - 1j]], dtype=complex)
+        t, q, (k,) = _schur_stack(block[None], ordered=True)
+        assert k == 2 and (t[0].diagonal().real[:2] > 0).all() and t[0].diagonal().real[2] < 0
+        assert np.linalg.norm(q[0] @ t[0] @ q[0].conj().T - block) <= 1e-14 * np.linalg.norm(block)
 
 
 # ---------------------------------------------------------------------------
