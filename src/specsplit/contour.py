@@ -364,12 +364,14 @@ def _neumann_tail(norm: float, t_eff, c: float, k: float, poles=()):
     ||R(x0 + it)|| dt,  R the resolvent of an operator S of norm ``norm``,
     with |lambda| >= t and ||R|| <= 1/(|lambda| - ||S||): by t/(t - sigma) <=
     T/(T - sigma), sigma over ||S|| and the poles, it is  c prod_sigma
-    T/(T - sigma) / (pi n T^n),  n = k + #sigma - 1, taken in logarithms;
-    inf where T < 2 max sigma.  ``t_eff`` is one height T or an array."""
+    T/(T - sigma) / (pi n T^n),  n = k + #sigma - 1, taken in logarithms
+    with c floored at the smallest normal float, as c ||S||^K can underflow
+    to 0; inf where T < 2 max sigma.  ``t_eff`` is one height T or an array."""
     sigmas = [norm, *poles]
     low = 2.0 * max(sigmas)
     n = k + len(sigmas) - 1
     t = np.maximum(t_eff, low)
+    c = max(c, np.finfo(float).tiny)
     log_tail = np.log(c / (np.pi * n)) - n * np.log(t) + sum(np.log(t / (t - s)) for s in sigmas)
     with np.errstate(over="ignore"):
         return np.where(t_eff < low, np.inf, np.exp(log_tail))

@@ -39,7 +39,9 @@ from .errors import OperatorError
 from .operators import (
     _MACHINE_EPS,
     Operator,
+    _blocks_almost_bisect,
     _param,
+    _pow2_scale,
     build_block_operator,
     dense_operator,
     eigenvalues_of,
@@ -223,8 +225,6 @@ def dichotomy_block_forms(n: int) -> dict:
     """Closed forms for the n-th block of the unbounded-projection family."""
     n = float(n)
     return {
-        "S": np.array([[n, 2 * n * n], [0, -n]], dtype=complex),
-        "S_inv": np.array([[1 / n, 2], [0, -1 / n]], dtype=complex),
         "A_plus": np.array([[n**-2, 1 / n], [0, 0]], dtype=complex),
         "A_minus": np.array([[0, -1 / n], [0, n**-2]], dtype=complex),
         "P_plus": np.array([[1, n], [0, 0]], dtype=complex),
@@ -399,34 +399,33 @@ def corpus_almbisect(n_blocks: int = 50, p: float = 0.5) -> CorpusCase:
             f"{inside} eigenvalues inside; largest ||R(lambda)|| over its bound, M = {m:.6g}"
         )
 
-    def oracle(n):
-        return oracle_projection(
-            dense_operator(np.array([[n, 2.0 * n ** (1.0 + p)], [0.0, -n]], dtype=complex))
-        )
+    picks = sorted(set(range(1, min(n_blocks, 8) + 1)) | {n_blocks})
 
     @functools.cache
-    def sampled_blocks():
-        picks = sorted(set(range(1, min(n_blocks, 8) + 1)) | {n_blocks})
-        return [(n, oracle(n)) for n in picks]
-
-    @functools.cache
-    def block100():
-        return spectral_norm(oracle(100).p_plus)
+    def blocks():
+        """P_n^+- of the picked blocks and block 100, from one oracle of their
+        direct sum, in which each component's P+- is the one it has alone."""
+        ns, family = sorted({*picks, 100}), _blocks_almost_bisect({"p": p}, max(n_blocks, 100))
+        pair = oracle_projection(dense_operator(sla.block_diag(*(family[n - 1] for n in ns))))
+        cuts = [slice(2 * i, 2 * i + 2) for i in range(len(ns))]
+        return {n: {"P_plus": pair.p_plus[c, c], "P_minus": pair.p_minus[c, c]} for n, c in zip(ns, cuts)}
 
     def check_pattern(budget: Budget):
         worst = 0.0
-        for n, pair in sampled_blocks():
-            expect = almost_bisect_block_projections(n, p)
-            worst = max(worst, float(np.abs(pair.p_plus - expect["P_plus"]).max()))
-            worst = max(worst, float(np.abs(pair.p_minus - expect["P_minus"]).max()))
+        for n in picks:
+            got, expect = blocks()[n], almost_bisect_block_projections(n, p)
+            worst = max(worst, *(float(np.abs(got[key] - expect[key]).max()) for key in expect))
         return worst <= _ORACLE_TOL, worst, "P_n^+- = [[1,n^p],[0,0]] pattern"
 
     def check_norms(budget: Budget):
         worst = 0.0
-        for n, pair in sampled_blocks():
+        for n in picks:
             expect = np.sqrt(1.0 + float(n) ** (2.0 * p))
-            worst = max(worst, abs(spectral_norm(pair.p_plus) - expect))
+            worst = max(worst, abs(spectral_norm(blocks()[n]["P_plus"]) - expect))
         return worst <= _ORACLE_TOL, worst, "||P_n^+|| = sqrt(1+n^(2p))"
+
+    def block100():
+        return spectral_norm(blocks()[100]["P_plus"])
 
     def check_block100(budget: Budget):
         measured = block100()
@@ -447,14 +446,8 @@ def corpus_almbisect(n_blocks: int = 50, p: float = 0.5) -> CorpusCase:
         Fact("projection_norm_block100", "derived", "formula at block 100", check_block100),
     ]
     if np.sqrt(1.0 + 100.0 ** (2.0 * p)) > 10.0:
-        facts.append(
-            Fact(
-                "projection_norm_exceeds_10",
-                "derived",
-                "||P_100^+|| > 10 (unbounded trend)",
-                lambda budget: (block100() > 10.0, block100(), "growth witness"),
-            )
-        )
+        facts.append(Fact("projection_norm_exceeds_10", "derived", "||P_100^+|| > 10 (unbounded trend)",
+                          lambda budget: (block100() > 10.0, block100(), "growth witness")))
     return CorpusCase(name="almbisect", params=params, operator=op, facts=tuple(facts))
 
 
@@ -515,10 +508,10 @@ def corpus_mcintosh_yagi(m_const: float = 10.0, m_max: int = 3) -> CorpusCase:
     def check_sylvester(m):
         def checker(budget: Budget):
             d, rhs, z = solved(m)
-            # both norms scaled by the power of two at max|rhs|, exactly, as
-            # the squares of entries near 1e225 (m = 4) overflow
-            scale = np.ldexp(1.0, -np.frexp(np.abs(rhs).max())[1])
-            resid = np.linalg.norm(scale * (d @ z + z @ d - rhs), "fro") / np.linalg.norm(scale * rhs, "fro")
+            # both norms over the power of two at max|rhs|, as the squares of
+            # entries near 1e225 (m = 4) overflow
+            scale = _pow2_scale(rhs)
+            resid = np.linalg.norm((d @ z + z @ d - rhs) / scale, "fro") / np.linalg.norm(rhs / scale, "fro")
             return resid < 1e-10, resid, "relative Sylvester residual"
         return checker
 

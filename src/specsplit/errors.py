@@ -33,9 +33,11 @@ class QuadratureError(Exception):
 
 
 class TruncationError(QuadratureError):
-    """Raised when a line has no truncation height: c ||S||^24, the scale of
-    the Neumann remainder bound, leaves the float range, so no height has a
-    finite bound ("no truncation height meets tol")."""
+    """Raised when a line has no truncation height ("no truncation height
+    meets tol"), for one of two causes: c ||S||^24, the scale of the Neumann
+    remainder bound, leaves the float range, so no height has a finite bound;
+    or the 256 dyadic heights from 10h all stay below 2 max(||S||, |p|), the
+    least height at which the bound is finite."""
 
 
 class SplittingMismatchError(Exception):

@@ -189,11 +189,18 @@ def eigenvalues_of(op: Operator) -> np.ndarray:
     return op._cache("eigs", compute)
 
 
+def _pow2_scale(x, axis=None):
+    """2^e for frexp's e of the largest |entry| of ``x`` (over ``axis``), clipped
+    to +-1021 (1 for zeros): x / 2^e is exact, its largest entry in [0.5, 1) or,
+    where e is clipped, below 8, so its sum of squares neither overflows nor vanishes."""
+    return np.ldexp(1.0, np.clip(np.frexp(np.abs(x).max(axis=axis, initial=0.0))[1], -1021, 1021))
+
+
 def operator_norm(op: Operator) -> float:
     """||S||, the largest spectral norm over the operator's connected
     components (see "the resolvent kernel"), of which S is the direct sum."""
-    def compute():  # over a power of two, exactly: the closed forms of order 1 and 2 square the entries
-        scale = np.ldexp(1.0, np.clip(np.frexp(np.abs(op.entries).max(initial=0.0))[1], -1021, 1021))
+    def compute():  # the closed forms of order 1 and 2 square the entries
+        scale = _pow2_scale(op.entries)
         return float(scale * _stack_norms(_blocks(op.entries / scale, _layout(op)), True))
     return op._cache("norm", compute)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import _fit_window, _sweep, axis_grid
 from .contour import ContourSpec, _line_integrals, default_contour
 from .errors import NearSpectrumError, OperatorError
-from .operators import Operator, oracle_projection, spectral_norm
+from .operators import Operator, _pow2_scale, _spectral_gap, oracle_projection, spectral_norm
 
 __all__ = [
     "PerturbReport",
@@ -67,34 +67,28 @@ def resolvent_diff_decay(s_op: Operator, t_op: Operator, grid, fit_window=None):
 
 def subordination_curve(s_op: Operator, r: np.ndarray, samples):
     """The tight constant c(p) = max over samples of
-    ||Rx|| / (||x||^{1-p} ||Sx||^p) on the p grid 0, 0.01, ..., 1."""
-    r = np.asarray(r, dtype=complex)
-    ratios = []
-    for x in samples:
-        x = np.asarray(x, dtype=complex).ravel()
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
+    ||Rx|| / (||x||^{1-p} ||Sx||^p) on the p grid 0, 0.01, ..., 1, with the
+    samples as the columns of one array and each column of x, Sx and Rx
+    divided by the power of two at its largest entry before its norm is
+    taken, so that no square leaves the float range."""
+    def norms(v):
+        scale = _pow2_scale(v, axis=0)
+        return scale * np.linalg.norm(v / scale, axis=0)
+
+    rows = [np.ravel(x) for x in samples]
+    x = np.array(rows, dtype=complex).reshape(len(rows), s_op.dim).T  # (dim, 0) for no samples
+    nx, sx, rx = (norms(v) for v in (x, s_op.entries @ x, np.asarray(r, dtype=complex) @ x))
+    bad = (nx == 0.0) | ((sx == 0.0) & (rx > 0.0))
+    if bad.any():  # the first offending sample names the refusal
+        if nx[np.argmax(bad)] == 0.0:
             raise ValueError("subordination samples must be nonzero")
-        sx = float(np.linalg.norm(s_op.entries @ x))
-        rx = float(np.linalg.norm(r @ x))
-        if sx == 0.0 and rx > 0.0:
-            raise ValueError(
-                "subordination impossible for p > 0: sample with Sx = 0 but Rx != 0"
-            )
-        if rx > 0.0:
-            ratios.append((rx, nx, sx))
+        raise ValueError("subordination impossible for p > 0: sample with Sx = 0 but Rx != 0")
     p_grid = np.round(np.arange(0.0, 1.005, 0.01), 10)
-    if not ratios:
-        return p_grid, np.zeros_like(p_grid)
-    log_r = np.log([t[0] for t in ratios])
-    log_n = np.log([t[1] for t in ratios])
-    log_s = np.log([t[2] for t in ratios])
-    # log c(p) = max_x [log rx - (1-p) log nx - p log sx]: convex piecewise linear
-    log_c = np.max(
-        log_r[None, :] - (1.0 - p_grid[:, None]) * log_n[None, :] - p_grid[:, None] * log_s[None, :],
-        axis=1,
-    )
-    return p_grid, np.exp(log_c)
+    log_r, log_n, log_s = (np.log(v[rx > 0.0]) for v in (rx, nx, sx))
+    # log c(p) = max_x [log rx - (1-p) log nx - p log sx]: convex piecewise
+    # linear, and -inf (c = 0) where no sample has Rx != 0
+    p = p_grid[:, None]
+    return p_grid, np.exp(np.max(log_r - (1.0 - p) * log_n - p * log_s, axis=1, initial=-np.inf))
 
 
 def p_subordination_fit(s_op: Operator, r: np.ndarray, samples) -> tuple[float, float]:
@@ -259,6 +253,7 @@ def perturb_pair_report(
     if r.shape != (s_op.dim, s_op.dim):
         raise OperatorError("R must have the same shape as S")
     t_op = Operator(entries=s_op.entries + r)
+    _spectral_gap(s_op, t_op)  # a zero gap is refused before any measurement
     # the exponent arithmetic refuses a beta outside (0, 1] before the sweep
     c_fit, p_fit = p_subordination_fit(s_op, r, list(np.eye(s_op.dim, dtype=complex).T))
     if beta is None:

@@ -30,7 +30,7 @@ from specsplit import (
 )
 from specsplit.analysis import pair_identity_residuals, projection_pair_residuals
 from specsplit.corpus import mixed_choice_pair
-from specsplit.operators import Operator, _layout, operator_norm
+from specsplit.operators import Operator, _layout, _pow2_scale, operator_norm
 
 EPS = np.finfo(float).eps
 
@@ -302,3 +302,14 @@ class TestOperatorNorm:
         tiny = np.array([[1e-170, 1e-170], [0.0, -1e-170]])
         assert operator_norm(dense_operator(tiny)) == pytest.approx(spectral_norm(tiny), rel=4 * EPS)
         assert spectral_norm(tiny) == pytest.approx(0.5 * (1.0 + np.sqrt(5.0)) * 1e-170, rel=4 * EPS)
+
+    def test_power_of_two_scale(self):
+        # 2^e with frexp's e of the largest |entry|, clipped to +-1021: the
+        # quotient is exact, its largest entry in [0.5, 1) unless e is clipped
+        x = np.array([[3.0, 0.0, 1e-320, 0.0], [-5.0, 0.0, 0.0, np.finfo(float).max]])
+        assert _pow2_scale(x) == 2.0**1021
+        assert np.array_equal(_pow2_scale(x, axis=0), [8.0, 1.0, 2.0**-1021, 2.0**1021])
+        assert _pow2_scale(np.zeros((2, 2))) == 1.0
+        quotient = x / _pow2_scale(x, axis=0)
+        assert np.array_equal(quotient * _pow2_scale(x, axis=0), x)
+        assert np.array_equal(np.abs(quotient[:, :2]).max(axis=0), [0.625, 0.0])

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -534,6 +535,42 @@ class TestPerturb:
         assert code == 1
         assert out == ""
         assert "invalid choice" in err
+
+
+class TestExtremeScales:
+    """Runs at the ends of the float range keep the exit-code contract: their
+    code, one stderr line and no warning."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        # |c| ||S||^24 underflows to 0, and its floor keeps the log finite
+        (("split", "constant-diag?N=2&values=1e-14,-1e-14"), 3,
+         "numerical non-convergence: quadrature on Re lambda = 5e-15 did not reach tol=1.00e-08"),
+        (("perturb", "constant-diag?N=2&values=1e-14,-1e-14"), 3,
+         "numerical non-convergence: quadrature on Re lambda = 5e-15 did not reach tol=1.00e-08"),
+        # ||Sx|| = 1e-300 is not 0 on a scaled column, so the fit passes and
+        # the line is refused a height
+        (("perturb", "constant-diag?N=1&values=1e-300,-1e-300"), 3,
+         "numerical non-convergence: no truncation height meets tol=1.00e-08: the 256 dyadic heights "
+         "from 10h end at 4.632e-223"),
+        # squares of ||Rx|| near 1e320 or 1e600 no longer overflow in the fit
+        (("perturb", "dichotomy-2.3?N=2", "--scale", "1e160"), 2,
+         "spectral precondition failed: all grid points are near the spectrum"),
+        (("perturb", "dichotomy-2.3?N=2", "--coupling", "1e300"), 3,
+         "numerical non-convergence: no truncation height meets tol=1.00e-08: ||S|| = 1.000e+300, "
+         "whose 24th power leaves the float range"),
+        # S has the eigenvalue 0: refused before the fit, as the zero gap
+        (("perturb", "constant-diag?N=1&values=0,1"), 2,
+         "spectral precondition failed: spectral gap to the imaginary axis is zero"),
+        (("perturb", "dichotomy-2.3?N=2", "--scale", "1e-320"), 0, ""),
+    ], ids=["split-tiny-norm", "perturb-tiny-norm", "perturb-1e-300", "scale-1e160", "coupling-1e300",
+            "zero-gap", "scale-1e-320"])
+    def test_exit_code_one_line_no_warning(self, capsys, argv, code, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, _, err = run_cli(capsys, *argv)
+        assert [str(w.message) for w in caught] == []
+        assert got == code
+        assert err.startswith(message) and err.count("\n") == (code != 0)
 
 
 class TestUsageAndDeterminism:

@@ -125,6 +125,13 @@ class TestIntegrateA:
         t1, t2 = _neumann_tail(operator_norm(op), np.array([1e6, 2e6]), 1.0, 2)
         assert t2 <= 0.51 * t1
 
+    def test_tail_constant_floored_where_it_underflows(self):
+        # |c| ||S||^24 is 0 for ||S|| = 1e-14; the floored constant keeps a
+        # positive bound and its log finite (a log(0) warning fails the run)
+        tails = _neumann_tail(1e-14, np.array([1e-12, 1.0]), 1e-14**24, 26)
+        assert np.all((tails > 0.0) & np.isfinite(tails))
+        assert np.array_equal(tails, _neumann_tail(1e-14, np.array([1e-12, 1.0]), np.finfo(float).tiny, 26))
+
     def test_node_escalation(self, monkeypatch):
         passes = []
 

@@ -12,7 +12,9 @@ from specsplit import (
     corpus_almbisect,
     corpus_mcintosh_yagi,
     corpus_unbproj,
+    dense_operator,
     make_case,
+    oracle_projection,
     resolvent_sweep,
     run_case,
     spectral_norm,
@@ -21,7 +23,7 @@ from specsplit import (
 import specsplit.corpus as corpus_module
 import specsplit.contour as contour_module
 from specsplit.contour import default_contour, integrate_A
-from specsplit.corpus import dichotomy_block_forms, mixed_choice_pair
+from specsplit.corpus import almost_bisect_block_projections, dichotomy_block_forms, mixed_choice_pair
 from specsplit.operators import mcintosh_yagi_parts
 
 
@@ -163,6 +165,36 @@ class TestAlmbisect:
         monkeypatch.setattr(corpus_module, "resolvent_sweep", counting_sweep)
         assert run_case(corpus_almbisect(50, 0.5)).all_passed
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_blocks, p", [(4, 0.3), (50, 0.5), (120, 0.5)])
+    def test_block_facts_from_one_oracle(self, monkeypatch, n_blocks, p):
+        # every block fact reads its blocks off one oracle of the picked
+        # blocks and block 100, and measures what a dense 2 x 2 oracle per
+        # block measures
+        calls = []
+
+        def counting_oracle(op):
+            calls.append(op.dim)
+            return oracle_projection(op)
+
+        monkeypatch.setattr(corpus_module, "oracle_projection", counting_oracle)
+        measured = {f.name: f.measured for f in run_case(make_case("almbisect", N=n_blocks, p=p)).facts}
+        assert calls == [2 * len({*range(1, min(n_blocks, 8) + 1), n_blocks, 100})]
+
+        def alone(n):
+            return oracle_projection(dense_operator(np.array([[n, 2.0 * n ** (1.0 + p)], [0.0, -n]], dtype=complex)))
+
+        picks = sorted(set(range(1, min(n_blocks, 8) + 1)) | {n_blocks})
+        pattern = max(
+            float(np.abs(getattr(alone(n), key) - almost_bisect_block_projections(n, p)[name]).max())
+            for n in picks for key, name in (("p_plus", "P_plus"), ("p_minus", "P_minus"))
+        )
+        norms = max(abs(spectral_norm(alone(n).p_plus) - np.sqrt(1.0 + float(n) ** (2.0 * p))) for n in picks)
+        assert measured["block_projection_pattern"] == pattern
+        assert measured["block_projection_norms"] == norms
+        assert measured["projection_norm_block100"] == spectral_norm(alone(100).p_plus)
+        if "projection_norm_exceeds_10" in measured:
+            assert measured["projection_norm_exceeds_10"] == spectral_norm(alone(100).p_plus)
 
     def test_fact_names_include_growth_witness(self):
         case = corpus_almbisect(50, 0.5)

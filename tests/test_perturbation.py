@@ -27,7 +27,7 @@ from specsplit import (
     subordination_curve,
 )
 from specsplit.cli import main
-from specsplit.operators import near_spectrum_tol
+from specsplit.operators import build_block_operator, near_spectrum_tol
 
 
 def axis_points(lo, hi, n):
@@ -112,6 +112,74 @@ class TestDiffDecay:
         assert [(complex(float(re), float(im)), float(d)) for re, im, d in rows] == report.diff_samples
 
 
+def loop_curve(s_op, r, samples):
+    """``subordination_curve`` as a loop over the samples with one unscaled
+    norm per product, the reference its array form must reproduce."""
+    r = np.asarray(r, dtype=complex)
+    ratios = []
+    for x in samples:
+        x = np.asarray(x, dtype=complex).ravel()
+        nx = float(np.linalg.norm(x))
+        if nx == 0.0:
+            raise ValueError("subordination samples must be nonzero")
+        sx = float(np.linalg.norm(s_op.entries @ x))
+        rx = float(np.linalg.norm(r @ x))
+        if sx == 0.0 and rx > 0.0:
+            raise ValueError("subordination impossible for p > 0: sample with Sx = 0 but Rx != 0")
+        if rx > 0.0:
+            ratios.append((rx, nx, sx))
+    p_grid = np.round(np.arange(0.0, 1.005, 0.01), 10)
+    if not ratios:
+        return p_grid, np.zeros_like(p_grid)
+    log_r, log_n, log_s = (np.log([t[i] for t in ratios]) for i in range(3))
+    log_c = np.max(
+        log_r[None, :] - (1.0 - p_grid[:, None]) * log_n[None, :] - p_grid[:, None] * log_s[None, :],
+        axis=1,
+    )
+    return p_grid, np.exp(log_c)
+
+
+def squares_stay_normal(vectors) -> bool:
+    """Whether every nonzero real or imaginary part of ``vectors`` squares to
+    a normal float and a sum of 12 such squares stays below the largest."""
+    parts = np.abs(np.array([np.ravel(v) for v in vectors], dtype=complex).view(float)).ravel()
+    parts = parts[parts > 0.0]
+    return bool(np.all((parts >= 2.0**-511) & (parts <= 2.0**508)))
+
+
+def cli_perturbation(op, p=0.4, scale=0.5, coupling=0.1):
+    """The perturbation ``specsplit perturb`` builds with its defaults."""
+    mags = np.abs(np.diag(op.entries))
+    r = scale * np.diag(np.where(mags > 0, mags, 1.0) ** p).astype(complex)
+    r[0, 1] += coupling
+    r[1, 0] += coupling
+    return r
+
+
+# a third of the entries are zeros, so that S is often singular on a sample,
+# and the others are at least 2^-20, so that the squares of an unscaled
+# sample stay normal
+UNIT = st.one_of(st.just(0.0), st.floats(2.0**-20, 1.0), st.floats(-1.0, -(2.0**-20)))
+
+
+@st.composite
+def subordination_inputs(draw):
+    """Random complex S and R of order 1 to 6, and 0 to 6 samples, random or
+    standard basis vectors (which read a column of S, perhaps a zero one),
+    each scaled by 2^k with |k| <= 1000."""
+    n = draw(st.integers(1, 6))
+
+    def matrix(rows):
+        parts = draw(st.lists(UNIT, min_size=2 * rows * n, max_size=2 * rows * n))
+        return (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(rows, n)
+
+    samples = []
+    for _ in range(draw(st.sampled_from(range(7)))):
+        x = np.eye(n)[draw(st.integers(0, n - 1))] if draw(st.booleans()) else matrix(1)[0]
+        samples.append(x * 2.0 ** draw(st.one_of(st.integers(-40, 40), st.integers(-1000, 1000))))
+    return dense_operator(matrix(n)), matrix(n), samples
+
+
 class TestSubordination:
     def test_equality_case(self):
         op = diag_operator([1, -2, 3])
@@ -158,6 +226,63 @@ class TestSubordination:
         base = subordination_curve(op, r, list(np.eye(n)))[1]
         scaled = subordination_curve(op, t * r, list(np.eye(n)))[1]
         assert np.all(scaled <= base * (1 + 1e-12))
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=subordination_inputs())
+    def test_matches_the_loop(self, inputs):
+        # the loop squares unscaled entries, so it is the reference only where
+        # those squares stay normal; elsewhere the curve must still come
+        # without a warning, or be refused
+        s_op, r, samples = inputs
+        try:
+            got = subordination_curve(s_op, r, samples)
+        except ValueError as exc:
+            got = str(exc)
+        if not squares_stay_normal([*samples, *(s_op.entries @ x for x in samples), *(r @ x for x in samples)]):
+            assert isinstance(got, str) or np.all(np.isfinite(got[1]))
+            return
+        try:
+            expect = loop_curve(s_op, r, samples)
+        except ValueError as exc:
+            expect = str(exc)
+        if isinstance(expect, str):
+            assert got == expect
+        else:
+            assert np.array_equal(got[0], expect[0])
+            np.testing.assert_allclose(got[1], expect[1], rtol=1e-13, atol=0.0)
+
+    def test_empty_sample_set_gives_the_zero_curve(self):
+        p_grid, c = subordination_curve(diag_operator([1.0, -1.0]), np.eye(2), [])
+        assert p_grid.size == 101 and np.array_equal(c, np.zeros(101))
+
+    def test_first_offending_sample_names_the_refusal(self):
+        op = diag_operator([0.0, 1.0])
+        with pytest.raises(ValueError, match="impossible"):
+            subordination_curve(op, np.eye(2), [np.array([1.0, 0.0]), np.zeros(2)])
+        with pytest.raises(ValueError, match="nonzero"):
+            subordination_curve(op, np.eye(2), [np.zeros(2), np.array([1.0, 0.0])])
+
+    @pytest.mark.parametrize("s_op, r", [
+        # the two perturb jobs of the benchmark's diagnose workload
+        (build_block_operator("almost-bisect-5.5", 50, {"p": 0.5}),
+         cli_perturbation(build_block_operator("almost-bisect-5.5", 50, {"p": 0.5}))),
+        (alternating_diag(128), cli_perturbation(alternating_diag(128))),
+    ])
+    def test_bit_for_bit_on_the_benchmark_pairs(self, s_op, r):
+        samples = list(np.eye(s_op.dim, dtype=complex).T)
+        got, expect = subordination_curve(s_op, r, samples), loop_curve(s_op, r, samples)
+        assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
+
+    @pytest.mark.parametrize("t", [1e-300, 1e300])
+    def test_scale_free_at_the_ends_of_the_float_range(self, t):
+        # c(p) does not change when every sample is scaled by t, though the
+        # squares of ||x||, ||Sx|| and ||Rx|| would leave the float range;
+        # logarithms near +-690 round to about 1e-13, hence the tolerance
+        op = alternating_diag(6)
+        r = cli_perturbation(op)
+        samples = list(np.eye(6) + 0.5)
+        base = subordination_curve(op, r, samples)[1]
+        np.testing.assert_allclose(subordination_curve(op, r, [t * x for x in samples])[1], base, rtol=1e-12)
 
 
 class TestProjectionDiff:
@@ -283,6 +408,11 @@ class TestPairReport:
         monkeypatch.setattr("specsplit.perturbation.resolvent_diff_decay", sweep)
         with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\], got 2.0"):
             perturb_pair_report(alternating_diag(4), 0.1 * np.eye(4), beta=2.0)
+
+    def test_zero_gap_refused_before_the_fit(self):
+        # S has the eigenvalue 0, where the fit would refuse Sx = 0 as a usage error
+        with pytest.raises(NearSpectrumError, match="spectral gap to the imaginary axis is zero"):
+            perturb_pair_report(diag_operator([0.0, 1.0]), 0.1 * np.eye(2))
 
     def test_zero_perturbation_sentinel_serializes(self, capsys):
         s_op = alternating_diag(6)
